@@ -14,8 +14,8 @@ use mcpb_drl::lense::{Lense, LenseConfig};
 use mcpb_drl::rl4im::{Rl4Im, Rl4ImConfig};
 use mcpb_drl::s2v_dqn::{S2vDqn, S2vDqnConfig};
 use mcpb_graph::generators;
-use mcpb_graph::Graph;
-use mcpb_resilience::{fault, FaultPlan};
+use mcpb_graph::{Graph, NodeId};
+use mcpb_resilience::{fault, fnv1a64, FaultPlan};
 
 /// The fault plan is process-global; these tests must not interleave.
 static SERIAL: Mutex<()> = Mutex::new(());
@@ -28,11 +28,35 @@ fn train_graph() -> Graph {
     generators::barabasi_albert(120, 3, 7)
 }
 
+/// FNV-1a digest of a recovered run: each checkpoint's epoch, validation
+/// score and loss bits, the recovery count, and the seeds the model infers
+/// afterwards (which pins the rolled-back parameters).
+fn digest(report: &TrainReport, seeds: &[NodeId]) -> u64 {
+    let mut bytes = Vec::new();
+    for cp in &report.checkpoints {
+        bytes.extend((cp.epoch as u64).to_le_bytes());
+        bytes.extend(cp.validation_score.to_bits().to_le_bytes());
+        bytes.extend(cp.loss.to_bits().to_le_bytes());
+    }
+    bytes.extend(report.recoveries.to_le_bytes());
+    bytes.extend((seeds.len() as u64).to_le_bytes());
+    for &s in seeds {
+        bytes.extend(s.to_le_bytes());
+    }
+    fnv1a64(&bytes)
+}
+
 /// Trains `solver` under a one-shot NaN injection at its site and asserts
-/// the loop recovered instead of crashing or aborting.
-fn assert_recovers(site: &str, train: impl FnOnce(&Graph) -> TrainReport) {
+/// the loop recovered instead of crashing or aborting, bit for bit as
+/// pinned by `expected` (a digest of the report and of the seeds inferred
+/// at k = 5 on the training graph).
+fn assert_recovers(
+    site: &str,
+    expected: u64,
+    train: impl FnOnce(&Graph) -> (TrainReport, Vec<NodeId>),
+) {
     fault::install(FaultPlan::parse(&format!("nan@{site}:2")).unwrap());
-    let report = train(&train_graph());
+    let (report, seeds) = train(&train_graph());
     fault::clear();
     assert!(
         report.recoveries >= 1,
@@ -50,13 +74,18 @@ fn assert_recovers(site: &str, train: impl FnOnce(&Graph) -> TrainReport) {
             "{site}: poisoned loss leaked into checkpoint"
         );
     }
+    let got = digest(&report, &seeds);
+    assert_eq!(
+        got, expected,
+        "{site}: recovered run moved: got {got:#018x}, pinned {expected:#018x}"
+    );
 }
 
 #[test]
 fn s2v_dqn_recovers_from_injected_nan() {
     let _g = serial();
-    assert_recovers("train.S2V-DQN", |g| {
-        S2vDqn::new(S2vDqnConfig {
+    assert_recovers("train.S2V-DQN", 0x2f48_8ad7_1917_d434, |g| {
+        let mut model = S2vDqn::new(S2vDqnConfig {
             episodes: 6,
             train_subgraph_nodes: 20,
             train_budget: 3,
@@ -64,16 +93,17 @@ fn s2v_dqn_recovers_from_injected_nan() {
             task: Task::Mcp,
             seed: 11,
             ..S2vDqnConfig::default()
-        })
-        .train(g)
+        });
+        let report = model.train(g);
+        (report, model.infer(g, 5))
     });
 }
 
 #[test]
 fn gcomb_recovers_from_injected_nan() {
     let _g = serial();
-    assert_recovers("train.GCOMB", |g| {
-        Gcomb::new(GcombConfig {
+    assert_recovers("train.GCOMB", 0x7bd0_2ada_e33c_c8ec, |g| {
+        let mut model = Gcomb::new(GcombConfig {
             supervised_epochs: 10,
             prob_greedy_runs: 3,
             train_subgraph_nodes: 60,
@@ -83,16 +113,17 @@ fn gcomb_recovers_from_injected_nan() {
             task: Task::Mcp,
             seed: 3,
             ..GcombConfig::default()
-        })
-        .train(g)
+        });
+        let report = model.train(g);
+        (report, model.infer(g, 5))
     });
 }
 
 #[test]
 fn rl4im_recovers_from_injected_nan() {
     let _g = serial();
-    assert_recovers("train.RL4IM", |g| {
-        Rl4Im::new(Rl4ImConfig {
+    assert_recovers("train.RL4IM", 0x0be7_f382_0cbc_f96b, |g| {
+        let mut model = Rl4Im::new(Rl4ImConfig {
             episodes: 6,
             train_budget: 3,
             batch_size: 4,
@@ -101,16 +132,17 @@ fn rl4im_recovers_from_injected_nan() {
             task: Task::Mcp,
             seed: 5,
             ..Rl4ImConfig::default()
-        })
-        .train(std::slice::from_ref(g))
+        });
+        let report = model.train(std::slice::from_ref(g));
+        (report, model.infer(g, 5))
     });
 }
 
 #[test]
 fn geometric_qn_recovers_from_injected_nan() {
     let _g = serial();
-    assert_recovers("train.Geometric-QN", |g| {
-        GeometricQn::new(GeometricQnConfig {
+    assert_recovers("train.Geometric-QN", 0x1499_0f11_5ad0_470f, |g| {
+        let mut model = GeometricQn::new(GeometricQnConfig {
             episodes: 6,
             explore_steps: 6,
             train_budget: 3,
@@ -118,16 +150,17 @@ fn geometric_qn_recovers_from_injected_nan() {
             task: Task::Mcp,
             seed: 7,
             ..GeometricQnConfig::default()
-        })
-        .train(std::slice::from_ref(g))
+        });
+        let report = model.train(std::slice::from_ref(g));
+        (report, model.infer(g, 5))
     });
 }
 
 #[test]
 fn lense_recovers_from_injected_nan() {
     let _g = serial();
-    assert_recovers("train.LeNSE", |g| {
-        Lense::new(LenseConfig {
+    assert_recovers("train.LeNSE", 0x0bd2_1a74_8f20_4562, |g| {
+        let mut model = Lense::new(LenseConfig {
             subgraph_size: 40,
             num_labeled: 8,
             encoder_epochs: 10,
@@ -138,8 +171,9 @@ fn lense_recovers_from_injected_nan() {
             task: Task::Mcp,
             seed: 13,
             ..LenseConfig::default()
-        })
-        .train(g)
+        });
+        let report = model.train(g);
+        (report, model.infer(g, 5))
     });
 }
 

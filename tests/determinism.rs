@@ -61,19 +61,154 @@ fn monte_carlo_is_deterministic() {
     assert_eq!(c, d);
 }
 
+/// FNV-1a digest of everything a training run decides: each checkpoint's
+/// epoch, validation score and loss bits, the recovery count, and the seed
+/// set the trained model infers.
+fn training_digest(report: &drl::TrainReport, seeds: &[graph::NodeId]) -> u64 {
+    let mut bytes = Vec::new();
+    for cp in &report.checkpoints {
+        bytes.extend((cp.epoch as u64).to_le_bytes());
+        bytes.extend(cp.validation_score.to_bits().to_le_bytes());
+        bytes.extend(cp.loss.to_bits().to_le_bytes());
+    }
+    bytes.extend(report.recoveries.to_le_bytes());
+    bytes.extend((seeds.len() as u64).to_le_bytes());
+    for &s in seeds {
+        bytes.extend(s.to_le_bytes());
+    }
+    mcpb_resilience::fnv1a64(&bytes)
+}
+
+/// A graph too small to train on: episodes drawn on it are skipped, and a
+/// skipped episode must also skip its validation checkpoint.
+fn too_small() -> graph::Graph {
+    graph::Graph::from_edges(1, &[]).unwrap()
+}
+
+/// Golden pin: each DRL method trained at a tiny fixed config must
+/// reproduce its digest bit for bit, at any thread count. Seven episodes
+/// with `validate_every: 3` cover the periodic and the last-episode
+/// checkpoint. A refactor of the training loops must leave every constant
+/// unchanged; a change that moves results on purpose re-pins them in its
+/// own reviewable hunk.
 #[test]
 fn deep_rl_training_is_deterministic() {
     let train = graph::generators::barabasi_albert(150, 3, 17);
-    let make = || {
-        let mut model = drl::S2vDqn::new(drl::S2vDqnConfig {
-            episodes: 8,
-            seed: 21,
-            ..drl::S2vDqnConfig::default()
-        });
-        model.train(&train);
-        model.infer(&train, 5)
+    let im = |seed| {
+        graph::weights::assign_weights(
+            &graph::generators::barabasi_albert(40, 2, seed),
+            WeightModel::Constant,
+            0,
+        )
     };
-    assert_eq!(make(), make());
+    let k = 5;
+    let cases: Vec<(&str, u64, Box<dyn Fn() -> u64>)> = vec![
+        (
+            "S2V-DQN",
+            0x4eeb_3be4_56df_f4e2,
+            Box::new(|| {
+                let mut model = drl::S2vDqn::new(drl::S2vDqnConfig {
+                    episodes: 7,
+                    train_subgraph_nodes: 20,
+                    train_budget: 3,
+                    validate_every: 3,
+                    seed: 21,
+                    ..drl::S2vDqnConfig::default()
+                });
+                let report = model.train(&train);
+                training_digest(&report, &model.infer(&train, k))
+            }),
+        ),
+        (
+            "GCOMB",
+            0xb10e_78af_d5bb_f453,
+            Box::new(|| {
+                let mut model = drl::Gcomb::new(drl::GcombConfig {
+                    supervised_epochs: 10,
+                    prob_greedy_runs: 3,
+                    train_subgraph_nodes: 60,
+                    noise_budgets: vec![2, 5],
+                    rl_episodes: 7,
+                    train_budget: 3,
+                    validate_every: 3,
+                    seed: 3,
+                    ..drl::GcombConfig::default()
+                });
+                let report = model.train(&train);
+                training_digest(&report, &model.infer(&train, k))
+            }),
+        ),
+        (
+            "RL4IM",
+            0xade5_ec94_9fe2_6748,
+            Box::new(|| {
+                let pool = vec![im(1), too_small(), im(2), im(3)];
+                let mut model = drl::Rl4Im::new(drl::Rl4ImConfig {
+                    embed_dim: 8,
+                    episodes: 7,
+                    train_budget: 3,
+                    eps_decay_steps: 30,
+                    validate_every: 3,
+                    task: drl::Task::Im { rr_sets: 200 },
+                    seed: 5,
+                    ..drl::Rl4ImConfig::default()
+                });
+                let report = model.train(&pool);
+                training_digest(&report, &model.infer(&pool[0], k))
+            }),
+        ),
+        (
+            "Geometric-QN",
+            0xc3df_b0af_138f_be3f,
+            Box::new(|| {
+                // Episode e trains on graph e % 4: episodes 3 and 7 land on
+                // the too-small graph, so checkpoints 3 and 7 are skipped.
+                let graphs = vec![im(4), im(5), too_small(), im(6)];
+                let mut model = drl::GeometricQn::new(drl::GeometricQnConfig {
+                    episodes: 7,
+                    explore_steps: 4,
+                    train_budget: 3,
+                    validate_every: 3,
+                    task: drl::Task::Im { rr_sets: 200 },
+                    seed: 7,
+                    ..drl::GeometricQnConfig::default()
+                });
+                let report = model.train(&graphs);
+                training_digest(&report, &model.infer(&graphs[0], k))
+            }),
+        ),
+        (
+            "LeNSE",
+            0x7968_6825_f39c_18f9,
+            Box::new(|| {
+                let mut model = drl::Lense::new(drl::LenseConfig {
+                    subgraph_size: 20,
+                    num_labeled: 6,
+                    encoder_epochs: 10,
+                    nav_episodes: 7,
+                    nav_steps: 4,
+                    train_budget: 3,
+                    validate_every: 3,
+                    seed: 13,
+                    ..drl::LenseConfig::default()
+                });
+                let report = model.train(&train);
+                training_digest(&report, &model.infer(&train, k))
+            }),
+        ),
+    ];
+    let mut wrong = Vec::new();
+    for (method, pinned, run) in &cases {
+        let got = run();
+        if got != *pinned {
+            wrong.push(format!("{method}: got {got:#018x}, pinned {pinned:#018x}"));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "training digests moved:\n{}",
+        wrong.join("\n")
+    );
 }
 
 #[test]
