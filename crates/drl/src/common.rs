@@ -1,10 +1,13 @@
 //! Shared machinery for the five Deep-RL methods: the task/objective
 //! abstraction (MCP coverage vs IM influence), the reward oracle both RL
-//! environments query, and training reports for the §5.2/§5.3 experiments.
+//! environments query, the one training driver ([`train_loop`]) and the
+//! training reports for the §5.2/§5.3 experiments.
 
 use mcpb_graph::{Graph, NodeId};
 use mcpb_im::rrset::{sample_collection, RrCollection};
 use mcpb_mcp::coverage::CoverageOracle;
+use mcpb_nn::Tensor;
+use mcpb_rl::dqn::DqnAgent;
 
 /// Which coverage problem a model is being trained/applied to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,6 +158,23 @@ impl<'g> RewardOracle<'g> {
     }
 }
 
+/// Normalized objective of `seeds` on `graph`, scored by a fresh
+/// [`RewardOracle`] built with `oracle_seed`.
+pub fn objective(graph: &Graph, task: Task, oracle_seed: u64, seeds: &[NodeId]) -> f64 {
+    let mut oracle = RewardOracle::new(graph, task, oracle_seed);
+    for &s in seeds {
+        oracle.add_seed(s);
+    }
+    oracle.total()
+}
+
+/// The validation score every method reports: the [`objective`] of the
+/// seeds its greedy policy inferred, at the evaluation oracle seed
+/// `seed ^ 0xe7a1`.
+pub fn evaluate_seeds(graph: &Graph, task: Task, seed: u64, seeds: &[NodeId]) -> f64 {
+    objective(graph, task, seed ^ 0xe7a1, seeds)
+}
+
 /// A validation checkpoint recorded during training (drives Fig. 8/9).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Checkpoint {
@@ -226,12 +246,12 @@ pub enum EpisodeHealth {
     Recovered,
 }
 
-/// Per-run divergence recovery shared by all five training loops.
+/// Per-run divergence recovery for [`train_loop`].
 ///
 /// The harness owns the [`DivergenceGuard`] bookkeeping and the telemetry;
 /// the *mechanism* of rolling back (which parameter store, which optimizer)
 /// differs per solver and is supplied as a closure returning the new
-/// learning rate. It is also the loops' NaN fault-injection point: a
+/// learning rate. It is also the driver's NaN fault-injection point: a
 /// `nan@train.<solver>` entry in `MCPB_FAULTS` poisons the observed loss,
 /// so the whole rollback path runs in CI.
 pub struct RecoveryHarness {
@@ -243,15 +263,12 @@ pub struct RecoveryHarness {
 impl RecoveryHarness {
     /// A harness with the default thresholds and recovery budget.
     pub fn new(solver: &'static str) -> Self {
-        Self::with_config(solver, mcpb_resilience::DivergenceConfig::default())
-    }
-
-    /// A harness with explicit thresholds/budget.
-    pub fn with_config(solver: &'static str, cfg: mcpb_resilience::DivergenceConfig) -> Self {
         RecoveryHarness {
             solver,
             site: format!("train.{solver}"),
-            guard: mcpb_resilience::DivergenceGuard::new(cfg),
+            guard: mcpb_resilience::DivergenceGuard::new(
+                mcpb_resilience::DivergenceConfig::default(),
+            ),
         }
     }
 
@@ -314,15 +331,10 @@ pub struct TrainScope {
 }
 
 impl TrainScope {
-    /// Starts the training clock and, when tracing is enabled, opens the
-    /// root span that all nested spans (subgraph sampling, NN forward /
-    /// backward) aggregate under.
-    pub fn start(solver: &'static str) -> Self {
-        Self::start_with_total(solver, 0)
-    }
-
-    /// Like [`TrainScope::start`], but with the planned episode count so
-    /// [`TrainScope::episode_end`] can emit throughput/ETA heartbeats.
+    /// Starts the training clock for `total_episodes` planned episodes
+    /// and, when tracing is enabled, opens the root span that all nested
+    /// spans (subgraph sampling, NN forward / backward) aggregate under.
+    /// [`train_loop`] later reads the solver name and episode count back.
     pub fn start_with_total(solver: &'static str, total_episodes: usize) -> Self {
         let root = if mcpb_trace::is_enabled() {
             Some(mcpb_trace::span_named(format!("train.{solver}")))
@@ -369,8 +381,8 @@ impl TrainScope {
         }
     }
 
-    /// Seconds since [`TrainScope::start`] — the value every method stores
-    /// in [`TrainReport::train_seconds`].
+    /// Seconds since [`TrainScope::start_with_total`] — the value
+    /// [`train_loop`] stores in [`TrainReport::train_seconds`].
     pub fn elapsed_secs(&self) -> f64 {
         self.watch.elapsed_secs()
     }
@@ -398,6 +410,156 @@ impl TrainReport {
     }
 }
 
+/// What one training episode hands back to [`train_loop`].
+#[derive(Debug, Clone, Copy)]
+pub struct EpisodeStats {
+    /// Largest merged-gradient L2 norm of the episode, fed to the
+    /// divergence guard next to the loss (`None`: loss only).
+    pub grad_norm: Option<f64>,
+    /// Exploration rate at the end of the episode (telemetry).
+    pub epsilon: f64,
+    /// Objective or reward the episode reached (telemetry).
+    pub reward: f64,
+}
+
+/// The trainable parameters behind a run: what [`train_loop`] snapshots,
+/// rolls back on divergence and, with [`LoopSpec::keep_best`], restores
+/// to the best-validation checkpoint.
+pub trait Learner {
+    /// Copy of the online parameters.
+    fn snapshot(&self) -> Vec<Tensor>;
+    /// Loads `snapshot` into the online parameters and re-syncs the target
+    /// network.
+    fn restore(&mut self, snapshot: &[Tensor]);
+    /// Halves the learning rate; returns the new rate.
+    fn halve_lr(&mut self) -> f64;
+}
+
+impl Learner for DqnAgent {
+    fn snapshot(&self) -> Vec<Tensor> {
+        DqnAgent::snapshot(self)
+    }
+
+    fn restore(&mut self, snapshot: &[Tensor]) {
+        DqnAgent::restore(self, snapshot);
+    }
+
+    fn halve_lr(&mut self) -> f64 {
+        f64::from(self.scale_lr(0.5))
+    }
+}
+
+/// A method's half of training: its rollout and update, its validation,
+/// and the learner they train. [`train_loop`] owns the rest.
+pub trait TrainHooks {
+    /// Runs 0-based episode `ep`, pushing the loss of every update onto
+    /// `losses`. `None` skips the episode: no divergence check, telemetry
+    /// or checkpoint.
+    fn episode(&mut self, ep: usize, losses: &mut Vec<f32>) -> Option<EpisodeStats>;
+    /// Validation objective of the current policy.
+    fn validate(&mut self) -> f64;
+    /// The parameters being trained.
+    fn learner(&mut self) -> &mut dyn Learner;
+}
+
+/// How [`train_loop`] checkpoints a run.
+#[derive(Debug, Clone, Copy)]
+pub struct LoopSpec {
+    /// Validate (and checkpoint) every this many episodes, and after the
+    /// last one.
+    pub validate_every: usize,
+    /// Restore the best-validation parameters when training ends (the
+    /// paper's protocol, §4.1). Only S2V-DQN and RL4IM do; the other
+    /// methods keep their last parameters.
+    pub keep_best: bool,
+    /// Checkpoint loss when no update ran since the previous checkpoint.
+    pub idle_loss: f64,
+}
+
+/// Mean of a checkpoint's loss window, summed in `f32` in episode order
+/// (`None` when no update ran).
+fn window_mean(losses: &[f32]) -> Option<f64> {
+    if losses.is_empty() {
+        return None;
+    }
+    let mut total = 0f32;
+    for &l in losses {
+        total += l;
+    }
+    Some(f64::from(total) / losses.len() as f64)
+}
+
+/// The one training driver behind all five methods' `train`. It runs the
+/// episodes planned in `scope`, and after each one:
+/// - checks the episode's mean loss with a [`RecoveryHarness`], rolling
+///   back to the last healthy parameters and halving the learning rate on
+///   divergence (the episode then records nothing);
+/// - emits the episode telemetry;
+/// - every `spec.validate_every` episodes and after the last, validates
+///   and pushes a [`Checkpoint`] with the mean loss since the previous one.
+///
+/// With `spec.keep_best` it finally restores the best-validation
+/// parameters. The report carries the recoveries, the training seconds
+/// since `scope` started, and the typed error if the recovery budget ran
+/// out.
+pub fn train_loop(scope: TrainScope, spec: LoopSpec, hooks: &mut dyn TrainHooks) -> TrainReport {
+    let mut report = TrainReport::default();
+    let mut harness = RecoveryHarness::new(scope.solver);
+    let mut last_good = hooks.learner().snapshot();
+    let mut best = spec
+        .keep_best
+        .then(|| (f64::NEG_INFINITY, hooks.learner().snapshot()));
+    let mut losses: Vec<f32> = Vec::new();
+    for ep in 0..scope.total_episodes {
+        let window = losses.len();
+        let Some(stats) = hooks.episode(ep, &mut losses) else {
+            continue;
+        };
+        let ep_loss = mean_f32(&losses[window..]);
+        let health = harness.observe(ep + 1, ep_loss, stats.grad_norm, || {
+            let learner = hooks.learner();
+            learner.restore(&last_good);
+            learner.halve_lr()
+        });
+        match health {
+            Ok(EpisodeHealth::Healthy) => last_good = hooks.learner().snapshot(),
+            Ok(EpisodeHealth::Recovered) => {
+                // Drop the poisoned losses so the next checkpoint's mean
+                // stays finite, and skip checkpointing this episode.
+                losses.truncate(window);
+                continue;
+            }
+            Err(e) => {
+                report.error = Some(e);
+                break;
+            }
+        }
+        scope.episode_end(ep + 1, ep_loss, stats.epsilon, stats.reward);
+        if (ep + 1) % spec.validate_every == 0 || ep + 1 == scope.total_episodes {
+            let score = hooks.validate();
+            let loss = window_mean(&losses).unwrap_or(spec.idle_loss);
+            losses.clear();
+            report.checkpoints.push(Checkpoint {
+                epoch: ep + 1,
+                validation_score: score,
+                loss,
+            });
+            if let Some((best_score, best_params)) = &mut best {
+                if score > *best_score {
+                    *best_score = score;
+                    *best_params = hooks.learner().snapshot();
+                }
+            }
+        }
+    }
+    if let Some((_, best_params)) = best {
+        hooks.learner().restore(&best_params);
+    }
+    report.recoveries = harness.recoveries();
+    report.train_seconds = scope.elapsed_secs();
+    report
+}
+
 /// L2 norm of a merged gradient set, fed to the [`RecoveryHarness`] as the
 /// explosion signal alongside the loss.
 pub fn grad_l2_norm(grads: &[(mcpb_nn::ParamId, mcpb_nn::Tensor)]) -> f64 {
@@ -409,8 +571,8 @@ pub fn grad_l2_norm(grads: &[(mcpb_nn::ParamId, mcpb_nn::Tensor)]) -> f64 {
         .sqrt()
 }
 
-/// Mean of an `f32` loss slice as `f64` (0 when empty). Shared by the
-/// per-episode telemetry in every method's training loop.
+/// Mean of an `f32` loss slice as `f64` (0 when empty): the per-episode
+/// loss [`train_loop`] hands to the divergence guard and the telemetry.
 pub fn mean_f32(xs: &[f32]) -> f64 {
     if xs.is_empty() {
         0.0

@@ -16,8 +16,8 @@
 //!    features picks seeds from the pruned candidate set.
 
 use crate::common::{
-    mean_f32, sample_training_subgraph, Checkpoint, EpisodeHealth, RecoveryHarness, RewardOracle,
-    Task, TrainReport, TrainScope,
+    evaluate_seeds, sample_training_subgraph, train_loop, EpisodeStats, Learner, LoopSpec,
+    RewardOracle, Task, TrainHooks, TrainReport, TrainScope,
 };
 use mcpb_gnn::adjacency::gcn_normalized;
 use mcpb_gnn::gcn::GcnEncoder;
@@ -251,7 +251,6 @@ impl Gcomb {
     /// Full training pipeline: supervised GCN, noise predictor, Q-learning.
     pub fn train(&mut self, train_graph: &Graph) -> TrainReport {
         let scope = TrainScope::start_with_total("GCOMB", self.cfg.rl_episodes);
-        let mut report = TrainReport::default();
         let (tg, _) = sample_training_subgraph(
             train_graph,
             self.cfg.train_subgraph_nodes,
@@ -263,7 +262,7 @@ impl Gcomb {
             self.cfg.seed ^ 0x7a11,
         );
         if tg.num_nodes() < 4 {
-            return report;
+            return TrainReport::default();
         }
 
         // Stage 1: labels from probabilistic greedy.
@@ -336,104 +335,21 @@ impl Gcomb {
         self.noise = NoisePredictor { points };
 
         // Stage 3: Q-learning over the pruned candidate set.
-        let scores = self.gcn_scores(&tg);
-        let schedule = EpsilonSchedule::standard(self.cfg.rl_episodes * self.cfg.train_budget / 2);
-        let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(2_000);
-        let mut step_count = 0usize;
-        let mut best_snapshot_score = f64::NEG_INFINITY;
-        let mut epoch_losses = Vec::new();
-        let mut harness = RecoveryHarness::new("GCOMB");
-        let mut last_good = self.agent.snapshot();
-        for ep in 0..self.cfg.rl_episodes {
-            let ep_loss_start = epoch_losses.len();
-            let mut oracle =
-                RewardOracle::new(&tg, self.cfg.task, self.cfg.seed.wrapping_add(ep as u64));
-            let cands = self.noise.candidates(&tg, self.cfg.train_budget);
-            let mut picked = vec![false; n];
-            let budget = self.cfg.train_budget.min(cands.len());
-            for step in 0..budget {
-                let avail: Vec<NodeId> = cands
-                    .iter()
-                    .copied()
-                    .filter(|&v| !picked[v as usize])
-                    .collect();
-                if avail.is_empty() {
-                    break;
-                }
-                let state = vec![step as f32 / budget.max(1) as f32, oracle.total() as f32];
-                let actions: Vec<Vec<f32>> = avail
-                    .iter()
-                    .map(|&v| Self::action_features(&tg, v, &scores, &oracle))
-                    .collect();
-                let eps = schedule.value(step_count);
-                let idx = self.agent.select_action(&state, &actions, eps);
-                let v = avail[idx];
-                let reward = oracle.add_seed(v) as f32;
-                picked[v as usize] = true;
-                let done = step + 1 == budget;
-                let next_state = vec![
-                    (step + 1) as f32 / budget.max(1) as f32,
-                    oracle.total() as f32,
-                ];
-                let next_actions: Vec<Vec<f32>> = if done {
-                    Vec::new()
-                } else {
-                    cands
-                        .iter()
-                        .copied()
-                        .filter(|&u| !picked[u as usize])
-                        .map(|u| Self::action_features(&tg, u, &scores, &oracle))
-                        .collect()
-                };
-                replay.push(Transition {
-                    state,
-                    action: actions[idx].clone(),
-                    reward,
-                    next_state,
-                    next_actions,
-                    done,
-                });
-                step_count += 1;
-                if replay.len() >= 16 {
-                    let batch = replay.sample(16, &mut self.rng);
-                    epoch_losses.push(self.agent.train_batch(&batch));
-                }
-            }
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, None, || {
-                self.agent.restore(&last_good);
-                f64::from(self.agent.scale_lr(0.5))
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.agent.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-            scope.episode_end(ep + 1, ep_loss, schedule.value(step_count), oracle.total());
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.rl_episodes {
-                let score = self.evaluate(&val_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    sup_loss as f64
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-                best_snapshot_score = best_snapshot_score.max(score);
-            }
-        }
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
+        let spec = LoopSpec {
+            validate_every: self.cfg.validate_every,
+            keep_best: false,
+            idle_loss: f64::from(sup_loss),
+        };
+        let mut run = GcombRun {
+            scores: self.gcn_scores(&tg),
+            schedule: EpsilonSchedule::standard(self.cfg.rl_episodes * self.cfg.train_budget / 2),
+            model: self,
+            tg,
+            val_graph,
+            replay: ReplayBuffer::new(2_000),
+            step_count: 0,
+        };
+        train_loop(scope, spec, &mut run)
     }
 
     fn action_features(
@@ -453,11 +369,7 @@ impl Gcomb {
     /// Normalized objective achieved by the greedy policy on `graph`.
     pub fn evaluate(&mut self, graph: &Graph, k: usize) -> f64 {
         let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        evaluate_seeds(graph, self.cfg.task, self.cfg.seed, &seeds)
     }
 
     /// Inference: prune with the noise predictor, score with the GCN, pick
@@ -497,6 +409,96 @@ impl Gcomb {
             seeds.push(v);
         }
         seeds
+    }
+}
+
+/// GCOMB's Q-learning stage: episodes on the training subgraph `tg`, one
+/// update per step once the replay holds a batch of 16.
+struct GcombRun<'a> {
+    model: &'a mut Gcomb,
+    tg: Graph,
+    val_graph: Graph,
+    /// GCN scores of `tg`'s nodes after the supervised stage.
+    scores: Vec<f32>,
+    replay: ReplayBuffer<Transition>,
+    schedule: EpsilonSchedule,
+    step_count: usize,
+}
+
+impl TrainHooks for GcombRun<'_> {
+    fn episode(&mut self, ep: usize, losses: &mut Vec<f32>) -> Option<EpisodeStats> {
+        let (task, seed, train_budget) = (
+            self.model.cfg.task,
+            self.model.cfg.seed,
+            self.model.cfg.train_budget,
+        );
+        let tg = &self.tg;
+        let mut oracle = RewardOracle::new(tg, task, seed.wrapping_add(ep as u64));
+        let cands = self.model.noise.candidates(tg, train_budget);
+        let mut picked = vec![false; tg.num_nodes()];
+        let budget = train_budget.min(cands.len());
+        for step in 0..budget {
+            let avail: Vec<NodeId> = cands
+                .iter()
+                .copied()
+                .filter(|&v| !picked[v as usize])
+                .collect();
+            if avail.is_empty() {
+                break;
+            }
+            let state = vec![step as f32 / budget.max(1) as f32, oracle.total() as f32];
+            let actions: Vec<Vec<f32>> = avail
+                .iter()
+                .map(|&v| Gcomb::action_features(tg, v, &self.scores, &oracle))
+                .collect();
+            let eps = self.schedule.value(self.step_count);
+            let idx = self.model.agent.select_action(&state, &actions, eps);
+            let v = avail[idx];
+            let reward = oracle.add_seed(v) as f32;
+            picked[v as usize] = true;
+            let done = step + 1 == budget;
+            let next_state = vec![
+                (step + 1) as f32 / budget.max(1) as f32,
+                oracle.total() as f32,
+            ];
+            let next_actions: Vec<Vec<f32>> = if done {
+                Vec::new()
+            } else {
+                cands
+                    .iter()
+                    .copied()
+                    .filter(|&u| !picked[u as usize])
+                    .map(|u| Gcomb::action_features(tg, u, &self.scores, &oracle))
+                    .collect()
+            };
+            self.replay.push(Transition {
+                state,
+                action: actions[idx].clone(),
+                reward,
+                next_state,
+                next_actions,
+                done,
+            });
+            self.step_count += 1;
+            if self.replay.len() >= 16 {
+                let batch = self.replay.sample(16, &mut self.model.rng);
+                losses.push(self.model.agent.train_batch(&batch));
+            }
+        }
+        Some(EpisodeStats {
+            grad_norm: None,
+            epsilon: self.schedule.value(self.step_count),
+            reward: oracle.total(),
+        })
+    }
+
+    fn validate(&mut self) -> f64 {
+        let budget = self.model.cfg.train_budget;
+        self.model.evaluate(&self.val_graph, budget)
+    }
+
+    fn learner(&mut self) -> &mut dyn Learner {
+        &mut self.model.agent
     }
 }
 

@@ -11,8 +11,8 @@
 //! (§4.3 repeats each query 20 times).
 
 use crate::common::{
-    mean_f32, Checkpoint, EpisodeHealth, RecoveryHarness, RewardOracle, Task, TrainReport,
-    TrainScope,
+    evaluate_seeds, objective, train_loop, EpisodeStats, Learner, LoopSpec, Task, TrainHooks,
+    TrainReport, TrainScope,
 };
 use mcpb_gnn::adjacency::gcn_normalized;
 use mcpb_gnn::deepwalk::{deepwalk_features, DeepWalkConfig};
@@ -219,105 +219,29 @@ impl GeometricQn {
     /// the last.
     pub fn train(&mut self, graphs: &[Graph]) -> TrainReport {
         let scope = TrainScope::start_with_total("Geometric-QN", self.cfg.episodes);
-        let mut report = TrainReport::default();
-        if graphs.is_empty() {
-            return report;
-        }
-        let val_graph = &graphs[graphs.len() - 1];
-        let schedule = EpsilonSchedule::standard(self.cfg.eps_decay_steps);
-        let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(2_000);
-        let mut step_base = 0usize;
-        let mut epoch_losses = Vec::new();
-        let mut harness = RecoveryHarness::new("Geometric-QN");
-        let mut last_good = self.agent.snapshot();
-
-        for ep in 0..self.cfg.episodes {
-            let g = &graphs[ep % graphs.len()];
-            if g.num_nodes() < 4 {
-                continue;
-            }
-            let ep_loss_start = epoch_losses.len();
-            let (discovered, trace) = self.explore(g, |s| schedule.value(s), step_base);
-            step_base += trace.len();
-            // Terminal reward: normalized objective of the seeds found in
-            // the discovered region (high-variance sparse signal, as in the
-            // original).
-            let seeds = Self::select_from_discovered(g, &discovered, self.cfg.train_budget);
-            let mut oracle =
-                RewardOracle::new(g, self.cfg.task, self.cfg.seed.wrapping_add(ep as u64));
-            for &s in &seeds {
-                oracle.add_seed(s);
-            }
-            let final_reward = oracle.total() as f32;
-            for (i, (state, actions, idx)) in trace.iter().enumerate() {
-                let done = i + 1 == trace.len();
-                let (next_state, next_actions) = if done {
-                    (state.clone(), Vec::new())
-                } else {
-                    (trace[i + 1].0.clone(), trace[i + 1].1.clone())
-                };
-                replay.push(Transition {
-                    state: state.clone(),
-                    action: actions[*idx].clone(),
-                    reward: if done { final_reward } else { 0.0 },
-                    next_state,
-                    next_actions,
-                    done,
-                });
-            }
-            if replay.len() >= 8 {
-                let batch = replay.sample(8, &mut self.rng);
-                epoch_losses.push(self.agent.train_batch(&batch));
-            }
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, None, || {
-                self.agent.restore(&last_good);
-                f64::from(self.agent.scale_lr(0.5))
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.agent.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-            scope.episode_end(
-                ep + 1,
-                ep_loss,
-                schedule.value(step_base),
-                f64::from(final_reward),
-            );
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.episodes {
-                let score = self.evaluate(val_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    0.0
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-            }
-        }
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
+        let Some(val_graph) = graphs.last() else {
+            return TrainReport::default();
+        };
+        let spec = LoopSpec {
+            validate_every: self.cfg.validate_every,
+            keep_best: false,
+            idle_loss: 0.0,
+        };
+        let mut run = GeometricQnRun {
+            schedule: EpsilonSchedule::standard(self.cfg.eps_decay_steps),
+            model: self,
+            graphs,
+            val_graph,
+            replay: ReplayBuffer::new(2_000),
+            step_base: 0,
+        };
+        train_loop(scope, spec, &mut run)
     }
 
     /// Normalized objective of one greedy query on `graph`.
     pub fn evaluate(&mut self, graph: &Graph, k: usize) -> f64 {
         let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        evaluate_seeds(graph, self.cfg.task, self.cfg.seed, &seeds)
     }
 
     /// One query: explore greedily (epsilon 0), then select seeds from the
@@ -335,6 +259,70 @@ impl GeometricQn {
     /// (Geometric-QN's variance demands it; §4.3 uses 20).
     pub fn infer_repeated(&mut self, graph: &Graph, k: usize, repeats: usize) -> Vec<Vec<NodeId>> {
         (0..repeats.max(1)).map(|_| self.infer(graph, k)).collect()
+    }
+}
+
+/// One Geometric-QN training run: episode `e` explores `graphs[e % len]`
+/// and is rewarded once, at the end, with the objective of the seeds found
+/// in the discovered region.
+struct GeometricQnRun<'a> {
+    model: &'a mut GeometricQn,
+    graphs: &'a [Graph],
+    val_graph: &'a Graph,
+    replay: ReplayBuffer<Transition>,
+    schedule: EpsilonSchedule,
+    step_base: usize,
+}
+
+impl TrainHooks for GeometricQnRun<'_> {
+    fn episode(&mut self, ep: usize, losses: &mut Vec<f32>) -> Option<EpisodeStats> {
+        let cfg = self.model.cfg;
+        let g = &self.graphs[ep % self.graphs.len()];
+        if g.num_nodes() < 4 {
+            return None;
+        }
+        let schedule = self.schedule;
+        let (discovered, trace) = self.model.explore(g, |s| schedule.value(s), self.step_base);
+        self.step_base += trace.len();
+        // Terminal reward: normalized objective of the seeds found in the
+        // discovered region (high-variance sparse signal, as in the
+        // original).
+        let seeds = GeometricQn::select_from_discovered(g, &discovered, cfg.train_budget);
+        let final_reward = objective(g, cfg.task, cfg.seed.wrapping_add(ep as u64), &seeds) as f32;
+        for (i, (state, actions, idx)) in trace.iter().enumerate() {
+            let done = i + 1 == trace.len();
+            let (next_state, next_actions) = if done {
+                (state.clone(), Vec::new())
+            } else {
+                (trace[i + 1].0.clone(), trace[i + 1].1.clone())
+            };
+            self.replay.push(Transition {
+                state: state.clone(),
+                action: actions[*idx].clone(),
+                reward: if done { final_reward } else { 0.0 },
+                next_state,
+                next_actions,
+                done,
+            });
+        }
+        if self.replay.len() >= 8 {
+            let batch = self.replay.sample(8, &mut self.model.rng);
+            losses.push(self.model.agent.train_batch(&batch));
+        }
+        Some(EpisodeStats {
+            grad_norm: None,
+            epsilon: schedule.value(self.step_base),
+            reward: f64::from(final_reward),
+        })
+    }
+
+    fn validate(&mut self) -> f64 {
+        self.model
+            .evaluate(self.val_graph, self.model.cfg.train_budget)
+    }
+
+    fn learner(&mut self) -> &mut dyn Learner {
+        &mut self.model.agent
     }
 }
 

@@ -12,8 +12,8 @@
 //! Appendix C efficiency fix), which produces the final seed set.
 
 use crate::common::{
-    mean_f32, sample_training_subgraph, Checkpoint, EpisodeHealth, RecoveryHarness, RewardOracle,
-    Task, TrainReport, TrainScope,
+    evaluate_seeds, objective, sample_training_subgraph, train_loop, EpisodeStats, Learner,
+    LoopSpec, Task, TrainHooks, TrainReport, TrainScope,
 };
 use mcpb_gnn::adjacency::gcn_normalized;
 use mcpb_gnn::gcn::GcnEncoder;
@@ -170,24 +170,20 @@ impl Lense {
     /// subgraph scored on the full graph, relative to `reference`.
     fn quality_ratio(&self, graph: &Graph, nodes: &[NodeId], k: usize, reference: f64) -> f64 {
         let seeds = self.heuristic_on_subgraph(graph, nodes, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0x9a11);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
+        let quality = objective(graph, self.cfg.task, self.cfg.seed ^ 0x9a11, &seeds);
         if reference <= 0.0 {
             0.0
         } else {
-            (oracle.total() / reference).min(1.5)
+            (quality / reference).min(1.5)
         }
     }
 
     /// Full training pipeline on `train_graph`.
     pub fn train(&mut self, train_graph: &Graph) -> TrainReport {
         let scope = TrainScope::start_with_total("LeNSE", self.cfg.nav_episodes);
-        let mut report = TrainReport::default();
         let n = train_graph.num_nodes();
         if n < self.cfg.subgraph_size {
-            return report;
+            return TrainReport::default();
         }
         // Reference solution quality on the full training graph.
         let reference = {
@@ -196,11 +192,7 @@ impl Lense {
                 &(0..n as NodeId).collect::<Vec<_>>(),
                 self.cfg.train_budget,
             );
-            let mut oracle = RewardOracle::new(train_graph, self.cfg.task, self.cfg.seed);
-            for s in seeds {
-                oracle.add_seed(s);
-            }
-            oracle.total()
+            objective(train_graph, self.cfg.task, self.cfg.seed, &seeds)
         };
 
         // Stage 1: labeled subgraphs -> encoder regression.
@@ -238,104 +230,20 @@ impl Lense {
         }
 
         // Stage 2: navigation DQN.
-        let schedule = EpsilonSchedule::standard(self.cfg.nav_episodes * self.cfg.nav_steps / 2);
-        let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(1_000);
-        let mut steps = 0usize;
-        let mut epoch_losses = Vec::new();
-        let mut harness = RecoveryHarness::new("LeNSE");
-        let mut last_good = self.agent.snapshot();
-        for ep in 0..self.cfg.nav_episodes {
-            let ep_loss_start = epoch_losses.len();
-            let (_, mut nodes) = {
-                let (sub, order) = sample_training_subgraph(
-                    train_graph,
-                    self.cfg.subgraph_size,
-                    self.cfg.seed.wrapping_add(1_000 + ep as u64 * 61),
-                );
-                (sub, order)
-            };
-            let mut quality = {
-                let (sub, _) = train_graph.induced_subgraph(&nodes);
-                self.predict_quality(&sub)
-            };
-            for step in 0..self.cfg.nav_steps {
-                let Some((state, actions, frontier)) =
-                    self.navigation_actions(train_graph, &nodes, quality, step)
-                else {
-                    break;
-                };
-                let eps = schedule.value(steps);
-                let idx = self.agent.select_action(&state, &actions, eps);
-                let new_nodes = Self::apply_swap(train_graph, &nodes, frontier[idx]);
-                let new_quality = {
-                    let (sub, _) = train_graph.induced_subgraph(&new_nodes);
-                    self.predict_quality(&sub)
-                };
-                let done = step + 1 == self.cfg.nav_steps;
-                let mut reward = new_quality - quality;
-                if done {
-                    reward += self.quality_ratio(
-                        train_graph,
-                        &new_nodes,
-                        self.cfg.train_budget,
-                        reference,
-                    ) as f32;
-                }
-                let next = self.navigation_actions(train_graph, &new_nodes, new_quality, step + 1);
-                replay.push(Transition {
-                    state,
-                    action: actions[idx].clone(),
-                    reward,
-                    next_state: next.as_ref().map(|(s, _, _)| s.clone()).unwrap_or_default(),
-                    next_actions: if done {
-                        Vec::new()
-                    } else {
-                        next.map(|(_, a, _)| a).unwrap_or_default()
-                    },
-                    done,
-                });
-                nodes = new_nodes;
-                quality = new_quality;
-                steps += 1;
-                if replay.len() >= 8 {
-                    let batch = replay.sample(8, &mut self.rng);
-                    epoch_losses.push(self.agent.train_batch(&batch));
-                }
-            }
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, None, || {
-                self.agent.restore(&last_good);
-                f64::from(self.agent.scale_lr(0.5))
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.agent.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-            scope.episode_end(ep + 1, ep_loss, schedule.value(steps), f64::from(quality));
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.nav_episodes {
-                let score = self.evaluate(train_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    0.0
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-            }
-        }
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
+        let spec = LoopSpec {
+            validate_every: self.cfg.validate_every,
+            keep_best: false,
+            idle_loss: 0.0,
+        };
+        let mut run = LenseRun {
+            schedule: EpsilonSchedule::standard(self.cfg.nav_episodes * self.cfg.nav_steps / 2),
+            model: self,
+            train_graph,
+            reference,
+            replay: ReplayBuffer::new(1_000),
+            steps: 0,
+        };
+        train_loop(scope, spec, &mut run)
     }
 
     /// Builds navigation state/action features for the current subgraph.
@@ -400,11 +308,7 @@ impl Lense {
     /// Normalized objective of one query on `graph`.
     pub fn evaluate(&mut self, graph: &Graph, k: usize) -> f64 {
         let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        evaluate_seeds(graph, self.cfg.task, self.cfg.seed, &seeds)
     }
 
     /// One query: sample a starting subgraph, navigate, run the heuristic.
@@ -444,6 +348,90 @@ impl Lense {
             };
         }
         self.heuristic_on_subgraph(graph, &nodes, k)
+    }
+}
+
+/// LeNSE's navigation stage: each episode swaps its way through a fresh
+/// subgraph of the training graph, one update per step once the replay
+/// holds a batch of 8. Validation runs on the training graph itself.
+struct LenseRun<'a> {
+    model: &'a mut Lense,
+    train_graph: &'a Graph,
+    /// Heuristic objective on the full training graph.
+    reference: f64,
+    replay: ReplayBuffer<Transition>,
+    schedule: EpsilonSchedule,
+    steps: usize,
+}
+
+impl TrainHooks for LenseRun<'_> {
+    fn episode(&mut self, ep: usize, losses: &mut Vec<f32>) -> Option<EpisodeStats> {
+        let cfg = self.model.cfg;
+        let graph = self.train_graph;
+        let model = &mut *self.model;
+        let (_, mut nodes) = sample_training_subgraph(
+            graph,
+            cfg.subgraph_size,
+            cfg.seed.wrapping_add(1_000 + ep as u64 * 61),
+        );
+        let mut quality = {
+            let (sub, _) = graph.induced_subgraph(&nodes);
+            model.predict_quality(&sub)
+        };
+        for step in 0..cfg.nav_steps {
+            let Some((state, actions, frontier)) =
+                model.navigation_actions(graph, &nodes, quality, step)
+            else {
+                break;
+            };
+            let eps = self.schedule.value(self.steps);
+            let idx = model.agent.select_action(&state, &actions, eps);
+            let new_nodes = Lense::apply_swap(graph, &nodes, frontier[idx]);
+            let new_quality = {
+                let (sub, _) = graph.induced_subgraph(&new_nodes);
+                model.predict_quality(&sub)
+            };
+            let done = step + 1 == cfg.nav_steps;
+            let mut reward = new_quality - quality;
+            if done {
+                reward +=
+                    model.quality_ratio(graph, &new_nodes, cfg.train_budget, self.reference) as f32;
+            }
+            let next = model.navigation_actions(graph, &new_nodes, new_quality, step + 1);
+            self.replay.push(Transition {
+                state,
+                action: actions[idx].clone(),
+                reward,
+                next_state: next.as_ref().map(|(s, _, _)| s.clone()).unwrap_or_default(),
+                next_actions: if done {
+                    Vec::new()
+                } else {
+                    next.map(|(_, a, _)| a).unwrap_or_default()
+                },
+                done,
+            });
+            nodes = new_nodes;
+            quality = new_quality;
+            self.steps += 1;
+            if self.replay.len() >= 8 {
+                let batch = self.replay.sample(8, &mut model.rng);
+                losses.push(model.agent.train_batch(&batch));
+            }
+        }
+        Some(EpisodeStats {
+            grad_norm: None,
+            epsilon: self.schedule.value(self.steps),
+            reward: f64::from(quality),
+        })
+    }
+
+    fn validate(&mut self) -> f64 {
+        let budget = self.model.cfg.train_budget;
+        self.model.evaluate(self.train_graph, budget)
+    }
+
+    fn learner(&mut self) -> &mut dyn Learner {
+        &mut self.model.agent
     }
 }
 

@@ -9,22 +9,17 @@
 //! them off.
 
 use crate::common::{
-    grad_l2_norm, mean_f32, Checkpoint, EpisodeHealth, RecoveryHarness, RewardOracle, Task,
+    evaluate_seeds, train_loop, EpisodeStats, Learner, LoopSpec, RewardOracle, Task, TrainHooks,
     TrainReport, TrainScope,
 };
-use crate::s2v_dqn::S2vQNet;
+use crate::s2v_dqn::{S2vLearner, S2vTransition};
 use mcpb_gnn::s2v::S2vGraph;
 use mcpb_graph::{Graph, NodeId};
 use mcpb_im::solver::{ImSolution, ImSolver};
 use mcpb_mcp::solver::{McpSolution, McpSolver};
-use mcpb_nn::optim::merge_grads;
-use mcpb_nn::prelude::*;
 use mcpb_rl::replay::ReplayBuffer;
 use mcpb_rl::schedule::EpsilonSchedule;
-use rand::seq::SliceRandom;
 use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
 /// RL4IM hyper-parameters, CPU-scaled.
 #[derive(Debug, Clone, Copy)]
@@ -80,40 +75,25 @@ impl Default for Rl4ImConfig {
     }
 }
 
-#[derive(Clone)]
-struct Rl4ImTransition {
-    graph_idx: usize,
-    tags: Vec<f32>,
-    action: NodeId,
-    reward: f32,
-    next_tags: Vec<f32>,
-    done: bool,
-}
-
 /// The trained RL4IM model.
 pub struct Rl4Im {
     cfg: Rl4ImConfig,
-    online: ParamStore,
-    target: ParamStore,
-    net: S2vQNet,
-    optimizer: Adam,
-    rng: ChaCha8Rng,
+    learner: S2vLearner,
 }
 
 impl Rl4Im {
     /// Creates an untrained model.
     pub fn new(cfg: Rl4ImConfig) -> Self {
-        let mut online = ParamStore::new(cfg.seed);
-        let net = S2vQNet::new(&mut online, "rl4im", cfg.embed_dim, cfg.rounds);
-        let mut target = ParamStore::new(cfg.seed ^ 0x414d);
-        let _ = S2vQNet::new(&mut target, "rl4im", cfg.embed_dim, cfg.rounds);
-        target.copy_values_from(&online);
         Self {
-            rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x1407),
-            optimizer: Adam::new(cfg.lr),
-            online,
-            target,
-            net,
+            learner: S2vLearner::new(
+                "rl4im",
+                cfg.embed_dim,
+                cfg.rounds,
+                cfg.lr,
+                cfg.batch_size,
+                cfg.target_sync,
+                [cfg.seed, cfg.seed ^ 0x414d, cfg.seed ^ 0x1407],
+            ),
             cfg,
         }
     }
@@ -137,210 +117,119 @@ impl Rl4Im {
     /// using the last graph as the validation instance.
     pub fn train(&mut self, graphs: &[Graph]) -> TrainReport {
         let scope = TrainScope::start_with_total("RL4IM", self.cfg.episodes);
-        let mut report = TrainReport::default();
         if graphs.is_empty() {
-            return report;
+            return TrainReport::default();
         }
-        let (train_pool, val_graph) = if graphs.len() > 1 {
+        let (pool, val_graph) = if graphs.len() > 1 {
             (&graphs[..graphs.len() - 1], &graphs[graphs.len() - 1])
         } else {
             (graphs, &graphs[0])
         };
-        let sgs: Vec<S2vGraph> = train_pool.iter().map(S2vGraph::new).collect();
-        let mut replay: ReplayBuffer<Rl4ImTransition> = ReplayBuffer::new(2_000);
-        let schedule = EpsilonSchedule::standard(self.cfg.eps_decay_steps);
-        let mut best_snapshot = self.online.snapshot();
-        let mut best_score = f64::NEG_INFINITY;
-        let mut global_step = 0usize;
-        let mut epoch_losses: Vec<f32> = Vec::new();
-        let mut harness = RecoveryHarness::new("RL4IM");
-        let mut last_good = self.online.snapshot();
-
-        for ep in 0..self.cfg.episodes {
-            let gi = self.rng.gen_range(0..train_pool.len());
-            let g = &train_pool[gi];
-            let n = g.num_nodes();
-            if n < 2 {
-                continue;
-            }
-            let ep_loss_start = epoch_losses.len();
-            let mut oracle =
-                RewardOracle::new(g, self.cfg.task, self.cfg.seed.wrapping_add(ep as u64));
-            let mut tags = vec![0f32; n];
-            let budget = self.cfg.train_budget.min(n);
-            let mut pending: Vec<Rl4ImTransition> = Vec::new();
-
-            for step in 0..budget {
-                let candidates: Vec<NodeId> = (0..n as NodeId)
-                    .filter(|&v| tags[v as usize] == 0.0)
-                    .collect();
-                if candidates.is_empty() {
-                    break;
-                }
-                let eps = schedule.value(global_step);
-                let action = if self.rng.gen::<f64>() < eps {
-                    *candidates.choose(&mut self.rng).expect("non-empty")
-                } else {
-                    let q = self
-                        .net
-                        .q_numbers(&self.online, &sgs[gi], &tags, &candidates);
-                    candidates[mcpb_rl::dqn::argmax(&q)]
-                };
-                let marginal = oracle.add_seed(action) as f32;
-                let mut next_tags = tags.clone();
-                next_tags[action as usize] = self.tag_value(step, budget);
-                let done = step + 1 == budget;
-                let reward = if self.cfg.reward_shaping {
-                    marginal
-                } else {
-                    0.0
-                };
-                pending.push(Rl4ImTransition {
-                    graph_idx: gi,
-                    tags: tags.clone(),
-                    action,
-                    reward,
-                    next_tags: next_tags.clone(),
-                    done,
-                });
-                tags = next_tags;
-                global_step += 1;
-            }
-            // Without shaping, the terminal transition carries the episode
-            // objective.
-            if !self.cfg.reward_shaping {
-                if let Some(last) = pending.last_mut() {
-                    last.reward = oracle.total() as f32;
-                }
-            }
-            for t in pending {
-                replay.push(t);
-            }
-            let mut ep_grad_norm = 0f64;
-            if replay.len() >= self.cfg.batch_size {
-                let (loss, gnorm) = self.update(&replay, &sgs);
-                epoch_losses.push(loss);
-                ep_grad_norm = gnorm;
-            }
-
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, Some(ep_grad_norm), || {
-                self.online.load_snapshot(&last_good);
-                self.target.copy_values_from(&self.online);
-                self.optimizer.lr *= 0.5;
-                f64::from(self.optimizer.lr)
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.online.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-
-            scope.episode_end(ep + 1, ep_loss, schedule.value(global_step), oracle.total());
-
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.episodes {
-                let score = self.evaluate(val_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    0.0
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-                if score > best_score {
-                    best_score = score;
-                    best_snapshot = self.online.snapshot();
-                }
-            }
-        }
-        self.online.load_snapshot(&best_snapshot);
-        self.target.copy_values_from(&self.online);
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
-    }
-
-    /// One optimizer step; returns mean loss and merged-gradient L2 norm.
-    fn update(&mut self, replay: &ReplayBuffer<Rl4ImTransition>, sgs: &[S2vGraph]) -> (f32, f64) {
-        let batch = replay.sample(self.cfg.batch_size, &mut self.rng);
-        let mut grads = Vec::new();
-        let mut total_loss = 0.0f32;
-        for t in &batch {
-            let sg = &sgs[t.graph_idx];
-            let target_val = if t.done {
-                t.reward
-            } else {
-                let candidates: Vec<NodeId> = (0..sg.n as NodeId)
-                    .filter(|&v| t.next_tags[v as usize] == 0.0)
-                    .collect();
-                if candidates.is_empty() {
-                    t.reward
-                } else {
-                    let q = self
-                        .net
-                        .q_numbers(&self.target, sg, &t.next_tags, &candidates);
-                    t.reward + self.cfg.gamma * q.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-                }
-            };
-            let mut tape = Tape::new();
-            let q = self
-                .net
-                .q_values(&mut tape, &self.online, sg, &t.tags, &[t.action]);
-            let loss = tape.huber_loss(q, Tensor::scalar(target_val), 1.0);
-            tape.backward(loss);
-            total_loss += tape.value(loss).item();
-            grads.extend(tape.param_grads());
-        }
-        let merged = merge_grads(grads);
-        let gnorm = grad_l2_norm(&merged);
-        self.optimizer.step(&mut self.online, &merged);
-        if self.optimizer.t % self.cfg.target_sync as u64 == 0 {
-            self.target.copy_values_from(&self.online);
-        }
-        (total_loss / batch.len().max(1) as f32, gnorm)
+        let spec = LoopSpec {
+            validate_every: self.cfg.validate_every,
+            keep_best: true,
+            idle_loss: 0.0,
+        };
+        let mut run = Rl4ImRun {
+            schedule: EpsilonSchedule::standard(self.cfg.eps_decay_steps),
+            model: self,
+            pool,
+            val_graph,
+            sgs: pool.iter().map(S2vGraph::new).collect(),
+            replay: ReplayBuffer::new(2_000),
+            global_step: 0,
+        };
+        train_loop(scope, spec, &mut run)
     }
 
     /// Normalized objective of a greedy rollout on `graph`.
     pub fn evaluate(&self, graph: &Graph, k: usize) -> f64 {
-        let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        evaluate_seeds(graph, self.cfg.task, self.cfg.seed, &self.infer(graph, k))
     }
 
     /// Greedy policy rollout on `graph`.
     pub fn infer(&self, graph: &Graph, k: usize) -> Vec<NodeId> {
-        let n = graph.num_nodes();
-        if n == 0 || k == 0 {
-            return Vec::new();
+        self.learner.infer(graph, k, |step| self.tag_value(step, k))
+    }
+}
+
+/// One RL4IM training run: a random pool graph per episode, one update per
+/// episode once the replay holds a batch.
+struct Rl4ImRun<'a> {
+    model: &'a mut Rl4Im,
+    pool: &'a [Graph],
+    val_graph: &'a Graph,
+    sgs: Vec<S2vGraph>,
+    replay: ReplayBuffer<S2vTransition>,
+    schedule: EpsilonSchedule,
+    global_step: usize,
+}
+
+impl TrainHooks for Rl4ImRun<'_> {
+    fn episode(&mut self, ep: usize, losses: &mut Vec<f32>) -> Option<EpisodeStats> {
+        let cfg = self.model.cfg;
+        let gi = self.model.learner.rng.gen_range(0..self.pool.len());
+        let g = &self.pool[gi];
+        let n = g.num_nodes();
+        if n < 2 {
+            return None;
         }
-        let sg = S2vGraph::new(graph);
+        let mut oracle = RewardOracle::new(g, cfg.task, cfg.seed.wrapping_add(ep as u64));
         let mut tags = vec![0f32; n];
-        let mut seeds = Vec::with_capacity(k.min(n));
-        for step in 0..k.min(n) {
-            let candidates: Vec<NodeId> = (0..n as NodeId)
-                .filter(|&v| tags[v as usize] == 0.0)
-                .collect();
-            if candidates.is_empty() {
+        let budget = cfg.train_budget.min(n);
+        let mut pending: Vec<S2vTransition> = Vec::new();
+        for step in 0..budget {
+            let eps = self.schedule.value(self.global_step);
+            let Some(action) = self.model.learner.act(&self.sgs[gi], &tags, eps) else {
                 break;
-            }
-            let q = self.net.q_numbers(&self.online, &sg, &tags, &candidates);
-            let pick = candidates[mcpb_rl::dqn::argmax(&q)];
-            tags[pick as usize] = self.tag_value(step, k);
-            seeds.push(pick);
+            };
+            let marginal = oracle.add_seed(action) as f32;
+            let mut next_tags = tags.clone();
+            next_tags[action as usize] = self.model.tag_value(step, budget);
+            pending.push(S2vTransition {
+                graph_idx: gi,
+                tags,
+                action,
+                reward: if cfg.reward_shaping { marginal } else { 0.0 },
+                next_tags: next_tags.clone(),
+                done: step + 1 == budget,
+            });
+            tags = next_tags;
+            self.global_step += 1;
         }
-        seeds
+        // Without shaping, the terminal transition carries the episode
+        // objective.
+        if !cfg.reward_shaping {
+            if let Some(last) = pending.last_mut() {
+                last.reward = oracle.total() as f32;
+            }
+        }
+        for t in pending {
+            self.replay.push(t);
+        }
+        let mut grad_norm = 0f64;
+        if self.replay.len() >= self.model.learner.batch_size {
+            let (loss, gnorm) = self
+                .model
+                .learner
+                .update(&self.replay, &self.sgs, cfg.gamma);
+            losses.push(loss);
+            grad_norm = gnorm;
+        }
+        Some(EpisodeStats {
+            grad_norm: Some(grad_norm),
+            epsilon: self.schedule.value(self.global_step),
+            reward: oracle.total(),
+        })
+    }
+
+    fn validate(&mut self) -> f64 {
+        self.model
+            .evaluate(self.val_graph, self.model.cfg.train_budget)
+    }
+
+    fn learner(&mut self) -> &mut dyn Learner {
+        &mut self.model.learner
     }
 }
 

@@ -9,8 +9,8 @@
 //! the greedy policy on the full test graph.
 
 use crate::common::{
-    grad_l2_norm, mean_f32, sample_training_subgraph, Checkpoint, EpisodeHealth, RecoveryHarness,
-    RewardOracle, Task, TrainReport, TrainScope,
+    evaluate_seeds, grad_l2_norm, sample_training_subgraph, train_loop, EpisodeStats, Learner,
+    LoopSpec, RewardOracle, Task, TrainHooks, TrainReport, TrainScope,
 };
 use mcpb_gnn::s2v::{S2v, S2vGraph};
 use mcpb_graph::{Graph, NodeId};
@@ -18,6 +18,7 @@ use mcpb_im::solver::{ImSolution, ImSolver};
 use mcpb_mcp::solver::{McpSolution, McpSolver};
 use mcpb_nn::optim::merge_grads;
 use mcpb_nn::prelude::*;
+use mcpb_rl::dqn::argmax;
 use mcpb_rl::replay::ReplayBuffer;
 use mcpb_rl::schedule::EpsilonSchedule;
 use rand::seq::SliceRandom;
@@ -97,6 +98,171 @@ impl S2vQNet {
     }
 }
 
+/// One replayed step of an S2V Q-learner: solution tags before the action
+/// and at the bootstrap state.
+#[derive(Clone)]
+pub(crate) struct S2vTransition {
+    pub(crate) graph_idx: usize,
+    pub(crate) tags: Vec<f32>,
+    pub(crate) action: NodeId,
+    pub(crate) reward: f32,
+    pub(crate) next_tags: Vec<f32>,
+    pub(crate) done: bool,
+}
+
+/// Nodes not yet in the solution (tag 0).
+fn unselected(tags: &[f32]) -> Vec<NodeId> {
+    (0..tags.len() as NodeId)
+        .filter(|&v| tags[v as usize] == 0.0)
+        .collect()
+}
+
+/// The S2V Q-learner S2V-DQN and RL4IM share: online and target stores,
+/// Adam, epsilon-greedy acting, the TD update and greedy inference.
+pub(crate) struct S2vLearner {
+    net: S2vQNet,
+    online: ParamStore,
+    target: ParamStore,
+    optimizer: Adam,
+    /// Exploration and replay-sampling stream (RL4IM also draws its
+    /// episode graphs from it).
+    pub(crate) rng: ChaCha8Rng,
+    /// Replay minibatch size.
+    pub(crate) batch_size: usize,
+    target_sync: usize,
+}
+
+impl S2vLearner {
+    /// Registers the network as `name` in an online store seeded with
+    /// `seeds[0]` and a target store seeded with `seeds[1]` (then synced);
+    /// `seeds[2]` seeds the learner's RNG.
+    pub(crate) fn new(
+        name: &str,
+        embed_dim: usize,
+        rounds: usize,
+        lr: f32,
+        batch_size: usize,
+        target_sync: usize,
+        seeds: [u64; 3],
+    ) -> Self {
+        let mut online = ParamStore::new(seeds[0]);
+        let net = S2vQNet::new(&mut online, name, embed_dim, rounds);
+        let mut target = ParamStore::new(seeds[1]);
+        let _ = S2vQNet::new(&mut target, name, embed_dim, rounds);
+        target.copy_values_from(&online);
+        Self {
+            net,
+            online,
+            target,
+            optimizer: Adam::new(lr),
+            rng: ChaCha8Rng::seed_from_u64(seeds[2]),
+            batch_size,
+            target_sync,
+        }
+    }
+
+    fn greedy(&self, sg: &S2vGraph, tags: &[f32], candidates: &[NodeId]) -> NodeId {
+        let q = self.net.q_numbers(&self.online, sg, tags, candidates);
+        candidates[argmax(&q)]
+    }
+
+    /// Epsilon-greedy choice among the unselected nodes (`None` when every
+    /// node is selected).
+    pub(crate) fn act(&mut self, sg: &S2vGraph, tags: &[f32], epsilon: f64) -> Option<NodeId> {
+        let candidates = unselected(tags);
+        if candidates.is_empty() {
+            return None;
+        }
+        if self.rng.gen::<f64>() < epsilon {
+            return candidates.choose(&mut self.rng).copied();
+        }
+        Some(self.greedy(sg, tags, &candidates))
+    }
+
+    /// One optimizer step over a replay batch, bootstrapping with
+    /// `discount * max_a' Q_target(s', a')`. Returns the mean loss and the
+    /// merged-gradient L2 norm (the divergence guard's two signals).
+    pub(crate) fn update(
+        &mut self,
+        replay: &ReplayBuffer<S2vTransition>,
+        sgs: &[S2vGraph],
+        discount: f32,
+    ) -> (f32, f64) {
+        let batch = replay.sample(self.batch_size, &mut self.rng);
+        let mut grads = Vec::new();
+        let mut total_loss = 0.0f32;
+        for t in &batch {
+            let sg = &sgs[t.graph_idx];
+            let target_val = if t.done {
+                t.reward
+            } else {
+                let candidates = unselected(&t.next_tags);
+                if candidates.is_empty() {
+                    t.reward
+                } else {
+                    let q = self
+                        .net
+                        .q_numbers(&self.target, sg, &t.next_tags, &candidates);
+                    t.reward + discount * q.iter().copied().fold(f32::NEG_INFINITY, f32::max)
+                }
+            };
+            let mut tape = Tape::new();
+            let q = self
+                .net
+                .q_values(&mut tape, &self.online, sg, &t.tags, &[t.action]);
+            let loss = tape.huber_loss(q, Tensor::scalar(target_val), 1.0);
+            tape.backward(loss);
+            total_loss += tape.value(loss).item();
+            grads.extend(tape.param_grads());
+        }
+        let merged = merge_grads(grads);
+        let gnorm = grad_l2_norm(&merged);
+        self.optimizer.step(&mut self.online, &merged);
+        if self.optimizer.t % self.target_sync as u64 == 0 {
+            self.target.copy_values_from(&self.online);
+        }
+        (total_loss / batch.len().max(1) as f32, gnorm)
+    }
+
+    /// Greedy policy rollout: k sequential argmax-Q selections, the pick
+    /// of step `i` tagged `tag(i)`.
+    pub(crate) fn infer(&self, graph: &Graph, k: usize, tag: impl Fn(usize) -> f32) -> Vec<NodeId> {
+        let n = graph.num_nodes();
+        if n == 0 || k == 0 {
+            return Vec::new();
+        }
+        let sg = S2vGraph::new(graph);
+        let mut tags = vec![0f32; n];
+        let mut seeds = Vec::with_capacity(k.min(n));
+        for step in 0..k.min(n) {
+            let candidates = unselected(&tags);
+            if candidates.is_empty() {
+                break;
+            }
+            let pick = self.greedy(&sg, &tags, &candidates);
+            tags[pick as usize] = tag(step);
+            seeds.push(pick);
+        }
+        seeds
+    }
+}
+
+impl Learner for S2vLearner {
+    fn snapshot(&self) -> Vec<Tensor> {
+        self.online.snapshot()
+    }
+
+    fn restore(&mut self, snapshot: &[Tensor]) {
+        self.online.load_snapshot(snapshot);
+        self.target.copy_values_from(&self.online);
+    }
+
+    fn halve_lr(&mut self) -> f64 {
+        self.optimizer.lr *= 0.5;
+        f64::from(self.optimizer.lr)
+    }
+}
+
 /// S2V-DQN hyper-parameters, CPU-scaled from the paper's setup.
 #[derive(Debug, Clone, Copy)]
 pub struct S2vDqnConfig {
@@ -154,46 +320,25 @@ impl Default for S2vDqnConfig {
     }
 }
 
-#[derive(Clone)]
-struct EpisodeGraph {
-    graph: Graph,
-    sg: S2vGraph,
-}
-
-#[derive(Clone)]
-struct S2vTransition {
-    graph_idx: usize,
-    tags: Vec<f32>,
-    action: NodeId,
-    reward: f32,
-    next_tags: Vec<f32>,
-    done: bool,
-}
-
 /// The trained S2V-DQN model.
 pub struct S2vDqn {
     cfg: S2vDqnConfig,
-    online: ParamStore,
-    target: ParamStore,
-    net: S2vQNet,
-    optimizer: Adam,
-    rng: ChaCha8Rng,
+    learner: S2vLearner,
 }
 
 impl S2vDqn {
     /// Creates an untrained model.
     pub fn new(cfg: S2vDqnConfig) -> Self {
-        let mut online = ParamStore::new(cfg.seed);
-        let net = S2vQNet::new(&mut online, "s2vdqn", cfg.embed_dim, cfg.rounds);
-        let mut target = ParamStore::new(cfg.seed ^ 0xbeef);
-        let _ = S2vQNet::new(&mut target, "s2vdqn", cfg.embed_dim, cfg.rounds);
-        target.copy_values_from(&online);
         Self {
-            rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x51f7),
-            optimizer: Adam::new(cfg.lr),
-            online,
-            target,
-            net,
+            learner: S2vLearner::new(
+                "s2vdqn",
+                cfg.embed_dim,
+                cfg.rounds,
+                cfg.lr,
+                cfg.batch_size,
+                cfg.target_sync,
+                [cfg.seed, cfg.seed ^ 0xbeef, cfg.seed ^ 0x51f7],
+            ),
             cfg,
         }
     }
@@ -208,236 +353,130 @@ impl S2vDqn {
     /// protocol, §4.1).
     pub fn train(&mut self, train_graph: &Graph) -> TrainReport {
         let scope = TrainScope::start_with_total("S2V-DQN", self.cfg.episodes);
-        let mut report = TrainReport::default();
         let (val_graph, _) = sample_training_subgraph(
             train_graph,
             self.cfg.train_subgraph_nodes * 2,
             self.cfg.seed ^ 0x7a11,
         );
-        let mut replay: ReplayBuffer<S2vTransition> = ReplayBuffer::new(self.cfg.replay_capacity);
-        let schedule = EpsilonSchedule::standard(self.cfg.eps_decay_steps);
-        let mut graphs: Vec<EpisodeGraph> = Vec::new();
-        let mut best_snapshot = self.online.snapshot();
-        let mut best_score = f64::NEG_INFINITY;
-        let mut global_step = 0usize;
-        let mut epoch_losses: Vec<f32> = Vec::new();
-        let mut harness = RecoveryHarness::new("S2V-DQN");
-        let mut last_good = self.online.snapshot();
-
-        for ep in 0..self.cfg.episodes {
-            // Fresh training subgraph per episode (recycled into the pool).
-            let (g, _) = sample_training_subgraph(
-                train_graph,
-                self.cfg.train_subgraph_nodes,
-                self.cfg.seed.wrapping_add(ep as u64 * 131),
-            );
-            if g.num_nodes() < 2 {
-                continue;
-            }
-            let ep_loss_start = epoch_losses.len();
-            let mut ep_grad_norm = 0f64;
-            let sg = S2vGraph::new(&g);
-            graphs.push(EpisodeGraph { graph: g, sg });
-            let gi = graphs.len() - 1;
-
-            let n = graphs[gi].graph.num_nodes();
-            let mut oracle = RewardOracle::new(
-                &graphs[gi].graph,
-                self.cfg.task,
-                self.cfg.seed.wrapping_add(ep as u64),
-            );
-            let mut tags = vec![0f32; n];
-            let budget = self.cfg.train_budget.min(n);
-            // Episode trace for n-step return construction.
-            let mut trace: Vec<(Vec<f32>, NodeId, f32)> = Vec::with_capacity(budget);
-
-            for step in 0..budget {
-                let candidates: Vec<NodeId> = (0..n as NodeId)
-                    .filter(|&v| tags[v as usize] == 0.0)
-                    .collect();
-                if candidates.is_empty() {
-                    break;
-                }
-                let eps = schedule.value(global_step);
-                let action = if self.rng.gen::<f64>() < eps {
-                    *candidates.choose(&mut self.rng).expect("non-empty")
-                } else {
-                    let q = self
-                        .net
-                        .q_numbers(&self.online, &graphs[gi].sg, &tags, &candidates);
-                    candidates[mcpb_rl::dqn::argmax(&q)]
-                };
-                let reward = oracle.add_seed(action) as f32;
-                trace.push((tags.clone(), action, reward));
-                let mut next_tags = tags.clone();
-                next_tags[action as usize] = 1.0;
-                tags = next_tags;
-                global_step += 1;
-                let _ = step;
-            }
-
-            // Build n-step transitions: R = sum_{j<h} gamma^j r_{i+j}, with
-            // the bootstrap state h steps ahead (the original's n-step
-            // Q-learning; n_step = 1 recovers plain TD).
-            let nstep = self.cfg.n_step.max(1);
-            let len = trace.len();
-            for i in 0..len {
-                let horizon = (i + nstep).min(len);
-                let mut ret = 0f32;
-                for (j, item) in trace[i..horizon].iter().enumerate() {
-                    ret += self.cfg.gamma.powi(j as i32) * item.2;
-                }
-                // Tags after `horizon` actions: start state i plus the
-                // actions taken in between.
-                let mut boot_tags = trace[i].0.clone();
-                for item in trace[i..horizon].iter() {
-                    boot_tags[item.1 as usize] = 1.0;
-                }
-                replay.push(S2vTransition {
-                    graph_idx: gi,
-                    tags: trace[i].0.clone(),
-                    action: trace[i].1,
-                    reward: ret,
-                    next_tags: boot_tags,
-                    done: horizon == len,
-                });
-                if replay.len() >= self.cfg.batch_size {
-                    let (loss, gnorm) = self.update(&replay, &graphs);
-                    epoch_losses.push(loss);
-                    ep_grad_norm = ep_grad_norm.max(gnorm);
-                }
-            }
-
-            let ep_loss = mean_f32(&epoch_losses[ep_loss_start..]);
-            match harness.observe(ep + 1, ep_loss, Some(ep_grad_norm), || {
-                self.online.load_snapshot(&last_good);
-                self.target.copy_values_from(&self.online);
-                self.optimizer.lr *= 0.5;
-                f64::from(self.optimizer.lr)
-            }) {
-                Ok(EpisodeHealth::Healthy) => last_good = self.online.snapshot(),
-                Ok(EpisodeHealth::Recovered) => {
-                    // Drop the poisoned losses so the next checkpoint's mean
-                    // stays finite, and skip checkpointing this episode.
-                    epoch_losses.truncate(ep_loss_start);
-                    continue;
-                }
-                Err(e) => {
-                    report.error = Some(e);
-                    break;
-                }
-            }
-
-            scope.episode_end(ep + 1, ep_loss, schedule.value(global_step), oracle.total());
-
-            if (ep + 1) % self.cfg.validate_every == 0 || ep + 1 == self.cfg.episodes {
-                let score = self.evaluate(&val_graph, self.cfg.train_budget);
-                let loss = if epoch_losses.is_empty() {
-                    0.0
-                } else {
-                    epoch_losses.iter().sum::<f32>() as f64 / epoch_losses.len() as f64
-                };
-                epoch_losses.clear();
-                report.checkpoints.push(Checkpoint {
-                    epoch: ep + 1,
-                    validation_score: score,
-                    loss,
-                });
-                if score > best_score {
-                    best_score = score;
-                    best_snapshot = self.online.snapshot();
-                }
-            }
-        }
-        self.online.load_snapshot(&best_snapshot);
-        self.target.copy_values_from(&self.online);
-        report.recoveries = harness.recoveries();
-        report.train_seconds = scope.elapsed_secs();
-        report
-    }
-
-    /// One optimizer step over a replay batch; returns the mean loss and
-    /// the merged-gradient L2 norm (the divergence guard's two signals).
-    fn update(
-        &mut self,
-        replay: &ReplayBuffer<S2vTransition>,
-        graphs: &[EpisodeGraph],
-    ) -> (f32, f64) {
-        let batch = replay.sample(self.cfg.batch_size, &mut self.rng);
-        let mut all_grads = Vec::new();
-        let mut total_loss = 0.0f32;
-        for t in &batch {
-            let eg = &graphs[t.graph_idx];
-            // Target: r + gamma * max_a' Q_target(s', a').
-            // Bootstrap discounted by gamma^n (the transition's reward is
-            // already the n-step return).
-            let boot_gamma = self.cfg.gamma.powi(self.cfg.n_step.max(1) as i32);
-            let target_val = if t.done {
-                t.reward
-            } else {
-                let candidates: Vec<NodeId> = (0..eg.graph.num_nodes() as NodeId)
-                    .filter(|&v| t.next_tags[v as usize] == 0.0)
-                    .collect();
-                if candidates.is_empty() {
-                    t.reward
-                } else {
-                    let q = self
-                        .net
-                        .q_numbers(&self.target, &eg.sg, &t.next_tags, &candidates);
-                    t.reward + boot_gamma * q.iter().copied().fold(f32::NEG_INFINITY, f32::max)
-                }
-            };
-            let mut tape = Tape::new();
-            let q = self
-                .net
-                .q_values(&mut tape, &self.online, &eg.sg, &t.tags, &[t.action]);
-            let loss = tape.huber_loss(q, Tensor::scalar(target_val), 1.0);
-            tape.backward(loss);
-            total_loss += tape.value(loss).item();
-            all_grads.extend(tape.param_grads());
-        }
-        let merged = merge_grads(all_grads);
-        let gnorm = grad_l2_norm(&merged);
-        self.optimizer.step(&mut self.online, &merged);
-        if self.optimizer.t % self.cfg.target_sync as u64 == 0 {
-            self.target.copy_values_from(&self.online);
-        }
-        (total_loss / batch.len().max(1) as f32, gnorm)
+        let spec = LoopSpec {
+            validate_every: self.cfg.validate_every,
+            keep_best: true,
+            idle_loss: 0.0,
+        };
+        let mut run = S2vDqnRun {
+            replay: ReplayBuffer::new(self.cfg.replay_capacity),
+            schedule: EpsilonSchedule::standard(self.cfg.eps_decay_steps),
+            model: self,
+            train_graph,
+            val_graph,
+            graphs: Vec::new(),
+            global_step: 0,
+        };
+        train_loop(scope, spec, &mut run)
     }
 
     /// Greedy rollout value on `graph` with budget `k` (normalized
     /// objective).
     pub fn evaluate(&self, graph: &Graph, k: usize) -> f64 {
-        let seeds = self.infer(graph, k);
-        let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0xe7a1);
-        for s in seeds {
-            oracle.add_seed(s);
-        }
-        oracle.total()
+        evaluate_seeds(graph, self.cfg.task, self.cfg.seed, &self.infer(graph, k))
     }
 
     /// Greedy policy rollout: k sequential argmax-Q selections.
     pub fn infer(&self, graph: &Graph, k: usize) -> Vec<NodeId> {
-        let n = graph.num_nodes();
-        if n == 0 || k == 0 {
-            return Vec::new();
+        self.learner.infer(graph, k, |_| 1.0)
+    }
+}
+
+/// One S2V-DQN training run: a fresh BFS subgraph per episode, n-step
+/// transitions, one update per transition once the replay holds a batch.
+struct S2vDqnRun<'a> {
+    model: &'a mut S2vDqn,
+    train_graph: &'a Graph,
+    val_graph: Graph,
+    replay: ReplayBuffer<S2vTransition>,
+    schedule: EpsilonSchedule,
+    /// Every episode's graph, indexed by [`S2vTransition::graph_idx`].
+    graphs: Vec<S2vGraph>,
+    global_step: usize,
+}
+
+impl TrainHooks for S2vDqnRun<'_> {
+    fn episode(&mut self, ep: usize, losses: &mut Vec<f32>) -> Option<EpisodeStats> {
+        let cfg = self.model.cfg;
+        let learner = &mut self.model.learner;
+        let (g, _) = sample_training_subgraph(
+            self.train_graph,
+            cfg.train_subgraph_nodes,
+            cfg.seed.wrapping_add(ep as u64 * 131),
+        );
+        if g.num_nodes() < 2 {
+            return None;
         }
-        let sg = S2vGraph::new(graph);
-        let mut tags = vec![0f32; n];
-        let mut seeds = Vec::with_capacity(k.min(n));
-        for _ in 0..k.min(n) {
-            let candidates: Vec<NodeId> = (0..n as NodeId)
-                .filter(|&v| tags[v as usize] == 0.0)
-                .collect();
-            if candidates.is_empty() {
+        let mut grad_norm = 0f64;
+        self.graphs.push(S2vGraph::new(&g));
+        let gi = self.graphs.len() - 1;
+        let mut oracle = RewardOracle::new(&g, cfg.task, cfg.seed.wrapping_add(ep as u64));
+        let mut tags = vec![0f32; g.num_nodes()];
+        let budget = cfg.train_budget.min(g.num_nodes());
+        // Episode trace for n-step return construction.
+        let mut trace: Vec<(Vec<f32>, NodeId, f32)> = Vec::with_capacity(budget);
+        for _ in 0..budget {
+            let eps = self.schedule.value(self.global_step);
+            let Some(action) = learner.act(&self.graphs[gi], &tags, eps) else {
                 break;
-            }
-            let q = self.net.q_numbers(&self.online, &sg, &tags, &candidates);
-            let pick = candidates[mcpb_rl::dqn::argmax(&q)];
-            tags[pick as usize] = 1.0;
-            seeds.push(pick);
+            };
+            let reward = oracle.add_seed(action) as f32;
+            trace.push((tags.clone(), action, reward));
+            tags[action as usize] = 1.0;
+            self.global_step += 1;
         }
-        seeds
+
+        // Build n-step transitions: R = sum_{j<h} gamma^j r_{i+j}, with
+        // the bootstrap state h steps ahead (the original's n-step
+        // Q-learning; n_step = 1 recovers plain TD), discounted by gamma^n.
+        let nstep = cfg.n_step.max(1);
+        let discount = cfg.gamma.powi(nstep as i32);
+        let len = trace.len();
+        for i in 0..len {
+            let horizon = (i + nstep).min(len);
+            let mut ret = 0f32;
+            for (j, item) in trace[i..horizon].iter().enumerate() {
+                ret += cfg.gamma.powi(j as i32) * item.2;
+            }
+            // Tags after `horizon` actions: start state i plus the
+            // actions taken in between.
+            let mut boot_tags = trace[i].0.clone();
+            for item in trace[i..horizon].iter() {
+                boot_tags[item.1 as usize] = 1.0;
+            }
+            self.replay.push(S2vTransition {
+                graph_idx: gi,
+                tags: trace[i].0.clone(),
+                action: trace[i].1,
+                reward: ret,
+                next_tags: boot_tags,
+                done: horizon == len,
+            });
+            if self.replay.len() >= learner.batch_size {
+                let (loss, gnorm) = learner.update(&self.replay, &self.graphs, discount);
+                losses.push(loss);
+                grad_norm = grad_norm.max(gnorm);
+            }
+        }
+        Some(EpisodeStats {
+            grad_norm: Some(grad_norm),
+            epsilon: self.schedule.value(self.global_step),
+            reward: oracle.total(),
+        })
+    }
+
+    fn validate(&mut self) -> f64 {
+        self.model
+            .evaluate(&self.val_graph, self.model.cfg.train_budget)
+    }
+
+    fn learner(&mut self) -> &mut dyn Learner {
+        &mut self.model.learner
     }
 }
 
