@@ -6,8 +6,6 @@
 //! currently valid action. The agent owns online and target parameter
 //! stores; training follows standard DQN with a synced target network.
 
-use crate::replay::ReplayBuffer;
-use crate::schedule::EpsilonSchedule;
 use mcpb_nn::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
@@ -239,90 +237,11 @@ pub fn argmax(values: &[f32]) -> usize {
     best
 }
 
-/// An episodic environment exposing featurized states and actions.
-pub trait Environment {
-    /// Resets to an initial state; returns its features.
-    fn reset(&mut self) -> Vec<f32>;
-    /// Current state features.
-    fn state_features(&self) -> Vec<f32>;
-    /// Features of every currently valid action.
-    fn action_features(&self) -> Vec<Vec<f32>>;
-    /// Applies the `idx`-th action; returns (reward, done).
-    fn step(&mut self, idx: usize) -> (f32, bool);
-}
-
-/// Training statistics per episode.
-#[derive(Debug, Clone, Default)]
-pub struct TrainStats {
-    /// Total reward per episode.
-    pub episode_rewards: Vec<f32>,
-    /// Mean TD loss per episode (0 when no update ran).
-    pub episode_losses: Vec<f32>,
-}
-
-/// Runs episodic DQN training of `agent` on `env`.
-pub fn train_dqn(
-    env: &mut dyn Environment,
-    agent: &mut DqnAgent,
-    episodes: usize,
-    schedule: EpsilonSchedule,
-) -> TrainStats {
-    let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(agent.cfg.replay_capacity);
-    let mut rng = ChaCha8Rng::seed_from_u64(agent.cfg.seed ^ 0x7ea7);
-    let mut stats = TrainStats::default();
-    let mut global_step = 0usize;
-
-    for _ep in 0..episodes {
-        let mut state = env.reset();
-        let mut total_reward = 0.0f32;
-        let mut losses = Vec::new();
-        loop {
-            let actions = env.action_features();
-            if actions.is_empty() {
-                break;
-            }
-            let eps = schedule.value(global_step);
-            let idx = agent.select_action(&state, &actions, eps);
-            let action = actions[idx].clone();
-            let (reward, done) = env.step(idx);
-            let next_state = env.state_features();
-            let next_actions = if done {
-                Vec::new()
-            } else {
-                env.action_features()
-            };
-            replay.push(Transition {
-                state: state.clone(),
-                action,
-                reward,
-                next_state: next_state.clone(),
-                next_actions,
-                done,
-            });
-            total_reward += reward;
-            global_step += 1;
-            if replay.len() >= agent.cfg.batch_size {
-                let batch = replay.sample(agent.cfg.batch_size, &mut rng);
-                losses.push(agent.train_batch(&batch));
-            }
-            state = next_state;
-            if done {
-                break;
-            }
-        }
-        stats.episode_rewards.push(total_reward);
-        stats.episode_losses.push(if losses.is_empty() {
-            0.0
-        } else {
-            losses.iter().sum::<f32>() / losses.len() as f32
-        });
-    }
-    stats
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::ReplayBuffer;
+    use crate::schedule::EpsilonSchedule;
 
     /// A 5-position line world: move left/right, reward 1 at the right end.
     struct LineWorld {
@@ -330,7 +249,7 @@ mod tests {
         steps: usize,
     }
 
-    impl Environment for LineWorld {
+    impl LineWorld {
         fn reset(&mut self) -> Vec<f32> {
             self.pos = 2;
             self.steps = 0;
@@ -357,6 +276,50 @@ mod tests {
         }
     }
 
+    /// Plain episodic DQN training on `env`; returns each episode's total
+    /// reward.
+    fn train_line_world(env: &mut LineWorld, agent: &mut DqnAgent, episodes: usize) -> Vec<f32> {
+        let schedule = EpsilonSchedule::standard(400);
+        let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(agent.cfg.replay_capacity);
+        let mut rng = ChaCha8Rng::seed_from_u64(agent.cfg.seed ^ 0x7ea7);
+        let mut rewards = Vec::with_capacity(episodes);
+        let mut global_step = 0usize;
+        for _ in 0..episodes {
+            let mut state = env.reset();
+            let mut total_reward = 0.0f32;
+            loop {
+                let actions = env.action_features();
+                let idx = agent.select_action(&state, &actions, schedule.value(global_step));
+                let (reward, done) = env.step(idx);
+                let next_state = env.state_features();
+                replay.push(Transition {
+                    state,
+                    action: actions[idx].clone(),
+                    reward,
+                    next_state: next_state.clone(),
+                    next_actions: if done {
+                        Vec::new()
+                    } else {
+                        env.action_features()
+                    },
+                    done,
+                });
+                total_reward += reward;
+                global_step += 1;
+                if replay.len() >= agent.cfg.batch_size {
+                    let batch = replay.sample(agent.cfg.batch_size, &mut rng);
+                    agent.train_batch(&batch);
+                }
+                state = next_state;
+                if done {
+                    break;
+                }
+            }
+            rewards.push(total_reward);
+        }
+        rewards
+    }
+
     fn agent_for_lineworld() -> DqnAgent {
         DqnAgent::new(DqnConfig {
             state_dim: 5,
@@ -376,7 +339,7 @@ mod tests {
     fn dqn_learns_line_world() {
         let mut env = LineWorld { pos: 2, steps: 0 };
         let mut agent = agent_for_lineworld();
-        let stats = train_dqn(&mut env, &mut agent, 120, EpsilonSchedule::standard(400));
+        let rewards = train_line_world(&mut env, &mut agent, 120);
         // Greedy rollout after training should walk straight right.
         let mut state = env.reset();
         let mut steps = 0;
@@ -394,11 +357,8 @@ mod tests {
         assert_eq!(env.pos, 4, "agent should reach the goal greedily");
         assert!(steps <= 3, "optimal path is 2 steps, took {steps}");
         // Later episodes should outperform the earliest ones on average.
-        let early: f32 = stats.episode_rewards[..20].iter().sum::<f32>() / 20.0;
-        let late: f32 = stats.episode_rewards[stats.episode_rewards.len() - 20..]
-            .iter()
-            .sum::<f32>()
-            / 20.0;
+        let early: f32 = rewards[..20].iter().sum::<f32>() / 20.0;
+        let late: f32 = rewards[rewards.len() - 20..].iter().sum::<f32>() / 20.0;
         assert!(late > early, "late {late} <= early {early}");
     }
 
@@ -409,7 +369,7 @@ mod tests {
             double_dqn: true,
             ..agent_for_lineworld().cfg
         });
-        train_dqn(&mut env, &mut agent, 120, EpsilonSchedule::standard(400));
+        train_line_world(&mut env, &mut agent, 120);
         let mut state = env.reset();
         let mut steps = 0;
         loop {

@@ -1,8 +1,10 @@
 //! # mcpb-rl
 //!
 //! Reinforcement-learning substrate (§3.1): experience replay, exploration
-//! schedules, and a generic per-action-feature DQN with target network —
-//! the shared machinery underneath the five Deep-RL methods of `mcpb-drl`.
+//! schedules, and a generic per-action-feature DQN agent with target
+//! network — the shared machinery underneath the five Deep-RL methods of
+//! `mcpb-drl`. The episode loop that trains them lives in
+//! `mcpb_drl::common::train_loop`.
 
 #![warn(missing_docs)]
 
@@ -10,15 +12,13 @@ pub mod dqn;
 pub mod replay;
 pub mod schedule;
 
-pub use dqn::{argmax, train_dqn, DqnAgent, DqnConfig, Environment, TrainStats, Transition};
+pub use dqn::{argmax, DqnAgent, DqnConfig, Transition};
 pub use replay::ReplayBuffer;
 pub use schedule::EpsilonSchedule;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::dqn::{
-        argmax, train_dqn, DqnAgent, DqnConfig, Environment, TrainStats, Transition,
-    };
+    pub use crate::dqn::{argmax, DqnAgent, DqnConfig, Transition};
     pub use crate::replay::ReplayBuffer;
     pub use crate::schedule::EpsilonSchedule;
 }
