@@ -23,6 +23,9 @@ MCPB_THREADS=1 cargo test -q --workspace
 echo "==> cargo test (workspace, MCPB_THREADS=4)"
 MCPB_THREADS=4 cargo test -q --workspace
 
+echo "==> benchmark package self-tests (outside the workspace, so --workspace never builds it)"
+cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+
 echo "==> trace determinism + collector tests"
 cargo test -q -p mcpb-trace
 cargo test -q -p mcpb-drl --test trace_determinism
