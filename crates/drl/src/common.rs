@@ -1,6 +1,6 @@
 //! Shared machinery for the five Deep-RL methods: the task/objective
 //! abstraction (MCP coverage vs IM influence), the reward oracle both RL
-//! environments query, the one training driver ([`train_loop`]) and the
+//! environments query, the one training driver (`train_loop`) and the
 //! training reports for the §5.2/§5.3 experiments.
 
 use mcpb_graph::{Graph, NodeId};
@@ -160,7 +160,7 @@ impl<'g> RewardOracle<'g> {
 
 /// Normalized objective of `seeds` on `graph`, scored by a fresh
 /// [`RewardOracle`] built with `oracle_seed`.
-pub fn objective(graph: &Graph, task: Task, oracle_seed: u64, seeds: &[NodeId]) -> f64 {
+pub(crate) fn objective(graph: &Graph, task: Task, oracle_seed: u64, seeds: &[NodeId]) -> f64 {
     let mut oracle = RewardOracle::new(graph, task, oracle_seed);
     for &s in seeds {
         oracle.add_seed(s);
@@ -171,7 +171,7 @@ pub fn objective(graph: &Graph, task: Task, oracle_seed: u64, seeds: &[NodeId]) 
 /// The validation score every method reports: the [`objective`] of the
 /// seeds its greedy policy inferred, at the evaluation oracle seed
 /// `seed ^ 0xe7a1`.
-pub fn evaluate_seeds(graph: &Graph, task: Task, seed: u64, seeds: &[NodeId]) -> f64 {
+pub(crate) fn evaluate_seeds(graph: &Graph, task: Task, seed: u64, seeds: &[NodeId]) -> f64 {
     objective(graph, task, seed ^ 0xe7a1, seeds)
 }
 
@@ -246,7 +246,7 @@ pub enum EpisodeHealth {
     Recovered,
 }
 
-/// Per-run divergence recovery for [`train_loop`].
+/// Per-run divergence recovery for `train_loop`.
 ///
 /// The harness owns the [`DivergenceGuard`] bookkeeping and the telemetry;
 /// the *mechanism* of rolling back (which parameter store, which optimizer)
@@ -334,7 +334,7 @@ impl TrainScope {
     /// Starts the training clock for `total_episodes` planned episodes
     /// and, when tracing is enabled, opens the root span that all nested
     /// spans (subgraph sampling, NN forward / backward) aggregate under.
-    /// [`train_loop`] later reads the solver name and episode count back.
+    /// `train_loop` later reads the solver name and episode count back.
     pub fn start_with_total(solver: &'static str, total_episodes: usize) -> Self {
         let root = if mcpb_trace::is_enabled() {
             Some(mcpb_trace::span_named(format!("train.{solver}")))
@@ -382,7 +382,7 @@ impl TrainScope {
     }
 
     /// Seconds since [`TrainScope::start_with_total`] — the value
-    /// [`train_loop`] stores in [`TrainReport::train_seconds`].
+    /// `train_loop` stores in [`TrainReport::train_seconds`].
     pub fn elapsed_secs(&self) -> f64 {
         self.watch.elapsed_secs()
     }
@@ -412,20 +412,20 @@ impl TrainReport {
 
 /// What one training episode hands back to [`train_loop`].
 #[derive(Debug, Clone, Copy)]
-pub struct EpisodeStats {
+pub(crate) struct EpisodeStats {
     /// Largest merged-gradient L2 norm of the episode, fed to the
     /// divergence guard next to the loss (`None`: loss only).
-    pub grad_norm: Option<f64>,
+    pub(crate) grad_norm: Option<f64>,
     /// Exploration rate at the end of the episode (telemetry).
-    pub epsilon: f64,
+    pub(crate) epsilon: f64,
     /// Objective or reward the episode reached (telemetry).
-    pub reward: f64,
+    pub(crate) reward: f64,
 }
 
 /// The trainable parameters behind a run: what [`train_loop`] snapshots,
 /// rolls back on divergence and, with [`LoopSpec::keep_best`], restores
 /// to the best-validation checkpoint.
-pub trait Learner {
+pub(crate) trait Learner {
     /// Copy of the online parameters.
     fn snapshot(&self) -> Vec<Tensor>;
     /// Loads `snapshot` into the online parameters and re-syncs the target
@@ -451,7 +451,7 @@ impl Learner for DqnAgent {
 
 /// A method's half of training: its rollout and update, its validation,
 /// and the learner they train. [`train_loop`] owns the rest.
-pub trait TrainHooks {
+pub(crate) trait TrainHooks {
     /// Runs 0-based episode `ep`, pushing the loss of every update onto
     /// `losses`. `None` skips the episode: no divergence check, telemetry
     /// or checkpoint.
@@ -464,16 +464,16 @@ pub trait TrainHooks {
 
 /// How [`train_loop`] checkpoints a run.
 #[derive(Debug, Clone, Copy)]
-pub struct LoopSpec {
+pub(crate) struct LoopSpec {
     /// Validate (and checkpoint) every this many episodes, and after the
     /// last one.
-    pub validate_every: usize,
+    pub(crate) validate_every: usize,
     /// Restore the best-validation parameters when training ends (the
     /// paper's protocol, §4.1). Only S2V-DQN and RL4IM do; the other
     /// methods keep their last parameters.
-    pub keep_best: bool,
+    pub(crate) keep_best: bool,
     /// Checkpoint loss when no update ran since the previous checkpoint.
-    pub idle_loss: f64,
+    pub(crate) idle_loss: f64,
 }
 
 /// Mean of a checkpoint's loss window, summed in `f32` in episode order
@@ -502,7 +502,11 @@ fn window_mean(losses: &[f32]) -> Option<f64> {
 /// parameters. The report carries the recoveries, the training seconds
 /// since `scope` started, and the typed error if the recovery budget ran
 /// out.
-pub fn train_loop(scope: TrainScope, spec: LoopSpec, hooks: &mut dyn TrainHooks) -> TrainReport {
+pub(crate) fn train_loop(
+    scope: TrainScope,
+    spec: LoopSpec,
+    hooks: &mut dyn TrainHooks,
+) -> TrainReport {
     let mut report = TrainReport::default();
     let mut harness = RecoveryHarness::new(scope.solver);
     let mut last_good = hooks.learner().snapshot();
@@ -572,7 +576,7 @@ pub fn grad_l2_norm(grads: &[(mcpb_nn::ParamId, mcpb_nn::Tensor)]) -> f64 {
 }
 
 /// Mean of an `f32` loss slice as `f64` (0 when empty): the per-episode
-/// loss [`train_loop`] hands to the divergence guard and the telemetry.
+/// loss `train_loop` hands to the divergence guard and the telemetry.
 pub fn mean_f32(xs: &[f32]) -> f64 {
     if xs.is_empty() {
         0.0
@@ -710,6 +714,137 @@ mod tests {
         };
         assert_eq!(r.best_epoch(), 5);
         assert!((r.best_score() - 0.4).abs() < 1e-12);
+    }
+
+    /// A scripted run for `train_loop`: episode `e` pushes `losses[e]`
+    /// (`None` skips it) and sets the one "parameter" to `e + 1`;
+    /// validation returns the next scripted score.
+    struct Scripted {
+        losses: Vec<Option<Vec<f32>>>,
+        scores: std::vec::IntoIter<f64>,
+        param: f32,
+        restored: Vec<f32>,
+        lr: f64,
+    }
+
+    impl Scripted {
+        fn new(losses: Vec<Option<Vec<f32>>>, scores: Vec<f64>) -> Self {
+            Scripted {
+                losses,
+                scores: scores.into_iter(),
+                param: 0.0,
+                restored: Vec::new(),
+                lr: 1.0,
+            }
+        }
+
+        fn run(&mut self, keep_best: bool, validate_every: usize) -> TrainReport {
+            let scope = TrainScope::start_with_total("scripted", self.losses.len());
+            let spec = LoopSpec {
+                validate_every,
+                keep_best,
+                idle_loss: -1.0,
+            };
+            train_loop(scope, spec, self)
+        }
+    }
+
+    impl Learner for Scripted {
+        fn snapshot(&self) -> Vec<Tensor> {
+            vec![Tensor::scalar(self.param)]
+        }
+
+        fn restore(&mut self, snapshot: &[Tensor]) {
+            self.param = snapshot[0].item();
+            self.restored.push(self.param);
+        }
+
+        fn halve_lr(&mut self) -> f64 {
+            self.lr *= 0.5;
+            self.lr
+        }
+    }
+
+    impl TrainHooks for Scripted {
+        fn episode(&mut self, ep: usize, losses: &mut Vec<f32>) -> Option<EpisodeStats> {
+            losses.extend(self.losses[ep].clone()?);
+            self.param = (ep + 1) as f32;
+            Some(EpisodeStats {
+                grad_norm: None,
+                epsilon: 0.0,
+                reward: 0.0,
+            })
+        }
+
+        fn validate(&mut self) -> f64 {
+            self.scores.next().expect("scripted score")
+        }
+
+        fn learner(&mut self) -> &mut dyn Learner {
+            self
+        }
+    }
+
+    fn epochs_and_losses(report: &TrainReport) -> Vec<(usize, f64)> {
+        report
+            .checkpoints
+            .iter()
+            .map(|c| (c.epoch, c.loss))
+            .collect()
+    }
+
+    #[test]
+    fn train_loop_checkpoints_windows_and_skips() {
+        // Episode 2 is skipped, so the checkpoint due after it is too; the
+        // window since the last checkpoint spans episodes 1-4; a window
+        // with no update reports the idle loss; the last episode always
+        // checkpoints.
+        let mut run = Scripted::new(
+            vec![
+                Some(vec![1.0]),
+                None,
+                Some(vec![]),
+                Some(vec![3.0, 5.0]),
+                Some(vec![]),
+            ],
+            vec![0.5, 0.25],
+        );
+        let report = run.run(false, 2);
+        assert_eq!(epochs_and_losses(&report), [(4, 3.0), (5, -1.0)]);
+        assert_eq!(report.recoveries, 0);
+        assert_eq!(run.param, 5.0, "last parameters kept");
+    }
+
+    #[test]
+    fn train_loop_restores_the_best_checkpoint_only_when_asked() {
+        let losses = vec![Some(vec![1.0]); 3];
+        let mut keep = Scripted::new(losses.clone(), vec![0.5, 0.9, 0.2]);
+        keep.run(true, 1);
+        assert_eq!(keep.restored, [2.0], "best-validation parameters restored");
+        let mut last = Scripted::new(losses, vec![0.5, 0.9, 0.2]);
+        last.run(false, 1);
+        assert!(last.restored.is_empty());
+        assert_eq!(last.param, 3.0);
+    }
+
+    #[test]
+    fn train_loop_rolls_back_a_diverged_episode() {
+        let mut run = Scripted::new(
+            vec![Some(vec![1.0]), Some(vec![f32::NAN]), Some(vec![2.0])],
+            vec![0.1, 0.2],
+        );
+        let report = run.run(false, 1);
+        assert_eq!(report.recoveries, 1);
+        assert!(report.error.is_none());
+        assert_eq!(
+            run.restored,
+            [1.0],
+            "rolled back to the last healthy episode"
+        );
+        assert_eq!(run.lr, 0.5, "learning rate halved once");
+        // The diverged episode records nothing, and its NaN does not leak
+        // into the next checkpoint's loss.
+        assert_eq!(epochs_and_losses(&report), [(1, 1.0), (3, 2.0)]);
     }
 
     #[test]
