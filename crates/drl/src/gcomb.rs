@@ -493,8 +493,8 @@ impl TrainHooks for GcombRun<'_> {
     }
 
     fn validate(&mut self) -> f64 {
-        let budget = self.model.cfg.train_budget;
-        self.model.evaluate(&self.val_graph, budget)
+        self.model
+            .evaluate(&self.val_graph, self.model.cfg.train_budget)
     }
 
     fn learner(&mut self) -> &mut dyn Learner {

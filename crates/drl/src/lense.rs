@@ -426,8 +426,8 @@ impl TrainHooks for LenseRun<'_> {
     }
 
     fn validate(&mut self) -> f64 {
-        let budget = self.model.cfg.train_budget;
-        self.model.evaluate(self.train_graph, budget)
+        self.model
+            .evaluate(self.train_graph, self.model.cfg.train_budget)
     }
 
     fn learner(&mut self) -> &mut dyn Learner {
