@@ -1,6 +1,6 @@
 //! Shared machinery for the five Deep-RL methods: the task/objective
 //! abstraction (MCP coverage vs IM influence), the reward oracle both RL
-//! environments query, the one training driver (`train_loop`) and the
+//! environments query, the one training loop (`train_loop`) and the
 //! training reports for the §5.2/§5.3 experiments.
 
 use mcpb_graph::{Graph, NodeId};
@@ -251,7 +251,7 @@ pub enum EpisodeHealth {
 /// The harness owns the [`DivergenceGuard`] bookkeeping and the telemetry;
 /// the *mechanism* of rolling back (which parameter store, which optimizer)
 /// differs per solver and is supplied as a closure returning the new
-/// learning rate. It is also the driver's NaN fault-injection point: a
+/// learning rate. It is also the loop's NaN fault-injection point: a
 /// `nan@train.<solver>` entry in `MCPB_FAULTS` poisons the observed loss,
 /// so the whole rollback path runs in CI.
 pub struct RecoveryHarness {
@@ -489,7 +489,7 @@ fn window_mean(losses: &[f32]) -> Option<f64> {
     Some(f64::from(total) / losses.len() as f64)
 }
 
-/// The one training driver behind all five methods' `train`. It runs the
+/// The one training loop behind all five methods' `train`. It runs the
 /// episodes planned in `scope`, and after each one:
 /// - checks the episode's mean loss with a [`RecoveryHarness`], rolling
 ///   back to the last healthy parameters and halving the learning rate on
