@@ -50,8 +50,10 @@ impl S2vQNet {
         }
     }
 
-    /// Q values for `candidates` given solution tags. Returns the tape (for
-    /// backward) and the `c x 1` Q output variable.
+    /// Q values for `candidates` given solution tags, on the tape: the
+    /// `c x 1` Q output variable. This is the gradient path (the TD update)
+    /// and the reference [`S2vQNet::q_numbers`] is tested against bit for
+    /// bit.
     pub fn q_values(
         &self,
         tape: &mut Tape,
@@ -81,20 +83,58 @@ impl S2vQNet {
         tape.matmul(act, t5)
     }
 
-    /// Q values as plain numbers (no gradient kept).
+    /// Q values as plain numbers, without a tape: the no-gradient path
+    /// (greedy acting, the target bootstrap and inference). `edge_term` is
+    /// [`S2v::edge_term`] for the same `store` and `sg`, so a rollout
+    /// computes it once. Bit-identical to [`S2vQNet::q_values`]: every
+    /// element follows the tape's float operations in the same order.
     pub fn q_numbers(
         &self,
         store: &ParamStore,
         sg: &S2vGraph,
+        edge_term: &Tensor,
         tags: &[f32],
         candidates: &[NodeId],
     ) -> Vec<f32> {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let mut tape = Tape::new();
-        let q = self.q_values(&mut tape, store, sg, tags, candidates);
-        tape.value(q).data.clone()
+        let d = self.s2v.dim;
+        let mu = self.s2v.embed_numbers(store, sg, edge_term, tags);
+        let t5 = store.value(self.theta5);
+        let mut pooled = vec![0f32; d];
+        for row in mu.data.chunks_exact(d) {
+            for (p, &m) in pooled.iter_mut().zip(row) {
+                *p += m;
+            }
+        }
+        let inv_n = 1.0 / sg.n.max(1) as f32;
+        for p in pooled.iter_mut() {
+            *p *= inv_n;
+        }
+        let mut pooled6 = vec![0f32; d];
+        store.value(self.theta6).vecmat_into(&pooled, &mut pooled6);
+        // The head is one dot product over `[relu(pooled6) | relu(cand7)]`
+        // accumulated in increasing order, so the pooled half is a prefix
+        // every candidate shares.
+        let (t5_pooled, t5_cand) = t5.data.split_at(d);
+        let mut prefix = 0f32;
+        for (&p, &w) in pooled6.iter().zip(t5_pooled) {
+            prefix += p.max(0.0) * w;
+        }
+        let t7 = store.value(self.theta7);
+        let mut cand7 = vec![0f32; d];
+        candidates
+            .iter()
+            .map(|&v| {
+                t7.vecmat_into(mu.row_slice(v as usize), &mut cand7);
+                let mut q = prefix;
+                for (&c, &w) in cand7.iter().zip(t5_cand) {
+                    q += c.max(0.0) * w;
+                }
+                q
+            })
+            .collect()
     }
 }
 
@@ -161,11 +201,6 @@ impl S2vLearner {
         }
     }
 
-    fn greedy(&self, sg: &S2vGraph, tags: &[f32], candidates: &[NodeId]) -> NodeId {
-        let q = self.net.q_numbers(&self.online, sg, tags, candidates);
-        candidates[argmax(&q)]
-    }
-
     /// Epsilon-greedy choice among the unselected nodes (`None` when every
     /// node is selected).
     pub(crate) fn act(&mut self, sg: &S2vGraph, tags: &[f32], epsilon: f64) -> Option<NodeId> {
@@ -176,7 +211,11 @@ impl S2vLearner {
         if self.rng.gen::<f64>() < epsilon {
             return candidates.choose(&mut self.rng).copied();
         }
-        Some(self.greedy(sg, tags, &candidates))
+        let edge_term = self.net.s2v.edge_term(&self.online, sg);
+        let q = self
+            .net
+            .q_numbers(&self.online, sg, &edge_term, tags, &candidates);
+        Some(candidates[argmax(&q)])
     }
 
     /// One optimizer step over a replay batch, bootstrapping with
@@ -200,9 +239,10 @@ impl S2vLearner {
                 if candidates.is_empty() {
                     t.reward
                 } else {
-                    let q = self
-                        .net
-                        .q_numbers(&self.target, sg, &t.next_tags, &candidates);
+                    let edge_term = self.net.s2v.edge_term(&self.target, sg);
+                    let q =
+                        self.net
+                            .q_numbers(&self.target, sg, &edge_term, &t.next_tags, &candidates);
                     t.reward + discount * q.iter().copied().fold(f32::NEG_INFINITY, f32::max)
                 }
             };
@@ -225,13 +265,15 @@ impl S2vLearner {
     }
 
     /// Greedy policy rollout: k sequential argmax-Q selections, the pick
-    /// of step `i` tagged `tag(i)`.
+    /// of step `i` tagged `tag(i)`. The edge term does not depend on the
+    /// tags, so it is computed once for all k steps.
     pub(crate) fn infer(&self, graph: &Graph, k: usize, tag: impl Fn(usize) -> f32) -> Vec<NodeId> {
         let n = graph.num_nodes();
         if n == 0 || k == 0 {
             return Vec::new();
         }
         let sg = S2vGraph::new(graph);
+        let edge_term = self.net.s2v.edge_term(&self.online, &sg);
         let mut tags = vec![0f32; n];
         let mut seeds = Vec::with_capacity(k.min(n));
         for step in 0..k.min(n) {
@@ -239,7 +281,10 @@ impl S2vLearner {
             if candidates.is_empty() {
                 break;
             }
-            let pick = self.greedy(&sg, &tags, &candidates);
+            let q = self
+                .net
+                .q_numbers(&self.online, &sg, &edge_term, &tags, &candidates);
+            let pick = candidates[argmax(&q)];
             tags[pick as usize] = tag(step);
             seeds.push(pick);
         }
@@ -598,6 +643,69 @@ mod tests {
             let report = model.train(&g);
             assert!(!report.checkpoints.is_empty(), "n_step={n_step}");
             assert_eq!(model.infer(&g, 3).len(), 3);
+        }
+    }
+
+    /// Asserts that the tape-free `q_numbers` equals the tape's `q_values`
+    /// bit for bit under `learner`'s online parameters.
+    fn assert_q_paths_agree(
+        learner: &S2vLearner,
+        g: &Graph,
+        tags: &[f32],
+        candidates: &[NodeId],
+        what: &str,
+    ) {
+        let (net, store, sg) = (&learner.net, &learner.online, S2vGraph::new(g));
+        let edge_term = net.s2v.edge_term(store, &sg);
+        let fast = net.q_numbers(store, &sg, &edge_term, tags, candidates);
+        let mut tape = Tape::new();
+        let q = net.q_values(&mut tape, store, &sg, tags, candidates);
+        let bits = |q: &[f32]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&fast), bits(&tape.value(q).data), "{what}");
+    }
+
+    #[test]
+    fn tape_free_q_values_match_the_tape_bit_for_bit() {
+        use mcpb_graph::weights::{assign_weights, WeightModel};
+        let graphs = [
+            (
+                "ba",
+                assign_weights(
+                    &generators::barabasi_albert(60, 3, 11),
+                    WeightModel::WeightedCascade,
+                    0,
+                ),
+            ),
+            (
+                "er",
+                assign_weights(
+                    &generators::erdos_renyi(50, 120, 12),
+                    WeightModel::TriValency,
+                    3,
+                ),
+            ),
+            ("edgeless", Graph::from_edges(8, &[]).unwrap()),
+        ];
+        let fresh = S2vLearner::new("s2vdqn", 16, 2, 5e-3, 4, 40, [1, 2, 3]);
+        let mut trained = S2vDqn::new(tiny_cfg());
+        trained.train(&graphs[0].1);
+        for (params, learner) in [("fresh", &fresh), ("trained", &trained.learner)] {
+            for (name, g) in &graphs {
+                let n = g.num_nodes();
+                // Empty state, S2V-DQN's 0/1 membership tags, and RL4IM's
+                // step-dependent tags (step + 1) / budget without abstraction.
+                let mut states = [vec![0f32; n], vec![0f32; n], vec![0f32; n]];
+                for (step, v) in [0usize, 3, 5].into_iter().enumerate() {
+                    states[1][v] = 1.0;
+                    states[2][v] = (step + 1) as f32 / 3.0;
+                }
+                for (si, tags) in states.iter().enumerate() {
+                    let what = format!("{params} {name} state {si}");
+                    assert_q_paths_agree(learner, g, tags, &unselected(tags), &what);
+                    assert_q_paths_agree(learner, g, tags, &[5, 0, 5], &what);
+                    assert_q_paths_agree(learner, g, tags, &[], &what);
+                }
+            }
         }
     }
 

@@ -15,6 +15,7 @@
 use crate::adjacency::{in_edge_incidence, neighbor_sum};
 use mcpb_graph::Graph;
 use mcpb_nn::prelude::*;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Per-graph fixed operators the S2V forward pass needs.
@@ -70,8 +71,11 @@ impl S2v {
         }
     }
 
-    /// Runs the embedding recursion. `x` is the `n x 1` node-tag input
-    /// already on the tape. Returns `n x dim` embeddings.
+    /// Runs the embedding recursion on the tape. `x` is the `n x 1`
+    /// node-tag input already on the tape. Returns `n x dim` embeddings.
+    ///
+    /// This is the gradient path; no-gradient callers use
+    /// [`S2v::embed_numbers`], which this serves as the reference for.
     pub fn embed(&self, tape: &mut Tape, store: &ParamStore, sg: &S2vGraph, x: Var) -> Var {
         let _span = mcpb_trace::span("nn.forward");
         let t1 = tape.param(store, self.theta1);
@@ -80,7 +84,7 @@ impl S2v {
         let t4 = tape.param(store, self.theta4);
 
         // Edge term is loop-invariant: incidence * relu(w_e * theta4) * theta3.
-        let we = tape.input(self.edge_input(sg));
+        let we = tape.input(self.edge_input(sg).into_owned());
         let edge_feat = tape.matmul(we, t4);
         let edge_relu = tape.relu(edge_feat);
         let edge_agg = tape.spmm(sg.incidence.clone(), edge_relu);
@@ -101,12 +105,80 @@ impl S2v {
         mu
     }
 
-    fn edge_input(&self, sg: &S2vGraph) -> Tensor {
+    /// The tag-independent edge term `incidence * relu(w_e * theta4) *
+    /// theta3` (`n x dim`), without a tape. It depends only on the graph
+    /// and the parameters, so a greedy rollout computes it once and hands
+    /// it to every [`S2v::embed_numbers`] call.
+    pub fn edge_term(&self, store: &ParamStore, sg: &S2vGraph) -> Tensor {
+        let mut edge_feat = self.edge_input(sg).matmul(store.value(self.theta4));
+        for v in edge_feat.data.iter_mut() {
+            *v = v.max(0.0);
+        }
+        sg.incidence
+            .matmul_dense(&edge_feat)
+            .matmul(store.value(self.theta3))
+    }
+
+    /// The embedding recursion as plain numbers (no tape, no gradient),
+    /// with the edge term precomputed by [`S2v::edge_term`]. `tags` holds
+    /// one tag per node. Every element goes through the same float
+    /// operations in the same order as [`S2v::embed`], so the result is
+    /// bit-identical to it.
+    pub fn embed_numbers(
+        &self,
+        store: &ParamStore,
+        sg: &S2vGraph,
+        edge_term: &Tensor,
+        tags: &[f32],
+    ) -> Tensor {
+        let _span = mcpb_trace::span("nn.forward");
+        let d = self.dim;
+        assert_eq!(tags.len(), sg.n, "one tag per node");
+        assert_eq!(
+            (edge_term.rows, edge_term.cols),
+            (sg.n, d),
+            "edge term shape"
+        );
+        let t1 = store.value(self.theta1).row_slice(0);
+        let t2 = store.value(self.theta2);
+        let nsum = &*sg.nsum;
+        let mut mu = Tensor::zeros(sg.n, d);
+        let mut next = Tensor::zeros(sg.n, d);
+        let mut pooled = vec![0f32; d];
+        let mut msg = vec![0f32; d];
+        for _ in 0..self.rounds {
+            for (r, out) in next.data.chunks_exact_mut(d).enumerate() {
+                // Row r of `nsum * mu`, in CSR order like `matmul_dense`.
+                pooled.fill(0.0);
+                for idx in nsum.offsets[r]..nsum.offsets[r + 1] {
+                    let v = nsum.values[idx];
+                    for (p, &m) in pooled
+                        .iter_mut()
+                        .zip(mu.row_slice(nsum.indices[idx] as usize))
+                    {
+                        *p += v * m;
+                    }
+                }
+                t2.vecmat_into(&pooled, &mut msg);
+                let edge = edge_term.row_slice(r);
+                for j in 0..d {
+                    // `0.0 + x * theta1` is the tag term's one-step matmul chain.
+                    let tag = 0.0 + tags[r] * t1[j];
+                    out[j] = (tag + msg[j] + edge[j]).max(0.0);
+                }
+            }
+            std::mem::swap(&mut mu, &mut next);
+        }
+        mu
+    }
+
+    /// The `E x 1` edge-weight operand; graphs with no edges still need a
+    /// `0 x 1` one.
+    fn edge_input<'a>(&self, sg: &'a S2vGraph) -> Cow<'a, Tensor> {
         if sg.edge_weights.is_empty() {
-            // Degenerate graphs with no edges still need a (0 x 1) operand.
-            Tensor::zeros(0, 1)
+            Cow::Owned(Tensor::zeros(0, 1))
         } else {
-            sg.edge_weights.clone()
+            Cow::Borrowed(&sg.edge_weights)
         }
     }
 }

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Perf ratchet: compares the working tree's BENCH_nn.json / BENCH_kernels.json
-# / BENCH_im.json / BENCH_serve.json / BENCH_large.json against the copies committed at HEAD and
-# fails if any bench median regressed by more than the tolerance (default 10%). Baselines are
-# the committed files themselves — a deliberate slowdown is landed by
+# Perf ratchet: compares the BENCH_nn.json / BENCH_kernels.json / BENCH_im.json /
+# BENCH_serve.json / BENCH_large.json that `mcpbench bench --out-dir target/bench` wrote
+# under target/bench/ against the copies committed at HEAD and fails if any bench median
+# regressed by more than the tolerance (default 10%). An area the run did not record
+# (BENCH_large.json needs `bench --large`) is skipped; a run that recorded none fails.
+# Baselines are the committed files themselves — a deliberate slowdown is landed by
 # committing the new numbers, which is what `--rebaseline` does.
 #
-#   scripts/bench-ratchet.sh               # check working tree vs HEAD
+#   scripts/bench-ratchet.sh               # check target/bench/ vs HEAD
 #   scripts/bench-ratchet.sh --tolerance 0.25
 #   scripts/bench-ratchet.sh --rebaseline  # re-run the suite, refresh files
 #
@@ -17,6 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 AREAS=(nn kernels im serve large)
+RUN_DIR=target/bench
 TOLERANCE=0.10
 REBASELINE=0
 
@@ -51,19 +54,21 @@ if [[ "$REBASELINE" == 1 ]]; then
 fi
 
 status=0
+recorded=0
 for area in "${AREAS[@]}"; do
-  file="BENCH_${area}.json"
+  name="BENCH_${area}.json"
+  file="${RUN_DIR}/${name}"
   if [[ ! -f "$file" ]]; then
-    echo "bench-ratchet: $file missing from working tree" >&2
-    status=1
+    echo "bench-ratchet: $file not recorded by this run — skipping"
     continue
   fi
-  if ! git cat-file -e "HEAD:$file" 2>/dev/null; then
-    echo "bench-ratchet: $file has no committed baseline yet — skipping"
+  recorded=$((recorded + 1))
+  if ! git cat-file -e "HEAD:$name" 2>/dev/null; then
+    echo "bench-ratchet: $name has no committed baseline yet — skipping"
     continue
   fi
   base="$(mktemp "${TMPDIR:-/tmp}/bench-base-${area}.XXXXXX.json")"
-  git show "HEAD:$file" > "$base"
+  git show "HEAD:$name" > "$base"
   if ! cargo run -q --release -- bench-check "$base" "$file" --tolerance "$TOLERANCE"; then
     status=1
     # Diagnostic only: rank which benches moved, worst first, so the failure
@@ -73,6 +78,12 @@ for area in "${AREAS[@]}"; do
   fi
   rm -f "$base"
 done
+
+if [[ "$recorded" == 0 ]]; then
+  echo "bench-ratchet: no BENCH_*.json under ${RUN_DIR}/ — run" >&2
+  echo "  MCPB_BENCH_QUICK=1 cargo run --release -- bench --out-dir ${RUN_DIR}" >&2
+  status=1
+fi
 
 if [[ "$status" != 0 ]]; then
   echo "bench-ratchet: FAILED — a recorded kernel regressed beyond ${TOLERANCE}." >&2

@@ -102,10 +102,10 @@ else
   cmp "$LARGE_T1" "$LARGE_T4"
 fi
 
-echo "==> perf suite smoke (quick mode; rewrites BENCH_nn/kernels/im/serve.json + BENCH_REPORT.md)"
-MCPB_BENCH_QUICK=1 cargo run -q --release -- bench
+echo "==> perf suite smoke (quick mode; writes BENCH_*.json + BENCH_REPORT.md under target/bench/)"
+MCPB_BENCH_QUICK=1 cargo run -q --release -- bench --out-dir target/bench
 
-echo "==> perf ratchet (working-tree BENCH_*.json vs committed baselines, 10% tolerance)"
+echo "==> perf ratchet (target/bench/BENCH_*.json vs committed baselines, 10% tolerance)"
 scripts/bench-ratchet.sh
 
 echo "OK: fmt, audit, tests, telemetry, fault-injection, thread-invariance, and perf smokes all green"

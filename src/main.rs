@@ -341,9 +341,11 @@ fn audit_cmd(args: &[String]) {
     }
 }
 
-/// `bench [--quick] [--large]`: runs the recorded perf suite and writes
-/// `BENCH_nn.json`, `BENCH_kernels.json`, `BENCH_im.json`,
-/// `BENCH_serve.json`, and `BENCH_REPORT.md` at the workspace root.
+/// `bench [--quick] [--large] [--out-dir <dir>]`: runs the recorded perf
+/// suite and writes `BENCH_nn.json`, `BENCH_kernels.json`,
+/// `BENCH_im.json`, `BENCH_serve.json`, and `BENCH_REPORT.md` at the
+/// workspace root, or under `<dir>` (created if missing) so a check run
+/// leaves the committed baselines alone.
 /// `--quick` shrinks samples and warmup (problem sizes and thread counts
 /// are unchanged, so medians stay comparable — just noisier);
 /// `MCPB_BENCH_SAMPLES` / `MCPB_BENCH_THREADS` pin the suite further.
@@ -351,22 +353,41 @@ fn audit_cmd(args: &[String]) {
 /// million-node tier as `BENCH_large.json`, with per-shard peak memory in
 /// the document's `memory` block.
 fn bench_cmd(args: &[String]) {
+    const USAGE: &str = "usage: mcpbench bench [--quick] [--large] [--out-dir <dir>]";
     let mut large = std::env::var("MCPB_BENCH_LARGE").map_or(false, |v| v == "1");
-    for a in args {
+    let mut out_dir = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => std::env::set_var("MCPB_BENCH_QUICK", "1"),
             "--large" => large = true,
+            "--out-dir" => match it.next() {
+                Some(dir) => out_dir = Some(std::path::PathBuf::from(dir)),
+                None => {
+                    eprintln!("{USAGE}");
+                    std::process::exit(2);
+                }
+            },
             _ => {
-                eprintln!("usage: mcpbench bench [--quick] [--large]");
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         }
     }
-    let root = mcpb_audit::cli::detect_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-        .unwrap_or_else(|| {
-            eprintln!("mcpbench bench: cannot locate workspace root");
-            std::process::exit(2);
-        });
+    let root = match out_dir {
+        Some(dir) => {
+            if let Err(e) = std::fs::create_dir_all(&dir) {
+                eprintln!("mcpbench bench: cannot create {}: {e}", dir.display());
+                std::process::exit(1);
+            }
+            dir
+        }
+        None => mcpb_audit::cli::detect_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+            .unwrap_or_else(|| {
+                eprintln!("mcpbench bench: cannot locate workspace root");
+                std::process::exit(2);
+            }),
+    };
     let mut reports = mcpb_bench::perf::collect_areas();
     reports.push(mcpb_serve::bench::serve_area());
     if large {
@@ -1115,12 +1136,14 @@ fn main() {
         println!("  audit [--list] [--format text|json|sarif] [--out FILE] [--fix-hints]");
         println!("        [--self-check] [--update-baseline]");
         println!("                              run the workspace lint gate (see audit --help)");
+        println!("  bench [--quick] [--large] [--out-dir <dir>]");
         println!(
-            "  bench [--quick] [--large]   run the recorded perf suite; writes BENCH_nn.json,"
+            "                              run the recorded perf suite; writes BENCH_nn.json,"
         );
         println!(
-            "                              BENCH_kernels.json, BENCH_im.json + BENCH_REPORT.md;"
+            "                              BENCH_kernels.json, BENCH_im.json + BENCH_REPORT.md"
         );
+        println!("                              at the repo root or under <dir>;");
         println!("                              --large adds the 1M-node tier as BENCH_large.json");
         println!("  datasets --large [<name>...]");
         println!("                              build the 1M-node catalog tier as mmap-backed");

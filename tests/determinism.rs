@@ -120,6 +120,27 @@ fn deep_rl_training_is_deterministic() {
             }),
         ),
         (
+            // 60-node subgraphs push every update's gradient norm past
+            // Adam's clip (5.0), and `clip_scale` sums squared gradients in
+            // tape-leaf order: this row moves if S2V registers its
+            // parameters in another order. The 20-node row above clips too
+            // but happens not to move.
+            "S2V-DQN (clipped)",
+            0x7e09_b856_bc47_5a53,
+            Box::new(|| {
+                let mut model = drl::S2vDqn::new(drl::S2vDqnConfig {
+                    episodes: 7,
+                    train_subgraph_nodes: 60,
+                    train_budget: 6,
+                    validate_every: 3,
+                    seed: 21,
+                    ..drl::S2vDqnConfig::default()
+                });
+                let report = model.train(&train);
+                training_digest(&report, &model.infer(&train, k))
+            }),
+        ),
+        (
             "GCOMB",
             0xb10e_78af_d5bb_f453,
             Box::new(|| {
