@@ -15,7 +15,6 @@
 use crate::adjacency::{in_edge_incidence, neighbor_sum};
 use mcpb_graph::Graph;
 use mcpb_nn::prelude::*;
-use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Per-graph fixed operators the S2V forward pass needs.
@@ -25,7 +24,8 @@ pub struct S2vGraph {
     pub nsum: Arc<SparseMatrix>,
     /// In-edge incidence operator (`n x E`).
     pub incidence: Arc<SparseMatrix>,
-    /// Edge weights (`E x 1`) aligned with the incidence columns.
+    /// Edge weights (`E x 1`, so `0 x 1` without edges) aligned with the
+    /// incidence columns.
     pub edge_weights: Tensor,
     /// Node count.
     pub n: usize,
@@ -84,7 +84,7 @@ impl S2v {
         let t4 = tape.param(store, self.theta4);
 
         // Edge term is loop-invariant: incidence * relu(w_e * theta4) * theta3.
-        let we = tape.input(self.edge_input(sg).into_owned());
+        let we = tape.input(sg.edge_weights.clone());
         let edge_feat = tape.matmul(we, t4);
         let edge_relu = tape.relu(edge_feat);
         let edge_agg = tape.spmm(sg.incidence.clone(), edge_relu);
@@ -110,7 +110,7 @@ impl S2v {
     /// and the parameters, so a greedy rollout computes it once and hands
     /// it to every [`S2v::embed_numbers`] call.
     pub fn edge_term(&self, store: &ParamStore, sg: &S2vGraph) -> Tensor {
-        let mut edge_feat = self.edge_input(sg).matmul(store.value(self.theta4));
+        let mut edge_feat = sg.edge_weights.matmul(store.value(self.theta4));
         for v in edge_feat.data.iter_mut() {
             *v = v.max(0.0);
         }
@@ -170,16 +170,6 @@ impl S2v {
             std::mem::swap(&mut mu, &mut next);
         }
         mu
-    }
-
-    /// The `E x 1` edge-weight operand; graphs with no edges still need a
-    /// `0 x 1` one.
-    fn edge_input<'a>(&self, sg: &'a S2vGraph) -> Cow<'a, Tensor> {
-        if sg.edge_weights.is_empty() {
-            Cow::Owned(Tensor::zeros(0, 1))
-        } else {
-            Cow::Borrowed(&sg.edge_weights)
-        }
     }
 }
 
