@@ -101,39 +101,32 @@ impl S2vQNet {
         }
         let d = self.s2v.dim;
         let mu = self.s2v.embed_numbers(store, sg, edge_term, tags);
-        let t5 = store.value(self.theta5);
-        let mut pooled = vec![0f32; d];
+        // Mean pooling, summed in row order like `sum_rows`.
+        let mut pooled = Tensor::zeros(1, d);
         for row in mu.data.chunks_exact(d) {
-            for (p, &m) in pooled.iter_mut().zip(row) {
+            for (p, &m) in pooled.data.iter_mut().zip(row) {
                 *p += m;
             }
         }
-        let inv_n = 1.0 / sg.n.max(1) as f32;
-        for p in pooled.iter_mut() {
-            *p *= inv_n;
+        pooled.scale_assign(1.0 / sg.n.max(1) as f32);
+        let pooled6 = pooled.matmul(store.value(self.theta6));
+        let mut cand = Tensor::zeros(candidates.len(), d);
+        for (row, &v) in cand.data.chunks_exact_mut(d).zip(candidates) {
+            row.copy_from_slice(mu.row_slice(v as usize));
         }
-        let mut pooled6 = vec![0f32; d];
-        store.value(self.theta6).vecmat_into(&pooled, &mut pooled6);
-        // The head is one dot product over `[relu(pooled6) | relu(cand7)]`
-        // accumulated in increasing order, so the pooled half is a prefix
-        // every candidate shares.
-        let (t5_pooled, t5_cand) = t5.data.split_at(d);
-        let mut prefix = 0f32;
-        for (&p, &w) in pooled6.iter().zip(t5_pooled) {
-            prefix += p.max(0.0) * w;
-        }
-        let t7 = store.value(self.theta7);
-        let mut cand7 = vec![0f32; d];
-        candidates
-            .iter()
-            .map(|&v| {
-                t7.vecmat_into(mu.row_slice(v as usize), &mut cand7);
-                let mut q = prefix;
-                for (&c, &w) in cand7.iter().zip(t5_cand) {
-                    q += c.max(0.0) * w;
-                }
-                q
-            })
+        let cand7 = cand.matmul(store.value(self.theta7));
+        // `relu([pooled6 | cand7]) * theta5` is one chain per candidate in
+        // increasing order from 0.0, so its pooled half is a prefix every
+        // candidate shares and no `c x 2d` concatenation is needed.
+        let (t5_pooled, t5_cand) = store.value(self.theta5).data.split_at(d);
+        let dot = |init: f32, x: &[f32], w: &[f32]| {
+            x.iter().zip(w).fold(init, |q, (&a, &b)| q + a.max(0.0) * b)
+        };
+        let prefix = dot(0.0, &pooled6.data, t5_pooled);
+        cand7
+            .data
+            .chunks_exact(d)
+            .map(|row| dot(prefix, row, t5_cand))
             .collect()
     }
 }

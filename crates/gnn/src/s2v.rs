@@ -132,42 +132,22 @@ impl S2v {
         tags: &[f32],
     ) -> Tensor {
         let _span = mcpb_trace::span("nn.forward");
-        let d = self.dim;
         assert_eq!(tags.len(), sg.n, "one tag per node");
         assert_eq!(
             (edge_term.rows, edge_term.cols),
-            (sg.n, d),
+            (sg.n, self.dim),
             "edge term shape"
         );
-        let t1 = store.value(self.theta1).row_slice(0);
+        let tag_term = Tensor::column(tags).matmul(store.value(self.theta1));
         let t2 = store.value(self.theta2);
-        let nsum = &*sg.nsum;
-        let mut mu = Tensor::zeros(sg.n, d);
-        let mut next = Tensor::zeros(sg.n, d);
-        let mut pooled = vec![0f32; d];
-        let mut msg = vec![0f32; d];
+        let mut mu = Tensor::zeros(sg.n, self.dim);
         for _ in 0..self.rounds {
-            for (r, out) in next.data.chunks_exact_mut(d).enumerate() {
-                // Row r of `nsum * mu`, in CSR order like `matmul_dense`.
-                pooled.fill(0.0);
-                for idx in nsum.offsets[r]..nsum.offsets[r + 1] {
-                    let v = nsum.values[idx];
-                    for (p, &m) in pooled
-                        .iter_mut()
-                        .zip(mu.row_slice(nsum.indices[idx] as usize))
-                    {
-                        *p += v * m;
-                    }
-                }
-                t2.vecmat_into(&pooled, &mut msg);
-                let edge = edge_term.row_slice(r);
-                for j in 0..d {
-                    // `0.0 + x * theta1` is the tag term's one-step matmul chain.
-                    let tag = 0.0 + tags[r] * t1[j];
-                    out[j] = (tag + msg[j] + edge[j]).max(0.0);
-                }
+            let mut h = sg.nsum.matmul_dense(&mu).matmul(t2);
+            // The tape's `relu((tag_term + msg) + edge_term)`.
+            for ((h, &t), &e) in h.data.iter_mut().zip(&tag_term.data).zip(&edge_term.data) {
+                *h = (t + *h + e).max(0.0);
             }
-            std::mem::swap(&mut mu, &mut next);
+            mu = h;
         }
         mu
     }

@@ -236,39 +236,6 @@ impl Tensor {
         out
     }
 
-    /// Row-vector product `out = x * self` for a `1 x rows` row `x`, written
-    /// into `out` (`cols` long) without allocating.
-    ///
-    /// Each output element accumulates as one left-associated chain in
-    /// increasing `k` order from `0.0`, the order [`Tensor::matmul`] uses,
-    /// so `out` is bit-identical to row `i` of `a.matmul(self)` whenever
-    /// `x` is row `i` of `a`.
-    pub fn vecmat_into(&self, x: &[f32], out: &mut [f32]) {
-        let n = self.cols;
-        assert_eq!(x.len(), self.rows, "vecmat shape mismatch");
-        assert_eq!(out.len(), n, "vecmat output length mismatch");
-        out.fill(0.0);
-        // Four k steps per pass, fused into one left-associated chain per
-        // element as in `matmul`, so each output is loaded and stored once
-        // per four steps.
-        let quads = x.len() / 4 * 4;
-        for l in (0..quads).step_by(4) {
-            let (a0, a1, a2, a3) = (x[l], x[l + 1], x[l + 2], x[l + 3]);
-            let b0 = &self.data[l * n..][..n];
-            let b1 = &self.data[(l + 1) * n..][..n];
-            let b2 = &self.data[(l + 2) * n..][..n];
-            let b3 = &self.data[(l + 3) * n..][..n];
-            for j in 0..n {
-                out[j] = out[j] + a0 * b0[j] + a1 * b1[j] + a2 * b2[j] + a3 * b3[j];
-            }
-        }
-        for (l, &a) in x.iter().enumerate().skip(quads) {
-            for (o, &b) in out.iter_mut().zip(self.row_slice(l)) {
-                *o += a * b;
-            }
-        }
-    }
-
     /// Dense matrix product that skips zero elements of `self` — the
     /// explicit sparse entry point for *dense* operands known to be mostly
     /// zeros (e.g. one-hot rows or heavily masked activations). This is the

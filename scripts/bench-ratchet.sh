@@ -2,8 +2,8 @@
 # Perf ratchet: compares the BENCH_nn.json / BENCH_kernels.json / BENCH_im.json /
 # BENCH_serve.json / BENCH_large.json that `mcpbench bench --out-dir target/bench` wrote
 # under target/bench/ against the copies committed at HEAD and fails if any bench median
-# regressed by more than the tolerance (default 10%). An area the run did not record
-# (BENCH_large.json needs `bench --large`) is skipped; a run that recorded none fails.
+# regressed by more than the tolerance (default 10%). A missing nn/kernels/im/serve file
+# fails the check; a missing BENCH_large.json is skipped, since only `bench --large` writes it.
 # Baselines are the committed files themselves — a deliberate slowdown is landed by
 # committing the new numbers, which is what `--rebaseline` does.
 #
@@ -54,15 +54,19 @@ if [[ "$REBASELINE" == 1 ]]; then
 fi
 
 status=0
-recorded=0
 for area in "${AREAS[@]}"; do
   name="BENCH_${area}.json"
   file="${RUN_DIR}/${name}"
   if [[ ! -f "$file" ]]; then
-    echo "bench-ratchet: $file not recorded by this run — skipping"
+    if [[ "$area" == large ]]; then
+      echo "bench-ratchet: $file not recorded (needs bench --large) — skipping"
+    else
+      echo "bench-ratchet: $file missing — run" >&2
+      echo "  MCPB_BENCH_QUICK=1 cargo run --release -- bench --out-dir ${RUN_DIR}" >&2
+      status=1
+    fi
     continue
   fi
-  recorded=$((recorded + 1))
   if ! git cat-file -e "HEAD:$name" 2>/dev/null; then
     echo "bench-ratchet: $name has no committed baseline yet — skipping"
     continue
@@ -78,12 +82,6 @@ for area in "${AREAS[@]}"; do
   fi
   rm -f "$base"
 done
-
-if [[ "$recorded" == 0 ]]; then
-  echo "bench-ratchet: no BENCH_*.json under ${RUN_DIR}/ — run" >&2
-  echo "  MCPB_BENCH_QUICK=1 cargo run --release -- bench --out-dir ${RUN_DIR}" >&2
-  status=1
-fi
 
 if [[ "$status" != 0 ]]; then
   echo "bench-ratchet: FAILED — a recorded kernel regressed beyond ${TOLERANCE}." >&2

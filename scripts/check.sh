@@ -103,6 +103,8 @@ else
 fi
 
 echo "==> perf suite smoke (quick mode; writes BENCH_*.json + BENCH_REPORT.md under target/bench/)"
+# Start empty so the ratchet compares only files this run wrote.
+rm -rf target/bench
 MCPB_BENCH_QUICK=1 cargo run -q --release -- bench --out-dir target/bench
 
 echo "==> perf ratchet (target/bench/BENCH_*.json vs committed baselines, 10% tolerance)"
