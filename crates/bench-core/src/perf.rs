@@ -10,7 +10,7 @@
 //! * `im` — RR-set sampling, IC and LT Monte-Carlo at 1/2/4/8 threads
 //!   (the scaling curve), each against its pre-PR reference at 1 thread.
 //! * `large` (opt-in via `mcpbench bench --large`) — the same sharded
-//!   consumers over the million-node `ba-1m` compact CSR, with per-shard
+//!   consumers over the million-node `ba-1m` graph, with per-shard
 //!   peak-memory accounting in the document's `memory` extras block.
 //!
 //! Every `<id>` / `<id>_ref` pair also records a median speedup ratio so
@@ -322,8 +322,8 @@ pub fn run_im() -> AreaReport {
     report
 }
 
-/// `large` area: the million-node catalog tier. Builds the `ba-1m` compact
-/// CSR through the streamed generator (no disk cache, so the record is
+/// `large` area: the million-node catalog tier. Builds the `ba-1m` graph
+/// through the streamed generator (no disk cache, so the record is
 /// hermetic), then runs the two sharded hot consumers — partitioned RR-set
 /// sampling and IC/LT Monte-Carlo — across the thread curve. Per-shard peak
 /// memory is collected through the `mcpb-trace` histograms the shard layer
@@ -393,35 +393,16 @@ pub fn run_large() -> AreaReport {
             format!("{:016x}", cfg.config_hash()).to_value(),
         ),
         ("nodes", (g.num_nodes() as u64).to_value()),
-        ("arcs", (g.num_arcs() as u64).to_value()),
+        ("arcs", (g.num_edges() as u64).to_value()),
         ("bytes", (g.memory_bytes() as u64).to_value()),
     ]);
 
-    let mut report = AreaReport {
+    AreaReport {
         area: "large",
         benches: c.summaries().to_vec(),
         speedups: Vec::new(),
         extras: vec![("memory".to_string(), memory), ("graph".to_string(), graph)],
-    };
-    let (t_lo, t_hi) = (threads[0], threads[threads.len() - 1]);
-    if t_hi > t_lo {
-        report.push_speedup(
-            &format!("RR sampling ba-1m ({t_hi} vs {t_lo} threads)"),
-            &format!("large/rr_sample_ba1m_t{t_hi}"),
-            &format!("large/rr_sample_ba1m_t{t_lo}"),
-        );
-        report.push_speedup(
-            &format!("IC Monte-Carlo ba-1m ({t_hi} vs {t_lo} threads)"),
-            &format!("large/ic_mc_ba1m_t{t_hi}"),
-            &format!("large/ic_mc_ba1m_t{t_lo}"),
-        );
-        report.push_speedup(
-            &format!("LT Monte-Carlo ba-1m ({t_hi} vs {t_lo} threads)"),
-            &format!("large/lt_mc_ba1m_t{t_hi}"),
-            &format!("large/lt_mc_ba1m_t{t_lo}"),
-        );
     }
-    report
 }
 
 /// Runs the areas defined in this crate (`nn`, `kernels`, `im`). Callers

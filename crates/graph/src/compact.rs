@@ -1,31 +1,22 @@
-//! [`CompactGraph`]: the u32-compact CSR used by the `large` catalog tier.
+//! The streamed build of the `large` catalog tier: [`Graph::build_streamed`]
+//! and the weight models it can assign ([`CompactWeights`]).
 //!
-//! [`crate::Graph`] stores offsets as `usize`; at 10M nodes that is 160 MB
-//! of offsets alone. `CompactGraph` narrows every array to 4 bytes per
-//! entry (`u32` offsets, `u32` endpoints, `f32` weights) — the whole
-//! representation is `8n + 32m` bytes — and its arrays can be backed either
-//! by owned `Vec`s or by an mmap of the on-disk cache written by
-//! [`crate::diskcache`], so reloading a prebuilt tier graph costs no
-//! deserialization.
-//!
-//! Construction is streamed ([`CompactGraph::build_streamed`]): the edge
-//! stream of a [`StreamSpec`] is replayed twice — once to count degrees,
-//! once to fill adjacency — so no edge list is ever materialized. The fill
-//! pass scatters *cache-blocked*: arcs are staged per 64K-node block and
-//! flushed block by block, so cursor and target writes stay inside one
-//! L2-sized window instead of striding the full array.
-//!
-//! The compact form carries the same invariants as [`crate::Graph`] and
-//! [`CompactGraph::validate`] checks them (shared core:
-//! [`crate::view::validate_csr`]).
+//! The edge stream of a [`StreamSpec`] is replayed twice — once to count
+//! degrees, once to fill adjacency — so no edge list is ever materialized.
+//! The fill pass scatters *cache-blocked*: arcs are staged per 64K-node
+//! block and flushed block by block, so cursor and target writes stay
+//! inside one L2-sized window instead of striding the full array.
 
 use crate::convert::{self, IdOverflow};
-use crate::csr::{Edge, Graph, GraphError, NodeId};
-use crate::diskcache::MapSegment;
+use crate::csr::{Arr, Graph, GraphError, NodeId};
 use crate::stream::StreamSpec;
-use crate::view::CsrView;
 use crate::weights::CONST_WEIGHT;
 use serde::{Deserialize, Serialize};
+
+/// The name the `large` tier's carrier had before it was folded into
+/// [`Graph`]. It stays as an alias because the frozen end-to-end benchmark
+/// package imports it; new code should name [`Graph`].
+pub type CompactGraph = Graph;
 
 /// Edge-weight models the streamed build can assign without materializing
 /// the graph first. (Tri-valency and learned weights need per-arc RNG state
@@ -52,53 +43,18 @@ impl CompactWeights {
     }
 }
 
-/// One CSR array, either owned or a view into the mmap'd disk cache.
-#[derive(Debug, Clone)]
-pub(crate) enum Arr<T: Copy> {
-    /// Heap-owned (freshly built, or loaded via the read fallback).
-    Owned(Vec<T>),
-    /// Borrowed from the shared file mapping.
-    Mapped(MapSegment<T>),
-}
-
-impl<T: Copy> std::ops::Deref for Arr<T> {
-    type Target = [T];
-
-    fn deref(&self) -> &[T] {
-        match self {
-            Arr::Owned(v) => v,
-            Arr::Mapped(seg) => seg.as_slice(),
-        }
-    }
-}
-
 /// Node-block width (in bits) for the cache-blocked scatter: 64K nodes per
 /// block keeps one block's cursor + target working set around the L2 size.
 const SCATTER_BLOCK_BITS: usize = 16;
 
-/// Immutable u32-compact CSR graph with both adjacency directions.
-#[derive(Debug, Clone)]
-pub struct CompactGraph {
-    n: u32,
-    pub(crate) out_offsets: Arr<u32>,
-    pub(crate) out_targets: Arr<NodeId>,
-    pub(crate) out_weights: Arr<f32>,
-    pub(crate) in_offsets: Arr<u32>,
-    pub(crate) in_sources: Arr<NodeId>,
-    pub(crate) in_weights: Arr<f32>,
-}
-
-impl CompactGraph {
-    /// Builds the compact CSR by replaying `spec`'s edge stream twice
+impl Graph {
+    /// Builds the graph by replaying `spec`'s edge stream twice
     /// (degree count, then cache-blocked fill), sorting each adjacency row,
     /// and assigning `weights`. Every emitted edge `(u, v)` becomes the two
     /// arcs `u -> v` and `v -> u`, so the topology is symmetric and the
     /// in-side arrays are derived from the out-side without a second
     /// scatter.
-    pub fn build_streamed(
-        spec: &StreamSpec,
-        weights: CompactWeights,
-    ) -> Result<CompactGraph, GraphError> {
+    pub fn build_streamed(spec: &StreamSpec, weights: CompactWeights) -> Result<Graph, GraphError> {
         convert::node_count(spec.n)?;
         let n = spec.n;
 
@@ -192,213 +148,22 @@ impl CompactGraph {
 
         // Undirected symmetry: the in-sources of v are exactly its
         // neighbors, already sorted — the arrays are shared by value.
-        Ok(CompactGraph {
-            n: spec.n as u32, // audit:allow(MCPB006) — node_count guard at fn entry
-            in_offsets: Arr::Owned(out_offsets.clone()),
-            in_sources: Arr::Owned(out_targets.clone()),
-            out_offsets: Arr::Owned(out_offsets),
-            out_targets: Arr::Owned(out_targets),
-            out_weights: Arr::Owned(out_weights),
-            in_weights: Arr::Owned(in_weights),
-        })
-    }
-
-    /// Converts a mid-size [`Graph`] to the compact form. Fails with a
-    /// typed [`IdOverflow`] if any offset exceeds `u32::MAX`.
-    pub fn from_graph(g: &Graph) -> Result<CompactGraph, GraphError> {
-        convert::node_count(g.num_nodes())?;
-        convert::arc_index(g.num_edges())?;
-        let narrow = |v: usize| -> u32 {
-            // Guarded by the arc_index check: every offset is <= m.
-            v as u32 // audit:allow(MCPB006) — bounded by the arc_index guard above
-        };
-        let n = g.num_nodes();
-        let mut out_offsets = Vec::with_capacity(n + 1);
-        let mut in_offsets = Vec::with_capacity(n + 1);
-        out_offsets.push(0u32);
-        in_offsets.push(0u32);
-        let mut out_targets = Vec::with_capacity(g.num_edges());
-        let mut out_weights = Vec::with_capacity(g.num_edges());
-        let mut in_sources = Vec::with_capacity(g.num_edges());
-        let mut in_weights = Vec::with_capacity(g.num_edges());
-        for v in 0..n as NodeId {
-            out_targets.extend_from_slice(g.out_neighbors(v));
-            out_weights.extend_from_slice(g.out_weights(v));
-            in_sources.extend_from_slice(g.in_neighbors(v));
-            in_weights.extend_from_slice(g.in_weights(v));
-            out_offsets.push(narrow(out_targets.len()));
-            in_offsets.push(narrow(in_sources.len()));
-        }
-        Ok(CompactGraph {
-            n: n as u32, // audit:allow(MCPB006) — node_count guard at fn entry
-            out_offsets: Arr::Owned(out_offsets),
-            out_targets: Arr::Owned(out_targets),
-            out_weights: Arr::Owned(out_weights),
-            in_offsets: Arr::Owned(in_offsets),
-            in_sources: Arr::Owned(in_sources),
-            in_weights: Arr::Owned(in_weights),
-        })
-    }
-
-    /// Expands back to a mid-size [`Graph`] (copies everything; meant for
-    /// the mid-size equivalence suites, not the `large` tier).
-    pub fn to_graph(&self) -> Result<Graph, GraphError> {
-        let mut edges = Vec::with_capacity(self.num_arcs());
-        for v in 0..self.n {
-            for (&t, &w) in self.out_neighbors(v).iter().zip(self.out_weights(v)) {
-                edges.push(Edge::new(v, t, w));
-            }
-        }
-        Graph::from_edges(self.n as usize, &edges)
-    }
-
-    /// Constructs from already-validated parts (the disk-cache loader).
-    pub(crate) fn from_parts(
-        n: u32,
-        out_offsets: Arr<u32>,
-        out_targets: Arr<NodeId>,
-        out_weights: Arr<f32>,
-        in_offsets: Arr<u32>,
-        in_sources: Arr<NodeId>,
-        in_weights: Arr<f32>,
-    ) -> CompactGraph {
-        CompactGraph {
+        Ok(Graph::from_parts(
             n,
-            out_offsets,
-            out_targets,
-            out_weights,
-            in_offsets,
-            in_sources,
-            in_weights,
-        }
-    }
-
-    /// Number of nodes.
-    #[inline]
-    pub fn num_nodes(&self) -> usize {
-        self.n as usize
-    }
-
-    /// Number of directed arcs.
-    #[inline]
-    pub fn num_arcs(&self) -> usize {
-        self.out_targets.len()
-    }
-
-    /// Out-neighbors of `v`, sorted ascending.
-    #[inline]
-    pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let v = v as usize;
-        &self.out_targets[self.out_offsets[v] as usize..self.out_offsets[v + 1] as usize]
-    }
-
-    /// Weights aligned with [`CompactGraph::out_neighbors`].
-    #[inline]
-    pub fn out_weights(&self, v: NodeId) -> &[f32] {
-        let v = v as usize;
-        &self.out_weights[self.out_offsets[v] as usize..self.out_offsets[v + 1] as usize]
-    }
-
-    /// In-neighbors of `v`, sorted ascending.
-    #[inline]
-    pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let v = v as usize;
-        &self.in_sources[self.in_offsets[v] as usize..self.in_offsets[v + 1] as usize]
-    }
-
-    /// Weights aligned with [`CompactGraph::in_neighbors`].
-    #[inline]
-    pub fn in_weights(&self, v: NodeId) -> &[f32] {
-        let v = v as usize;
-        &self.in_weights[self.in_offsets[v] as usize..self.in_offsets[v + 1] as usize]
-    }
-
-    /// True when the arrays view an mmap'd cache file rather than the heap.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.out_targets, Arr::Mapped(_))
-    }
-
-    /// Heap bytes the CSR arrays would occupy if owned (mmap-backed arrays
-    /// count their mapped extent, since that is the resident ceiling).
-    pub fn memory_bytes(&self) -> usize {
-        4 * (self.out_offsets.len()
-            + self.in_offsets.len()
-            + self.out_targets.len()
-            + self.in_sources.len()
-            + self.out_weights.len()
-            + self.in_weights.len())
-    }
-
-    /// [`crate::Graph::validate`] extended to the compact form: offset
-    /// arrays have length `n + 1`, start at 0, are monotone, and end at the
-    /// arc count — then the shared CSR core ([`crate::view::validate_csr`]):
-    /// sorted adjacency, in-range endpoints, finite weights, and out/in
-    /// arc-multiset agreement.
-    pub fn validate(&self) -> Result<(), GraphError> {
-        let corrupt = |detail: String| Err(GraphError::Corrupt { detail });
-        let n = self.n as usize;
-        let m = self.out_targets.len();
-        if self.out_offsets.len() != n + 1 || self.in_offsets.len() != n + 1 {
-            return corrupt(format!(
-                "offset arrays have lengths {}/{}, want n + 1 = {}",
-                self.out_offsets.len(),
-                self.in_offsets.len(),
-                n + 1
-            ));
-        }
-        if self.out_weights.len() != m || self.in_sources.len() != m || self.in_weights.len() != m {
-            return corrupt(format!(
-                "arc arrays disagree on the arc count: out {}({} w), in {}({} w)",
-                m,
-                self.out_weights.len(),
-                self.in_sources.len(),
-                self.in_weights.len()
-            ));
-        }
-        for (offsets, label) in [(&self.out_offsets, "out"), (&self.in_offsets, "in")] {
-            if offsets[0] != 0 || offsets[n] as usize != m {
-                return corrupt(format!(
-                    "{label}_offsets spans {}..{}, want 0..{m}",
-                    offsets[0], offsets[n]
-                ));
-            }
-            if let Some(v) = (0..n).find(|&v| offsets[v] > offsets[v + 1]) {
-                return corrupt(format!("{label}_offsets decreases at node {v}"));
-            }
-        }
-        crate::view::validate_csr(self)
-    }
-}
-
-impl CsrView for CompactGraph {
-    fn num_nodes(&self) -> usize {
-        CompactGraph::num_nodes(self)
-    }
-
-    fn num_arcs(&self) -> usize {
-        CompactGraph::num_arcs(self)
-    }
-
-    fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        CompactGraph::out_neighbors(self, v)
-    }
-
-    fn out_weights(&self, v: NodeId) -> &[f32] {
-        CompactGraph::out_weights(self, v)
-    }
-
-    fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        CompactGraph::in_neighbors(self, v)
-    }
-
-    fn in_weights(&self, v: NodeId) -> &[f32] {
-        CompactGraph::in_weights(self, v)
+            Arr::from(out_offsets.clone()),
+            Arr::from(out_targets.clone()),
+            Arr::from(out_weights),
+            Arr::from(out_offsets),
+            Arr::from(out_targets),
+            Arr::from(in_weights),
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Edge;
     use crate::stream::StreamFamily;
     use crate::weights::{assign_weights, WeightModel};
 
@@ -417,7 +182,7 @@ mod tests {
             CompactWeights::Constant,
             CompactWeights::WeightedCascade,
         ] {
-            let g = CompactGraph::build_streamed(&spec(500), w).unwrap();
+            let g = Graph::build_streamed(&spec(500), w).unwrap();
             g.validate().unwrap();
             assert_eq!(g.num_nodes(), 500);
         }
@@ -426,7 +191,7 @@ mod tests {
     #[test]
     fn streamed_build_matches_edge_list_build() {
         let s = spec(400);
-        let compact = CompactGraph::build_streamed(&s, CompactWeights::WeightedCascade).unwrap();
+        let streamed = Graph::build_streamed(&s, CompactWeights::WeightedCascade).unwrap();
 
         // Reference path: collect the same stream, build a mid-size Graph,
         // assign WC weights the mid-size way.
@@ -443,30 +208,20 @@ mod tests {
         );
 
         for v in 0..400u32 {
-            assert_eq!(compact.out_neighbors(v), g.out_neighbors(v), "node {v}");
-            assert_eq!(compact.out_weights(v), g.out_weights(v), "node {v} weights");
-            assert_eq!(compact.in_neighbors(v), g.in_neighbors(v));
-            assert_eq!(compact.in_weights(v), g.in_weights(v));
-        }
-    }
-
-    #[test]
-    fn graph_round_trip() {
-        let s = spec(200);
-        let compact = CompactGraph::build_streamed(&s, CompactWeights::WeightedCascade).unwrap();
-        let g = compact.to_graph().unwrap();
-        g.validate().unwrap();
-        let back = CompactGraph::from_graph(&g).unwrap();
-        back.validate().unwrap();
-        for v in 0..200u32 {
-            assert_eq!(compact.out_neighbors(v), back.out_neighbors(v));
-            assert_eq!(compact.in_weights(v), back.in_weights(v));
+            assert_eq!(streamed.out_neighbors(v), g.out_neighbors(v), "node {v}");
+            assert_eq!(
+                streamed.out_weights(v),
+                g.out_weights(v),
+                "node {v} weights"
+            );
+            assert_eq!(streamed.in_neighbors(v), g.in_neighbors(v));
+            assert_eq!(streamed.in_weights(v), g.in_weights(v));
         }
     }
 
     #[test]
     fn empty_graph_is_fine() {
-        let g = CompactGraph::build_streamed(
+        let g = Graph::build_streamed(
             &StreamSpec {
                 family: StreamFamily::ErdosRenyi { avg_degree: 4.0 },
                 n: 0,
@@ -476,6 +231,6 @@ mod tests {
         )
         .unwrap();
         g.validate().unwrap();
-        assert_eq!(g.num_arcs(), 0);
+        assert_eq!(g.num_edges(), 0);
     }
 }

@@ -45,7 +45,7 @@ pub fn node_id(value: usize) -> Result<NodeId, IdOverflow> {
 }
 
 /// Converts an arc (edge-slot) index to `u32`, failing with a typed error
-/// above `u32::MAX`. Compact CSR offsets and the `from_edges` sort-index
+/// above `u32::MAX`. `Graph` offsets and the `from_edges` sort-index
 /// arrays are `u32`, so arc counts share the same ceiling as node counts.
 #[inline]
 pub fn arc_index(value: usize) -> Result<u32, IdOverflow> {

@@ -3,8 +3,15 @@
 //! All solvers in the workspace operate on [`Graph`], a directed weighted
 //! graph stored in CSR form with both forward (out-edge) and reverse
 //! (in-edge) adjacency built at construction. Node identifiers are dense
-//! `u32` indices in `0..n`.
+//! `u32` indices in `0..n`, and arc offsets are `u32` too, so every array
+//! costs 4 bytes per entry: `8(n + 1) + 16m` bytes in all.
+//!
+//! Each array is either an owned `Vec` or a window into the mmap'd disk
+//! cache ([`crate::diskcache`]). Both backings read the same way; only
+//! construction differs, so every `&Graph` consumer runs unchanged on a
+//! mid-size catalog graph and on an mmap-loaded `large`-tier graph.
 
+use crate::diskcache::MapSegment;
 use serde::{Deserialize, Serialize};
 
 /// Dense node identifier. Graphs are limited to `u32::MAX` nodes, which is
@@ -34,21 +41,101 @@ impl Edge {
     }
 }
 
+/// One CSR array: an owned `Vec` or a window into the mmap'd disk cache.
+/// The elements' address and length are read once, at construction, so an
+/// access costs what a `Vec` access costs whatever the backing. (Matching
+/// on the backing at every access made the degree-sorting baseline several
+/// times slower.)
+#[derive(Debug)]
+pub(crate) struct Arr<T: Copy> {
+    ptr: *const T,
+    len: usize,
+    store: Store<T>,
+}
+
+/// What keeps an [`Arr`]'s elements alive. Neither variant is written or
+/// resized after construction, and moving either does not move the
+/// elements, so an `Arr`'s `ptr` stays valid for the `Arr`'s lifetime.
+#[derive(Debug)]
+enum Store<T: Copy> {
+    /// Heap-owned (built in memory, or loaded via the read fallback).
+    Owned(Vec<T>),
+    /// Borrowed from the shared, read-only file mapping.
+    Mapped(MapSegment<T>),
+}
+
+// SAFETY: `ptr` points into the elements that `store` owns (a `Vec<T>`) or
+// shares immutably (a `MapSegment` over an `Arc`'d mapping, which is `Send +
+// Sync`), and an `Arr` only ever hands out `&[T]`. Sending or sharing an
+// `Arr` is therefore sound whenever sending or sharing a `Vec<T>` is.
+unsafe impl<T: Copy + Send + Sync> Send for Arr<T> {}
+// SAFETY: as for `Send` above.
+unsafe impl<T: Copy + Sync> Sync for Arr<T> {}
+
+impl<T: Copy> From<Vec<T>> for Arr<T> {
+    fn from(v: Vec<T>) -> Arr<T> {
+        Arr {
+            ptr: v.as_ptr(),
+            len: v.len(),
+            store: Store::Owned(v),
+        }
+    }
+}
+
+impl<T: Copy> From<MapSegment<T>> for Arr<T> {
+    fn from(seg: MapSegment<T>) -> Arr<T> {
+        let (ptr, len) = (seg.as_slice().as_ptr(), seg.as_slice().len());
+        Arr {
+            ptr,
+            len,
+            store: Store::Mapped(seg),
+        }
+    }
+}
+
+impl<T: Copy> Clone for Arr<T> {
+    fn clone(&self) -> Arr<T> {
+        match &self.store {
+            Store::Owned(v) => Arr::from(v.clone()),
+            Store::Mapped(seg) => Arr::from(seg.clone()),
+        }
+    }
+}
+
+impl<T: Copy> std::ops::Deref for Arr<T> {
+    type Target = [T];
+
+    #[inline]
+    fn deref(&self) -> &[T] {
+        // SAFETY: `ptr` and `len` describe `store`'s elements (see `Store`),
+        // which live, unmoved and unwritten, as long as `self` does.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+    }
+}
+
+impl<T: Copy> Arr<T> {
+    /// An owned copy, whatever the backing: derived graphs write into these
+    /// and never into a mapping.
+    fn copied(&self) -> Arr<T> {
+        Arr::from(self.to_vec())
+    }
+}
+
 /// Immutable directed graph in CSR form.
 ///
 /// Both out- and in-adjacency are materialized: the forward direction drives
 /// coverage and cascade simulation, while the reverse direction drives
 /// reverse-reachable (RR) set sampling and the Weighted Cascade edge-weight
 /// model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     n: usize,
-    out_offsets: Vec<usize>,
-    out_targets: Vec<NodeId>,
-    out_weights: Vec<f32>,
-    in_offsets: Vec<usize>,
-    in_sources: Vec<NodeId>,
-    in_weights: Vec<f32>,
+    out_offsets: Arr<u32>,
+    out_targets: Arr<NodeId>,
+    out_weights: Arr<f32>,
+    in_offsets: Arr<u32>,
+    in_sources: Arr<NodeId>,
+    in_weights: Arr<f32>,
 }
 
 impl Graph {
@@ -59,7 +146,8 @@ impl Graph {
     /// graphs should deduplicate via [`GraphBuilder`].
     pub fn from_edges(n: usize, edges: &[Edge]) -> Result<Self, GraphError> {
         // All per-element `as NodeId` casts below (and in accessors like
-        // `nodes()`/`edges()`) are in range because of these two guards.
+        // `nodes()`/`edges()`) are in range because of these two guards, and
+        // the second keeps every `u32` offset (at most the arc count) exact.
         crate::convert::node_count(n)?;
         crate::convert::arc_index(edges.len())?;
         for e in edges {
@@ -77,8 +165,8 @@ impl Graph {
             }
         }
 
-        let mut out_degree = vec![0usize; n];
-        let mut in_degree = vec![0usize; n];
+        let mut out_degree = vec![0u32; n];
+        let mut in_degree = vec![0u32; n];
         for e in edges {
             out_degree[e.src as usize] += 1;
             in_degree[e.dst as usize] += 1;
@@ -110,7 +198,30 @@ impl Graph {
             in_weights[slot] = edges[i as usize].weight;
         }
 
-        Ok(Self {
+        Ok(Self::from_parts(
+            n,
+            Arr::from(out_offsets),
+            Arr::from(out_targets),
+            Arr::from(out_weights),
+            Arr::from(in_offsets),
+            Arr::from(in_sources),
+            Arr::from(in_weights),
+        ))
+    }
+
+    /// Assembles a graph from its six arrays. The caller guarantees the
+    /// CSR invariants ([`Graph::validate`]): `from_edges`, the streamed
+    /// build, and the disk-cache loader after its header checks.
+    pub(crate) fn from_parts(
+        n: usize,
+        out_offsets: Arr<u32>,
+        out_targets: Arr<NodeId>,
+        out_weights: Arr<f32>,
+        in_offsets: Arr<u32>,
+        in_sources: Arr<NodeId>,
+        in_weights: Arr<f32>,
+    ) -> Graph {
+        Graph {
             n,
             out_offsets,
             out_targets,
@@ -118,7 +229,7 @@ impl Graph {
             in_offsets,
             in_sources,
             in_weights,
-        })
+        }
     }
 
     /// Number of nodes.
@@ -137,14 +248,14 @@ impl Graph {
     #[inline]
     pub fn out_degree(&self, v: NodeId) -> usize {
         let v = v as usize;
-        self.out_offsets[v + 1] - self.out_offsets[v]
+        (self.out_offsets[v + 1] - self.out_offsets[v]) as usize
     }
 
     /// In-degree of `v`.
     #[inline]
     pub fn in_degree(&self, v: NodeId) -> usize {
         let v = v as usize;
-        self.in_offsets[v + 1] - self.in_offsets[v]
+        (self.in_offsets[v + 1] - self.in_offsets[v]) as usize
     }
 
     /// Total degree (in + out) of `v`.
@@ -156,30 +267,26 @@ impl Graph {
     /// Out-neighbors of `v`.
     #[inline]
     pub fn out_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let v = v as usize;
-        &self.out_targets[self.out_offsets[v]..self.out_offsets[v + 1]]
+        &self.out_targets[row(&self.out_offsets, v)]
     }
 
     /// Weights aligned with [`Self::out_neighbors`].
     #[inline]
     pub fn out_weights(&self, v: NodeId) -> &[f32] {
-        let v = v as usize;
-        &self.out_weights[self.out_offsets[v]..self.out_offsets[v + 1]]
+        &self.out_weights[row(&self.out_offsets, v)]
     }
 
     /// In-neighbors of `v`.
     #[inline]
     pub fn in_neighbors(&self, v: NodeId) -> &[NodeId] {
-        let v = v as usize;
-        &self.in_sources[self.in_offsets[v]..self.in_offsets[v + 1]]
+        &self.in_sources[row(&self.in_offsets, v)]
     }
 
     /// Weights aligned with [`Self::in_neighbors`] (the weight of edge
     /// `(u, v)` for each in-neighbor `u`).
     #[inline]
     pub fn in_weights(&self, v: NodeId) -> &[f32] {
-        let v = v as usize;
-        &self.in_weights[self.in_offsets[v]..self.in_offsets[v + 1]]
+        &self.in_weights[row(&self.in_offsets, v)]
     }
 
     /// Iterator over all node ids.
@@ -189,11 +296,9 @@ impl Graph {
 
     /// Iterator over all edges in source order.
     pub fn edges(&self) -> impl Iterator<Item = Edge> + '_ {
-        (0..self.n).flat_map(move |u| {
-            let s = self.out_offsets[u];
-            let e = self.out_offsets[u + 1];
-            (s..e).map(move |i| Edge {
-                src: u as NodeId,
+        self.nodes().flat_map(move |u| {
+            row(&self.out_offsets, u).map(move |i| Edge {
+                src: u,
                 dst: self.out_targets[i],
                 weight: self.out_weights[i],
             })
@@ -201,30 +306,39 @@ impl Graph {
     }
 
     /// Returns a new graph with every edge weight replaced by the output of
-    /// `f(src, dst, old_weight)`. Topology is shared semantics-wise but the
-    /// CSR arrays are copied.
+    /// `f(src, dst, old_weight)`, called in out-adjacency order. The result
+    /// owns copies of all six arrays, whatever `self`'s backing.
     pub fn reweighted(&self, mut f: impl FnMut(NodeId, NodeId, f32) -> f32) -> Graph {
-        let mut g = self.clone();
-        for u in 0..g.n {
-            let (s, e) = (g.out_offsets[u], g.out_offsets[u + 1]);
-            for i in s..e {
-                g.out_weights[i] = f(u as NodeId, g.out_targets[i], g.out_weights[i]);
+        let mut out_weights = self.out_weights.to_vec();
+        for u in self.nodes() {
+            for i in row(&self.out_offsets, u) {
+                out_weights[i] = f(u, self.out_targets[i], out_weights[i]);
             }
         }
         // Rebuild in-weights to stay consistent with out-weights.
-        let mut in_cursor = g.in_offsets.clone();
-        for u in 0..g.n {
-            let (s, e) = (g.out_offsets[u], g.out_offsets[u + 1]);
-            for i in s..e {
-                let v = g.out_targets[i] as usize;
+        let m = self.num_edges();
+        let mut in_sources = vec![0 as NodeId; m];
+        let mut in_weights = vec![0f32; m];
+        let mut in_cursor = self.in_offsets.to_vec();
+        for u in self.nodes() {
+            for i in row(&self.out_offsets, u) {
+                let v = self.out_targets[i] as usize;
                 let ic = &mut in_cursor[v];
-                debug_assert!(*ic < g.in_offsets[v + 1]);
-                g.in_sources[*ic] = u as NodeId;
-                g.in_weights[*ic] = g.out_weights[i];
+                debug_assert!(*ic < self.in_offsets[v + 1]);
+                in_sources[*ic as usize] = u;
+                in_weights[*ic as usize] = out_weights[i];
                 *ic += 1;
             }
         }
-        g
+        Graph::from_parts(
+            self.n,
+            self.out_offsets.copied(),
+            self.out_targets.copied(),
+            Arr::from(out_weights),
+            self.in_offsets.copied(),
+            Arr::from(in_sources),
+            Arr::from(in_weights),
+        )
     }
 
     /// Extracts the subgraph induced by `nodes`. Returns the subgraph and
@@ -268,10 +382,12 @@ impl Graph {
     /// - the out- and in-adjacency describe the same arc multiset.
     ///
     /// `O(m log m)`. Generators and the dataset catalog run this under
-    /// `debug_assertions`; release builds skip it.
+    /// `debug_assertions`; release builds skip it. The disk-cache loader
+    /// checks only the file's header and checksum, so callers that load a
+    /// cache validate it themselves.
     pub fn validate(&self) -> Result<(), GraphError> {
         let corrupt = |detail: String| Err(GraphError::Corrupt { detail });
-        // Deserialized graphs bypass `from_edges`, so re-check the id-space
+        // Mmap-loaded graphs bypass `from_edges`, so re-check the id-space
         // guard here before trusting any `as NodeId` arithmetic.
         if let Err(e) = crate::convert::node_count(self.n) {
             return corrupt(e.to_string());
@@ -295,7 +411,7 @@ impl Graph {
             ));
         }
         for (offsets, label) in [(&self.out_offsets, "out"), (&self.in_offsets, "in")] {
-            if offsets[0] != 0 || offsets[self.n] != m {
+            if offsets[0] != 0 || offsets[self.n] as usize != m {
                 return corrupt(format!(
                     "{label}_offsets spans {}..{}, want 0..{m}",
                     offsets[0], offsets[self.n]
@@ -328,14 +444,11 @@ impl Graph {
             }
         }
         let mut fwd = self.arc_keys_forward();
-        let mut rev: Vec<(NodeId, NodeId, u32)> = (0..self.n as NodeId)
-            .flat_map(|v| {
-                self.in_neighbors(v)
-                    .iter()
-                    .zip(self.in_weights(v))
-                    .map(move |(&u, &w)| (u, v, w.to_bits()))
-            })
-            .collect();
+        let mut rev = Vec::with_capacity(m);
+        for v in self.nodes() {
+            let arcs = self.in_neighbors(v).iter().zip(self.in_weights(v));
+            rev.extend(arcs.map(|(&u, &w)| (u, v, w.to_bits())));
+        }
         fwd.sort_unstable();
         rev.sort_unstable();
         if fwd != rev {
@@ -361,11 +474,13 @@ impl Graph {
         Ok(())
     }
 
-    /// All arcs as `(src, dst, weight bits)` from the out-adjacency.
+    /// All arcs as `(src, dst, weight bits)` from the out-adjacency. The
+    /// exact reservation matters on the `large` tier: growing by doubling
+    /// would briefly hold up to twice the `12m` bytes.
     fn arc_keys_forward(&self) -> Vec<(NodeId, NodeId, u32)> {
-        self.edges()
-            .map(|e| (e.src, e.dst, e.weight.to_bits()))
-            .collect()
+        let mut keys = Vec::with_capacity(self.num_edges());
+        keys.extend(self.edges().map(|e| (e.src, e.dst, e.weight.to_bits())));
+        keys
     }
 
     /// Debug-mode sanitizer hook: validates in debug builds (panicking on
@@ -379,29 +494,58 @@ impl Graph {
         self
     }
 
-    /// Returns the transpose (all arcs reversed). In/out adjacency swap.
+    /// Returns the transpose (all arcs reversed). In/out adjacency swap;
+    /// the result owns copies of all six arrays.
     pub fn transpose(&self) -> Graph {
-        Graph {
-            n: self.n,
-            out_offsets: self.in_offsets.clone(),
-            out_targets: self.in_sources.clone(),
-            out_weights: self.in_weights.clone(),
-            in_offsets: self.out_offsets.clone(),
-            in_sources: self.out_targets.clone(),
-            in_weights: self.out_weights.clone(),
-        }
+        Graph::from_parts(
+            self.n,
+            self.in_offsets.copied(),
+            self.in_sources.copied(),
+            self.in_weights.copied(),
+            self.out_offsets.copied(),
+            self.out_targets.copied(),
+            self.out_weights.copied(),
+        )
     }
 
-    /// Approximate heap footprint of the CSR arrays in bytes. Used by the
-    /// benchmark harness for memory reporting.
-    pub fn memory_bytes(&self) -> usize {
-        self.out_offsets.len() * std::mem::size_of::<usize>()
-            + self.in_offsets.len() * std::mem::size_of::<usize>()
-            + self.out_targets.len() * std::mem::size_of::<NodeId>()
-            + self.in_sources.len() * std::mem::size_of::<NodeId>()
-            + self.out_weights.len() * std::mem::size_of::<f32>()
-            + self.in_weights.len() * std::mem::size_of::<f32>()
+    /// The six arrays in disk-cache section order: out offsets, targets
+    /// and weights, then in offsets, sources and weights.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn arrays(&self) -> (&[u32], &[NodeId], &[f32], &[u32], &[NodeId], &[f32]) {
+        (
+            &self.out_offsets,
+            &self.out_targets,
+            &self.out_weights,
+            &self.in_offsets,
+            &self.in_sources,
+            &self.in_weights,
+        )
     }
+
+    /// True when the arrays view an mmap'd cache file rather than the heap.
+    /// Every constructor gives all six arrays the same backing.
+    pub fn is_mapped(&self) -> bool {
+        matches!(self.out_targets.store, Store::Mapped(_))
+    }
+
+    /// Bytes of the six CSR arrays, `8(n + 1) + 16m`: every entry is 4
+    /// bytes. Mapped arrays count their mapped extent, the resident
+    /// ceiling. Used by the benchmark harness for memory reporting.
+    pub fn memory_bytes(&self) -> usize {
+        4 * (self.out_offsets.len()
+            + self.in_offsets.len()
+            + self.out_targets.len()
+            + self.in_sources.len()
+            + self.out_weights.len()
+            + self.in_weights.len())
+    }
+}
+
+/// Arc-slot range of `v`'s row under `offsets`.
+#[inline]
+fn row(offsets: &[u32], v: NodeId) -> std::ops::Range<usize> {
+    let v = v as usize;
+    offsets[v] as usize..offsets[v + 1] as usize
 }
 
 /// Errors raised while constructing graphs.
@@ -549,9 +693,9 @@ impl GraphBuilder {
     }
 }
 
-fn prefix_sum(counts: &[usize]) -> Vec<usize> {
+fn prefix_sum(counts: &[u32]) -> Vec<u32> {
     let mut offsets = Vec::with_capacity(counts.len() + 1);
-    let mut acc = 0usize;
+    let mut acc = 0u32;
     offsets.push(0);
     for &c in counts {
         acc += c;
@@ -716,9 +860,9 @@ mod tests {
     fn validate_catches_unsorted_adjacency() {
         let mut g = triangle();
         // Corrupt by hand: give node 0 two out-arcs in descending order.
-        g.out_offsets = vec![0, 2, 3, 3];
-        g.out_targets = vec![2, 1, 2];
-        g.out_weights = vec![0.5, 0.5, 0.25];
+        g.out_offsets = Arr::from(vec![0, 2, 3, 3]);
+        g.out_targets = Arr::from(vec![2, 1, 2]);
+        g.out_weights = Arr::from(vec![0.5, 0.5, 0.25]);
         let err = g.validate().unwrap_err();
         assert!(matches!(err, GraphError::Corrupt { .. }));
         assert!(err.to_string().contains("not sorted"), "{err}");
@@ -728,7 +872,7 @@ mod tests {
     fn validate_catches_mismatched_directions() {
         let mut g = triangle();
         // In-adjacency claims 0's in-arc comes from 1, but out says 2 -> 0.
-        g.in_sources[0] = 1;
+        g.in_sources = Arr::from(vec![1, 0, 1]);
         let err = g.validate().unwrap_err();
         assert!(
             err.to_string().contains("different arc multisets")
@@ -740,7 +884,7 @@ mod tests {
     #[test]
     fn validate_catches_broken_offsets() {
         let mut g = triangle();
-        g.out_offsets[1] = 5; // beyond the arc count and non-monotone
+        g.out_offsets = Arr::from(vec![0, 5, 2, 3]); // beyond the arc count, non-monotone
         assert!(g.validate().is_err());
     }
 
@@ -754,6 +898,16 @@ mod tests {
         let mut b = GraphBuilder::new(3);
         b.add_undirected(0, 1, 0.5).add_undirected(1, 2, 0.25);
         b.build().unwrap().validate_undirected().unwrap();
+    }
+
+    #[test]
+    fn clone_outlives_the_original() {
+        let g = triangle();
+        let c = g.clone();
+        drop(g);
+        c.validate().unwrap();
+        assert_eq!(c.out_neighbors(2), &[0]);
+        assert_eq!(c.in_weights(2), &[0.25]);
     }
 
     #[test]

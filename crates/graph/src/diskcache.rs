@@ -1,6 +1,6 @@
-//! On-disk cache for [`CompactGraph`](crate::compact::CompactGraph): the
-//! `MCPBCSR1` file format, an mmap-backed loader, and the shared
-//! [`Mapping`]/[`MapSegment`] machinery the compact arrays borrow from.
+//! On-disk cache for [`Graph`]: the `MCPBCSR1` file format, an mmap-backed
+//! loader, and the shared [`Mapping`]/[`MapSegment`] machinery that mapped
+//! graph arrays borrow from.
 //!
 //! ## File format (`MCPBCSR1`)
 //!
@@ -32,8 +32,8 @@
 //! non-unix hosts or mmap failure it falls back to reading the file into an
 //! 8-aligned heap buffer. Both paths produce the same [`Mapping`] handle.
 
-use crate::compact::CompactGraph;
 use crate::convert;
+use crate::csr::{Arr, Graph};
 use std::fs::File;
 use std::io::{Read, Write};
 use std::marker::PhantomData;
@@ -249,20 +249,21 @@ fn as_bytes<T: Copy>(s: &[T]) -> &[u8] {
 /// writer never leaves a half-written cache behind. The output bytes are a
 /// pure function of the graph and hash (padding is zeroed), so re-saving an
 /// identical graph reproduces the file byte-for-byte.
-pub fn save(g: &CompactGraph, config_hash: u64, path: &Path) -> Result<(), CacheError> {
+pub fn save(g: &Graph, config_hash: u64, path: &Path) -> Result<(), CacheError> {
     let n = g.num_nodes();
-    let m = g.num_arcs();
+    let m = g.num_edges();
     let layout = section_layout(n, m);
     let total = file_len(n, m);
 
     let mut body = vec![0u8; total - HEADER_LEN];
+    let (out_offsets, out_targets, out_weights, in_offsets, in_sources, in_weights) = g.arrays();
     let sections: [&[u8]; 6] = [
-        as_bytes(&g.out_offsets),
-        as_bytes(&g.out_targets),
-        as_bytes(&g.out_weights),
-        as_bytes(&g.in_offsets),
-        as_bytes(&g.in_sources),
-        as_bytes(&g.in_weights),
+        as_bytes(out_offsets),
+        as_bytes(out_targets),
+        as_bytes(out_weights),
+        as_bytes(in_offsets),
+        as_bytes(in_sources),
+        as_bytes(in_weights),
     ];
     for ((off, len), bytes) in layout.iter().zip(sections) {
         debug_assert_eq!(bytes.len(), *len);
@@ -294,7 +295,7 @@ pub fn save(g: &CompactGraph, config_hash: u64, path: &Path) -> Result<(), Cache
 /// mmap'd (`MAP_PRIVATE`, read-only) and the returned graph's arrays view
 /// the mapping; elsewhere — or if mmap fails — the file is read into an
 /// 8-aligned heap buffer with identical semantics.
-pub fn load(path: &Path, config_hash: u64) -> Result<CompactGraph, CacheError> {
+pub fn load(path: &Path, config_hash: u64) -> Result<Graph, CacheError> {
     let mut file = File::open(path)?;
     let actual_len = file.metadata()?.len();
     if actual_len < HEADER_LEN as u64 {
@@ -353,18 +354,15 @@ pub fn load(path: &Path, config_hash: u64) -> Result<CompactGraph, CacheError> {
         )));
     }
 
-    use crate::compact::Arr;
     let [so, st, sw, io_, is_, iw] = section_layout(n, m);
     let seg_u32 = |(off, _): (usize, usize), len: usize| {
-        Arr::Mapped(MapSegment::<u32>::new(map.clone(), off, len))
+        Arr::from(MapSegment::<u32>::new(map.clone(), off, len))
     };
     let seg_f32 = |(off, _): (usize, usize), len: usize| {
-        Arr::Mapped(MapSegment::<f32>::new(map.clone(), off, len))
+        Arr::from(MapSegment::<f32>::new(map.clone(), off, len))
     };
-    // Guarded by the node_count check above.
-    let n32 = n as u32; // audit:allow(MCPB006) — node_count guard above
-    Ok(CompactGraph::from_parts(
-        n32,
+    Ok(Graph::from_parts(
+        n,
         seg_u32(so, n + 1),
         seg_u32(st, m),
         seg_f32(sw, m),
@@ -418,8 +416,8 @@ mod tests {
     use crate::compact::CompactWeights;
     use crate::stream::{StreamFamily, StreamSpec};
 
-    fn sample() -> CompactGraph {
-        CompactGraph::build_streamed(
+    fn sample() -> Graph {
+        Graph::build_streamed(
             &StreamSpec {
                 family: StreamFamily::ErdosRenyi { avg_degree: 6.0 },
                 n: 300,
@@ -437,7 +435,8 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("er300.mcpbcsr");
         save(&g, 0xabcd, &path).unwrap();
-        let back = load(&path, 0xabcd).unwrap();
+        // A clone shares the mapping and outlives the loaded original.
+        let back = load(&path, 0xabcd).unwrap().clone();
         assert_eq!(back.is_mapped(), mmap_supported());
         back.validate().unwrap();
         for v in 0..300u32 {

@@ -32,25 +32,23 @@ pub mod spearman;
 pub mod stats;
 pub mod stream;
 pub mod tier;
-pub mod view;
 pub mod weights;
 pub mod wl;
 
 pub use bitset::BitSet;
-pub use compact::{CompactGraph, CompactWeights};
+pub use compact::CompactWeights;
 pub use components::{connected_components, core_numbers, degeneracy, Components};
 pub use convert::IdOverflow;
 pub use csr::{Edge, Graph, GraphBuilder, GraphError, NodeId};
 pub use stream::{StreamFamily, StreamSpec};
 pub use tier::{large_catalog, large_config, LargeConfig};
-pub use view::CsrView;
 pub use weights::WeightModel;
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::bitset::BitSet;
     pub use crate::catalog::{self, Dataset};
-    pub use crate::compact::{CompactGraph, CompactWeights};
+    pub use crate::compact::CompactWeights;
     pub use crate::components::{connected_components, core_numbers, degeneracy, Components};
     pub use crate::csr::{Edge, Graph, GraphBuilder, GraphError, NodeId};
     pub use crate::generators;
@@ -61,7 +59,6 @@ pub mod prelude {
     pub use crate::stats;
     pub use crate::stream::{StreamFamily, StreamSpec};
     pub use crate::tier::{large_catalog, large_config, LargeConfig};
-    pub use crate::view::CsrView;
     pub use crate::weights::{self, WeightModel};
     pub use crate::wl;
 }

@@ -5,8 +5,8 @@
 //! builder's dedup pass) dominates peak memory. The generators here instead
 //! *stream*: edges are produced block by block through a callback and are
 //! never materialized as one list. Each stream is a pure function of its
-//! [`StreamSpec`], so the two-pass compact-CSR build
-//! ([`crate::compact::CompactGraph::build_streamed`]) simply replays it —
+//! [`StreamSpec`], so the two-pass streamed build
+//! ([`crate::Graph::build_streamed`]) simply replays it —
 //! first to count degrees, then to fill adjacency.
 //!
 //! Families and their per-stream state:
@@ -25,7 +25,7 @@
 //!   cross-block suffix at `p_out`).
 //!
 //! All three families are undirected (each emitted edge `(u, v)` stands for
-//! both arcs) and emit edges with `u` ascending, which the compact build
+//! both arcs) and emit edges with `u` ascending, which the streamed build
 //! exploits for cache-blocked scatter.
 
 use crate::convert::{self, IdOverflow};

@@ -1,5 +1,5 @@
 //! The `large` catalog tier: named million-node graph configs built from
-//! streamed generators into [`CompactGraph`]s, with an optional on-disk
+//! streamed generators into [`Graph`]s, with an optional on-disk
 //! cache keyed by config hash.
 //!
 //! The mid-size catalog ([`crate::catalog`]) tops out around 60K nodes and
@@ -7,7 +7,7 @@
 //! an edge list ([`crate::stream`]). Entry points:
 //!
 //! - [`large_catalog`] — the named configs,
-//! - [`LargeConfig::build`] — stream → compact CSR, in memory,
+//! - [`LargeConfig::build`] — stream → owned CSR, in memory,
 //! - [`LargeConfig::load_cached`] — same, but backed by an `MCPBCSR1` cache
 //!   file under a caller-chosen directory: a valid cache is mmap'd in
 //!   (no deserialization); a missing/stale/corrupt one is rebuilt and
@@ -19,8 +19,8 @@
 //! torn writes. Any rejection falls back to a rebuild — a cache can go
 //! stale, never wrong.
 
-use crate::compact::{CompactGraph, CompactWeights};
-use crate::csr::GraphError;
+use crate::compact::CompactWeights;
+use crate::csr::{Graph, GraphError};
 use crate::diskcache::{self, CacheError};
 use crate::stream::{StreamFamily, StreamSpec};
 use std::path::{Path, PathBuf};
@@ -93,15 +93,15 @@ impl LargeConfig {
     }
 
     /// Builds the graph in memory from the stream (no cache involved).
-    pub fn build(&self) -> Result<CompactGraph, GraphError> {
-        CompactGraph::build_streamed(&self.spec, self.weights)
+    pub fn build(&self) -> Result<Graph, GraphError> {
+        Graph::build_streamed(&self.spec, self.weights)
     }
 
     /// Loads from the cache under `dir` if a valid file exists; otherwise
     /// builds from the stream, writes the cache, and reloads through it so
     /// the returned graph is mmap-backed whenever the platform allows.
     /// Returns the graph and whether it came from an existing cache file.
-    pub fn load_cached(&self, dir: &Path) -> Result<(CompactGraph, bool), CacheError> {
+    pub fn load_cached(&self, dir: &Path) -> Result<(Graph, bool), CacheError> {
         let path = self.cache_path(dir);
         let hash = self.config_hash();
         match diskcache::load(&path, hash) {

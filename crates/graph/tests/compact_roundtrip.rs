@@ -4,9 +4,9 @@
 //! for byte, and every corruption/staleness mode must be *rejected* (and
 //! rebuilt by the tier loader), never silently served.
 
-use mcpb_graph::compact::{CompactGraph, CompactWeights};
 use mcpb_graph::diskcache::{self, CacheError};
-use mcpb_graph::{CsrView, LargeConfig, StreamFamily, StreamSpec};
+use mcpb_graph::weights::{assign_weights, WeightModel};
+use mcpb_graph::{CompactWeights, Graph, LargeConfig, StreamFamily, StreamSpec};
 use std::path::PathBuf;
 
 fn test_config(n: usize, seed: u64) -> LargeConfig {
@@ -28,9 +28,9 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn assert_same_arrays(a: &CompactGraph, b: &CompactGraph) {
+fn assert_same_arrays(a: &Graph, b: &Graph) {
     assert_eq!(a.num_nodes(), b.num_nodes());
-    assert_eq!(a.num_arcs(), b.num_arcs());
+    assert_eq!(a.num_edges(), b.num_edges());
     for v in 0..a.num_nodes() as u32 {
         assert_eq!(a.out_neighbors(v), b.out_neighbors(v), "out row {v}");
         assert_eq!(a.out_weights(v), b.out_weights(v), "out weights {v}");
@@ -128,5 +128,46 @@ fn foreign_files_are_rejected_not_parsed() {
         matches!(diskcache::load(&path, 0), Err(CacheError::Mismatch { .. })),
         "foreign file must be a typed mismatch"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn mapped_derivations_match_owned_and_are_owned() {
+    let dir = temp_dir("derive");
+    let cfg = test_config(2_500, 31);
+    let owned = cfg.build().expect("build");
+    let path = cfg.cache_path(&dir);
+    diskcache::save(&owned, cfg.config_hash(), &path).expect("save");
+    let mapped = diskcache::load(&path, cfg.config_hash()).expect("load");
+    assert_eq!(mapped.is_mapped(), diskcache::mmap_supported());
+
+    let (n, m) = (owned.num_nodes(), owned.num_edges());
+    for g in [&owned, &mapped] {
+        assert_eq!(g.memory_bytes(), 8 * (n + 1) + 16 * m);
+    }
+
+    let picked: Vec<u32> = (0..n as u32).rev().step_by(3).collect();
+    let derive = |g: &Graph| {
+        let (sub, order) = g.induced_subgraph(&picked);
+        let derived = [
+            g.reweighted(|u, v, w| w * 0.5 + (u ^ v) as f32 * 1e-6),
+            g.transpose(),
+            assign_weights(g, WeightModel::TriValency, 9),
+            assign_weights(g, WeightModel::WeightedCascade, 0),
+            sub,
+        ];
+        (derived, order)
+    };
+    let (from_owned, order_owned) = derive(&owned);
+    let (from_mapped, order_mapped) = derive(&mapped);
+    assert_eq!(order_owned, order_mapped);
+    for (a, b) in from_owned.iter().zip(&from_mapped) {
+        assert!(
+            !b.is_mapped(),
+            "a graph derived from a mapped one must own its arrays"
+        );
+        b.validate().expect("derived graph validates");
+        assert_same_arrays(a, b);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

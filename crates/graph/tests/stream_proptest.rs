@@ -1,11 +1,10 @@
 //! Property tests for the streamed `large`-tier generators: node/edge
-//! counts agree across every replay surface, the compact build upholds the
+//! counts agree across every replay surface, the streamed build upholds the
 //! sorted-CSR invariant, degree statistics land where the family's math
 //! says they must, replays are bit-deterministic, and ids that cannot fit
 //! the u32 space are rejected up front (never silently truncated).
 
-use mcpb_graph::compact::{CompactGraph, CompactWeights};
-use mcpb_graph::{CsrView, StreamFamily, StreamSpec};
+use mcpb_graph::{CompactWeights, Graph, StreamFamily, StreamSpec};
 use proptest::prelude::*;
 
 fn families(pick: u8, knob: usize) -> StreamFamily {
@@ -28,7 +27,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// `count_edges`, `for_each_edge`, `for_each_edge_block`, and
-    /// `collect_edges` are four views of one stream; the compact build's
+    /// `collect_edges` are four views of one stream; the streamed build's
     /// arc count is exactly twice the undirected edge count.
     #[test]
     fn every_replay_surface_agrees_on_counts(
@@ -48,9 +47,9 @@ proptest! {
         prop_assert_eq!(counted, blocked);
         prop_assert_eq!(counted, collected);
 
-        let g = CompactGraph::build_streamed(&spec, CompactWeights::Uniform).unwrap();
+        let g = Graph::build_streamed(&spec, CompactWeights::Uniform).unwrap();
         prop_assert_eq!(g.num_nodes(), n);
-        prop_assert_eq!(g.num_arcs() as u64, 2 * counted);
+        prop_assert_eq!(g.num_edges() as u64, 2 * counted);
     }
 
     /// The cache-blocked scatter must leave every adjacency row sorted and
@@ -65,7 +64,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let spec = StreamSpec { family: families(pick, knob), n, seed };
-        let g = CompactGraph::build_streamed(&spec, CompactWeights::WeightedCascade).unwrap();
+        let g = Graph::build_streamed(&spec, CompactWeights::WeightedCascade).unwrap();
         g.validate().unwrap();
         for v in 0..n as u32 {
             let row = g.out_neighbors(v);
@@ -89,12 +88,12 @@ proptest! {
             n,
             seed,
         };
-        let g = CompactGraph::build_streamed(&spec, CompactWeights::Uniform).unwrap();
+        let g = Graph::build_streamed(&spec, CompactWeights::Uniform).unwrap();
         let m0 = m_attach + 1;
         let expected_edges = (m0 * (m0 - 1) / 2 + (n - m0) * m_attach) as u64;
-        prop_assert_eq!(g.num_arcs() as u64, 2 * expected_edges);
+        prop_assert_eq!(g.num_edges() as u64, 2 * expected_edges);
         let degree_sum: u64 = (0..n as u32).map(|v| g.out_degree(v) as u64).sum();
-        prop_assert_eq!(degree_sum, g.num_arcs() as u64);
+        prop_assert_eq!(degree_sum, g.num_edges() as u64);
         // Preferential attachment: the clique-era nodes must collectively
         // out-attract a same-size cohort of latecomers.
         let early: u64 = (0..m0 as u32).map(|v| g.out_degree(v) as u64).sum();
@@ -103,7 +102,7 @@ proptest! {
     }
 
     /// Two replays of one spec are bit-identical end to end: same blocks,
-    /// same compact arrays, same weights.
+    /// same arrays, same weights.
     #[test]
     fn replays_are_deterministic(
         n in 50usize..800,
@@ -113,8 +112,8 @@ proptest! {
     ) {
         let spec = StreamSpec { family: families(pick, knob), n, seed };
         prop_assert_eq!(spec.collect_edges().unwrap(), spec.collect_edges().unwrap());
-        let a = CompactGraph::build_streamed(&spec, CompactWeights::WeightedCascade).unwrap();
-        let b = CompactGraph::build_streamed(&spec, CompactWeights::WeightedCascade).unwrap();
+        let a = Graph::build_streamed(&spec, CompactWeights::WeightedCascade).unwrap();
+        let b = Graph::build_streamed(&spec, CompactWeights::WeightedCascade).unwrap();
         for v in 0..n as u32 {
             prop_assert_eq!(a.out_neighbors(v), b.out_neighbors(v));
             prop_assert_eq!(a.out_weights(v), b.out_weights(v));
@@ -137,7 +136,7 @@ fn u32_boundary_ids_are_rejected_up_front() {
         };
         assert!(spec.for_each_edge(|_, _| ()).is_err(), "n = {n} accepted");
         assert!(
-            CompactGraph::build_streamed(&spec, CompactWeights::Uniform).is_err(),
+            Graph::build_streamed(&spec, CompactWeights::Uniform).is_err(),
             "build accepted n = {n}"
         );
     }

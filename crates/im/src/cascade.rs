@@ -6,18 +6,16 @@
 //! rayon); the RIS machinery in [`crate::rrset`] is the scalable estimator.
 
 use crate::scratch::CascadeScratch;
-use mcpb_graph::{CsrView, NodeId};
+use mcpb_graph::{Graph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Runs one IC diffusion from `seeds`; returns the number of active nodes at
 /// quiescence. `visited` is caller-provided scratch (`len == n`, reset
-/// internally) so batch simulation does not reallocate. Generic over
-/// [`CsrView`], so the same kernel serves both the mid-size
-/// [`mcpb_graph::Graph`] and the `large`-tier compact CSR.
-pub fn simulate_ic_into<G: CsrView + ?Sized>(
-    graph: &G,
+/// internally) so batch simulation does not reallocate.
+pub fn simulate_ic_into(
+    graph: &Graph,
     seeds: &[NodeId],
     rng: &mut impl Rng,
     visited: &mut [u32],
@@ -52,7 +50,7 @@ pub fn simulate_ic_into<G: CsrView + ?Sized>(
 
 /// Runs one IC diffusion from `seeds`, reusing this lane's
 /// [`CascadeScratch`] buffers.
-pub fn simulate_ic<G: CsrView + ?Sized>(graph: &G, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
+pub fn simulate_ic(graph: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
     CascadeScratch::with(|s| {
         s.ensure_ic(graph.num_nodes());
         let stamp = s.next_stamp();
@@ -70,12 +68,7 @@ pub fn simulate_ic<G: CsrView + ?Sized>(graph: &G, seeds: &[NodeId], rng: &mut i
 /// lane reuses one [`CascadeScratch`] across all its shards (no heap
 /// allocation after lane warmup) and reports its scratch footprint through
 /// [`crate::shard::record_mc_shard`].
-pub fn influence_mc<G: CsrView + ?Sized>(
-    graph: &G,
-    seeds: &[NodeId],
-    trials: usize,
-    seed: u64,
-) -> f64 {
+pub fn influence_mc(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -> f64 {
     if trials == 0 || graph.num_nodes() == 0 {
         return 0.0;
     }

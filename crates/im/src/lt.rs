@@ -16,14 +16,14 @@
 use crate::rrset::RrCollection;
 use crate::scratch::CascadeScratch;
 use crate::solver::{ImSolution, ImSolver};
-use mcpb_graph::{CsrView, Graph, NodeId};
+use mcpb_graph::{Graph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
 
 /// Validates the LT precondition: incoming weights sum to <= 1 (+eps).
-pub fn is_lt_compatible<G: CsrView + ?Sized>(graph: &G) -> bool {
+pub fn is_lt_compatible(graph: &Graph) -> bool {
     (0..graph.num_nodes() as NodeId)
         .all(|v| graph.in_weights(v).iter().map(|&w| w as f64).sum::<f64>() <= 1.0 + 1e-4)
 }
@@ -47,8 +47,8 @@ pub fn is_lt_compatible<G: CsrView + ?Sized>(graph: &G) -> bool {
 /// anyway), so the accumulate-and-compare is literally the reference's:
 /// `0.0 + w` is bitwise `w` for the non-negative edge weights, making every
 /// per-node pressure sum identical term by term.
-pub fn simulate_lt_into<G: CsrView + ?Sized>(
-    graph: &G,
+pub fn simulate_lt_into(
+    graph: &Graph,
     seeds: &[NodeId],
     rng: &mut impl Rng,
     s: &mut CascadeScratch,
@@ -110,7 +110,7 @@ pub fn simulate_lt_into<G: CsrView + ?Sized>(
 
 /// Runs one LT diffusion from `seeds`, reusing this lane's
 /// [`CascadeScratch`] buffers.
-pub fn simulate_lt<G: CsrView + ?Sized>(graph: &G, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
+pub fn simulate_lt(graph: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
     CascadeScratch::with(|s| simulate_lt_into(graph, seeds, rng, s))
 }
 
@@ -121,12 +121,7 @@ pub fn simulate_lt<G: CsrView + ?Sized>(graph: &G, seeds: &[NodeId], rng: &mut i
 /// ([`crate::shard::mc_chunk`], a pure function of the graph) so each
 /// worker lane reuses one [`CascadeScratch`] across its share and reports
 /// its scratch footprint through [`crate::shard::record_mc_shard`].
-pub fn influence_mc_lt<G: CsrView + ?Sized>(
-    graph: &G,
-    seeds: &[NodeId],
-    trials: usize,
-    seed: u64,
-) -> f64 {
+pub fn influence_mc_lt(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -> f64 {
     if trials == 0 || graph.num_nodes() == 0 {
         return 0.0;
     }

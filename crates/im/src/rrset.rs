@@ -16,7 +16,7 @@
 //! arena — IMM/OPIM grow collections geometrically, so total rebuild work
 //! stays within 2× the final index size.
 
-use mcpb_graph::{CsrView, NodeId};
+use mcpb_graph::{Graph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -56,7 +56,7 @@ impl RrCollection {
     /// Sampling reuses one stamp-visited buffer and one flat output buffer
     /// per shard instead of allocating per set, and each shard reports its
     /// scratch footprint through [`crate::shard::record_rr_shard`].
-    pub fn extend_to<G: CsrView + ?Sized>(&mut self, graph: &G, target: usize, seed: u64) {
+    pub fn extend_to(&mut self, graph: &Graph, target: usize, seed: u64) {
         let start = self.len();
         if target <= start {
             return;
@@ -310,7 +310,7 @@ impl<'a> Iterator for SetsViewIter<'a> {
 
 /// Samples one RR set: picks a uniform target and runs a reverse BFS where
 /// each in-edge is kept independently with its probability.
-pub fn sample_rr_set<G: CsrView + ?Sized>(graph: &G, rng: &mut impl Rng) -> Vec<NodeId> {
+pub fn sample_rr_set(graph: &Graph, rng: &mut impl Rng) -> Vec<NodeId> {
     let mut out = Vec::new();
     let mut visited = vec![0u32; graph.num_nodes()];
     sample_rr_set_into(graph, rng, &mut visited, 1, &mut out);
@@ -322,8 +322,8 @@ pub fn sample_rr_set<G: CsrView + ?Sized>(graph: &G, rng: &mut impl Rng) -> Vec<
 /// BFS queue), so batch samplers reuse one flat buffer for a whole chunk.
 /// The RNG call sequence is identical to [`sample_rr_set`]: one range draw
 /// for the target, then one `f32` draw per in-edge of an unvisited source.
-pub fn sample_rr_set_into<G: CsrView + ?Sized>(
-    graph: &G,
+pub fn sample_rr_set_into(
+    graph: &Graph,
     rng: &mut impl Rng,
     visited: &mut [u32],
     stamp: u32,
@@ -353,7 +353,7 @@ pub fn sample_rr_set_into<G: CsrView + ?Sized>(
 }
 
 /// Convenience: sample a fresh collection of `m` RR sets.
-pub fn sample_collection<G: CsrView + ?Sized>(graph: &G, m: usize, seed: u64) -> RrCollection {
+pub fn sample_collection(graph: &Graph, m: usize, seed: u64) -> RrCollection {
     let mut c = RrCollection::new(graph.num_nodes());
     c.extend_to(graph, m, seed);
     c

@@ -4,7 +4,7 @@
 //! ## Determinism contract
 //!
 //! Shard (chunk) widths here are **pure functions of the graph** — keyed
-//! off [`CsrView::avg_degree`], never the thread count — and the consumers
+//! off the graph's average degree, never the thread count — and the consumers
 //! keep the PR-5 rules (randomness derived from global item/base-chunk
 //! index, results concatenated/summed in fixed chunk order). Together that
 //! makes every result bit-identical at any thread count *and* at any shard
@@ -26,7 +26,7 @@
 //! `crates/im/tests/large_memory.rs` pins the budget with the real
 //! [`mcpb_trace::alloc`] TrackingAllocator.
 
-use mcpb_graph::CsrView;
+use mcpb_graph::Graph;
 
 /// Documented per-shard peak-memory budget for `large`-tier sampling: the
 /// scratch one worker lane may hold while sampling one shard (visited
@@ -52,10 +52,10 @@ const TARGET_SHARD_COST: f64 = 4096.0;
 /// Shard width (in RR sets) for sampling over `g`: scales inversely with
 /// average degree, always a multiple of [`mcpb_par::DEFAULT_CHUNK`], and a
 /// pure function of the graph.
-pub fn rr_chunk<G: CsrView + ?Sized>(g: &G) -> usize {
+pub fn rr_chunk(g: &Graph) -> usize {
     mcpb_par::cost_scaled_chunk(
         mcpb_par::DEFAULT_CHUNK,
-        g.avg_degree().max(1.0),
+        avg_degree(g).max(1.0),
         TARGET_SHARD_COST,
     )
 }
@@ -63,8 +63,19 @@ pub fn rr_chunk<G: CsrView + ?Sized>(g: &G) -> usize {
 /// Shard width (in MC trials) for spread estimation over `g`: a multiple of
 /// [`MC_BASE`] so base-block RNG grouping is preserved, scaled inversely
 /// with average degree, and a pure function of the graph.
-pub fn mc_chunk<G: CsrView + ?Sized>(g: &G) -> usize {
-    mcpb_par::cost_scaled_chunk(MC_BASE, g.avg_degree().max(1.0), TARGET_SHARD_COST)
+pub fn mc_chunk(g: &Graph) -> usize {
+    mcpb_par::cost_scaled_chunk(MC_BASE, avg_degree(g).max(1.0), TARGET_SHARD_COST)
+}
+
+/// Mean out-degree (equals mean in-degree): `arcs / nodes`, and `0.0` on an
+/// empty graph.
+fn avg_degree(g: &Graph) -> f64 {
+    let n = g.num_nodes();
+    if n == 0 {
+        0.0
+    } else {
+        g.num_edges() as f64 / n as f64
+    }
 }
 
 /// Records one RR-sampling shard's peak scratch footprint.

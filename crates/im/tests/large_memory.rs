@@ -25,7 +25,7 @@ fn million_node_build_and_sampling_stay_under_budget() {
     let cfg = mcpb_graph::large_config("ba-1m").expect("ba-1m is in the catalog");
 
     let (g, build_peak) = measure_peak(|| cfg.build().expect("build ba-1m"));
-    assert_eq!(mcpb_graph::CsrView::num_nodes(&g), 1_000_000);
+    assert_eq!(g.num_nodes(), 1_000_000);
     assert!(
         build_peak <= g.memory_bytes() + SHARD_PEAK_BUDGET_BYTES,
         "streamed build peaked at {build_peak} bytes for a {} byte graph — \

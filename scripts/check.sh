@@ -24,7 +24,9 @@ echo "==> cargo test (workspace, MCPB_THREADS=4)"
 MCPB_THREADS=4 cargo test -q --workspace
 
 echo "==> benchmark package self-tests (outside the workspace, so --workspace never builds it)"
-cargo test -q --offline --manifest-path e2ebench/Cargo.toml
+# --locked: a dependency change must fail here, not silently rewrite the
+# benchmark package's committed Cargo.lock.
+cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml
 
 echo "==> trace determinism + collector tests"
 cargo test -q -p mcpb-trace

@@ -405,7 +405,7 @@ fn bench_cmd(args: &[String]) {
 }
 
 /// `datasets --large [<name>...]`: materializes the million-node catalog
-/// tier as mmap-backed compact-CSR caches under `target/datasets/large/`.
+/// tier as mmap-backed CSR caches under `target/datasets/large/`.
 /// With no names, builds every catalog config up to 1M nodes (the bigger
 /// configs are opt-in by name, so default runs stay bounded). A second
 /// invocation reloads from cache and reports it.
@@ -455,7 +455,7 @@ fn datasets_large_cmd(args: &[String]) {
             "{}: {} nodes, {} arcs, {:.1} MiB, {} in {:.2}s -> {}",
             cfg.name,
             g.num_nodes(),
-            g.num_arcs(),
+            g.num_edges(),
             g.memory_bytes() as f64 / (1024.0 * 1024.0),
             if cached {
                 "cache hit"
@@ -570,7 +570,7 @@ fn large_smoke_cmd(args: &[String]) {
         cfg.name,
         cfg.config_hash(),
         g.num_nodes(),
-        g.num_arcs(),
+        g.num_edges(),
         g.memory_bytes()
     ));
 
@@ -1147,7 +1147,7 @@ fn main() {
         println!("                              --large adds the 1M-node tier as BENCH_large.json");
         println!("  datasets --large [<name>...]");
         println!("                              build the 1M-node catalog tier as mmap-backed");
-        println!("                              compact-CSR caches under target/datasets/large/");
+        println!("                              CSR caches under target/datasets/large/");
         println!("  large-smoke [--config <name>] [--rr <sets>] [--ic <n>] [--lt <n>] [--out <f>]");
         println!("                              sharded sampling smoke over a large-tier graph;");
         println!("                              emits a thread-invariant JSONL journal");
