@@ -1,7 +1,7 @@
 //! Wall-clock + memory instrumentation around solver runs.
 
-use crate::alloc::{measure_peak, tracking_installed};
 use mcpb_resilience::{run_cell, CellOutcome, CellPolicy};
+use mcpb_trace::alloc::{measure_peak, tracking_installed};
 use mcpb_trace::Stopwatch;
 use serde::{Deserialize, Serialize};
 

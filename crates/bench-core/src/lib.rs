@@ -2,7 +2,8 @@
 //!
 //! The benchmarking framework of Fig. 2: solver registry, common solution
 //! scorers, wall-clock + peak-memory instrumentation, the §6 rating scale,
-//! and one experiment driver per table and figure of the paper.
+//! one experiment driver per table and figure of the paper, and the
+//! declarative [`spec`] entry point over the sweeps.
 //!
 //! ```
 //! use mcpb_bench::experiments::{datasets, ExpConfig};
@@ -14,7 +15,6 @@
 #![warn(missing_docs)]
 
 pub mod agreement;
-pub mod alloc;
 pub mod experiments;
 pub mod instrument;
 pub mod perf;
@@ -22,6 +22,7 @@ pub mod rating;
 pub mod registry;
 pub mod results;
 pub mod scorer;
+pub mod spec;
 pub mod sweep;
 
 pub use agreement::{jaccard, pairwise_agreements, summarize, Agreement, SolverAnswer};
@@ -34,6 +35,7 @@ pub use registry::{
 };
 pub use results::{failure_table, Table};
 pub use scorer::{ImScorer, McpScorer};
+pub use spec::{run_benchmark, BenchmarkReport, BenchmarkSpec, Problem};
 pub use sweep::{
     run_im_sweep, run_im_sweep_resilient, run_mcp_sweep, run_mcp_sweep_resilient, CellFailure,
     SweepOptions, SweepOutcome, SweepRecord,

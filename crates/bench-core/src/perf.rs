@@ -427,15 +427,6 @@ pub fn write_reports(root: &Path, reports: &[AreaReport]) -> std::io::Result<()>
     Ok(())
 }
 
-/// Runs every area defined in this crate and writes `BENCH_nn.json`,
-/// `BENCH_kernels.json`, `BENCH_im.json`, and `BENCH_REPORT.md` under
-/// `root`. Returns the reports for further inspection.
-pub fn run_all(root: &Path) -> std::io::Result<Vec<AreaReport>> {
-    let reports = collect_areas();
-    write_reports(root, &reports)?;
-    Ok(reports)
-}
-
 fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }

@@ -1,13 +1,11 @@
-//! # mcpb-core
-//!
-//! Top-level orchestration API: describe a benchmark declaratively
+//! Declarative benchmark orchestration: describe a benchmark
 //! ([`BenchmarkSpec`]), run it ([`run_benchmark`]), and get back a
 //! [`BenchmarkReport`] with raw records, rendered tables, and the §6
 //! rating scale — the programmatic equivalent of the paper's full pipeline
 //! (Fig. 2).
 //!
 //! ```
-//! use mcpb_core::{BenchmarkSpec, Problem, run_benchmark};
+//! use mcpb_bench::spec::{BenchmarkSpec, Problem, run_benchmark};
 //! use mcpb_bench::registry::McpMethodKind;
 //!
 //! let mut spec = BenchmarkSpec::quick_mcp(&["Damascus"], &[3]);
@@ -16,13 +14,11 @@
 //! assert!(!report.records.is_empty());
 //! ```
 
-#![warn(missing_docs)]
-
-use mcpb_bench::experiments::ExpConfig;
-use mcpb_bench::rating::RatingRow;
-use mcpb_bench::registry::{ImMethodKind, McpMethodKind, Scale};
-use mcpb_bench::results::Table;
-use mcpb_bench::sweep::{run_im_sweep, run_mcp_sweep, SweepRecord};
+use crate::experiments::{curves, overview, ExpConfig};
+use crate::rating::RatingRow;
+use crate::registry::{ImMethodKind, McpMethodKind, Scale};
+use crate::results::Table;
+use crate::sweep::{run_im_sweep, run_mcp_sweep, SweepRecord};
 use mcpb_graph::catalog;
 use mcpb_graph::weights::WeightModel;
 use serde::{Deserialize, Serialize};
@@ -107,7 +103,7 @@ pub struct BenchmarkReport {
 impl BenchmarkReport {
     /// Serializes the raw records as JSON.
     pub fn records_json(&self) -> String {
-        serde_json::to_string_pretty(&self.records).expect("records serialize")
+        serde_json::to_string_pretty(&self.records).expect("invariant: in-memory records serialize")
     }
 }
 
@@ -162,9 +158,9 @@ pub fn run_benchmark(spec: &BenchmarkSpec) -> BenchmarkReport {
         Problem::Mcp => ("MCP quality", "MCP runtime"),
         Problem::Im => ("IM influence", "IM runtime"),
     };
-    let quality_table = mcpb_bench::experiments::curves::render_quality("Benchmark", qid, &records);
-    let runtime_table = mcpb_bench::experiments::curves::render_runtime("Benchmark", rid, &records);
-    let rating = mcpb_bench::experiments::overview::rating_from_records(&records);
+    let quality_table = curves::render_quality("Benchmark", qid, &records);
+    let runtime_table = curves::render_runtime("Benchmark", rid, &records);
+    let rating = overview::rating_from_records(&records);
 
     BenchmarkReport {
         records,

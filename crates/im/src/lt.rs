@@ -20,7 +20,6 @@ use mcpb_graph::{Graph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Validates the LT precondition: incoming weights sum to <= 1 (+eps).
 pub fn is_lt_compatible(graph: &Graph) -> bool {
@@ -185,14 +184,11 @@ pub fn sample_rr_set_lt(graph: &Graph, rng: &mut impl Rng) -> Vec<NodeId> {
 /// Samples an LT RR collection of `m` sets.
 pub fn sample_collection_lt(graph: &Graph, m: usize, seed: u64) -> RrCollection {
     let mut c = RrCollection::new(graph.num_nodes());
-    let sets: Vec<Vec<NodeId>> = (0..m)
-        .into_par_iter()
-        .map(|i| {
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            sample_rr_set_lt(graph, &mut rng)
-        })
-        .collect();
+    let sets: Vec<Vec<NodeId>> = mcpb_par::map_indexed(m, |i| {
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        sample_rr_set_lt(graph, &mut rng)
+    });
     c.push_sets(sets);
     c
 }

@@ -13,7 +13,6 @@ use mcpb_graph::{Graph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// The pre-PR nested-`Vec` RR-set collection.
 #[derive(Debug, Clone)]
@@ -40,15 +39,12 @@ impl RrCollection {
         if target <= start {
             return;
         }
-        let fresh: Vec<Vec<NodeId>> = (start..target)
-            .into_par_iter()
-            .map(|i| {
-                let mut rng = ChaCha8Rng::seed_from_u64(
-                    seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                sample_rr_set(graph, &mut rng)
-            })
-            .collect();
+        let fresh: Vec<Vec<NodeId>> = mcpb_par::map_indexed(target - start, |j| {
+            let i = start + j;
+            let mut rng =
+                ChaCha8Rng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            sample_rr_set(graph, &mut rng)
+        });
         for (offset, set) in fresh.into_iter().enumerate() {
             // audit:allow(MCPB006) — set ids are bounded by the sampled count
             let id = (start + offset) as u32;
@@ -175,27 +171,29 @@ pub fn influence_mc(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -
         return 0.0;
     }
     let chunk = 64usize;
-    let chunks: Vec<usize> = (0..trials.div_ceil(chunk)).collect();
-    let total: u64 = chunks
-        .par_iter()
-        .map(|&c| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
-            let mut visited = vec![0u32; graph.num_nodes()];
-            let mut frontier = Vec::new();
-            let in_chunk = chunk.min(trials - c * chunk);
-            let mut sum = 0u64;
-            for t in 0..in_chunk {
-                sum += crate::cascade::simulate_ic_into(
-                    graph,
-                    seeds,
-                    &mut rng,
-                    &mut visited,
-                    t as u32 + 1, // audit:allow(MCPB006) — stamp epoch, trials < u32::MAX
-                    &mut frontier,
-                ) as u64;
-            }
-            sum
+    let trial_sum = |c: usize| {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
+        let mut visited = vec![0u32; graph.num_nodes()];
+        let mut frontier = Vec::new();
+        let in_chunk = chunk.min(trials - c * chunk);
+        let mut sum = 0u64;
+        for t in 0..in_chunk {
+            sum += crate::cascade::simulate_ic_into(
+                graph,
+                seeds,
+                &mut rng,
+                &mut visited,
+                t as u32 + 1, // audit:allow(MCPB006) — stamp epoch, trials < u32::MAX
+                &mut frontier,
+            ) as u64;
+        }
+        sum
+    };
+    let total: u64 =
+        mcpb_par::map_chunked(trials.div_ceil(chunk), mcpb_par::DEFAULT_CHUNK, |range| {
+            range.map(&trial_sum).sum::<u64>()
         })
+        .into_iter()
         .sum();
     total as f64 / trials as f64
 }
@@ -247,12 +245,16 @@ pub fn influence_mc_lt(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64
     if trials == 0 || graph.num_nodes() == 0 {
         return 0.0;
     }
-    let total: u64 = (0..trials)
-        .into_par_iter()
-        .map(|t| {
-            let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
-            simulate_lt(graph, seeds, &mut rng) as u64
-        })
-        .sum();
+    let total: u64 = mcpb_par::map_chunked(trials, mcpb_par::DEFAULT_CHUNK, |range| {
+        range
+            .map(|t| {
+                let mut rng =
+                    ChaCha8Rng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
+                simulate_lt(graph, seeds, &mut rng) as u64
+            })
+            .sum::<u64>()
+    })
+    .into_iter()
+    .sum();
     total as f64 / trials as f64
 }

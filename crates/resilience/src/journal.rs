@@ -133,7 +133,10 @@ impl std::error::Error for JournalError {}
 
 // -- encoding -------------------------------------------------------------
 
-fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string: `"`, `\` and control
+/// characters are escaped, everything else (non-ASCII included) passes
+/// through unchanged.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -650,6 +653,25 @@ pub fn diff_journals_modulo_timing(a: &Journal, b: &Journal) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn json_string(s: &str) -> String {
+        let mut out = String::new();
+        push_json_string(&mut out, s);
+        out
+    }
+
+    #[test]
+    fn push_json_string_escapes_each_branch() {
+        assert_eq!(json_string("a\"b"), r#""a\"b""#);
+        assert_eq!(json_string("a\\b"), r#""a\\b""#);
+        assert_eq!(json_string("a\nb"), r#""a\nb""#);
+        assert_eq!(json_string("a\rb"), r#""a\rb""#);
+        assert_eq!(json_string("a\tb"), r#""a\tb""#);
+        assert_eq!(json_string("a\u{1}b"), r#""a\u0001b""#);
+        assert_eq!(json_string("a\u{1f}b"), r#""a\u001fb""#);
+        assert_eq!(json_string("\u{7f}é→😀"), "\"\u{7f}é→😀\"");
+        assert_eq!(json_string(""), r#""""#);
+    }
 
     fn header() -> JournalHeader {
         JournalHeader {

@@ -15,6 +15,7 @@
 //! (`runtime`, `elapsed_secs`) so [`mcpb_resilience::normalize_timing`]
 //! zeroes them during comparisons.
 
+use mcpb_resilience::journal::push_json_string;
 use serde::Value;
 
 /// Hard cap on the per-request seed budget `k`.
@@ -291,22 +292,6 @@ pub struct Response {
     pub attempts: u32,
     /// Wall-clock seconds spent answering (0 under deterministic timing).
     pub runtime_secs: f64,
-}
-
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl Response {

@@ -132,19 +132,6 @@ pub struct SolverPool {
     pub im: Vec<mcpb_bench::PreparedImSolver>,
 }
 
-fn fnv1a64(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for part in parts {
-        for b in part.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        h ^= 0x1f;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// Hash of the preload configuration (datasets, methods, weight model,
 /// sketch size, seed) — the journal-header identity of this state.
 pub fn config_hash(cfg: &ServeConfig) -> u64 {
@@ -155,8 +142,14 @@ pub fn config_hash(cfg: &ServeConfig) -> u64 {
     parts.push(format!("{:?}", cfg.weight_model));
     parts.push(format!("rr={}", cfg.rr_sets));
     parts.push(format!("seed={}", cfg.seed));
-    let refs: Vec<&str> = parts.iter().map(String::as_str).collect();
-    fnv1a64(&refs)
+    // Each part ends in a 0x1f unit separator, so ["ab", "c"] and
+    // ["a", "bc"] hash apart.
+    let mut bytes = Vec::new();
+    for part in &parts {
+        bytes.extend_from_slice(part.as_bytes());
+        bytes.push(0x1f);
+    }
+    mcpb_resilience::fnv1a64(&bytes)
 }
 
 /// Errors surfaced while preloading state.
@@ -271,6 +264,8 @@ mod tests {
     fn config_hash_tracks_configuration() {
         let a = ServeConfig::default();
         let mut b = ServeConfig::default();
+        // Every serve journal header carries this value; it must not move.
+        assert_eq!(config_hash(&a), 0x6844_8576_eda0_a43d);
         assert_eq!(config_hash(&a), config_hash(&b));
         b.rr_sets += 1;
         assert_ne!(config_hash(&a), config_hash(&b));

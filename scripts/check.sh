@@ -17,6 +17,9 @@ cargo run -q -- audit --self-check
 echo "==> mcpb-audit SARIF export (audit.sarif at the repo root)"
 cargo run -q -- audit --format sarif --out audit.sarif
 
+echo "==> feature-gated bench target compiles (mcpb-audit audit_pass)"
+cargo check -q -p mcpb-audit --features bench --benches
+
 echo "==> cargo test (workspace, MCPB_THREADS=1)"
 MCPB_THREADS=1 cargo test -q --workspace
 

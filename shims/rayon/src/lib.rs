@@ -1,239 +1,5 @@
-//! Offline stand-in for `rayon`, backed by the in-repo `mcpb-par` executor.
-//!
-//! The first generation of this shim ran everything sequentially; it now
-//! delegates to `mcpb-par`'s work-sharing pool, so every existing
-//! `par_iter`/`into_par_iter` call site goes multithreaded with no
-//! signature changes. The surface is the *indexed* subset of rayon this
-//! workspace uses: a parallel iterator here is a `Sync` description of
-//! `len` items addressable by index, which is exactly what makes execution
-//! order irrelevant — `collect` assembles positionally via
-//! [`mcpb_par::map_indexed`], and `sum` folds fixed-width chunk partials in
-//! chunk order ([`mcpb_par::DEFAULT_CHUNK`]), so results are bit-identical
-//! at any thread count. Thread count comes from `MCPB_THREADS` /
-//! [`mcpb_par::set_thread_override`]; restoring the upstream `rayon`
-//! dependency remains a drop-in swap at the call sites.
-
-pub mod prelude {
-    //! Drop-in `use rayon::prelude::*;` surface.
-
-    use std::ops::Range;
-
-    /// A parallel iterator over `len` items addressable by index.
-    ///
-    /// `par_get(i)` must be a pure function of `i` (and captured state):
-    /// the pool may evaluate indices in any order and on any thread.
-    pub trait IndexedParallelIterator: Sync + Sized {
-        /// The element type.
-        type Item: Send;
-
-        /// Number of items.
-        fn par_len(&self) -> usize;
-
-        /// Produces the item at `index` (called exactly once per index).
-        fn par_get(&self, index: usize) -> Self::Item;
-
-        /// Maps each item through `f` in parallel.
-        fn map<R, F>(self, f: F) -> Map<Self, F>
-        where
-            R: Send,
-            F: Fn(Self::Item) -> R + Sync,
-        {
-            Map { base: self, f }
-        }
-
-        /// Collects into `C` in index order.
-        fn collect<C>(self) -> C
-        where
-            C: FromIndexedParallelIterator<Self::Item>,
-        {
-            C::from_par_iter(self)
-        }
-
-        /// Sums the items. Partial sums are computed over fixed-width index
-        /// chunks and folded in chunk order, so the grouping — and with it
-        /// any non-associative rounding — is identical at every thread
-        /// count.
-        fn sum<S>(self) -> S
-        where
-            S: std::iter::Sum<Self::Item> + std::iter::Sum<S> + Send,
-        {
-            let n = self.par_len();
-            let partials = mcpb_par::map_chunked(n, mcpb_par::DEFAULT_CHUNK, |range| {
-                range.map(|i| self.par_get(i)).sum::<S>()
-            });
-            partials.into_iter().sum()
-        }
-    }
-
-    /// Lazy `map` adapter; see [`IndexedParallelIterator::map`].
-    pub struct Map<P, F> {
-        base: P,
-        f: F,
-    }
-
-    impl<P, R, F> IndexedParallelIterator for Map<P, F>
-    where
-        P: IndexedParallelIterator,
-        R: Send,
-        F: Fn(P::Item) -> R + Sync,
-    {
-        type Item = R;
-
-        fn par_len(&self) -> usize {
-            self.base.par_len()
-        }
-
-        fn par_get(&self, index: usize) -> R {
-            (self.f)(self.base.par_get(index))
-        }
-    }
-
-    /// Parallel iterator over a `Range<usize>`.
-    pub struct RangePar {
-        start: usize,
-        len: usize,
-    }
-
-    impl IndexedParallelIterator for RangePar {
-        type Item = usize;
-
-        fn par_len(&self) -> usize {
-            self.len
-        }
-
-        fn par_get(&self, index: usize) -> usize {
-            self.start + index
-        }
-    }
-
-    /// `into_par_iter()` for owned collections and ranges.
-    pub trait IntoParallelIterator {
-        /// The element type.
-        type Item: Send;
-        /// The resulting parallel iterator.
-        type Iter: IndexedParallelIterator<Item = Self::Item>;
-
-        /// Converts `self` into a parallel iterator.
-        fn into_par_iter(self) -> Self::Iter;
-    }
-
-    impl IntoParallelIterator for Range<usize> {
-        type Item = usize;
-        type Iter = RangePar;
-
-        fn into_par_iter(self) -> RangePar {
-            RangePar {
-                start: self.start,
-                len: self.end.saturating_sub(self.start),
-            }
-        }
-    }
-
-    /// Parallel iterator over `&[T]`.
-    pub struct SlicePar<'a, T> {
-        slice: &'a [T],
-    }
-
-    impl<'a, T: Sync> IndexedParallelIterator for SlicePar<'a, T> {
-        type Item = &'a T;
-
-        fn par_len(&self) -> usize {
-            self.slice.len()
-        }
-
-        fn par_get(&self, index: usize) -> &'a T {
-            &self.slice[index]
-        }
-    }
-
-    /// `par_iter()` for slices (and anything that derefs to one).
-    pub trait ParallelSlice<T: Sync> {
-        /// Parallel iterator over `&self`.
-        fn par_iter(&self) -> SlicePar<'_, T>;
-    }
-
-    impl<T: Sync> ParallelSlice<T> for [T] {
-        fn par_iter(&self) -> SlicePar<'_, T> {
-            SlicePar { slice: self }
-        }
-    }
-
-    /// Collection types assemblable from an indexed parallel iterator.
-    pub trait FromIndexedParallelIterator<T: Send> {
-        /// Builds the collection, preserving index order.
-        fn from_par_iter<P>(par: P) -> Self
-        where
-            P: IndexedParallelIterator<Item = T>;
-    }
-
-    impl<T: Send> FromIndexedParallelIterator<T> for Vec<T> {
-        fn from_par_iter<P>(par: P) -> Vec<T>
-        where
-            P: IndexedParallelIterator<Item = T>,
-        {
-            mcpb_par::map_indexed(par.par_len(), |i| par.par_get(i))
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Tests that set the global thread override must not interleave.
-    static SERIAL: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        SERIAL.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    #[test]
-    fn range_into_par_iter_collect() {
-        let v: Vec<usize> = (0..5usize).into_par_iter().map(|i| i * 2).collect();
-        assert_eq!(v, vec![0, 2, 4, 6, 8]);
-    }
-
-    #[test]
-    fn slice_par_iter_sum() {
-        let data = vec![1u64, 2, 3, 4];
-        let s: u64 = data.par_iter().map(|&x| x * x).sum();
-        assert_eq!(s, 30);
-    }
-
-    #[test]
-    fn collect_preserves_index_order_across_thread_counts() {
-        let _g = serial();
-        let n = 1000usize;
-        mcpb_par::set_thread_override(Some(1));
-        let base: Vec<u64> = (0..n).into_par_iter().map(|i| (i as u64) * 3 + 1).collect();
-        mcpb_par::set_thread_override(Some(8));
-        let par: Vec<u64> = (0..n).into_par_iter().map(|i| (i as u64) * 3 + 1).collect();
-        mcpb_par::set_thread_override(None);
-        assert_eq!(base, par);
-        assert_eq!(base.len(), n);
-        assert_eq!(base[999], 999 * 3 + 1);
-    }
-
-    #[test]
-    fn float_sum_groups_identically_at_any_thread_count() {
-        let _g = serial();
-        // f64 addition is not associative; identical chunking must yield
-        // bit-identical sums regardless of worker count.
-        let data: Vec<f64> = (0..10_000).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        mcpb_par::set_thread_override(Some(1));
-        let a: f64 = data.par_iter().map(|&x| x).sum();
-        mcpb_par::set_thread_override(Some(7));
-        let b: f64 = data.par_iter().map(|&x| x).sum();
-        mcpb_par::set_thread_override(None);
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
-    #[test]
-    fn empty_inputs() {
-        let v: Vec<u8> = (5..5usize).into_par_iter().map(|_| 0u8).collect();
-        assert!(v.is_empty());
-        let s: u64 = [0u64; 0].par_iter().map(|&x| x).sum();
-        assert_eq!(s, 0);
-    }
-}
+//! Empty stand-in for `rayon`. No workspace code imports it: parallel code
+//! calls `mcpb-par` directly. The crate exists only because the benchmark
+//! package's committed `e2ebench/Cargo.lock` lists it (with its `mcpb-par`
+//! dependency) and that package builds with `--locked`, so the manifests
+//! that name `rayon` keep it until the next change to the benchmark package.

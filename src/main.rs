@@ -16,7 +16,8 @@
 //! pipeline end to end.
 
 use mcpb_bench::experiments::{
-    curves, datasets, distribution, memory, noise, overview, small_scale, training, ExpConfig,
+    ablations, curves, datasets, distribution, memory, noise, overview, small_scale, training,
+    ExpConfig,
 };
 use mcpb_bench::rating::format_rating_table;
 use mcpb_graph::weights::WeightModel;
@@ -52,6 +53,10 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "seed-set agreement: diagnose the atypical-case signature",
     ),
     ("robustness", "repeated-query variance per method"),
+    (
+        "ablations",
+        "design-choice ablations: RL4IM tricks, GCOMB pruning, S2V depth, LeNSE navigation",
+    ),
 ];
 
 /// Runs a serialized `BenchmarkSpec` (JSON file) end to end and prints the
@@ -59,9 +64,9 @@ const EXPERIMENTS: &[(&str, &str)] = &[
 fn run_spec(path: &str) {
     let text =
         std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read spec {path:?}: {e}"));
-    let spec: mcpb_core::BenchmarkSpec =
+    let spec: mcpb_bench::BenchmarkSpec =
         serde_json::from_str(&text).unwrap_or_else(|e| panic!("invalid spec: {e}"));
-    let report = mcpb_core::run_benchmark(&spec);
+    let report = mcpb_bench::run_benchmark(&spec);
     println!("{}", report.quality_table.render());
     println!("{}", report.runtime_table.render());
     println!("{}", format_rating_table(&report.rating));
@@ -1414,6 +1419,14 @@ fn run(id: &str, cfg: &ExpConfig) {
                 "{}",
                 curves::render_quality("Figures 12-17", "Appendix IM influence", &im).render()
             );
+            println!(
+                "{}",
+                curves::render_runtime("Figures 11/13/15/17", "Appendix runtimes", &im).render()
+            );
+        }
+        "ablations" => {
+            let rows = ablations::all_ablations(cfg);
+            println!("{}", ablations::render(&rows).render());
         }
         other => eprintln!("unknown experiment {other:?} — run `mcpbench list`"),
     }

@@ -43,7 +43,7 @@ fn traditional_solvers_are_deterministic() {
 
 #[test]
 fn rr_sampling_is_deterministic_and_parallel_safe() {
-    // Parallel sampling (rayon) must still be order-deterministic.
+    // Parallel sampling (mcpb-par) must still be order-deterministic.
     let g = test_graph();
     let a = im::sample_collection(&g, 5_000, 9);
     let b = im::sample_collection(&g, 5_000, 9);
