@@ -3,7 +3,8 @@
 //! Edge weights of the input graph are interpreted as influence
 //! probabilities. Spread estimation by plain MC is #P-hard to do exactly, so
 //! [`influence_mc`] averages many simulated diffusions (parallelized on the
-//! `mcpb-par` pool); the RIS machinery in [`crate::rrset`] is the scalable estimator.
+//! `mcpb-par` pool); the RIS machinery in [`crate::rrset`] is the scalable
+//! estimator.
 
 use crate::scratch::CascadeScratch;
 use mcpb_graph::{Graph, NodeId};
