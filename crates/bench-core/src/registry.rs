@@ -398,10 +398,25 @@ mod tests {
     use mcpb_graph::generators;
     use mcpb_graph::weights::assign_weights;
 
+    /// Appends one method's name and seeds to the bytes a registry pin
+    /// hashes, with unit separators so no two rows can run together.
+    fn fold_row(bytes: &mut Vec<u8>, name: &str, seeds: &[mcpb_graph::NodeId]) {
+        bytes.extend_from_slice(name.as_bytes());
+        bytes.push(0x1f);
+        for s in seeds {
+            bytes.extend_from_slice(&s.to_le_bytes());
+        }
+        bytes.push(0x1e);
+    }
+
+    /// Also pins the seeds every method answers with, so the config
+    /// literals `prepare_mcp` feeds to sweep, serve and e2ebench cannot
+    /// drift unnoticed (`tests/determinism.rs` builds its own configs).
     #[test]
     fn every_mcp_method_prepares_and_solves() {
         let train = generators::barabasi_albert(150, 3, 1);
         let test = generators::barabasi_albert(120, 3, 2);
+        let mut pin = Vec::new();
         for kind in [
             McpMethodKind::NormalGreedy,
             McpMethodKind::LazyGreedy,
@@ -420,9 +435,16 @@ mod tests {
                 kind.name(),
                 sol.seeds
             );
+            fold_row(&mut pin, kind.name(), &sol.seeds);
         }
+        let digest = mcpb_resilience::fnv1a64(&pin);
+        assert_eq!(
+            digest, 0x06d4_17af_02ca_ecc5,
+            "MCP registry pin moved: {digest:#018x}"
+        );
     }
 
+    /// Pins the IM registry's answers the same way as the MCP test above.
     #[test]
     fn every_im_method_prepares_and_solves() {
         let train = assign_weights(
@@ -435,6 +457,7 @@ mod tests {
             WeightModel::Constant,
             0,
         );
+        let mut pin = Vec::new();
         for kind in [
             ImMethodKind::Imm,
             ImMethodKind::Opim,
@@ -455,7 +478,13 @@ mod tests {
                 kind.name(),
                 sol.seeds
             );
+            fold_row(&mut pin, kind.name(), &sol.seeds);
         }
+        let digest = mcpb_resilience::fnv1a64(&pin);
+        assert_eq!(
+            digest, 0x558e_dd6e_3eab_845e,
+            "IM registry pin moved: {digest:#018x}"
+        );
     }
 
     #[test]
