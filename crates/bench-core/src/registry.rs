@@ -191,6 +191,39 @@ fn note_train_health(name: &str, report: &Option<TrainReport>) {
     }
 }
 
+/// GCOMB's registry config at scale multiplier `m`; MCP and IM differ
+/// only in `task`.
+fn gcomb_config(m: usize, seed: u64, task: Task) -> GcombConfig {
+    GcombConfig {
+        supervised_epochs: 30 * m,
+        prob_greedy_runs: 4 + m,
+        train_subgraph_nodes: 100,
+        rl_episodes: 10 * m,
+        train_budget: 5,
+        validate_every: 5 * m,
+        seed,
+        task,
+        ..GcombConfig::default()
+    }
+}
+
+/// LeNSE's registry config at scale multiplier `m`; MCP and IM differ
+/// only in `task`.
+fn lense_config(m: usize, seed: u64, task: Task) -> LenseConfig {
+    LenseConfig {
+        subgraph_size: 40,
+        num_labeled: 8 * m,
+        encoder_epochs: 30 * m,
+        nav_episodes: 6 * m,
+        nav_steps: 6,
+        train_budget: 5,
+        validate_every: 3 * m,
+        seed,
+        task,
+        ..LenseConfig::default()
+    }
+}
+
 /// A prepared (trained where applicable) MCP solver.
 pub struct PreparedMcpSolver {
     /// Method identity.
@@ -241,33 +274,12 @@ pub fn prepare_mcp(
             (Box::new(model), Some(report))
         }
         McpMethodKind::Gcomb => {
-            let mut model = Gcomb::new(GcombConfig {
-                supervised_epochs: 30 * m,
-                prob_greedy_runs: 4 + m,
-                train_subgraph_nodes: 100,
-                rl_episodes: 10 * m,
-                train_budget: 5,
-                validate_every: 5 * m,
-                seed,
-                task: Task::Mcp,
-                ..GcombConfig::default()
-            });
+            let mut model = Gcomb::new(gcomb_config(m, seed, Task::Mcp));
             let report = model.train(train_graph);
             (Box::new(model), Some(report))
         }
         McpMethodKind::Lense => {
-            let mut model = Lense::new(LenseConfig {
-                subgraph_size: 40,
-                num_labeled: 8 * m,
-                encoder_epochs: 30 * m,
-                nav_episodes: 6 * m,
-                nav_steps: 6,
-                train_budget: 5,
-                validate_every: 3 * m,
-                seed,
-                task: Task::Mcp,
-                ..LenseConfig::default()
-            });
+            let mut model = Lense::new(lense_config(m, seed, Task::Mcp));
             let report = model.train(train_graph);
             (Box::new(model), Some(report))
         }
@@ -325,17 +337,7 @@ pub fn prepare_im(
         ImMethodKind::CelfPlusPlus => (Box::new(CelfPlusPlus::new(5_000, seed)), None),
         ImMethodKind::SimulatedAnnealing => (Box::new(SimulatedAnnealing::with_seed(seed)), None),
         ImMethodKind::Gcomb => {
-            let mut model = Gcomb::new(GcombConfig {
-                supervised_epochs: 30 * m,
-                prob_greedy_runs: 4 + m,
-                train_subgraph_nodes: 100,
-                rl_episodes: 10 * m,
-                train_budget: 5,
-                validate_every: 5 * m,
-                seed,
-                task: rr_task,
-                ..GcombConfig::default()
-            });
+            let mut model = Gcomb::new(gcomb_config(m, seed, rr_task));
             let report = model.train(train_graph);
             (Box::new(model), Some(report))
         }
@@ -368,18 +370,7 @@ pub fn prepare_im(
             (Box::new(model), Some(report))
         }
         ImMethodKind::Lense => {
-            let mut model = Lense::new(LenseConfig {
-                subgraph_size: 40,
-                num_labeled: 8 * m,
-                encoder_epochs: 30 * m,
-                nav_episodes: 6 * m,
-                nav_steps: 6,
-                train_budget: 5,
-                validate_every: 3 * m,
-                task: rr_task,
-                seed,
-                ..LenseConfig::default()
-            });
+            let mut model = Lense::new(lense_config(m, seed, rr_task));
             let report = model.train(train_graph);
             (Box::new(model), Some(report))
         }
