@@ -93,13 +93,6 @@ impl BitSet {
         &self.words
     }
 
-    /// Mutable view of the backing words. Bits at positions `>= capacity()`
-    /// in the last word must stay zero — `count`/`iter` trust that invariant.
-    #[inline]
-    pub fn words_mut(&mut self) -> &mut [u64] {
-        &mut self.words
-    }
-
     /// Iterates over the indices of set bits in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {

@@ -650,11 +650,6 @@ impl GraphBuilder {
         self.n
     }
 
-    /// Number of arcs currently buffered (before deduplication).
-    pub fn num_buffered_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Adds a directed arc.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId, weight: f32) -> &mut Self {
         self.edges.push(Edge::new(src, dst, weight));
