@@ -21,13 +21,6 @@ pub enum Task {
     },
 }
 
-impl Task {
-    /// IM task with the default reward-estimator resolution.
-    pub fn im_default() -> Task {
-        Task::Im { rr_sets: 2_000 }
-    }
-}
-
 /// Incremental objective oracle: tracks a growing seed set and returns
 /// *normalized* marginal gains in `[0, 1]` (fraction of |V| newly covered /
 /// influenced), the reward signal every method's RL environment uses.
@@ -248,7 +241,7 @@ pub enum EpisodeHealth {
 
 /// Per-run divergence recovery for `train_loop`.
 ///
-/// The harness owns the [`DivergenceGuard`] bookkeeping and the telemetry;
+/// The harness owns the [`mcpb_resilience::DivergenceGuard`] bookkeeping and the telemetry;
 /// the *mechanism* of rolling back (which parameter store, which optimizer)
 /// differs per solver and is supplied as a closure returning the new
 /// learning rate. It is also the loop's NaN fault-injection point: a

@@ -158,11 +158,8 @@ impl Gcomb {
             hidden: 24,
             gamma: 0.99,
             lr: cfg.lr,
-            replay_capacity: 4_000,
-            batch_size: 16,
             target_sync: 60,
             seed: cfg.seed ^ 0x9c0b,
-            double_dqn: false,
         });
         Self {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x6c0b),

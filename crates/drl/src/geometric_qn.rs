@@ -98,11 +98,8 @@ impl GeometricQn {
             hidden: 24,
             gamma: 0.95,
             lr: cfg.lr,
-            replay_capacity: 2_000,
-            batch_size: 8,
             target_sync: 40,
             seed: cfg.seed ^ 0x60e0,
-            double_dqn: false,
         });
         Self {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x06e0),

@@ -101,11 +101,8 @@ impl Lense {
             hidden: 24,
             gamma: 0.95,
             lr: cfg.lr,
-            replay_capacity: 2_000,
-            batch_size: 8,
             target_sync: 40,
             seed: cfg.seed ^ 0x1e5e,
-            double_dqn: false,
         });
         Self {
             rng: ChaCha8Rng::seed_from_u64(cfg.seed ^ 0x5e1e),

@@ -4,12 +4,6 @@
 use mcpb_graph::{Graph, NodeId};
 use mcpb_nn::SparseMatrix;
 
-/// Raw (weighted) adjacency: `A[u][v] = w(u, v)`.
-pub fn adjacency(g: &Graph) -> SparseMatrix {
-    let triplets: Vec<(u32, u32, f32)> = g.edges().map(|e| (e.src, e.dst, e.weight)).collect();
-    SparseMatrix::from_triplets(g.num_nodes(), g.num_nodes(), &triplets)
-}
-
 /// Undirected neighbor-sum operator: `A[v][u] = 1` if `u` and `v` are
 /// connected in either direction. Used by Struc2Vec's neighbor pooling.
 pub fn neighbor_sum(g: &Graph) -> SparseMatrix {
@@ -89,14 +83,6 @@ mod tests {
     }
 
     #[test]
-    fn adjacency_preserves_weights() {
-        let a = adjacency(&path());
-        let x = Tensor::column(&[1.0, 1.0, 1.0]);
-        let y = a.matmul_dense(&x);
-        assert_eq!(y.data, vec![0.5, 2.0, 0.0]);
-    }
-
-    #[test]
     fn neighbor_sum_is_symmetric() {
         let s = neighbor_sum(&path());
         let x = Tensor::column(&[1.0, 10.0, 100.0]);
@@ -133,7 +119,7 @@ mod tests {
     #[test]
     fn empty_graph_operators() {
         let g = Graph::from_edges(0, &[]).unwrap();
-        assert_eq!(adjacency(&g).nnz(), 0);
+        assert_eq!(neighbor_sum(&g).nnz(), 0);
         assert_eq!(gcn_normalized(&g).nnz(), 0);
     }
 }

@@ -36,12 +36,7 @@ impl GcnLayer {
     ) -> Var {
         let agg = tape.spmm(adj, h);
         let lin = self.linear.forward(tape, store, agg);
-        match self.activation {
-            Activation::Relu => tape.relu(lin),
-            Activation::LeakyRelu => tape.leaky_relu(lin, 0.01),
-            Activation::Tanh => tape.tanh(lin),
-            Activation::Identity => lin,
-        }
+        self.activation.apply(tape, lin)
     }
 
     /// Output feature dimension.
@@ -100,12 +95,7 @@ impl GcnEncoder {
     }
 }
 
-/// Sum-pool readout: node embeddings (`n x d`) -> graph embedding (`1 x d`).
-pub fn readout_sum(tape: &mut Tape, h: Var) -> Var {
-    tape.sum_rows(h)
-}
-
-/// Mean-pool readout.
+/// Mean-pool readout: node embeddings (`n x d`) -> graph embedding (`1 x d`).
 pub fn readout_mean(tape: &mut Tape, h: Var) -> Var {
     let n = tape.value(h).rows.max(1);
     let s = tape.sum_rows(h);
@@ -133,12 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn readouts_shape_and_scale() {
+    fn readout_mean_shape_and_scale() {
         let mut tape = Tape::new();
         let x = tape.input(Tensor::from_slice(2, 2, &[1.0, 2.0, 3.0, 4.0]));
-        let s = readout_sum(&mut tape, x);
         let m = readout_mean(&mut tape, x);
-        assert_eq!(tape.value(s).data, vec![4.0, 6.0]);
         assert_eq!(tape.value(m).data, vec![2.0, 3.0]);
     }
 

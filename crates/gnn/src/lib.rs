@@ -11,19 +11,16 @@ pub mod adjacency;
 pub mod deepwalk;
 pub mod gcn;
 pub mod s2v;
-pub mod sage;
 
-pub use adjacency::{adjacency, gcn_normalized, in_edge_incidence, neighbor_sum};
+pub use adjacency::{gcn_normalized, in_edge_incidence, neighbor_sum};
 pub use deepwalk::{deepwalk_features, DeepWalkConfig};
-pub use gcn::{readout_mean, readout_sum, GcnEncoder, GcnLayer};
+pub use gcn::{readout_mean, GcnEncoder, GcnLayer};
 pub use s2v::{S2v, S2vGraph};
-pub use sage::{mean_aggregator, SageEncoder, SageLayer};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::adjacency::{adjacency, gcn_normalized, in_edge_incidence, neighbor_sum};
+    pub use crate::adjacency::{gcn_normalized, in_edge_incidence, neighbor_sum};
     pub use crate::deepwalk::{deepwalk_features, DeepWalkConfig};
-    pub use crate::gcn::{readout_mean, readout_sum, GcnEncoder, GcnLayer};
+    pub use crate::gcn::{readout_mean, GcnEncoder, GcnLayer};
     pub use crate::s2v::{S2v, S2vGraph};
-    pub use crate::sage::{mean_aggregator, SageEncoder, SageLayer};
 }

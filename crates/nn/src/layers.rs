@@ -52,7 +52,8 @@ pub enum Activation {
 }
 
 impl Activation {
-    fn apply(self, tape: &mut Tape, x: Var) -> Var {
+    /// Applies the activation to `x` on `tape`.
+    pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
         match self {
             Activation::Relu => tape.relu(x),
             Activation::LeakyRelu => tape.leaky_relu(x, 0.01),

@@ -2,7 +2,7 @@
 //!
 //! A minimal from-scratch neural-network substrate: dense tensors, a
 //! define-by-run reverse-mode autodiff [`tape::Tape`], parameter storage,
-//! layers, and optimizers.
+//! layers, and the Adam optimizer.
 //!
 //! This replaces the PyTorch/GPU stack the paper's Deep-RL methods were
 //! built on (see DESIGN.md's substitution table): the op set covers exactly
@@ -29,12 +29,11 @@ pub mod optim;
 pub mod params;
 pub mod reference;
 pub mod tape;
-pub mod tape_softmax;
 pub mod tensor;
 
 pub use gradcheck::{grad_check, GradCheckError, GradCheckReport};
 pub use layers::{Activation, Linear, Mlp};
-pub use optim::{merge_grads, Adam, Sgd};
+pub use optim::{merge_grads, Adam};
 pub use params::{ParamId, ParamStore};
 pub use tape::{Tape, Var};
 pub use tensor::{SparseMatrix, Tensor};
@@ -42,7 +41,7 @@ pub use tensor::{SparseMatrix, Tensor};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::layers::{Activation, Linear, Mlp};
-    pub use crate::optim::{merge_grads, Adam, Sgd};
+    pub use crate::optim::{merge_grads, Adam};
     pub use crate::params::{ParamId, ParamStore};
     pub use crate::tape::{Tape, Var};
     pub use crate::tensor::{SparseMatrix, Tensor};

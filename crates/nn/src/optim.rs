@@ -1,38 +1,8 @@
-//! Optimizers: SGD (with optional momentum via Adam's m buffer unused) and
-//! Adam, applying tape-collected gradients to a [`ParamStore`].
+//! The Adam optimizer, applying tape-collected gradients to a
+//! [`ParamStore`].
 
 use crate::params::{ParamId, ParamStore};
 use crate::tensor::Tensor;
-
-/// Plain stochastic gradient descent with optional gradient clipping.
-#[derive(Debug, Clone, Copy)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// Global-norm clip threshold (`None` disables clipping).
-    pub clip_norm: Option<f32>,
-}
-
-impl Sgd {
-    /// SGD with the given learning rate and no clipping.
-    pub fn new(lr: f32) -> Self {
-        Self {
-            lr,
-            clip_norm: None,
-        }
-    }
-
-    /// Applies one descent step for every `(param, grad)` pair.
-    pub fn step(&self, store: &mut ParamStore, grads: &[(ParamId, Tensor)]) {
-        let scale = clip_scale(grads, self.clip_norm);
-        for (id, g) in grads {
-            let (value, _, _) = store.adam_buffers(*id);
-            for (w, &gv) in value.data.iter_mut().zip(&g.data) {
-                *w -= self.lr * scale * gv;
-            }
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction and optional global-norm clip.
 #[derive(Debug, Clone, Copy)]
@@ -118,13 +88,12 @@ mod tests {
     use super::*;
     use crate::tape::Tape;
 
-    /// Fits y = w*x + b to a line with each optimizer.
-    fn fit_line(use_adam: bool) -> (f32, f32) {
+    /// Fits y = w*x + b to a line with Adam.
+    fn fit_line() -> (f32, f32) {
         let mut store = ParamStore::new(3);
         let w = store.register("w", Tensor::scalar(0.0));
         let b = store.register("b", Tensor::scalar(0.0));
         let mut adam = Adam::new(0.05);
-        let sgd = Sgd::new(0.01);
         let xs = [-2.0f32, -1.0, 0.0, 1.0, 2.0];
         // Ground truth: y = 3x - 1.
         let ys: Vec<f32> = xs.iter().map(|&x| 3.0 * x - 1.0).collect();
@@ -140,27 +109,16 @@ mod tests {
             let loss = tape.mse_loss(pred, Tensor::column(&ys));
             tape.backward(loss);
             let grads = tape.param_grads();
-            if use_adam {
-                adam.step(&mut store, &grads);
-            } else {
-                sgd.step(&mut store, &grads);
-            }
+            adam.step(&mut store, &grads);
         }
         (store.value(w).item(), store.value(b).item())
     }
 
     #[test]
     fn adam_fits_linear_regression() {
-        let (w, b) = fit_line(true);
+        let (w, b) = fit_line();
         assert!((w - 3.0).abs() < 0.05, "w {w}");
         assert!((b + 1.0).abs() < 0.05, "b {b}");
-    }
-
-    #[test]
-    fn sgd_fits_linear_regression() {
-        let (w, b) = fit_line(false);
-        assert!((w - 3.0).abs() < 0.1, "w {w}");
-        assert!((b + 1.0).abs() < 0.1, "b {b}");
     }
 
     #[test]

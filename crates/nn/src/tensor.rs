@@ -130,9 +130,7 @@ impl Tensor {
     /// chain (`((c + a0*b0) + a1*b1) + …`), so the result is bit-identical
     /// to the scalar reference kernel ([`crate::reference::matmul_naive`])
     /// on finite inputs — the equivalence suite asserts this per bit. For
-    /// dense operands that are known to be mostly zeros, use
-    /// [`Tensor::matmul_skip_zeros`]; for genuinely sparse operators, use
-    /// [`SparseMatrix::matmul_dense`].
+    /// sparse operators, use [`SparseMatrix::matmul_dense`].
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(
             self.cols, other.rows,
@@ -231,33 +229,6 @@ impl Tensor {
                     l += 1;
                 }
                 i += 1;
-            }
-        }
-        out
-    }
-
-    /// Dense matrix product that skips zero elements of `self` — the
-    /// explicit sparse entry point for *dense* operands known to be mostly
-    /// zeros (e.g. one-hot rows or heavily masked activations). This is the
-    /// pre-blocking kernel; on dense data prefer [`Tensor::matmul`].
-    pub fn matmul_skip_zeros(&self, other: &Tensor) -> Tensor {
-        assert_eq!(
-            self.cols, other.rows,
-            "matmul shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, other.rows, other.cols
-        );
-        let mut out = Tensor::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for l in 0..self.cols {
-                let a = self.data[i * self.cols + l];
-                if a == 0.0 {
-                    continue;
-                }
-                let orow = &other.data[l * other.cols..(l + 1) * other.cols];
-                let crow = &mut out.data[i * other.cols..(i + 1) * other.cols];
-                for (cv, &ov) in crow.iter_mut().zip(orow) {
-                    *cv += a * ov;
-                }
             }
         }
         out

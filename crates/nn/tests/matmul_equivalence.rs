@@ -68,9 +68,9 @@ fn blocked_matches_naive_with_relu_masked_zeros() {
 }
 
 #[test]
-fn skip_zeros_entry_point_matches_both_on_sparse_inputs() {
-    // The explicit sparse entry point keeps the zero-skip; on any input it
-    // must still agree bit-for-bit (skipping a zero row contributes exactly
+fn blocked_matches_naive_on_mostly_zero_inputs() {
+    // 70% exact zeros: the naive kernel skips most of its multipliers and
+    // must still agree bit-for-bit (skipping a zero contributes exactly
     // what adding it would).
     let mut rng = ChaCha8Rng::seed_from_u64(0x5A);
     let mut a = Tensor::xavier(9, 260, &mut rng);
@@ -80,9 +80,7 @@ fn skip_zeros_entry_point_matches_both_on_sparse_inputs() {
         }
     }
     let b = Tensor::xavier(260, 6, &mut rng);
-    let blocked = a.matmul(&b);
-    assert_bit_identical(&blocked, &a.matmul_skip_zeros(&b), "skip_zeros vs blocked");
-    assert_bit_identical(&blocked, &matmul_naive(&a, &b), "blocked vs naive");
+    assert_bit_identical(&a.matmul(&b), &matmul_naive(&a, &b), "mostly zeros");
 }
 
 #[test]

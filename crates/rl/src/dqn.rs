@@ -42,18 +42,10 @@ pub struct DqnConfig {
     pub gamma: f32,
     /// Adam learning rate.
     pub lr: f32,
-    /// Replay capacity.
-    pub replay_capacity: usize,
-    /// Minibatch size.
-    pub batch_size: usize,
     /// Environment steps between target-network syncs.
     pub target_sync: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Double DQN (van Hasselt et al. 2016): select the next action with
-    /// the online network, evaluate it with the target network — reduces
-    /// Q-value overestimation.
-    pub double_dqn: bool,
 }
 
 impl Default for DqnConfig {
@@ -64,11 +56,8 @@ impl Default for DqnConfig {
             hidden: 32,
             gamma: 0.99,
             lr: 1e-3,
-            replay_capacity: 5_000,
-            batch_size: 32,
             target_sync: 100,
             seed: 0,
-            double_dqn: false,
         }
     }
 }
@@ -153,18 +142,12 @@ impl DqnAgent {
         if batch.is_empty() {
             return 0.0;
         }
-        // TD targets from the target network (Double DQN optionally picks
-        // the argmax action with the online network first).
+        // TD targets from the target network.
         let targets: Vec<f32> = batch
             .iter()
             .map(|t| {
                 if t.done || t.next_actions.is_empty() {
                     t.reward
-                } else if self.cfg.double_dqn {
-                    let online_q = self.q_with(&self.online, &t.next_state, &t.next_actions);
-                    let best = argmax(&online_q);
-                    let target_q = self.q_with(&self.target, &t.next_state, &t.next_actions);
-                    t.reward + self.cfg.gamma * target_q[best]
                 } else {
                     let q = self.q_with(&self.target, &t.next_state, &t.next_actions);
                     let max = q.iter().copied().fold(f32::NEG_INFINITY, f32::max);
@@ -276,11 +259,12 @@ mod tests {
         }
     }
 
-    /// Plain episodic DQN training on `env`; returns each episode's total
-    /// reward.
+    /// Plain episodic DQN training on `env` from a 500-transition replay
+    /// buffer in minibatches of 16; returns each episode's total reward.
     fn train_line_world(env: &mut LineWorld, agent: &mut DqnAgent, episodes: usize) -> Vec<f32> {
+        const BATCH: usize = 16;
         let schedule = EpsilonSchedule::standard(400);
-        let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(agent.cfg.replay_capacity);
+        let mut replay: ReplayBuffer<Transition> = ReplayBuffer::new(500);
         let mut rng = ChaCha8Rng::seed_from_u64(agent.cfg.seed ^ 0x7ea7);
         let mut rewards = Vec::with_capacity(episodes);
         let mut global_step = 0usize;
@@ -306,8 +290,8 @@ mod tests {
                 });
                 total_reward += reward;
                 global_step += 1;
-                if replay.len() >= agent.cfg.batch_size {
-                    let batch = replay.sample(agent.cfg.batch_size, &mut rng);
+                if replay.len() >= BATCH {
+                    let batch = replay.sample(BATCH, &mut rng);
                     agent.train_batch(&batch);
                 }
                 state = next_state;
@@ -327,11 +311,8 @@ mod tests {
             hidden: 16,
             gamma: 0.9,
             lr: 5e-3,
-            replay_capacity: 500,
-            batch_size: 16,
             target_sync: 50,
             seed: 3,
-            double_dqn: false,
         })
     }
 
@@ -360,29 +341,6 @@ mod tests {
         let early: f32 = rewards[..20].iter().sum::<f32>() / 20.0;
         let late: f32 = rewards[rewards.len() - 20..].iter().sum::<f32>() / 20.0;
         assert!(late > early, "late {late} <= early {early}");
-    }
-
-    #[test]
-    fn double_dqn_also_learns_line_world() {
-        let mut env = LineWorld { pos: 2, steps: 0 };
-        let mut agent = DqnAgent::new(DqnConfig {
-            double_dqn: true,
-            ..agent_for_lineworld().cfg
-        });
-        train_line_world(&mut env, &mut agent, 120);
-        let mut state = env.reset();
-        let mut steps = 0;
-        loop {
-            let actions = env.action_features();
-            let q = agent.q_values(&state, &actions);
-            let (_, done) = env.step(argmax(&q));
-            state = env.state_features();
-            steps += 1;
-            if done || steps > 20 {
-                break;
-            }
-        }
-        assert_eq!(env.pos, 4, "double-DQN agent reaches the goal");
     }
 
     #[test]
