@@ -6,8 +6,8 @@
 //! each fixture under its designated synthetic path (path-scoped rules
 //! need to believe the file lives in a solver/hot-kernel crate) and
 //! asserts the findings match the tags *exactly* — no misses, no spurious
-//! hits — and that every rule in [`RULES`](crate::rules::RULES) has at
-//! least one positive case.
+//! hits — and that every rule in [`RULES`] has at least one positive
+//! case.
 //!
 //! `tests/fixtures_scan.rs` runs the same check under `cargo test`; the
 //! CLI flag exists so a deployed binary can prove its rule packs are alive

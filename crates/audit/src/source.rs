@@ -6,9 +6,8 @@
 //! - a *sanitized* line view in which comment and string-literal contents are
 //!   blanked (byte positions preserved), so line-oriented token patterns like
 //!   `.unwrap()` inside a doc comment or error message can never fire;
-//! - the raw token stream plus a [`ScopeMap`](crate::syntax::ScopeMap), so
-//!   token-oriented rules can reason about *where* a pattern occurs (e.g.
-//!   inside a loop body);
+//! - the raw token stream plus a [`ScopeMap`], so token-oriented rules can
+//!   reason about *where* a pattern occurs (e.g. inside a loop body);
 //! - side tables for `audit:allow(RULE)` waivers, `audit: relaxed-ok(reason)`
 //!   concurrency annotations, `audit: deadline-ok(reason)` blocking-I/O
 //!   annotations, and `#[cfg(test)]` region tracking.

@@ -1,5 +1,5 @@
 //! On-disk cache for [`Graph`]: the `MCPBCSR1` file format, an mmap-backed
-//! loader, and the shared [`Mapping`]/[`MapSegment`] machinery that mapped
+//! loader, and the shared `Mapping`/`MapSegment` machinery that mapped
 //! graph arrays borrow from.
 //!
 //! ## File format (`MCPBCSR1`)
@@ -30,7 +30,7 @@
 //! Loading prefers `mmap(2)` (via a minimal `extern "C"` binding — no
 //! crates) so a reload costs no deserialization and pages lazily; on
 //! non-unix hosts or mmap failure it falls back to reading the file into an
-//! 8-aligned heap buffer. Both paths produce the same [`Mapping`] handle.
+//! 8-aligned heap buffer. Both paths produce the same `Mapping` handle.
 
 use crate::convert;
 use crate::csr::{Arr, Graph};

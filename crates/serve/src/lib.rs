@@ -26,8 +26,8 @@
 //!   testing.
 //! * [`socket`] — the live front end: TCP / Unix-socket JSONL server with
 //!   bounded channels, read deadlines, and graceful drain.
-//! * [`bench`] — the `mcpb-perf` area measuring query latency and shed
-//!   overhead.
+//! * [`bench`](mod@bench) — the `mcpb-perf` area measuring query latency
+//!   and shed overhead.
 
 pub mod admission;
 pub mod bench;

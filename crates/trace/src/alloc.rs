@@ -117,7 +117,7 @@ pub fn alloc_calls() -> u64 {
 /// True when [`TrackingAllocator`] is this process's global allocator.
 ///
 /// Detection is exact, not heuristic: the probe heap-allocates, and only
-/// the tracking allocator bumps [`ALLOC_CALLS`], so under the default
+/// the tracking allocator bumps `ALLOC_CALLS`, so under the default
 /// allocator the counter can never move. The result cannot change over a
 /// process lifetime (`#[global_allocator]` is a link-time choice), so it is
 /// computed once.

@@ -17,6 +17,9 @@ cargo run -q -- audit --self-check
 echo "==> mcpb-audit SARIF export (audit.sarif at the repo root)"
 cargo run -q -- audit --format sarif --out audit.sarif
 
+echo "==> rustdoc (warnings are errors, so a link to a deleted item fails here)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
+
 echo "==> feature-gated bench target compiles (mcpb-audit audit_pass)"
 cargo check -q -p mcpb-audit --features bench --benches
 
