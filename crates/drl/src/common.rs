@@ -241,12 +241,12 @@ pub enum EpisodeHealth {
 
 /// Per-run divergence recovery for `train_loop`.
 ///
-/// The harness owns the [`mcpb_resilience::DivergenceGuard`] bookkeeping and the telemetry;
-/// the *mechanism* of rolling back (which parameter store, which optimizer)
-/// differs per solver and is supplied as a closure returning the new
-/// learning rate. It is also the loop's NaN fault-injection point: a
-/// `nan@train.<solver>` entry in `MCPB_FAULTS` poisons the observed loss,
-/// so the whole rollback path runs in CI.
+/// The harness owns the [`mcpb_resilience::DivergenceGuard`] bookkeeping
+/// and the telemetry; the *mechanism* of rolling back (which parameter
+/// store, which optimizer) differs per solver and is supplied as a closure
+/// returning the new learning rate. It is also the loop's NaN
+/// fault-injection point: a `nan@train.<solver>` entry in `MCPB_FAULTS`
+/// poisons the observed loss, so the whole rollback path runs in CI.
 pub struct RecoveryHarness {
     solver: &'static str,
     site: String,
