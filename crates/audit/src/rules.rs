@@ -785,12 +785,15 @@ fn check_token_rules(file: &SourceFile, findings: &mut Vec<Finding>) {
 
         // MCPB016b: blocking reads with no deadline in serving code —
         // `.recv()` (use recv_timeout/try_recv) and buffered reads
-        // (`.read_line(` / `.read_to_end(` / `.read_to_string(`). A read
+        // (`.read_line(` / `.read_until(` / `.skip_until(` /
+        // `.read_to_end(` / `.read_to_string(`). A read
         // whose timeout is configured elsewhere (e.g. at accept time) can
         // carry a `// audit: deadline-ok(reason)` annotation.
         let blocking_read = (txt(k) == "recv" && txt(k + 1) == "(" && txt(k + 2) == ")")
-            || (matches!(txt(k), "read_line" | "read_to_end" | "read_to_string")
-                && txt(k + 1) == "(");
+            || (matches!(
+                txt(k),
+                "read_line" | "read_until" | "skip_until" | "read_to_end" | "read_to_string"
+            ) && txt(k + 1) == "(");
         if serve_scope && blocking_read && k > 0 && txt(k - 1) == "." {
             let line = file.tokens[code[k]].line;
             if !file.has_deadline_waiver(line) {
@@ -1163,6 +1166,10 @@ mod tests {
     fn blocking_reads_need_a_deadline_waiver() {
         let src = "fn f(rx: &Receiver<u32>, r: &mut BufReader<TcpStream>, s: &mut String) {\n    let _ = rx.recv();\n    let _ = r.read_line(s);\n}\n";
         let f = scan_at("crates/serve/src/socket.rs", src);
+        assert_eq!(rules_of(&f), ["MCPB016", "MCPB016"]);
+
+        let bytes = "fn f(r: &mut BufReader<TcpStream>, v: &mut Vec<u8>) {\n    let _ = r.by_ref().take(9).read_until(b'\\n', v);\n    let _ = r.skip_until(b'\\n');\n}\n";
+        let f = scan_at("crates/serve/src/socket.rs", bytes);
         assert_eq!(rules_of(&f), ["MCPB016", "MCPB016"]);
 
         let waived = "fn f(r: &mut BufReader<TcpStream>, s: &mut String) {\n    // audit: deadline-ok(read timeout set at accept time)\n    let _ = r.read_line(s);\n}\n";

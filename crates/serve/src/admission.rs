@@ -6,9 +6,10 @@
 //! than wall-clock queue depth: each request carries a deterministic cost
 //! (derived from its solver and budget, or an explicit `cost` override),
 //! the model drains a fixed number of units per request step, and the
-//! verdict is a pure function of the running backlog. The live socket path
-//! reuses the same model behind a mutex, trading the replay path's
-//! determinism for real concurrency while keeping one policy.
+//! verdict is a pure function of the running backlog. Both front ends step
+//! it through the engine's plan step: replay in request order, the live
+//! socket's single worker thread in arrival order (its own model, no
+//! lock), so one policy answers both.
 //!
 //! The ladder has three rungs:
 //!

@@ -1,22 +1,31 @@
-//! The deterministic replay engine: plan / execute / commit over a request
-//! log.
+//! Request answering: one plan step and one executor shared by both front
+//! ends, plus the deterministic replay engine built on them.
 //!
-//! The engine mirrors the sweep driver's discipline so a fixed request log
-//! produces a bit-identical response journal at any thread count:
+//! Every request, replayed or live, goes through the same two functions:
 //!
-//! 1. **Plan** (sequential, request order): parse + validate each line,
-//!    run the deterministic admission model, and *arm* the `serve.query`
-//!    fault site — occurrence counters advance in request order exactly as
-//!    a sequential run would see them.
+//! * `plan_one` parses and validates the line, resolves the dataset and
+//!   solver, prices the request ([`default_cost`] unless it sets `cost`),
+//!   steps the admission model and *arms* the `serve.query` fault site. It
+//!   answers parse errors, unknown names and sheds itself.
+//! * `execute` answers what admission let through: the fallback engine for
+//!   a degrade, otherwise the requested solver inside [`run_cell_armed`]
+//!   under the request's deadline, so a poisoned query becomes a degraded
+//!   response, never a dead server.
+//!
+//! The socket worker calls them once per job, in arrival order. [`replay`]
+//! mirrors the sweep driver's discipline so a fixed request log produces a
+//! bit-identical response journal at any thread count:
+//!
+//! 1. **Plan** (sequential, request order): `plan_one` per line, so fault
+//!    occurrence counters advance in request order exactly as a sequential
+//!    run would see them.
 //! 2. **Execute** (parallel): one lane per prepared solver; each lane
 //!    answers its requests in request order, so stateful solvers see the
-//!    same call sequence at 1 or 8 threads. Every answer runs inside
-//!    [`run_cell_armed`] — a poisoned query becomes a typed failure, never
-//!    a dead server. Lanes keep a budget-ascending answer cache: for
-//!    solvers with the greedy prefix property, a request whose budget is
-//!    covered by an earlier, larger answer is served from the cached
-//!    prefix. The cache never appears in a response body, so journals are
-//!    cache-invariant.
+//!    same call sequence at 1 or 8 threads. Lanes keep a budget-ascending
+//!    answer cache: for solvers with the greedy prefix property, a request
+//!    whose budget is covered by an earlier, larger answer is served from
+//!    the cached prefix. The cache never appears in a response body, so
+//!    journals are cache-invariant (the socket path runs without it).
 //! 3. **Commit** (sequential, request order): responses are journaled and
 //!    telemetry emitted in request order.
 //!
@@ -43,6 +52,8 @@ use crate::state::{DatasetState, ServeState, SolverPool};
 pub const FAULT_SITE: &str = "serve.query";
 /// The fault-isolation site wrapping fallback answers (never armed).
 pub const FALLBACK_SITE: &str = "serve.fallback";
+/// Attempts per query cell (retries cover transient panics).
+const MAX_ATTEMPTS: u32 = 2;
 
 /// Replay options.
 #[derive(Debug, Clone)]
@@ -52,12 +63,8 @@ pub struct EngineOptions {
     /// Zero every wall-clock field in the journal, making the response log
     /// byte-identical across runs and thread counts.
     pub deterministic_timing: bool,
-    /// Enable the budget-ascending answer cache.
-    pub reuse_cache: bool,
     /// Admission thresholds.
     pub admission: AdmissionConfig,
-    /// Attempts per query cell (retries cover transient panics).
-    pub max_attempts: u32,
 }
 
 impl Default for EngineOptions {
@@ -65,9 +72,7 @@ impl Default for EngineOptions {
         EngineOptions {
             label: "serve-replay".to_string(),
             deterministic_timing: false,
-            reuse_cache: true,
             admission: AdmissionConfig::default(),
-            max_attempts: 2,
         }
     }
 }
@@ -165,37 +170,69 @@ enum ExecMode {
     Fallback { reason: String },
 }
 
-struct ExecItem {
+/// An admitted or degraded request, waiting for [`execute`].
+pub(crate) struct ExecItem {
     seq: usize,
     req: Request,
     ds: usize,
     mode: ExecMode,
 }
 
-enum Planned {
+/// What [`plan_one`] decided.
+pub(crate) enum Planned {
     /// Fully determined at plan time (parse error, validation error, shed).
     Ready(Response),
-    /// Needs a lane in the execute phase. `.0` is the lane index.
+    /// Needs the solver lane `.0` to answer.
     Exec(usize, ExecItem),
 }
 
-enum LaneSolver {
-    Mcp(PreparedMcpSolver),
-    Im(PreparedImSolver),
+/// One prepared solver, borrowed from the [`SolverPool`].
+pub(crate) enum LaneSolver<'p> {
+    Mcp(&'p mut PreparedMcpSolver),
+    Im(&'p mut PreparedImSolver),
 }
 
-struct Lane {
-    solver: LaneSolver,
-    work: Vec<ExecItem>,
+impl LaneSolver<'_> {
+    fn task(&self) -> QueryTask {
+        match self {
+            LaneSolver::Mcp(_) => QueryTask::Mcp,
+            LaneSolver::Im(_) => QueryTask::Im,
+        }
+    }
+
+    fn solve(&mut self, ds: &DatasetState, budget: usize) -> Vec<u32> {
+        match self {
+            LaneSolver::Mcp(s) => s.solve(&ds.mcp_graph, budget).seeds,
+            LaneSolver::Im(s) => s.solve(&ds.im_graph, budget).seeds,
+        }
+    }
 }
 
-fn plan_one(state: &ServeState, load: &mut LoadModel, seq: usize, line: &[u8]) -> Planned {
+/// The pool's solvers in lane order: MCP lanes first, then IM lanes.
+pub(crate) fn lanes(pool: &mut SolverPool) -> impl Iterator<Item = LaneSolver<'_>> {
+    pool.mcp
+        .iter_mut()
+        .map(LaneSolver::Mcp)
+        .chain(pool.im.iter_mut().map(LaneSolver::Im))
+}
+
+/// Plans request `seq` from its raw line bytes: parses, validates,
+/// resolves the dataset and solver lane, steps `load` with the request's
+/// cost and arms [`FAULT_SITE`] for an admitted request. Names that do not
+/// resolve are answered before admission, so they use up no capacity.
+pub(crate) fn plan_one(
+    state: &ServeState,
+    load: &mut LoadModel,
+    seq: usize,
+    line: &[u8],
+) -> Planned {
     let req = match parse_request_bytes(line) {
         Ok(req) => req,
         Err(e) => {
-            return Planned::Ready(error_response(
+            return Planned::Ready(Response::refusal(
                 seq,
                 None,
+                Verdict::Error,
                 "?",
                 0,
                 format!("parse error: {e}"),
@@ -204,48 +241,30 @@ fn plan_one(state: &ServeState, load: &mut LoadModel, seq: usize, line: &[u8]) -
     };
     let Some(ds) = state.dataset_index(&req.dataset) else {
         let reason = format!("unknown dataset `{}`", req.dataset);
-        return Planned::Ready(error_response(
-            seq,
-            Some(req.id),
-            &req.solver,
-            req.budget,
-            reason,
-        ));
+        return Planned::Ready(error_response(seq, &req, reason));
     };
     let Some(lane) = state.lane_of(req.task, &req.solver) else {
         let reason = format!("unknown {} solver `{}`", req.task.as_str(), req.solver);
-        return Planned::Ready(error_response(
-            seq,
-            Some(req.id),
-            &req.solver,
-            req.budget,
-            reason,
-        ));
+        return Planned::Ready(error_response(seq, &req, reason));
     };
     let cost = req
         .cost
         .unwrap_or_else(|| default_cost(state, req.task, lane, req.budget));
-    match load.step(cost) {
+    let mode = match load.step(cost) {
         AdmissionVerdict::Shed => {
             let reason = format!(
                 "shed: backlog {} + cost {cost} over queue capacity {}",
                 load.backlog(),
                 load.config().queue_capacity
             );
-            let resp = Response {
+            return Planned::Ready(Response::refusal(
                 seq,
-                id: Some(req.id),
-                verdict: Verdict::Shed,
-                solver: req.solver.clone(),
-                served_by: None,
-                budget: req.budget,
-                seeds: Vec::new(),
-                quality: 0.0,
-                reason: Some(reason),
-                attempts: 1,
-                runtime_secs: 0.0,
-            };
-            Planned::Ready(resp)
+                Some(req.id),
+                Verdict::Shed,
+                &req.solver,
+                req.budget,
+                reason,
+            ));
         }
         AdmissionVerdict::Degrade => {
             let reason = format!(
@@ -253,53 +272,27 @@ fn plan_one(state: &ServeState, load: &mut LoadModel, seq: usize, line: &[u8]) -
                 load.backlog(),
                 load.config().degrade_threshold
             );
-            Planned::Exec(
-                lane,
-                ExecItem {
-                    seq,
-                    req,
-                    ds,
-                    mode: ExecMode::Fallback { reason },
-                },
-            )
+            ExecMode::Fallback { reason }
         }
         AdmissionVerdict::Admit => {
             let armed = fault::arm(FAULT_SITE);
             let poison = matches!(armed, Some(FaultKind::Nan));
             let armed = if poison { None } else { armed };
-            Planned::Exec(
-                lane,
-                ExecItem {
-                    seq,
-                    req,
-                    ds,
-                    mode: ExecMode::Full { armed, poison },
-                },
-            )
+            ExecMode::Full { armed, poison }
         }
-    }
+    };
+    Planned::Exec(lane, ExecItem { seq, req, ds, mode })
 }
 
-fn error_response(
-    seq: usize,
-    id: Option<u64>,
-    solver: &str,
-    budget: usize,
-    reason: String,
-) -> Response {
-    Response {
+fn error_response(seq: usize, req: &Request, reason: String) -> Response {
+    Response::refusal(
         seq,
-        id,
-        verdict: Verdict::Error,
-        solver: solver.to_string(),
-        served_by: None,
-        budget,
-        seeds: Vec::new(),
-        quality: 0.0,
-        reason: Some(reason),
-        attempts: 1,
-        runtime_secs: 0.0,
-    }
+        Some(req.id),
+        Verdict::Error,
+        &req.solver,
+        req.budget,
+        reason,
+    )
 }
 
 /// Answers one request via the fallback engine, fault-isolated but never
@@ -332,116 +325,103 @@ fn fallback_answer(
     }
 }
 
+/// Answers one planned item on `solver`, the lane [`plan_one`] chose. A
+/// degrade goes straight to the fallback engine; an admitted request runs
+/// the solver in a fault cell under its deadline and falls back on a
+/// panic, an overrun or a non-finite quality. `cache` is the lane's
+/// budget-ascending answer cache (longest answer per dataset), or `None`
+/// to always solve. Returns the response, with `runtime_secs` left at 0.0
+/// for the caller, and whether its seeds came from the cache.
+pub(crate) fn execute(
+    state: &ServeState,
+    solver: &mut LaneSolver<'_>,
+    item: &ExecItem,
+    cache: Option<&mut BTreeMap<usize, Vec<u32>>>,
+) -> (Response, bool) {
+    let ds = &state.datasets[item.ds];
+    let task = solver.task();
+    let budget = item.req.budget;
+    let degrade = |reason: String, attempts: u32| {
+        let resp = degraded_response(state, ds, task, item.seq, &item.req, reason, attempts);
+        (resp, false)
+    };
+    let (armed, poison) = match &item.mode {
+        ExecMode::Fallback { reason } => return degrade(reason.clone(), 1),
+        ExecMode::Full { armed, poison } => (*armed, *poison),
+    };
+    let policy = match item.req.deadline_ms {
+        Some(ms) => CellPolicy::retrying(MAX_ATTEMPTS).with_deadline(ms as f64 / 1000.0),
+        None => CellPolicy::retrying(MAX_ATTEMPTS),
+    };
+    let cached = cache
+        .as_ref()
+        .and_then(|c| c.get(&item.ds))
+        .filter(|s| s.len() >= budget)
+        .cloned();
+    let outcome = run_cell_armed(&policy, armed, FAULT_SITE, || {
+        if let Some(full) = &cached {
+            let seeds = full[..budget].to_vec();
+            let quality = score(state, ds, task, &seeds);
+            return (seeds, quality, true);
+        }
+        let seeds = solver.solve(ds, budget);
+        let quality = score(state, ds, task, &seeds);
+        (seeds, quality, false)
+    });
+    let (seeds, quality, from_cache, attempts) = match outcome {
+        CellOutcome::Completed {
+            value: (seeds, quality, from_cache),
+            attempts,
+            ..
+        } => (seeds, quality, from_cache, attempts),
+        CellOutcome::Failed {
+            error, attempts, ..
+        } => return degrade(stable_reason(&error), attempts),
+    };
+    let quality = if poison { f64::NAN } else { quality };
+    if !quality.is_finite() {
+        return degrade(
+            format!("non-finite quality from {}", item.req.solver),
+            attempts,
+        );
+    }
+    if let Some(cache) = cache {
+        if !from_cache && cache.get(&item.ds).map_or(0, |s| s.len()) < seeds.len() {
+            cache.insert(item.ds, seeds.clone());
+        }
+    }
+    let resp = Response {
+        seq: item.seq,
+        id: Some(item.req.id),
+        verdict: Verdict::Served,
+        solver: item.req.solver.clone(),
+        served_by: Some(item.req.solver.clone()),
+        budget,
+        seeds,
+        quality,
+        reason: None,
+        attempts,
+        runtime_secs: 0.0,
+    };
+    (resp, from_cache)
+}
+
 /// Answers every item of one lane, in request order. Returns
 /// `(seq, response, real_latency_secs, was_cache_hit)` per item.
 fn run_lane(
     state: &ServeState,
-    lane: &mut Lane,
+    solver: &mut LaneSolver<'_>,
+    work: &[ExecItem],
     opts: &EngineOptions,
     lane_idx: usize,
 ) -> Vec<(usize, Response, f64, bool)> {
-    // Budget-ascending answer reuse: longest answer seen per dataset.
     let mut cache: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
-    let task = match lane.solver {
-        LaneSolver::Mcp(_) => QueryTask::Mcp,
-        LaneSolver::Im(_) => QueryTask::Im,
-    };
-    let cacheable = prefix_safe(state, task, lane_idx);
-    let mut out = Vec::with_capacity(lane.work.len());
-    for item in &lane.work {
+    let cacheable = prefix_safe(state, solver.task(), lane_idx);
+    let mut out = Vec::with_capacity(work.len());
+    for item in work {
         let sw = Stopwatch::start();
-        let ds = &state.datasets[item.ds];
-        let budget = item.req.budget;
-        let resp = match &item.mode {
-            ExecMode::Fallback { reason } => (
-                degraded_response(state, ds, task, item.seq, &item.req, reason.clone(), 1),
-                false,
-            ),
-            ExecMode::Full { armed, poison } => {
-                let policy = match item.req.deadline_ms {
-                    Some(ms) => {
-                        CellPolicy::retrying(opts.max_attempts).with_deadline(ms as f64 / 1000.0)
-                    }
-                    None => CellPolicy::retrying(opts.max_attempts),
-                };
-                let cached = if cacheable && opts.reuse_cache {
-                    cache.get(&item.ds).filter(|s| s.len() >= budget).cloned()
-                } else {
-                    None
-                };
-                let solver = &mut lane.solver;
-                let outcome = run_cell_armed(&policy, *armed, FAULT_SITE, || {
-                    if let Some(full) = &cached {
-                        let seeds = full[..budget].to_vec();
-                        let quality = score(state, ds, task, &seeds);
-                        return (seeds, quality, true);
-                    }
-                    let seeds = match solver {
-                        LaneSolver::Mcp(s) => s.solve(&ds.mcp_graph, budget).seeds,
-                        LaneSolver::Im(s) => s.solve(&ds.im_graph, budget).seeds,
-                    };
-                    let quality = score(state, ds, task, &seeds);
-                    (seeds, quality, false)
-                });
-                match outcome {
-                    CellOutcome::Completed {
-                        value: (seeds, quality, from_cache),
-                        attempts,
-                        ..
-                    } => {
-                        let quality = if *poison { f64::NAN } else { quality };
-                        if !quality.is_finite() {
-                            let reason = format!("non-finite quality from {}", item.req.solver);
-                            (
-                                degraded_response(
-                                    state, ds, task, item.seq, &item.req, reason, attempts,
-                                ),
-                                false,
-                            )
-                        } else {
-                            if cacheable
-                                && opts.reuse_cache
-                                && !from_cache
-                                && cache.get(&item.ds).map_or(0, |s| s.len()) < seeds.len()
-                            {
-                                cache.insert(item.ds, seeds.clone());
-                            }
-                            (
-                                Response {
-                                    seq: item.seq,
-                                    id: Some(item.req.id),
-                                    verdict: Verdict::Served,
-                                    solver: item.req.solver.clone(),
-                                    served_by: Some(item.req.solver.clone()),
-                                    budget,
-                                    seeds,
-                                    quality,
-                                    reason: None,
-                                    attempts,
-                                    runtime_secs: 0.0,
-                                },
-                                from_cache,
-                            )
-                        }
-                    }
-                    CellOutcome::Failed {
-                        error, attempts, ..
-                    } => (
-                        degraded_response(
-                            state,
-                            ds,
-                            task,
-                            item.seq,
-                            &item.req,
-                            stable_reason(&error),
-                            attempts,
-                        ),
-                        false,
-                    ),
-                }
-            }
-        };
-        let (mut response, from_cache) = resp;
+        let (mut response, from_cache) =
+            execute(state, solver, item, cacheable.then_some(&mut cache));
         let real_secs = sw.elapsed_secs();
         response.runtime_secs = if opts.deterministic_timing {
             0.0
@@ -492,129 +472,9 @@ fn degraded_response(
         },
         CellOutcome::Failed { error, .. } => error_response(
             seq,
-            Some(req.id),
-            &req.solver,
-            req.budget,
+            req,
             format!("{reason}; fallback failed: {}", stable_reason(&error)),
         ),
-    }
-}
-
-/// Answers one validated request on the live (socket) path: the requested
-/// solver under its deadline policy when `verdict` is `Admit`, the
-/// fallback engine when `Degrade`, a typed refusal when `Shed`. Fault
-/// isolation and the degradation ladder match the replay engine; the
-/// budget-ascending cache is replay-only. `runtime_secs` is left at 0.0
-/// for the caller to fill.
-pub fn answer_request(
-    state: &ServeState,
-    pool: &mut SolverPool,
-    req: &Request,
-    verdict: AdmissionVerdict,
-    seq: usize,
-    max_attempts: u32,
-) -> Response {
-    let Some(ds_idx) = state.dataset_index(&req.dataset) else {
-        return error_response(
-            seq,
-            Some(req.id),
-            &req.solver,
-            req.budget,
-            format!("unknown dataset `{}`", req.dataset),
-        );
-    };
-    let Some(lane) = state.lane_of(req.task, &req.solver) else {
-        return error_response(
-            seq,
-            Some(req.id),
-            &req.solver,
-            req.budget,
-            format!("unknown {} solver `{}`", req.task.as_str(), req.solver),
-        );
-    };
-    let ds = &state.datasets[ds_idx];
-    match verdict {
-        AdmissionVerdict::Shed => Response {
-            seq,
-            id: Some(req.id),
-            verdict: Verdict::Shed,
-            solver: req.solver.clone(),
-            served_by: None,
-            budget: req.budget,
-            seeds: Vec::new(),
-            quality: 0.0,
-            reason: Some("shed: server overloaded".to_string()),
-            attempts: 1,
-            runtime_secs: 0.0,
-        },
-        AdmissionVerdict::Degrade => degraded_response(
-            state,
-            ds,
-            req.task,
-            seq,
-            req,
-            "overload: backlog over degrade threshold".to_string(),
-            1,
-        ),
-        AdmissionVerdict::Admit => {
-            let armed = fault::arm(FAULT_SITE);
-            let poison = matches!(armed, Some(FaultKind::Nan));
-            let armed = if poison { None } else { armed };
-            let policy = match req.deadline_ms {
-                Some(ms) => CellPolicy::retrying(max_attempts).with_deadline(ms as f64 / 1000.0),
-                None => CellPolicy::retrying(max_attempts),
-            };
-            let mcp_lanes = pool.mcp.len();
-            let outcome = run_cell_armed(&policy, armed, FAULT_SITE, || {
-                let seeds = match req.task {
-                    QueryTask::Mcp => pool.mcp[lane].solve(&ds.mcp_graph, req.budget).seeds,
-                    QueryTask::Im => {
-                        pool.im[lane - mcp_lanes]
-                            .solve(&ds.im_graph, req.budget)
-                            .seeds
-                    }
-                };
-                let quality = score(state, ds, req.task, &seeds);
-                (seeds, quality)
-            });
-            match outcome {
-                CellOutcome::Completed {
-                    value: (seeds, quality),
-                    attempts,
-                    ..
-                } => {
-                    let quality = if poison { f64::NAN } else { quality };
-                    if !quality.is_finite() {
-                        let reason = format!("non-finite quality from {}", req.solver);
-                        return degraded_response(state, ds, req.task, seq, req, reason, attempts);
-                    }
-                    Response {
-                        seq,
-                        id: Some(req.id),
-                        verdict: Verdict::Served,
-                        solver: req.solver.clone(),
-                        served_by: Some(req.solver.clone()),
-                        budget: req.budget,
-                        seeds,
-                        quality,
-                        reason: None,
-                        attempts,
-                        runtime_secs: 0.0,
-                    }
-                }
-                CellOutcome::Failed {
-                    error, attempts, ..
-                } => degraded_response(
-                    state,
-                    ds,
-                    req.task,
-                    seq,
-                    req,
-                    stable_reason(&error),
-                    attempts,
-                ),
-            }
-        }
     }
 }
 
@@ -654,27 +514,13 @@ pub fn replay(
     let requests = seq;
 
     // -- execute: parallel lanes, request order within each lane --------
-    let mut lanes: Vec<Lane> = Vec::with_capacity(state.num_lanes());
-    for (i, solver) in pool
-        .mcp
-        .drain(..)
-        .map(LaneSolver::Mcp)
-        .chain(pool.im.drain(..).map(LaneSolver::Im))
-        .enumerate()
-    {
-        lanes.push(Lane {
-            solver,
-            work: std::mem::take(&mut lane_work[i]),
-        });
-    }
+    let mut lane_jobs: Vec<(LaneSolver<'_>, Vec<ExecItem>)> = lanes(pool).zip(lane_work).collect();
     let lane_results: Vec<Vec<(usize, Response, f64, bool)>> =
-        mcpb_par::for_each_mut(&mut lanes, |i, lane| run_lane(state, lane, opts, i));
-    for lane in lanes {
-        match lane.solver {
-            LaneSolver::Mcp(s) => pool.mcp.push(s),
-            LaneSolver::Im(s) => pool.im.push(s),
-        }
-    }
+        mcpb_par::for_each_mut(&mut lane_jobs, |i, (solver, work)| {
+            run_lane(state, solver, work, opts, i)
+        });
+    // The planned requests are spent: free them before the journal grows.
+    drop(lane_jobs);
 
     // -- commit: sequential, request order ------------------------------
     let mut slots: Vec<Option<(Response, f64, bool)>> = (0..requests).map(|_| None).collect();

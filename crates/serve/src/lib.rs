@@ -19,13 +19,15 @@
 //!   solver pool (one lane per prepared solver).
 //! * [`admission`] — the deterministic bounded-queue load model behind
 //!   admit / degrade / shed decisions.
-//! * [`engine`] — the plan/execute/commit replay engine with per-request
-//!   fault isolation, cooperative deadlines, budget-ascending answer
-//!   reuse, and a bit-identical-response-journal determinism contract.
+//! * [`engine`] — the one answer path (plan, then execute, with per-request
+//!   fault isolation and cooperative deadlines) and the plan/execute/commit
+//!   replay engine on top of it, with budget-ascending answer reuse and a
+//!   bit-identical-response-journal determinism contract.
 //! * [`loadgen`] — the seeded request-log generator for replay and chaos
 //!   testing.
 //! * [`socket`] — the live front end: TCP / Unix-socket JSONL server with
-//!   bounded channels, read deadlines, and graceful drain.
+//!   bounded channels, read deadlines, and graceful drain, answering each
+//!   job through the engine's answer path.
 //! * [`bench`](mod@bench) — the `mcpb-perf` area measuring query latency
 //!   and shed overhead.
 

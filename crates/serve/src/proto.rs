@@ -300,6 +300,32 @@ impl Response {
         format!("req-{seq:05}")
     }
 
+    /// A response that carries no answer: a shed or error verdict with its
+    /// reason. `id` is `None` and `solver` is `?` when the line never
+    /// parsed.
+    pub(crate) fn refusal(
+        seq: usize,
+        id: Option<u64>,
+        verdict: Verdict,
+        solver: &str,
+        budget: usize,
+        reason: String,
+    ) -> Response {
+        Response {
+            seq,
+            id,
+            verdict,
+            solver: solver.to_string(),
+            served_by: None,
+            budget,
+            seeds: Vec::new(),
+            quality: 0.0,
+            reason: Some(reason),
+            attempts: 1,
+            runtime_secs: 0.0,
+        }
+    }
+
     /// Renders the response body as one JSON object. `runtime` is the
     /// canonical timing key, so journal diffs normalize it away.
     pub fn body_json(&self) -> String {

@@ -2,13 +2,21 @@
 //! queues, read deadlines, load shedding, and graceful drain.
 //!
 //! Architecture: an acceptor thread polls a non-blocking listener and
-//! spawns one handler thread per connection. Handlers parse lines and
-//! submit jobs over a *bounded* `sync_channel` to a single worker thread
-//! that owns the [`SolverPool`] — when the channel is full the handler
-//! sheds the request immediately with a typed response instead of
-//! blocking. Every read carries a socket deadline, so a stalled client
-//! cannot wedge a handler, and every request is answered inside a fault
-//! cell, so a poisoned query cannot take the worker down.
+//! spawns one handler thread per connection. Handlers read request lines
+//! of at most [`MAX_LINE_BYTES`] (the rest of a longer line is discarded
+//! unread) and submit them over a *bounded* `sync_channel` to a single
+//! worker thread that owns the [`SolverPool`] and the admission
+//! [`LoadModel`] — when the channel is full the handler sheds the request
+//! immediately with a typed response instead of blocking.
+//!
+//! The worker answers each line exactly as [`replay`](crate::replay)
+//! answers a log line, through the engine's plan step (parse, resolve,
+//! price, admit, arm the fault site) and its executor (deadline, fault
+//! cell, fallback), only without replay's answer cache. A log sent over
+//! one connection, one line at a time, therefore gets replay's response
+//! bodies, timing aside. Every read carries a socket deadline, so a
+//! stalled client cannot wedge a handler, and every request is answered
+//! inside a fault cell, so a poisoned query cannot take the worker down.
 //!
 //! Shutdown is graceful by construction: the admin line
 //! `{"op":"shutdown"}` (or [`ServerHandle::shutdown_and_join`]) flips the
@@ -17,20 +25,20 @@
 //! queued job before exiting — no request that was accepted goes
 //! unanswered.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
-use std::os::unix::net::UnixListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
 use mcpb_trace::Stopwatch;
 
 use crate::admission::{AdmissionConfig, LoadModel};
-use crate::engine::answer_request;
-use crate::proto::{parse_request_bytes, Response, Verdict};
+use crate::engine::{execute, lanes, plan_one, Planned};
+use crate::proto::{Response, Verdict, MAX_LINE_BYTES};
 use crate::state::{ServeState, SolverPool};
 
 /// Socket server knobs.
@@ -44,10 +52,6 @@ pub struct SocketConfig {
     pub queue_depth: usize,
     /// Per-connection socket read deadline.
     pub read_timeout_ms: u64,
-    /// Admission thresholds (degrade ladder on top of queue shedding).
-    pub admission: AdmissionConfig,
-    /// Attempts per query cell.
-    pub max_attempts: u32,
 }
 
 impl Default for SocketConfig {
@@ -56,8 +60,6 @@ impl Default for SocketConfig {
             endpoint: "tcp:127.0.0.1:0".to_string(),
             queue_depth: 32,
             read_timeout_ms: 2_000,
-            admission: AdmissionConfig::default(),
-            max_attempts: 2,
         }
     }
 }
@@ -118,11 +120,6 @@ impl std::fmt::Display for ServeSocketError {
 
 impl std::error::Error for ServeSocketError {}
 
-enum Listener {
-    Tcp(TcpListener),
-    Unix(UnixListener, String),
-}
-
 /// A running server. Dropping the handle does NOT stop the server; call
 /// [`ServerHandle::shutdown_and_join`].
 pub struct ServerHandle {
@@ -176,6 +173,21 @@ struct Job {
     resp_tx: mpsc::SyncSender<String>,
 }
 
+/// A response the front end gives itself, without a worker answer.
+type DoorAnswer = (Verdict, &'static str);
+/// The job queue is full (or closed for the drain).
+const QUEUE_FULL: DoorAnswer = (Verdict::Shed, "queue full");
+/// The job raced in after the drain began.
+const DRAINING: DoorAnswer = (Verdict::Shed, "draining");
+/// The worker never answered the job.
+const WORKER_GONE: DoorAnswer = (Verdict::Error, "worker gone");
+
+/// Renders a front-end response in the worker's wire schema, with id
+/// `null` and solver `?` because the line was never parsed.
+fn door_body((verdict, reason): DoorAnswer) -> String {
+    Response::refusal(0, None, verdict, "?", 0, reason.to_string()).body_json()
+}
+
 /// Binds the configured endpoint and serves until shut down. The state is
 /// shared read-only across threads; the pool moves into the worker thread
 /// and comes back from [`ServerHandle::shutdown_and_join`].
@@ -184,38 +196,22 @@ pub fn serve_listener(
     pool: SolverPool,
     cfg: &SocketConfig,
 ) -> Result<ServerHandle, ServeSocketError> {
-    let (listener, endpoint) = bind(&cfg.endpoint)?;
     let shutdown = Arc::new(AtomicBool::new(false));
     let counters = Arc::new(Counters::default());
     // Bounded: a full queue sheds instead of buffering without limit.
     let (job_tx, job_rx) = mpsc::sync_channel::<Job>(cfg.queue_depth.max(1));
-
+    let door = Door {
+        job_tx,
+        shutdown: Arc::clone(&shutdown),
+        counters: Arc::clone(&counters),
+    };
+    let read_timeout = Duration::from_millis(cfg.read_timeout_ms.max(1));
+    let (acceptor, endpoint) = spawn_acceptor(&cfg.endpoint, door, read_timeout)?;
     let worker = {
-        let state = Arc::clone(&state);
         let shutdown = Arc::clone(&shutdown);
         let counters = Arc::clone(&counters);
-        let admission = cfg.admission;
-        let max_attempts = cfg.max_attempts;
-        thread::spawn(move || {
-            worker_loop(
-                state,
-                pool,
-                job_rx,
-                shutdown,
-                counters,
-                admission,
-                max_attempts,
-            )
-        })
+        thread::spawn(move || worker_loop(state, pool, job_rx, shutdown, counters))
     };
-
-    let acceptor = {
-        let shutdown = Arc::clone(&shutdown);
-        let counters = Arc::clone(&counters);
-        let read_timeout = Duration::from_millis(cfg.read_timeout_ms.max(1));
-        thread::spawn(move || accept_loop(listener, job_tx, shutdown, counters, read_timeout))
-    };
-
     Ok(ServerHandle {
         endpoint,
         shutdown,
@@ -225,202 +221,187 @@ pub fn serve_listener(
     })
 }
 
-fn bind(endpoint: &str) -> Result<(Listener, String), ServeSocketError> {
+/// Binds `endpoint` and starts the acceptor thread on it. Returns the
+/// thread and the resolved endpoint.
+fn spawn_acceptor(
+    endpoint: &str,
+    door: Door,
+    read_timeout: Duration,
+) -> Result<(thread::JoinHandle<()>, String), ServeSocketError> {
     if let Some(addr) = endpoint.strip_prefix("tcp:") {
         let l = TcpListener::bind(addr).map_err(ServeSocketError::Bind)?;
+        l.set_nonblocking(true).map_err(ServeSocketError::Bind)?;
         let resolved = l
             .local_addr()
             .map(|a| format!("tcp:{a}"))
             .unwrap_or_else(|_| endpoint.to_string());
-        Ok((Listener::Tcp(l), resolved))
+        let acceptor = thread::spawn(move || accept_loop(l, door, read_timeout));
+        Ok((acceptor, resolved))
     } else if let Some(path) = endpoint.strip_prefix("unix:") {
         // A stale socket file from a previous run would fail the bind.
         let _ = std::fs::remove_file(path);
         let l = UnixListener::bind(path).map_err(ServeSocketError::Bind)?;
-        Ok((Listener::Unix(l, path.to_string()), endpoint.to_string()))
+        l.set_nonblocking(true).map_err(ServeSocketError::Bind)?;
+        let path = path.to_string();
+        let acceptor = thread::spawn(move || {
+            accept_loop(l, door, read_timeout);
+            let _ = std::fs::remove_file(path);
+        });
+        Ok((acceptor, endpoint.to_string()))
     } else {
         Err(ServeSocketError::BadEndpoint(endpoint.to_string()))
     }
 }
 
-fn accept_loop(
-    listener: Listener,
-    job_tx: mpsc::SyncSender<Job>,
-    shutdown: Arc<AtomicBool>,
-    counters: Arc<Counters>,
-    read_timeout: Duration,
-) {
-    match &listener {
-        Listener::Tcp(l) => l
-            .set_nonblocking(true)
-            .expect("invariant: nonblocking mode is supported on TCP listeners"),
-        Listener::Unix(l, _) => l
-            .set_nonblocking(true)
-            .expect("invariant: nonblocking mode is supported on unix listeners"),
-    }
-    // Monomorphized per stream type, so no per-connection trait-object box.
-    fn spawn_handler<S: ConnStream + 'static>(
-        s: S,
-        job_tx: &mpsc::SyncSender<Job>,
-        shutdown: &Arc<AtomicBool>,
-        counters: &Arc<Counters>,
-        handlers: &mut Vec<thread::JoinHandle<()>>,
-    ) {
-        let job_tx = job_tx.clone();
-        let shutdown = Arc::clone(shutdown);
-        let counters = Arc::clone(counters);
-        handlers.push(thread::spawn(move || {
-            handle_connection(s, job_tx, shutdown, counters)
-        }));
-    }
+trait ConnStream: Read + Write + Send {}
+impl<T: Read + Write + Send> ConnStream for T {}
 
+/// A non-blocking listener the accept loop can poll.
+trait Listen {
+    type Conn: ConnStream + 'static;
+    /// Accepts one pending connection, back in blocking mode with read and
+    /// write deadlines set.
+    fn accept_conn(&self, deadline: Duration) -> std::io::Result<Self::Conn>;
+}
+
+// TCP and Unix sockets spell these calls identically.
+macro_rules! impl_listen {
+    ($listener:ty => $conn:ty) => {
+        impl Listen for $listener {
+            type Conn = $conn;
+            fn accept_conn(&self, deadline: Duration) -> std::io::Result<$conn> {
+                let (s, _) = self.accept()?;
+                let _ = s.set_nonblocking(false);
+                let _ = s.set_read_timeout(Some(deadline));
+                let _ = s.set_write_timeout(Some(deadline));
+                Ok(s)
+            }
+        }
+    };
+}
+impl_listen!(TcpListener => TcpStream);
+impl_listen!(UnixListener => UnixStream);
+
+/// Accepts connections until the drain flag flips, one handler thread
+/// each, then joins every handler. Dropping `door` afterwards drops the
+/// last job sender, so the worker sees the queue disconnect once it
+/// drains.
+fn accept_loop<L: Listen>(listener: L, door: Door, read_timeout: Duration) {
     let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        let accepted = match &listener {
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    let _ = s.set_nonblocking(false);
-                    let _ = s.set_read_timeout(Some(read_timeout));
-                    let _ = s.set_write_timeout(Some(read_timeout));
-                    spawn_handler(s, &job_tx, &shutdown, &counters, &mut handlers);
-                    true
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-                Err(_) => false,
-            },
-            Listener::Unix(l, _) => match l.accept() {
-                Ok((s, _)) => {
-                    let _ = s.set_nonblocking(false);
-                    let _ = s.set_read_timeout(Some(read_timeout));
-                    let _ = s.set_write_timeout(Some(read_timeout));
-                    spawn_handler(s, &job_tx, &shutdown, &counters, &mut handlers);
-                    true
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => false,
-                Err(_) => false,
-            },
-        };
-        if !accepted {
-            thread::sleep(Duration::from_millis(2));
+    while !door.shutdown.load(Ordering::SeqCst) {
+        match listener.accept_conn(read_timeout) {
+            Ok(conn) => {
+                let door = door.clone();
+                handlers.push(thread::spawn(move || door.handle_connection(conn)));
+            }
+            // Nothing pending (or a failed accept): poll again shortly.
+            Err(_) => thread::sleep(Duration::from_millis(2)),
         }
         handlers.retain(|h| !h.is_finished());
     }
     for h in handlers {
         let _ = h.join();
     }
-    if let Listener::Unix(_, path) = listener {
-        let _ = std::fs::remove_file(path);
-    }
-    // Dropping the last `job_tx` clone lets the worker observe disconnect
-    // after the queue drains.
 }
 
-trait ConnStream: std::io::Read + Write + Send {}
-impl<T: std::io::Read + Write + Send> ConnStream for T {}
+/// Reads one request line into `line`, without its `\n`. At most
+/// `MAX_LINE_BYTES + 1` bytes are buffered: the rest of a longer line is
+/// discarded unread, and the capped bytes still parse to `TooLong` (which
+/// then reports `MAX_LINE_BYTES + 1` as the length). Returns `Ok(false)`
+/// at end of stream.
+fn read_request_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<bool> {
+    line.clear();
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    // audit: deadline-ok(the socket carries a read timeout set at accept time)
+    if reader.by_ref().take(cap).read_until(b'\n', line)? == 0 {
+        return Ok(false);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE_BYTES {
+        // audit: deadline-ok(the socket carries a read timeout set at accept time)
+        reader.skip_until(b'\n')?;
+    }
+    Ok(true)
+}
 
-fn handle_connection<S: ConnStream>(
-    stream: S,
+/// What every connection handler shares.
+#[derive(Clone)]
+struct Door {
     job_tx: mpsc::SyncSender<Job>,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        line.clear();
-        // audit: deadline-ok(the socket carries a read timeout set at accept time)
-        let n = match reader.read_line(&mut line) {
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // Stalled or idle client: drop the connection rather than
-                // pin a handler thread forever.
+}
+
+impl Door {
+    fn handle_connection<S: ConnStream>(&self, stream: S) {
+        let mut reader = BufReader::new(stream);
+        let mut line = Vec::new();
+        // A read error is a stalled or idle client (the read deadline
+        // fired) or a dead one: drop the connection rather than pin a
+        // handler thread forever.
+        while let Ok(true) = read_request_line(&mut reader, &mut line) {
+            if line.iter().all(u8::is_ascii_whitespace) {
+                continue;
+            }
+            if line.trim_ascii() == b"{\"op\":\"shutdown\"}" {
+                self.shutdown.store(true, Ordering::SeqCst);
+                let _ = writeln!(reader.get_mut(), "{{\"ok\":\"draining\"}}");
                 break;
             }
-            Err(_) => break,
-        };
-        if n == 0 {
-            break;
+            self.counters.requests.fetch_add(1, Ordering::SeqCst);
+            let body = self.answer(std::mem::take(&mut line));
+            if writeln!(reader.get_mut(), "{body}").is_err() {
+                break;
+            }
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        if trimmed == "{\"op\":\"shutdown\"}" {
-            shutdown.store(true, Ordering::SeqCst);
-            let _ = writeln!(reader.get_mut(), "{{\"ok\":\"draining\"}}");
-            break;
-        }
-        counters.requests.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Queues one request line for the worker and waits for its response
+    /// body.
+    fn answer(&self, line: Vec<u8>) -> String {
         let (resp_tx, resp_rx) = mpsc::sync_channel::<String>(1);
-        let job = Job {
-            line: trimmed.as_bytes().to_vec(),
-            resp_tx,
-        };
-        let body = match job_tx.try_send(job) {
-            Ok(()) => match resp_rx.recv_timeout(Duration::from_secs(60)) {
-                Ok(body) => body,
-                Err(_) => {
-                    counters.errors.fetch_add(1, Ordering::SeqCst);
-                    "{\"verdict\":\"error\",\"reason\":\"worker gone\"}".to_string()
-                }
-            },
+        match self.job_tx.try_send(Job { line, resp_tx }) {
+            Ok(()) => resp_rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| {
+                    self.counters.errors.fetch_add(1, Ordering::SeqCst);
+                    door_body(WORKER_GONE)
+                }),
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
                 // Bounded queue is full (or the server is draining): shed
                 // at the door, costing the worker nothing.
-                counters.shed.fetch_add(1, Ordering::SeqCst);
-                "{\"verdict\":\"shed\",\"reason\":\"queue full\"}".to_string()
+                self.counters.shed.fetch_add(1, Ordering::SeqCst);
+                door_body(QUEUE_FULL)
             }
-        };
-        if writeln!(reader.get_mut(), "{body}").is_err() {
-            break;
         }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Answers jobs in arrival order until the queue disconnects, or drains it
+/// once the shutdown flag is up. Only this thread steps the load model.
 fn worker_loop(
     state: Arc<ServeState>,
     mut pool: SolverPool,
     job_rx: mpsc::Receiver<Job>,
     shutdown: Arc<AtomicBool>,
     counters: Arc<Counters>,
-    admission: AdmissionConfig,
-    max_attempts: u32,
 ) -> SolverPool {
-    let load = Mutex::new(LoadModel::new(admission));
+    let mut load = LoadModel::new(AdmissionConfig::default());
     let mut seq = 0usize;
     loop {
         match job_rx.recv_timeout(Duration::from_millis(50)) {
             Ok(job) => {
                 seq += 1;
                 let sw = Stopwatch::start();
-                let mut resp = match parse_request_bytes(&job.line) {
-                    Ok(req) => {
-                        let verdict = {
-                            let mut l = load
-                                .lock()
-                                .expect("invariant: load-model lock is never poisoned");
-                            let cost = req.cost.unwrap_or(4);
-                            l.step(cost)
-                        };
-                        answer_request(&state, &mut pool, &req, verdict, seq, max_attempts)
+                let mut resp = match plan_one(&state, &mut load, seq, &job.line) {
+                    Planned::Ready(resp) => resp,
+                    Planned::Exec(lane, item) => {
+                        let mut solver = lanes(&mut pool)
+                            .nth(lane)
+                            .expect("invariant: plan_one picks a lane of this pool");
+                        execute(&state, &mut solver, &item, None).0
                     }
-                    Err(e) => Response {
-                        seq,
-                        id: None,
-                        verdict: Verdict::Error,
-                        solver: "?".to_string(),
-                        served_by: None,
-                        budget: 0,
-                        seeds: Vec::new(),
-                        quality: 0.0,
-                        reason: Some(format!("parse error: {e}")),
-                        attempts: 1,
-                        runtime_secs: 0.0,
-                    },
                 };
                 resp.runtime_secs = sw.elapsed_secs();
                 match resp.verdict {
@@ -438,9 +419,7 @@ fn worker_loop(
                 if shutdown.load(Ordering::SeqCst) {
                     // Drain whatever raced in between the flag and now.
                     while let Ok(job) = job_rx.try_recv() {
-                        let _ = job
-                            .resp_tx
-                            .send("{\"verdict\":\"shed\",\"reason\":\"draining\"}".to_string());
+                        let _ = job.resp_tx.send(door_body(DRAINING));
                         counters.shed.fetch_add(1, Ordering::SeqCst);
                     }
                     break;
@@ -450,4 +429,50 @@ fn worker_loop(
         }
     }
     pool
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn door_answers_use_the_full_response_schema() {
+        for door in [QUEUE_FULL, DRAINING, WORKER_GONE] {
+            let body = door_body(door);
+            let v: serde::Value = serde_json::from_str(&body).expect("door body parses");
+            for key in [
+                "id",
+                "verdict",
+                "solver",
+                "served_by",
+                "budget",
+                "seeds",
+                "quality",
+                "reason",
+                "runtime",
+            ] {
+                assert!(v.get(key).is_some(), "`{key}` missing from {body}");
+            }
+            assert_eq!(v.get("id"), Some(&serde::Value::Null), "{body}");
+            assert_eq!(
+                v.get("verdict").and_then(|x| x.as_str()),
+                Some(door.0.as_str())
+            );
+            assert_eq!(v.get("solver").and_then(|x| x.as_str()), Some("?"));
+            assert_eq!(v.get("reason").and_then(|x| x.as_str()), Some(door.1));
+        }
+    }
+
+    #[test]
+    fn over_long_lines_are_capped_and_skipped() {
+        let mut input = vec![b'x'; MAX_LINE_BYTES + 10];
+        input.extend_from_slice(b"\nnext\n");
+        let mut reader = std::io::Cursor::new(input);
+        let mut line = Vec::new();
+        assert!(read_request_line(&mut reader, &mut line).expect("reads"));
+        assert_eq!(line.len(), MAX_LINE_BYTES + 1);
+        assert!(read_request_line(&mut reader, &mut line).expect("reads"));
+        assert_eq!(line, b"next");
+        assert!(!read_request_line(&mut reader, &mut line).expect("reads"));
+    }
 }

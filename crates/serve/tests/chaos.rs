@@ -10,14 +10,21 @@
 //!   instead of erroring out or killing the server;
 //! * a fixed request log produces a bit-identical response journal at
 //!   thread counts 1, 2, and 8 under deterministic timing, with and
-//!   without faults, with and without the answer cache.
+//!   without faults;
+//! * the live socket answers every line of a log as replay does, with and
+//!   without faults, although only replay reuses cached answers.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use mcpb_bench::{ImMethodKind, McpMethodKind};
 use mcpb_resilience::fault::{self, FaultPlan};
+use mcpb_resilience::journal::parse_journal;
+use mcpb_resilience::normalize_timing;
 use mcpb_serve::engine::replay;
 use mcpb_serve::loadgen::{generate_log, LoadGenConfig};
+use mcpb_serve::socket::{serve_listener, SocketConfig};
 use mcpb_serve::state::{preload, ServeConfig, ServeState, SolverPool};
 use mcpb_serve::EngineOptions;
 
@@ -259,40 +266,128 @@ fn overload_burst_degrades_and_sheds_without_losing_requests() {
     );
 }
 
-#[test]
-fn answer_cache_is_invisible_in_the_journal() {
-    let _g = serial();
-    fault::clear();
+/// Sends each line over one connection, one at a time, to a live server
+/// on the shared state and pool, and returns the response bodies.
+fn answer_over_socket(lines: &[&str]) -> Vec<String> {
     let (state, pool) = shared();
-    // Descending-then-ascending budgets on prefix-safe solvers: the second
-    // half is served from cached prefixes when the cache is on.
-    let mut log = String::new();
-    let mut id = 0u64;
+    let mut pool = pool.lock().unwrap_or_else(|p| p.into_inner());
+    let lent = std::mem::replace(
+        &mut *pool,
+        SolverPool {
+            mcp: Vec::new(),
+            im: Vec::new(),
+        },
+    );
+    let handle =
+        serve_listener(Arc::clone(state), lent, &SocketConfig::default()).expect("server binds");
+    let addr = handle
+        .endpoint()
+        .strip_prefix("tcp:")
+        .expect("tcp endpoint");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("stream clones"));
+    let mut bodies = Vec::with_capacity(lines.len());
+    for line in lines {
+        stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("request line writes");
+        let mut body = String::new();
+        reader.read_line(&mut body).expect("response line reads");
+        bodies.push(body.trim_end().to_string());
+    }
+    drop((stream, reader));
+    let (returned, stats) = handle.shutdown_and_join();
+    *pool = returned;
+    assert_eq!(stats.requests, lines.len() as u64);
+    assert!(stats.drained_clean(), "{stats:?}");
+    bodies
+}
+
+/// Asserts that every socket body equals replay's journal entry for the
+/// same line, wall-clock fields aside. Error entries carry no payload, so
+/// those compare by verdict and reason.
+fn assert_socket_matches_replay(bodies: &[String], journal: &str) {
+    let journal = parse_journal(journal).expect("replay journal parses");
+    assert_eq!(journal.entries.len(), bodies.len());
+    for (i, (body, entry)) in bodies.iter().zip(&journal.entries).enumerate() {
+        match &entry.payload {
+            Some(payload) => assert_eq!(
+                normalize_timing(body),
+                normalize_timing(payload),
+                "line {} differs",
+                i + 1
+            ),
+            None => {
+                let v: serde::Value = serde_json::from_str(body).expect("socket body parses");
+                assert_eq!(
+                    v.get("verdict").and_then(|x| x.as_str()),
+                    Some("error"),
+                    "line {}: {body}",
+                    i + 1
+                );
+                assert_eq!(
+                    v.get("reason").and_then(|x| x.as_str()),
+                    entry.error.as_deref(),
+                    "line {}: {body}",
+                    i + 1
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn socket_and_replay_answer_a_log_identically() {
+    let _g = serial();
+    let (state, pool) = shared();
+    // A burst log (admit, degrade, shed and malformed lines), then
+    // descending budgets on prefix-safe solvers, which replay answers from
+    // its cache and the socket solves afresh, then an unknown solver.
+    let mut log = generate_log(
+        state,
+        &LoadGenConfig {
+            requests: 120,
+            seed: 5,
+            burst: true,
+            ..LoadGenConfig::default()
+        },
+    );
+    let mut id = 1_000u64;
     for &b in &[12usize, 8, 4, 2, 6, 10] {
         id += 1;
         log.push_str(&req(id, "mcp", "TopDegree", b));
         id += 1;
         log.push_str(&req(id, "im", "DDiscount", b));
+        id += 1;
+        log.push_str(&req(id, "mcp", "LazyGreedy", b));
     }
-    let cached = {
-        let mut pool = pool.lock().unwrap_or_else(|p| p.into_inner());
-        replay(state, &mut pool, log.as_bytes(), &det_opts())
-    };
-    let uncached = {
-        let opts = EngineOptions {
-            reuse_cache: false,
-            ..det_opts()
+    log.push_str(&req(id + 1, "mcp", "NoSuchSolver", 3));
+    let lines: Vec<&str> = log.lines().collect();
+
+    for plan in [
+        None,
+        Some("panic@serve.query:2; nan@serve.query:4; chaos@7:10"),
+    ] {
+        let install = || {
+            fault::clear();
+            if let Some(plan) = plan {
+                fault::install(FaultPlan::parse(plan).expect("plan"));
+            }
         };
-        let mut pool = pool.lock().unwrap_or_else(|p| p.into_inner());
-        replay(state, &mut pool, log.as_bytes(), &opts)
-    };
-    assert!(
-        cached.cache_hits > 0,
-        "descending budgets must hit the cache"
-    );
-    assert_eq!(uncached.cache_hits, 0);
-    assert_eq!(
-        cached.journal, uncached.journal,
-        "the cache must never change a response body"
-    );
+        install();
+        let report = {
+            let mut pool = pool.lock().unwrap_or_else(|p| p.into_inner());
+            replay(state, &mut pool, log.as_bytes(), &det_opts())
+        };
+        install();
+        let bodies = answer_over_socket(&lines);
+        fault::clear();
+        assert!(
+            report.cache_hits > 0,
+            "descending budgets must hit replay's cache (plan {plan:?})"
+        );
+        assert!(report.served > 0 && report.degraded > 0 && report.shed > 0);
+        assert!(report.errors > 0);
+        assert_socket_matches_replay(&bodies, &report.journal);
+    }
 }

@@ -85,6 +85,37 @@ fn tcp_clients_get_typed_responses_and_server_drains_clean() {
 }
 
 #[test]
+fn bad_bytes_get_a_typed_error_and_the_connection_stays_up() {
+    let (state, pool) = small_preload();
+    let handle = serve_listener(state, pool, &SocketConfig::default()).expect("server binds");
+    let addr = handle
+        .endpoint()
+        .strip_prefix("tcp:")
+        .expect("tcp endpoint")
+        .to_string();
+    let mut c = TcpStream::connect(&addr).expect("connect");
+    c.write_all(b"{\"id\":1,\xff\xfe}\n")
+        .expect("bad line writes");
+    let mut bad = String::new();
+    BufReader::new(&mut c)
+        .read_line(&mut bad)
+        .expect("response line reads");
+    assert!(bad.contains("\"verdict\":\"error\""), "got {bad}");
+    assert!(bad.contains("not UTF-8"), "got {bad}");
+
+    let good = roundtrip(
+        &mut c,
+        "{\"id\":2,\"task\":\"mcp\",\"dataset\":\"Damascus\",\"solver\":\"TopDegree\",\"budget\":3}",
+    );
+    assert!(good.contains("\"verdict\":\"served\""), "got {good}");
+    drop(c);
+
+    let (_pool, stats) = handle.shutdown_and_join();
+    assert_eq!(stats.requests, 2);
+    assert!(stats.drained_clean(), "{stats:?}");
+}
+
+#[test]
 fn unix_socket_serves_and_admin_shutdown_drains() {
     let (state, pool) = small_preload();
     let sock = std::env::temp_dir().join(format!("mcpb-serve-test-{}.sock", std::process::id()));

@@ -90,10 +90,17 @@ MCPB_THREADS=4 cargo run -q -- serve --replay "$SERVE_LOG" --det-timing --out "$
 cmp "$SERVE_T1" "$SERVE_T4"
 cargo run -q -- journal-diff "$SERVE_T1" "$SERVE_T4"
 
-echo "==> serve chaos smoke (injected faults must degrade, not kill, and stay typed)"
-MCPB_FAULTS="panic@serve.query:2; stall@serve.query:5=0.02" \
-  cargo run -q -- serve --replay "$SERVE_LOG" --det-timing \
+echo "==> serve chaos smoke (injected faults degrade, not kill; journals at 1 vs 4 threads must match)"
+SERVE_FAULTS="panic@serve.query:2; stall@serve.query:5=0.02"
+SERVE_CHAOS_T1="target/check-serve-chaos-t1.jsonl"
+SERVE_CHAOS_T4="target/check-serve-chaos-t4.jsonl"
+rm -f "$SERVE_CHAOS_T1" "$SERVE_CHAOS_T4"
+MCPB_FAULTS="$SERVE_FAULTS" MCPB_THREADS=1 \
+  cargo run -q -- serve --replay "$SERVE_LOG" --det-timing --out "$SERVE_CHAOS_T1" \
   | tee /dev/stderr | grep -q "serve: drain clean"
+MCPB_FAULTS="$SERVE_FAULTS" MCPB_THREADS=4 \
+  cargo run -q -- serve --replay "$SERVE_LOG" --det-timing --out "$SERVE_CHAOS_T4" >/dev/null
+cmp "$SERVE_CHAOS_T1" "$SERVE_CHAOS_T4"
 
 echo "==> large-tier smoke (1M-node sharded sampling; journals at 1 vs 4 threads must match)"
 # Release-scale but bounded (~tens of seconds): one streamed 1M-node build

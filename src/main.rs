@@ -680,7 +680,7 @@ fn serve_cmd(args: &[String]) {
         eprintln!(
             "usage: mcpbench serve --gen <n> [--seed <s>] [--burst] [--out <file>]\n\
              \u{20}      mcpbench serve --replay <log> [--out <journal>] [--det-timing]\n\
-             \u{20}                     [--no-cache] [--label <text>]\n\
+             \u{20}                     [--label <text>]\n\
              \u{20}      mcpbench serve --listen <tcp:HOST:PORT|unix:/path> [--queue <n>]"
         );
         std::process::exit(2);
@@ -693,7 +693,6 @@ fn serve_cmd(args: &[String]) {
     let mut seed = 7u64;
     let mut burst = false;
     let mut det_timing = false;
-    let mut no_cache = false;
     let mut label = "serve-replay".to_string();
     let mut queue = 32usize;
     let mut it = args.iter();
@@ -718,7 +717,6 @@ fn serve_cmd(args: &[String]) {
             "--label" => label = it.next().cloned().unwrap_or_else(|| usage()),
             "--burst" => burst = true,
             "--det-timing" => det_timing = true,
-            "--no-cache" => no_cache = true,
             _ => usage(),
         }
     }
@@ -774,7 +772,6 @@ fn serve_cmd(args: &[String]) {
         let opts = EngineOptions {
             label,
             deterministic_timing: det_timing,
-            reuse_cache: !no_cache,
             ..EngineOptions::default()
         };
         let report = replay(&state, &mut pool, &log, &opts);
@@ -1163,7 +1160,7 @@ fn main() {
         );
         println!("  serve --gen <n> [--seed <s>] [--burst] [--out <file>]");
         println!("                              emit a deterministic JSONL request log");
-        println!("  serve --replay <log> [--out <journal>] [--det-timing] [--no-cache]");
+        println!("  serve --replay <log> [--out <journal>] [--det-timing]");
         println!("                              replay a request log through the query service;");
         println!("                              prints p50/p99 latency and the shed rate");
         println!("  serve --listen <tcp:H:P|unix:/path> [--queue <n>]");
