@@ -25,14 +25,17 @@ pub enum Task {
 /// *normalized* marginal gains in `[0, 1]` (fraction of |V| newly covered /
 /// influenced), the reward signal every method's RL environment uses.
 pub enum RewardOracle<'g> {
-    /// MCP: exact incremental coverage.
-    Coverage(CoverageOracle<'g>),
+    /// MCP: exact incremental coverage, and the nodes the last seed newly
+    /// covered.
+    Coverage(CoverageOracle<'g>, Vec<NodeId>),
     /// IM: RR-set coverage (seeds tracked inside).
     Influence {
         /// Shared RR-set collection.
         rr: RrCollection,
         /// RR sets already hit by the selected seeds.
         hit: Vec<bool>,
+        /// RR sets the last seed newly hit.
+        fresh: Vec<u32>,
         /// Count of hit RR sets.
         hits: usize,
         /// Selected seeds.
@@ -46,13 +49,14 @@ impl<'g> RewardOracle<'g> {
     /// Builds the oracle appropriate for `task` on `graph`.
     pub fn new(graph: &'g Graph, task: Task, seed: u64) -> Self {
         match task {
-            Task::Mcp => RewardOracle::Coverage(CoverageOracle::new(graph)),
+            Task::Mcp => RewardOracle::Coverage(CoverageOracle::new(graph), Vec::new()),
             Task::Im { rr_sets } => {
                 let rr = sample_collection(graph, rr_sets, seed);
                 let m = rr.len();
                 RewardOracle::Influence {
                     rr,
                     hit: vec![false; m],
+                    fresh: Vec::new(),
                     hits: 0,
                     seeds: Vec::new(),
                     n: graph.num_nodes(),
@@ -64,7 +68,7 @@ impl<'g> RewardOracle<'g> {
     /// Normalized marginal gain of adding `v` (no mutation).
     pub fn marginal_gain(&self, v: NodeId) -> f64 {
         match self {
-            RewardOracle::Coverage(o) => {
+            RewardOracle::Coverage(o, _) => {
                 let n = o.graph().num_nodes().max(1);
                 o.marginal_gain(v) as f64 / n as f64
             }
@@ -85,39 +89,65 @@ impl<'g> RewardOracle<'g> {
     /// Adds `v` as a seed; returns its realized normalized gain.
     pub fn add_seed(&mut self, v: NodeId) -> f64 {
         match self {
-            RewardOracle::Coverage(o) => {
+            RewardOracle::Coverage(o, fresh) => {
+                fresh.clear();
+                let reach = std::iter::once(v).chain(o.graph().out_neighbors(v).iter().copied());
+                fresh.extend(reach.filter(|&u| !o.is_covered(u)));
                 let n = o.graph().num_nodes().max(1);
                 o.add_seed(v) as f64 / n as f64
             }
             RewardOracle::Influence {
                 rr,
                 hit,
+                fresh,
                 hits,
                 seeds,
                 ..
             } => {
-                let mut fresh = 0usize;
+                fresh.clear();
                 for &id in rr.sets_containing(v) {
                     if !hit[id as usize] {
                         hit[id as usize] = true;
-                        fresh += 1;
+                        fresh.push(id);
                     }
                 }
-                *hits += fresh;
+                *hits += fresh.len();
                 seeds.push(v);
                 if rr.is_empty() {
                     0.0
                 } else {
-                    fresh as f64 / rr.len() as f64
+                    fresh.len() as f64 / rr.len() as f64
                 }
             }
         }
     }
 
+    /// Nodes, ascending, whose [`RewardOracle::marginal_gain`] the last
+    /// [`RewardOracle::add_seed`] may have changed; every other gain is
+    /// bit-identical. MCP: the newly covered nodes and their in-neighbours.
+    /// IM: the members of the newly hit RR sets.
+    pub fn changed(&self) -> Vec<NodeId> {
+        let mut out: Vec<NodeId> = match self {
+            RewardOracle::Coverage(oracle, fresh) => fresh
+                .iter()
+                .flat_map(|&u| {
+                    std::iter::once(u).chain(oracle.graph().in_neighbors(u).iter().copied())
+                })
+                .collect(),
+            RewardOracle::Influence { rr, fresh, .. } => fresh
+                .iter()
+                .flat_map(|&id| rr.set(id as usize).iter().copied())
+                .collect(),
+        };
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// Seeds chosen so far.
     pub fn seeds(&self) -> &[NodeId] {
         match self {
-            RewardOracle::Coverage(o) => o.seeds(),
+            RewardOracle::Coverage(o, _) => o.seeds(),
             RewardOracle::Influence { seeds, .. } => seeds,
         }
     }
@@ -125,7 +155,7 @@ impl<'g> RewardOracle<'g> {
     /// Total normalized objective value of the current seed set.
     pub fn total(&self) -> f64 {
         match self {
-            RewardOracle::Coverage(o) => o.coverage(),
+            RewardOracle::Coverage(o, _) => o.coverage(),
             RewardOracle::Influence { rr, hits, .. } => {
                 if rr.is_empty() {
                     0.0
@@ -139,7 +169,7 @@ impl<'g> RewardOracle<'g> {
     /// Denormalized objective (covered nodes / estimated spread).
     pub fn total_absolute(&self) -> f64 {
         match self {
-            RewardOracle::Coverage(o) => o.covered_count() as f64,
+            RewardOracle::Coverage(o, _) => o.covered_count() as f64,
             RewardOracle::Influence { rr, hits, n, .. } => {
                 if rr.is_empty() {
                     0.0
@@ -680,6 +710,62 @@ mod tests {
         o.add_seed(1);
         let after = o.marginal_gain(5);
         assert!(after <= before + 1e-12);
+    }
+
+    /// After each `add_seed`, every node outside `changed()` keeps a
+    /// bit-identical marginal gain.
+    #[test]
+    fn unchanged_nodes_keep_their_gains() {
+        // Duplicate arcs (0 -> 1 twice) and self-loops on 1 and 2.
+        let dup = Graph::from_edges(
+            6,
+            &[
+                Edge::unweighted(0, 1),
+                Edge::unweighted(0, 1),
+                Edge::unweighted(1, 1),
+                Edge::unweighted(2, 0),
+                Edge::unweighted(3, 2),
+                Edge::unweighted(2, 2),
+                Edge::unweighted(4, 3),
+                Edge::unweighted(1, 4),
+            ],
+        )
+        .unwrap();
+        let ba = assign_weights(
+            &generators::barabasi_albert(120, 3, 4),
+            WeightModel::WeightedCascade,
+            0,
+        );
+        let im = Task::Im { rr_sets: 400 };
+        for (name, g, task) in [
+            ("mcp dup", &dup, Task::Mcp),
+            ("mcp ba", &ba, Task::Mcp),
+            ("im dup", &dup, im),
+            ("im ba", &ba, im),
+        ] {
+            let n = g.num_nodes();
+            let mut o = RewardOracle::new(g, task, 9);
+            let gains = |o: &RewardOracle| {
+                (0..n as NodeId)
+                    .map(|v| o.marginal_gain(v).to_bits())
+                    .collect::<Vec<_>>()
+            };
+            let mut before = gains(&o);
+            // A scrambled pick order, then one repeated pick.
+            let picks = (0..n.min(40)).map(|i| (i * 7 + 3) % n).chain([3 % n]);
+            for (step, v) in picks.enumerate() {
+                o.add_seed(v as NodeId);
+                let changed = o.changed();
+                assert!(changed.windows(2).all(|w| w[0] < w[1]), "{name}");
+                let after = gains(&o);
+                for u in 0..n {
+                    if changed.binary_search(&(u as NodeId)).is_err() {
+                        assert_eq!(before[u], after[u], "{name}: node {u}, step {step}");
+                    }
+                }
+                before = after;
+            }
+        }
     }
 
     #[test]

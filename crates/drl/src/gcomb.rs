@@ -12,8 +12,10 @@
 //!    how many top-degree nodes are "good". Everything below the cut is
 //!    pruned. Its instability (Tab. 9) is what makes GCOMB's runtime
 //!    non-monotonic in the budget.
-//! 3. **Q-learning** — a DQN over [gcn score, degree, remaining budget]
+//! 3. **Q-learning** — a DQN over [gcn score, degree, marginal gain]
+//!    candidate features and [step / budget, objective so far] state
 //!    features picks seeds from the pruned candidate set.
+//!    Inference refreshes only the gains [`RewardOracle::changed`] names.
 
 use crate::common::{
     evaluate_seeds, sample_training_subgraph, train_loop, EpisodeStats, Learner, LoopSpec,
@@ -349,18 +351,24 @@ impl Gcomb {
         train_loop(scope, spec, &mut run)
     }
 
+    /// One `ACTION_DIM` feature row per node of `nodes`, row-major:
+    /// [gcn score, degree / n, marginal gain].
     fn action_features(
         graph: &Graph,
-        v: NodeId,
+        nodes: impl Iterator<Item = NodeId>,
         scores: &[f32],
         oracle: &RewardOracle<'_>,
     ) -> Vec<f32> {
         let max_deg = graph.num_nodes().max(1) as f32;
-        vec![
-            scores.get(v as usize).copied().unwrap_or(0.0),
-            graph.out_degree(v) as f32 / max_deg,
-            oracle.marginal_gain(v) as f32,
-        ]
+        nodes
+            .flat_map(|v| {
+                [
+                    scores.get(v as usize).copied().unwrap_or(0.0),
+                    graph.out_degree(v) as f32 / max_deg,
+                    oracle.marginal_gain(v) as f32,
+                ]
+            })
+            .collect()
     }
 
     /// Normalized objective achieved by the greedy policy on `graph`.
@@ -383,26 +391,22 @@ impl Gcomb {
         };
         let scores = self.gcn_scores(graph);
         let mut oracle = RewardOracle::new(graph, self.cfg.task, self.cfg.seed ^ 0x1fe7);
-        let mut picked = vec![false; n];
+        // Row v holds node v's features.
+        let mut feats = Self::action_features(graph, 0..n as NodeId, &scores, &oracle);
+        let mut avail = cands;
+        let mut rows = Vec::with_capacity(feats.len());
         let mut seeds = Vec::with_capacity(k.min(n));
-        for step in 0..k.min(cands.len()) {
-            let avail: Vec<NodeId> = cands
-                .iter()
-                .copied()
-                .filter(|&v| !picked[v as usize])
-                .collect();
-            if avail.is_empty() {
-                break;
+        for step in 0..k.min(avail.len()) {
+            rows.clear();
+            for &v in &avail {
+                rows.extend_from_slice(&feats[v as usize * ACTION_DIM..][..ACTION_DIM]);
             }
-            let state = vec![step as f32 / k.max(1) as f32, oracle.total() as f32];
-            let actions: Vec<Vec<f32>> = avail
-                .iter()
-                .map(|&v| Self::action_features(graph, v, &scores, &oracle))
-                .collect();
-            let q = self.agent.q_values(&state, &actions);
-            let v = avail[argmax(&q)];
+            let state = [step as f32 / k.max(1) as f32, oracle.total() as f32];
+            let v = avail.remove(argmax(&self.agent.q_values(&state, &rows)));
             oracle.add_seed(v);
-            picked[v as usize] = true;
+            for u in oracle.changed() {
+                feats[u as usize * ACTION_DIM + 2] = oracle.marginal_gain(u) as f32;
+            }
             seeds.push(v);
         }
         seeds
@@ -444,10 +448,7 @@ impl TrainHooks for GcombRun<'_> {
                 break;
             }
             let state = vec![step as f32 / budget.max(1) as f32, oracle.total() as f32];
-            let actions: Vec<Vec<f32>> = avail
-                .iter()
-                .map(|&v| Gcomb::action_features(tg, v, &self.scores, &oracle))
-                .collect();
+            let actions = Gcomb::action_features(tg, avail.iter().copied(), &self.scores, &oracle);
             let eps = self.schedule.value(self.step_count);
             let idx = self.model.agent.select_action(&state, &actions, eps);
             let v = avail[idx];
@@ -458,19 +459,15 @@ impl TrainHooks for GcombRun<'_> {
                 (step + 1) as f32 / budget.max(1) as f32,
                 oracle.total() as f32,
             ];
-            let next_actions: Vec<Vec<f32>> = if done {
+            let next_actions = if done {
                 Vec::new()
             } else {
-                cands
-                    .iter()
-                    .copied()
-                    .filter(|&u| !picked[u as usize])
-                    .map(|u| Gcomb::action_features(tg, u, &self.scores, &oracle))
-                    .collect()
+                let next = cands.iter().copied().filter(|&u| !picked[u as usize]);
+                Gcomb::action_features(tg, next, &self.scores, &oracle)
             };
             self.replay.push(Transition {
                 state,
-                action: actions[idx].clone(),
+                action: actions[idx * ACTION_DIM..(idx + 1) * ACTION_DIM].to_vec(),
                 reward,
                 next_state,
                 next_actions,

@@ -144,7 +144,7 @@ impl GeometricQn {
         graph: &Graph,
         epsilon_for_step: impl Fn(usize) -> f64,
         step_base: usize,
-    ) -> (Vec<NodeId>, Vec<(Vec<f32>, Vec<Vec<f32>>, usize)>) {
+    ) -> (Vec<NodeId>, Vec<(Vec<f32>, Vec<f32>, usize)>) {
         let n = graph.num_nodes();
         let candidates: Vec<NodeId> = graph
             .nodes()
@@ -168,15 +168,12 @@ impl GeometricQn {
             let mut expandable: Vec<usize> = (0..order.len()).collect();
             expandable.sort_by_key(|&li| std::cmp::Reverse(graph.degree(order[li])));
             expandable.truncate(20);
-            let actions: Vec<Vec<f32>> = expandable
-                .iter()
-                .map(|&li| {
-                    let mut f = emb.row_slice(li).to_vec();
-                    f.push(graph.degree(order[li]) as f32 / n.max(1) as f32);
-                    f.push(sub.degree(li as NodeId) as f32 / discovered.len().max(1) as f32);
-                    f
-                })
-                .collect();
+            let mut actions = Vec::with_capacity(expandable.len() * (emb.cols + 2));
+            for &li in &expandable {
+                actions.extend_from_slice(emb.row_slice(li));
+                actions.push(graph.degree(order[li]) as f32 / n.max(1) as f32);
+                actions.push(sub.degree(li as NodeId) as f32 / discovered.len().max(1) as f32);
+            }
             let eps = epsilon_for_step(step_base + step);
             let idx = self.agent.select_action(&state, &actions, eps);
             trace.push((state, actions.clone(), idx));
@@ -286,6 +283,7 @@ impl TrainHooks for GeometricQnRun<'_> {
         // original).
         let seeds = GeometricQn::select_from_discovered(g, &discovered, cfg.train_budget);
         let final_reward = objective(g, cfg.task, cfg.seed.wrapping_add(ep as u64), &seeds) as f32;
+        let dim = self.model.agent.config().action_dim;
         for (i, (state, actions, idx)) in trace.iter().enumerate() {
             let done = i + 1 == trace.len();
             let (next_state, next_actions) = if done {
@@ -295,7 +293,7 @@ impl TrainHooks for GeometricQnRun<'_> {
             };
             self.replay.push(Transition {
                 state: state.clone(),
-                action: actions[*idx].clone(),
+                action: actions[idx * dim..(idx + 1) * dim].to_vec(),
                 reward: if done { final_reward } else { 0.0 },
                 next_state,
                 next_actions,

@@ -252,7 +252,7 @@ impl Lense {
         nodes: &[NodeId],
         quality: f32,
         step: usize,
-    ) -> Option<(Vec<f32>, Vec<Vec<f32>>, Vec<NodeId>)> {
+    ) -> Option<(Vec<f32>, Vec<f32>, Vec<NodeId>)> {
         let in_sub: std::collections::HashSet<NodeId> = nodes.iter().copied().collect();
         let mut frontier: Vec<NodeId> = Vec::new();
         let mut seen = std::collections::HashSet::new();
@@ -270,16 +270,16 @@ impl Lense {
         frontier.truncate(15);
         let n = graph.num_nodes().max(1);
         let state = vec![quality, step as f32 / self.cfg.nav_steps.max(1) as f32];
-        let actions: Vec<Vec<f32>> = frontier
+        let actions = frontier
             .iter()
-            .map(|&u| {
+            .flat_map(|&u| {
                 let conn = graph
                     .out_neighbors(u)
                     .iter()
                     .chain(graph.in_neighbors(u))
                     .filter(|x| in_sub.contains(x))
                     .count();
-                vec![
+                [
                     graph.degree(u) as f32 / n as f32,
                     conn as f32 / nodes.len().max(1) as f32,
                     graph.out_degree(u) as f32 / n as f32,
@@ -397,7 +397,7 @@ impl TrainHooks for LenseRun<'_> {
             let next = model.navigation_actions(graph, &new_nodes, new_quality, step + 1);
             self.replay.push(Transition {
                 state,
-                action: actions[idx].clone(),
+                action: actions[idx * ACTION_DIM..(idx + 1) * ACTION_DIM].to_vec(),
                 reward,
                 next_state: next.as_ref().map(|(s, _, _)| s.clone()).unwrap_or_default(),
                 next_actions: if done {

@@ -7,12 +7,15 @@
 //! as the node tag. Training runs episodes on BFS-sampled subgraphs of the
 //! training graph (the paper trains on BrightKite for MCP); inference runs
 //! the greedy policy on the full test graph.
+//!
+//! Only the TD update runs on the tape; acting, the target bootstrap and
+//! inference use the bit-identical, incremental [`S2vRollout`].
 
 use crate::common::{
     evaluate_seeds, grad_l2_norm, sample_training_subgraph, train_loop, EpisodeStats, Learner,
     LoopSpec, RewardOracle, Task, TrainHooks, TrainReport, TrainScope,
 };
-use mcpb_gnn::s2v::{S2v, S2vGraph};
+use mcpb_gnn::s2v::{S2v, S2vEmbedding, S2vGraph};
 use mcpb_graph::{Graph, NodeId};
 use mcpb_im::solver::{ImSolution, ImSolver};
 use mcpb_mcp::solver::{McpSolution, McpSolver};
@@ -25,6 +28,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::collections::HashMap;
 
 /// The S2V + Q-head network shared by S2V-DQN and RL4IM. Parameter ids are
 /// valid in both the online and target stores (identical registration
@@ -52,8 +56,7 @@ impl S2vQNet {
 
     /// Q values for `candidates` given solution tags, on the tape: the
     /// `c x 1` Q output variable. This is the gradient path (the TD update)
-    /// and the reference [`S2vQNet::q_numbers`] is tested against bit for
-    /// bit.
+    /// and the reference [`S2vRollout`] is tested against bit for bit.
     pub fn q_values(
         &self,
         tape: &mut Tape,
@@ -83,50 +86,82 @@ impl S2vQNet {
         tape.matmul(act, t5)
     }
 
-    /// Q values as plain numbers, without a tape: the no-gradient path
-    /// (greedy acting, the target bootstrap and inference). `edge_term` is
-    /// [`S2v::edge_term`] for the same `store` and `sg`, so a rollout
-    /// computes it once. Bit-identical to [`S2vQNet::q_values`]: every
-    /// element follows the tape's float operations in the same order.
-    pub fn q_numbers(
-        &self,
-        store: &ParamStore,
-        sg: &S2vGraph,
-        edge_term: &Tensor,
-        tags: &[f32],
-        candidates: &[NodeId],
-    ) -> Vec<f32> {
+    /// A tape-free rollout on `sg` from `tags`, the no-gradient path;
+    /// `edge_term` is [`S2v::edge_term`] for the same `store` and `sg`.
+    pub fn rollout<'a>(
+        &'a self,
+        store: &'a ParamStore,
+        sg: &'a S2vGraph,
+        edge_term: &'a Tensor,
+        tags: Vec<f32>,
+    ) -> S2vRollout<'a> {
+        let emb = S2vEmbedding::new(&self.s2v, store, sg, edge_term, tags);
+        let cand7 = emb.mu().matmul(store.value(self.theta7));
+        S2vRollout {
+            net: self,
+            store,
+            emb,
+            cand7,
+        }
+    }
+}
+
+/// [`S2vQNet`]'s Q values along a greedy rollout, bit-identical to
+/// [`S2vQNet::q_values`]. A tag recomputes the embedding rows it reaches
+/// ([`S2vEmbedding::retag`]) and their `mu_v * theta7` rows only.
+pub struct S2vRollout<'a> {
+    net: &'a S2vQNet,
+    store: &'a ParamStore,
+    emb: S2vEmbedding<'a>,
+    /// `mu * theta7`: every node's candidate head term.
+    cand7: Tensor,
+}
+
+impl S2vRollout<'_> {
+    /// One tag per node.
+    pub fn tags(&self) -> &[f32] {
+        self.emb.tags()
+    }
+
+    /// Tags node `v` with `tag`.
+    pub fn tag(&mut self, v: NodeId, tag: f32) {
+        let (rows, d) = (self.emb.retag(v, tag), self.net.s2v.dim);
+        let mut cand = Tensor::zeros(rows.len(), d);
+        for (row, &r) in cand.data.chunks_exact_mut(d).zip(&rows) {
+            row.copy_from_slice(self.emb.mu().row_slice(r as usize));
+        }
+        let cand7 = cand.matmul(self.store.value(self.net.theta7));
+        for (row, &r) in cand7.data.chunks_exact(d).zip(&rows) {
+            self.cand7.data[r as usize * d..][..d].copy_from_slice(row);
+        }
+    }
+
+    /// Q values for `candidates` under the current tags.
+    pub fn q_values(&self, candidates: &[NodeId]) -> Vec<f32> {
         if candidates.is_empty() {
             return Vec::new();
         }
-        let d = self.s2v.dim;
-        let mu = self.s2v.embed_numbers(store, sg, edge_term, tags);
+        let (d, store) = (self.net.s2v.dim, self.store);
         // Mean pooling, summed in row order like `sum_rows`.
         let mut pooled = Tensor::zeros(1, d);
-        for row in mu.data.chunks_exact(d) {
+        for row in self.emb.mu().data.chunks_exact(d) {
             for (p, &m) in pooled.data.iter_mut().zip(row) {
                 *p += m;
             }
         }
-        pooled.scale_assign(1.0 / sg.n.max(1) as f32);
-        let pooled6 = pooled.matmul(store.value(self.theta6));
-        let mut cand = Tensor::zeros(candidates.len(), d);
-        for (row, &v) in cand.data.chunks_exact_mut(d).zip(candidates) {
-            row.copy_from_slice(mu.row_slice(v as usize));
-        }
-        let cand7 = cand.matmul(store.value(self.theta7));
+        pooled.scale_assign(1.0 / self.emb.tags().len().max(1) as f32);
+        let pooled6 = pooled.matmul(store.value(self.net.theta6));
         // `relu([pooled6 | cand7]) * theta5` is one chain per candidate in
         // increasing order from 0.0, so its pooled half is a prefix every
         // candidate shares and no `c x 2d` concatenation is needed.
-        let (t5_pooled, t5_cand) = store.value(self.theta5).data.split_at(d);
+        let (t5_pooled, t5_cand) = store.value(self.net.theta5).data.split_at(d);
         let dot = |init: f32, x: &[f32], w: &[f32]| {
             x.iter().zip(w).fold(init, |q, (&a, &b)| q + a.max(0.0) * b)
         };
         let prefix = dot(0.0, &pooled6.data, t5_pooled);
-        cand7
-            .data
-            .chunks_exact(d)
-            .map(|row| dot(prefix, row, t5_cand))
+        candidates
+            .iter()
+            .map(|&v| dot(prefix, self.cand7.row_slice(v as usize), t5_cand))
             .collect()
     }
 }
@@ -163,6 +198,9 @@ pub(crate) struct S2vLearner {
     /// Replay minibatch size.
     pub(crate) batch_size: usize,
     target_sync: usize,
+    /// The target's [`S2v::edge_term`] per graph index, emptied whenever
+    /// the target parameters change (sync, [`Learner::restore`]).
+    target_edge_terms: HashMap<usize, Tensor>,
 }
 
 impl S2vLearner {
@@ -191,6 +229,7 @@ impl S2vLearner {
             rng: ChaCha8Rng::seed_from_u64(seeds[2]),
             batch_size,
             target_sync,
+            target_edge_terms: HashMap::new(),
         }
     }
 
@@ -205,10 +244,10 @@ impl S2vLearner {
             return candidates.choose(&mut self.rng).copied();
         }
         let edge_term = self.net.s2v.edge_term(&self.online, sg);
-        let q = self
+        let rollout = self
             .net
-            .q_numbers(&self.online, sg, &edge_term, tags, &candidates);
-        Some(candidates[argmax(&q)])
+            .rollout(&self.online, sg, &edge_term, tags.to_vec());
+        Some(candidates[argmax(&rollout.q_values(&candidates))])
     }
 
     /// One optimizer step over a replay batch, bootstrapping with
@@ -232,10 +271,14 @@ impl S2vLearner {
                 if candidates.is_empty() {
                     t.reward
                 } else {
-                    let edge_term = self.net.s2v.edge_term(&self.target, sg);
-                    let q =
-                        self.net
-                            .q_numbers(&self.target, sg, &edge_term, &t.next_tags, &candidates);
+                    let (net, target) = (&self.net, &self.target);
+                    let edge_term = self
+                        .target_edge_terms
+                        .entry(t.graph_idx)
+                        .or_insert_with(|| net.s2v.edge_term(target, sg));
+                    let q = net
+                        .rollout(target, sg, edge_term, t.next_tags.clone())
+                        .q_values(&candidates);
                     t.reward + discount * q.iter().copied().fold(f32::NEG_INFINITY, f32::max)
                 }
             };
@@ -253,6 +296,7 @@ impl S2vLearner {
         self.optimizer.step(&mut self.online, &merged);
         if self.optimizer.t % self.target_sync as u64 == 0 {
             self.target.copy_values_from(&self.online);
+            self.target_edge_terms.clear();
         }
         (total_loss / batch.len().max(1) as f32, gnorm)
     }
@@ -267,18 +311,17 @@ impl S2vLearner {
         }
         let sg = S2vGraph::new(graph);
         let edge_term = self.net.s2v.edge_term(&self.online, &sg);
-        let mut tags = vec![0f32; n];
+        let mut rollout = self
+            .net
+            .rollout(&self.online, &sg, &edge_term, vec![0f32; n]);
         let mut seeds = Vec::with_capacity(k.min(n));
         for step in 0..k.min(n) {
-            let candidates = unselected(&tags);
+            let candidates = unselected(rollout.tags());
             if candidates.is_empty() {
                 break;
             }
-            let q = self
-                .net
-                .q_numbers(&self.online, &sg, &edge_term, &tags, &candidates);
-            let pick = candidates[argmax(&q)];
-            tags[pick as usize] = tag(step);
+            let pick = candidates[argmax(&rollout.q_values(&candidates))];
+            rollout.tag(pick, tag(step));
             seeds.push(pick);
         }
         seeds
@@ -293,6 +336,7 @@ impl Learner for S2vLearner {
     fn restore(&mut self, snapshot: &[Tensor]) {
         self.online.load_snapshot(snapshot);
         self.target.copy_values_from(&self.online);
+        self.target_edge_terms.clear();
     }
 
     fn halve_lr(&mut self) -> f64 {
@@ -639,8 +683,12 @@ mod tests {
         }
     }
 
-    /// Asserts that the tape-free `q_numbers` equals the tape's `q_values`
-    /// bit for bit under `learner`'s online parameters.
+    fn bits(q: &[f32]) -> Vec<u32> {
+        q.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Asserts that a from-scratch tape-free rollout's Q values equal the
+    /// tape's `q_values` bit for bit under `learner`'s online parameters.
     fn assert_q_paths_agree(
         learner: &S2vLearner,
         g: &Graph,
@@ -650,10 +698,11 @@ mod tests {
     ) {
         let (net, store, sg) = (&learner.net, &learner.online, S2vGraph::new(g));
         let edge_term = net.s2v.edge_term(store, &sg);
-        let fast = net.q_numbers(store, &sg, &edge_term, tags, candidates);
+        let fast = net
+            .rollout(store, &sg, &edge_term, tags.to_vec())
+            .q_values(candidates);
         let mut tape = Tape::new();
         let q = net.q_values(&mut tape, store, &sg, tags, candidates);
-        let bits = |q: &[f32]| q.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fast), bits(&tape.value(q).data), "{what}");
     }
 
@@ -697,6 +746,78 @@ mod tests {
                     assert_q_paths_agree(learner, g, tags, &unselected(tags), &what);
                     assert_q_paths_agree(learner, g, tags, &[5, 0, 5], &what);
                     assert_q_paths_agree(learner, g, tags, &[], &what);
+                }
+            }
+        }
+    }
+
+    /// At every step of a greedy rollout, the incremental Q values equal a
+    /// from-scratch rollout on the same tags bit for bit, and `infer` makes
+    /// the picks the from-scratch values make.
+    #[test]
+    fn incremental_rollout_matches_full_recompute() {
+        use mcpb_graph::weights::{assign_weights, WeightModel};
+        use mcpb_graph::Edge;
+        // Self-loops on 0 and 3, a parallel pair 4 <-> 5, isolated 6 and 7.
+        let loops = [
+            Edge::new(0, 0, 0.5),
+            Edge::new(0, 1, 1.0),
+            Edge::new(1, 2, 0.7),
+            Edge::new(3, 3, 0.2),
+            Edge::new(2, 3, 0.4),
+            Edge::new(4, 5, 0.9),
+            Edge::new(5, 4, 0.3),
+        ];
+        let graphs = [
+            (
+                "hub-heavy ba",
+                assign_weights(
+                    &generators::barabasi_albert(80, 6, 21),
+                    WeightModel::WeightedCascade,
+                    0,
+                ),
+            ),
+            (
+                "er",
+                assign_weights(
+                    &generators::erdos_renyi(60, 150, 22),
+                    WeightModel::TriValency,
+                    1,
+                ),
+            ),
+            ("edgeless", Graph::from_edges(7, &[]).unwrap()),
+            ("self-loops", Graph::from_edges(8, &loops).unwrap()),
+        ];
+        for rounds in [1, 2, 3] {
+            let learner = S2vLearner::new("s2vdqn", 8, rounds, 5e-3, 4, 40, [rounds as u64, 5, 6]);
+            let (net, store) = (&learner.net, &learner.online);
+            for (name, g) in &graphs {
+                let n = g.num_nodes();
+                let sg = S2vGraph::new(g);
+                let edge_term = net.s2v.edge_term(store, &sg);
+                for k in [0, n + 3] {
+                    // S2V-DQN's membership tag and RL4IM's (step + 1) / k.
+                    let rl4im = move |step: usize| (step + 1) as f32 / k as f32;
+                    let tags: [(&str, &dyn Fn(usize) -> f32); 2] =
+                        [("s2v-dqn", &|_| 1.0), ("rl4im", &rl4im)];
+                    for (tagger, tag) in tags {
+                        let what = format!("rounds {rounds}, {name}, k {k}, {tagger}");
+                        let mut rollout = net.rollout(store, &sg, &edge_term, vec![0.0; n]);
+                        let mut picks = Vec::new();
+                        for step in 0..k.min(n) {
+                            let cands = unselected(rollout.tags());
+                            let full = net
+                                .rollout(store, &sg, &edge_term, rollout.tags().to_vec())
+                                .q_values(&cands);
+                            let q = rollout.q_values(&cands);
+                            assert_eq!(bits(&q), bits(&full), "{what}, step {step}");
+                            let pick = cands[argmax(&full)];
+                            rollout.tag(pick, tag(step));
+                            picks.push(pick);
+                        }
+                        assert_eq!(picks.len(), k.min(n), "{what}");
+                        assert_eq!(learner.infer(g, k, tag), picks, "{what}");
+                    }
                 }
             }
         }

@@ -75,7 +75,7 @@ impl S2v {
     /// node-tag input already on the tape. Returns `n x dim` embeddings.
     ///
     /// This is the gradient path; no-gradient callers use
-    /// [`S2v::embed_numbers`], which this serves as the reference for.
+    /// [`S2vEmbedding`], which this serves as the reference for.
     pub fn embed(&self, tape: &mut Tape, store: &ParamStore, sg: &S2vGraph, x: Var) -> Var {
         let _span = mcpb_trace::span("nn.forward");
         let t1 = tape.param(store, self.theta1);
@@ -108,7 +108,7 @@ impl S2v {
     /// The tag-independent edge term `incidence * relu(w_e * theta4) *
     /// theta3` (`n x dim`), without a tape. It depends only on the graph
     /// and the parameters, so a greedy rollout computes it once and hands
-    /// it to every [`S2v::embed_numbers`] call.
+    /// it to every [`S2vEmbedding`] it builds.
     pub fn edge_term(&self, store: &ParamStore, sg: &S2vGraph) -> Tensor {
         let mut edge_feat = sg.edge_weights.matmul(store.value(self.theta4));
         for v in edge_feat.data.iter_mut() {
@@ -118,38 +118,96 @@ impl S2v {
             .matmul_dense(&edge_feat)
             .matmul(store.value(self.theta3))
     }
+}
 
-    /// The embedding recursion as plain numbers (no tape, no gradient),
-    /// with the edge term precomputed by [`S2v::edge_term`]. `tags` holds
-    /// one tag per node. Every element goes through the same float
-    /// operations in the same order as [`S2v::embed`], so the result is
-    /// bit-identical to it.
-    pub fn embed_numbers(
-        &self,
-        store: &ParamStore,
-        sg: &S2vGraph,
-        edge_term: &Tensor,
-        tags: &[f32],
-    ) -> Tensor {
+/// The embedding recursion without a tape, kept per round so re-tagging
+/// node `v` recomputes only the rows it reaches: `v` in round 1, then `v`
+/// and the rows that read the previous round's, which are their `nsum`
+/// neighbours as `nsum` is symmetric (DESIGN.md, "Dirty-ball rule").
+pub struct S2vEmbedding<'a> {
+    s2v: &'a S2v,
+    store: &'a ParamStore,
+    sg: &'a S2vGraph,
+    edge_term: &'a Tensor,
+    tags: Vec<f32>,
+    /// `mu[t]`: the embeddings after `t` rounds (`mu[0]` is the zero start).
+    mu: Vec<Tensor>,
+}
+
+impl<'a> S2vEmbedding<'a> {
+    /// Embeds `sg` from scratch, bit-identically to [`S2v::embed`];
+    /// `edge_term` is [`S2v::edge_term`] for the same `store` and `sg`.
+    pub fn new(
+        s2v: &'a S2v,
+        store: &'a ParamStore,
+        sg: &'a S2vGraph,
+        edge_term: &'a Tensor,
+        tags: Vec<f32>,
+    ) -> Self {
         let _span = mcpb_trace::span("nn.forward");
         assert_eq!(tags.len(), sg.n, "one tag per node");
-        assert_eq!(
-            (edge_term.rows, edge_term.cols),
-            (sg.n, self.dim),
-            "edge term shape"
-        );
-        let tag_term = Tensor::column(tags).matmul(store.value(self.theta1));
-        let t2 = store.value(self.theta2);
-        let mut mu = Tensor::zeros(sg.n, self.dim);
-        for _ in 0..self.rounds {
-            let mut h = sg.nsum.matmul_dense(&mu).matmul(t2);
-            // The tape's `relu((tag_term + msg) + edge_term)`.
-            for ((h, &t), &e) in h.data.iter_mut().zip(&tag_term.data).zip(&edge_term.data) {
-                *h = (t + *h + e).max(0.0);
-            }
-            mu = h;
+        assert_eq!(edge_term.data.len(), sg.n * s2v.dim, "edge term shape");
+        let mu = vec![Tensor::zeros(sg.n, s2v.dim); s2v.rounds + 1];
+        let mut emb = Self {
+            s2v,
+            store,
+            sg,
+            edge_term,
+            tags,
+            mu,
+        };
+        let all: Vec<u32> = (0..sg.n as u32).collect();
+        for t in 1..=s2v.rounds {
+            emb.recompute(t, &all);
         }
-        mu
+        emb
+    }
+
+    /// The output embeddings (`n x dim`).
+    pub fn mu(&self) -> &Tensor {
+        &self.mu[self.s2v.rounds]
+    }
+
+    /// One tag per node.
+    pub fn tags(&self) -> &[f32] {
+        &self.tags
+    }
+
+    /// Sets `v`'s tag; returns the output rows it recomputed, ascending.
+    pub fn retag(&mut self, v: u32, tag: f32) -> Vec<u32> {
+        let _span = mcpb_trace::span("nn.forward");
+        self.tags[v as usize] = tag;
+        let nsum = &self.sg.nsum;
+        let mut rows = Vec::new();
+        for t in 1..=self.s2v.rounds {
+            let readers = rows.iter().flat_map(|&c: &u32| {
+                &nsum.indices[nsum.offsets[c as usize]..nsum.offsets[c as usize + 1]]
+            });
+            rows = std::iter::once(v).chain(readers.copied()).collect();
+            rows.sort_unstable();
+            rows.dedup();
+            self.recompute(t, &rows);
+        }
+        rows
+    }
+
+    /// Recomputes `rows` of round `t`: the tape's `relu((x * theta1 +
+    /// (nsum * mu) * theta2) + edge_term)`, through the same kernels.
+    fn recompute(&mut self, t: usize, rows: &[u32]) {
+        let (d, s2v, store) = (self.s2v.dim, self.s2v, self.store);
+        let x: Vec<f32> = rows.iter().map(|&r| self.tags[r as usize]).collect();
+        let tag_term = Tensor::column(&x).matmul(store.value(s2v.theta1));
+        let (done, rest) = self.mu.split_at_mut(t);
+        let nsum_mu = self.sg.nsum.matmul_dense_rows(rows, &done[t - 1]);
+        let msg = nsum_mu.matmul(store.value(s2v.theta2));
+        for (i, &r) in rows.iter().enumerate() {
+            let r = r as usize;
+            let terms = tag_term.row_slice(i).iter().zip(msg.row_slice(i));
+            let terms = terms.zip(self.edge_term.row_slice(r));
+            for (o, ((&x, &h), &e)) in rest[0].data[r * d..(r + 1) * d].iter_mut().zip(terms) {
+                *o = (x + h + e).max(0.0);
+            }
+        }
     }
 }
 

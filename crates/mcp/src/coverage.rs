@@ -121,6 +121,11 @@ impl<'g> CoverageOracle<'g> {
         gain
     }
 
+    /// Whether `v` itself is covered (as a seed or a neighbor of one).
+    pub fn is_covered(&self, v: NodeId) -> bool {
+        self.covered.contains(v as usize)
+    }
+
     /// Resets to the empty seed set.
     pub fn reset(&mut self) {
         self.covered.clear();

@@ -22,9 +22,9 @@ pub struct Transition {
     pub reward: f32,
     /// Next-state features.
     pub next_state: Vec<f32>,
-    /// Features of every action available in the next state (empty when
-    /// terminal).
-    pub next_actions: Vec<Vec<f32>>,
+    /// Features of every action available in the next state, one
+    /// `action_dim` row per action, row-major (empty when terminal).
+    pub next_actions: Vec<f32>,
     /// Whether the episode ended at the next state.
     pub done: bool,
 }
@@ -100,19 +100,22 @@ impl DqnAgent {
         &self.cfg
     }
 
-    fn batch_input(&self, state: &[f32], actions: &[Vec<f32>]) -> Tensor {
+    fn batch_input(&self, state: &[f32], actions: &[f32]) -> Tensor {
         let d = self.cfg.state_dim + self.cfg.action_dim;
-        let mut t = Tensor::zeros(actions.len(), d);
-        for (r, a) in actions.iter().enumerate() {
-            debug_assert_eq!(a.len(), self.cfg.action_dim, "action feature width");
-            let row = &mut t.data[r * d..(r + 1) * d];
+        debug_assert_eq!(actions.len() % self.cfg.action_dim, 0, "action width");
+        let mut t = Tensor::zeros(actions.len() / self.cfg.action_dim, d);
+        for (row, a) in t
+            .data
+            .chunks_exact_mut(d)
+            .zip(actions.chunks_exact(self.cfg.action_dim))
+        {
             row[..self.cfg.state_dim].copy_from_slice(state);
             row[self.cfg.state_dim..].copy_from_slice(a);
         }
         t
     }
 
-    fn q_with(&self, store: &ParamStore, state: &[f32], actions: &[Vec<f32>]) -> Vec<f32> {
+    fn q_with(&self, store: &ParamStore, state: &[f32], actions: &[f32]) -> Vec<f32> {
         if actions.is_empty() {
             return Vec::new();
         }
@@ -122,16 +125,19 @@ impl DqnAgent {
         tape.value(q).data.clone()
     }
 
-    /// Online-network Q values for every action.
-    pub fn q_values(&self, state: &[f32], actions: &[Vec<f32>]) -> Vec<f32> {
+    /// Online-network Q values for every action; `actions` holds one
+    /// `action_dim` feature row per action, row-major.
+    pub fn q_values(&self, state: &[f32], actions: &[f32]) -> Vec<f32> {
         self.q_with(&self.online, state, actions)
     }
 
-    /// Epsilon-greedy action choice; returns the chosen index.
-    pub fn select_action(&mut self, state: &[f32], actions: &[Vec<f32>], epsilon: f64) -> usize {
-        assert!(!actions.is_empty(), "no actions available");
+    /// Epsilon-greedy choice among the rows of `actions` (as in
+    /// [`DqnAgent::q_values`]); returns the chosen row index.
+    pub fn select_action(&mut self, state: &[f32], actions: &[f32], epsilon: f64) -> usize {
+        let count = actions.len() / self.cfg.action_dim;
+        assert!(count > 0, "no actions available");
         if self.rng.gen::<f64>() < epsilon {
-            return self.rng.gen_range(0..actions.len());
+            return self.rng.gen_range(0..count);
         }
         let q = self.q_values(state, actions);
         argmax(&q)
@@ -243,8 +249,8 @@ mod tests {
             f[self.pos as usize] = 1.0;
             f
         }
-        fn action_features(&self) -> Vec<Vec<f32>> {
-            vec![vec![1.0, 0.0], vec![0.0, 1.0]] // left, right
+        fn action_features(&self) -> Vec<f32> {
+            vec![1.0, 0.0, 0.0, 1.0] // left, right
         }
         fn step(&mut self, idx: usize) -> (f32, bool) {
             self.pos = (self.pos + if idx == 0 { -1 } else { 1 }).clamp(0, 4);
@@ -278,7 +284,7 @@ mod tests {
                 let next_state = env.state_features();
                 replay.push(Transition {
                     state,
-                    action: actions[idx].clone(),
+                    action: actions[idx * 2..idx * 2 + 2].to_vec(),
                     reward,
                     next_state: next_state.clone(),
                     next_actions: if done {
@@ -347,7 +353,7 @@ mod tests {
     fn q_values_shape_and_select() {
         let mut agent = agent_for_lineworld();
         let state = vec![0.0; 5];
-        let actions = vec![vec![1.0, 0.0], vec![0.0, 1.0], vec![1.0, 1.0]];
+        let actions = vec![1.0, 0.0, 0.0, 1.0, 1.0, 1.0];
         assert_eq!(agent.q_values(&state, &actions).len(), 3);
         let idx = agent.select_action(&state, &actions, 0.0);
         assert!(idx < 3);
