@@ -28,7 +28,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::collections::HashMap;
 
 /// The S2V + Q-head network shared by S2V-DQN and RL4IM. Parameter ids are
 /// valid in both the online and target stores (identical registration
@@ -93,7 +92,7 @@ impl S2vQNet {
         store: &'a ParamStore,
         sg: &'a S2vGraph,
         edge_term: &'a Tensor,
-        tags: Vec<f32>,
+        tags: &[f32],
     ) -> S2vRollout<'a> {
         let emb = S2vEmbedding::new(&self.s2v, store, sg, edge_term, tags);
         let cand7 = emb.mu().matmul(store.value(self.theta7));
@@ -198,9 +197,6 @@ pub(crate) struct S2vLearner {
     /// Replay minibatch size.
     pub(crate) batch_size: usize,
     target_sync: usize,
-    /// The target's [`S2v::edge_term`] per graph index, emptied whenever
-    /// the target parameters change (sync, [`Learner::restore`]).
-    target_edge_terms: HashMap<usize, Tensor>,
 }
 
 impl S2vLearner {
@@ -229,7 +225,6 @@ impl S2vLearner {
             rng: ChaCha8Rng::seed_from_u64(seeds[2]),
             batch_size,
             target_sync,
-            target_edge_terms: HashMap::new(),
         }
     }
 
@@ -244,9 +239,7 @@ impl S2vLearner {
             return candidates.choose(&mut self.rng).copied();
         }
         let edge_term = self.net.s2v.edge_term(&self.online, sg);
-        let rollout = self
-            .net
-            .rollout(&self.online, sg, &edge_term, tags.to_vec());
+        let rollout = self.net.rollout(&self.online, sg, &edge_term, tags);
         Some(candidates[argmax(&rollout.q_values(&candidates))])
     }
 
@@ -271,14 +264,9 @@ impl S2vLearner {
                 if candidates.is_empty() {
                     t.reward
                 } else {
-                    let (net, target) = (&self.net, &self.target);
-                    let edge_term = self
-                        .target_edge_terms
-                        .entry(t.graph_idx)
-                        .or_insert_with(|| net.s2v.edge_term(target, sg));
-                    let q = net
-                        .rollout(target, sg, edge_term, t.next_tags.clone())
-                        .q_values(&candidates);
+                    let edge_term = self.net.s2v.edge_term(&self.target, sg);
+                    let rollout = self.net.rollout(&self.target, sg, &edge_term, &t.next_tags);
+                    let q = rollout.q_values(&candidates);
                     t.reward + discount * q.iter().copied().fold(f32::NEG_INFINITY, f32::max)
                 }
             };
@@ -296,7 +284,6 @@ impl S2vLearner {
         self.optimizer.step(&mut self.online, &merged);
         if self.optimizer.t % self.target_sync as u64 == 0 {
             self.target.copy_values_from(&self.online);
-            self.target_edge_terms.clear();
         }
         (total_loss / batch.len().max(1) as f32, gnorm)
     }
@@ -311,9 +298,8 @@ impl S2vLearner {
         }
         let sg = S2vGraph::new(graph);
         let edge_term = self.net.s2v.edge_term(&self.online, &sg);
-        let mut rollout = self
-            .net
-            .rollout(&self.online, &sg, &edge_term, vec![0f32; n]);
+        let zeros = vec![0f32; n];
+        let mut rollout = self.net.rollout(&self.online, &sg, &edge_term, &zeros);
         let mut seeds = Vec::with_capacity(k.min(n));
         for step in 0..k.min(n) {
             let candidates = unselected(rollout.tags());
@@ -336,7 +322,6 @@ impl Learner for S2vLearner {
     fn restore(&mut self, snapshot: &[Tensor]) {
         self.online.load_snapshot(snapshot);
         self.target.copy_values_from(&self.online);
-        self.target_edge_terms.clear();
     }
 
     fn halve_lr(&mut self) -> f64 {
@@ -699,7 +684,7 @@ mod tests {
         let (net, store, sg) = (&learner.net, &learner.online, S2vGraph::new(g));
         let edge_term = net.s2v.edge_term(store, &sg);
         let fast = net
-            .rollout(store, &sg, &edge_term, tags.to_vec())
+            .rollout(store, &sg, &edge_term, tags)
             .q_values(candidates);
         let mut tape = Tape::new();
         let q = net.q_values(&mut tape, store, &sg, tags, candidates);
@@ -802,12 +787,12 @@ mod tests {
                         [("s2v-dqn", &|_| 1.0), ("rl4im", &rl4im)];
                     for (tagger, tag) in tags {
                         let what = format!("rounds {rounds}, {name}, k {k}, {tagger}");
-                        let mut rollout = net.rollout(store, &sg, &edge_term, vec![0.0; n]);
+                        let mut rollout = net.rollout(store, &sg, &edge_term, &vec![0.0; n]);
                         let mut picks = Vec::new();
                         for step in 0..k.min(n) {
                             let cands = unselected(rollout.tags());
                             let full = net
-                                .rollout(store, &sg, &edge_term, rollout.tags().to_vec())
+                                .rollout(store, &sg, &edge_term, rollout.tags())
                                 .q_values(&cands);
                             let q = rollout.q_values(&cands);
                             assert_eq!(bits(&q), bits(&full), "{what}, step {step}");

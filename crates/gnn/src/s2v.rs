@@ -129,7 +129,8 @@ pub struct S2vEmbedding<'a> {
     store: &'a ParamStore,
     sg: &'a S2vGraph,
     edge_term: &'a Tensor,
-    tags: Vec<f32>,
+    /// The `n x 1` node tags.
+    tags: Tensor,
     /// `mu[t]`: the embeddings after `t` rounds (`mu[0]` is the zero start).
     mu: Vec<Tensor>,
 }
@@ -142,25 +143,31 @@ impl<'a> S2vEmbedding<'a> {
         store: &'a ParamStore,
         sg: &'a S2vGraph,
         edge_term: &'a Tensor,
-        tags: Vec<f32>,
+        tags: &[f32],
     ) -> Self {
         let _span = mcpb_trace::span("nn.forward");
         assert_eq!(tags.len(), sg.n, "one tag per node");
-        assert_eq!(edge_term.data.len(), sg.n * s2v.dim, "edge term shape");
-        let mu = vec![Tensor::zeros(sg.n, s2v.dim); s2v.rounds + 1];
-        let mut emb = Self {
+        let shape = (edge_term.rows, edge_term.cols);
+        assert_eq!(shape, (sg.n, s2v.dim), "edge term shape");
+        let tags = Tensor::column(tags);
+        let tag_term = tags.matmul(store.value(s2v.theta1));
+        let mut mu = vec![Tensor::zeros(sg.n, s2v.dim)];
+        for t in 0..s2v.rounds {
+            let mut h = sg.nsum.matmul_dense(&mu[t]).matmul(store.value(s2v.theta2));
+            // The tape's `relu((tag_term + msg) + edge_term)`.
+            for ((h, &x), &e) in h.data.iter_mut().zip(&tag_term.data).zip(&edge_term.data) {
+                *h = (x + *h + e).max(0.0);
+            }
+            mu.push(h);
+        }
+        Self {
             s2v,
             store,
             sg,
             edge_term,
             tags,
             mu,
-        };
-        let all: Vec<u32> = (0..sg.n as u32).collect();
-        for t in 1..=s2v.rounds {
-            emb.recompute(t, &all);
         }
-        emb
     }
 
     /// The output embeddings (`n x dim`).
@@ -170,13 +177,13 @@ impl<'a> S2vEmbedding<'a> {
 
     /// One tag per node.
     pub fn tags(&self) -> &[f32] {
-        &self.tags
+        &self.tags.data
     }
 
     /// Sets `v`'s tag; returns the output rows it recomputed, ascending.
     pub fn retag(&mut self, v: u32, tag: f32) -> Vec<u32> {
         let _span = mcpb_trace::span("nn.forward");
-        self.tags[v as usize] = tag;
+        self.tags.data[v as usize] = tag;
         let nsum = &self.sg.nsum;
         let mut rows = Vec::new();
         for t in 1..=self.s2v.rounds {
@@ -191,11 +198,11 @@ impl<'a> S2vEmbedding<'a> {
         rows
     }
 
-    /// Recomputes `rows` of round `t`: the tape's `relu((x * theta1 +
-    /// (nsum * mu) * theta2) + edge_term)`, through the same kernels.
+    /// Recomputes `rows` of round `t` through the kernels [`Self::new`]
+    /// runs on every row.
     fn recompute(&mut self, t: usize, rows: &[u32]) {
         let (d, s2v, store) = (self.s2v.dim, self.s2v, self.store);
-        let x: Vec<f32> = rows.iter().map(|&r| self.tags[r as usize]).collect();
+        let x: Vec<f32> = rows.iter().map(|&r| self.tags.data[r as usize]).collect();
         let tag_term = Tensor::column(&x).matmul(store.value(s2v.theta1));
         let (done, rest) = self.mu.split_at_mut(t);
         let nsum_mu = self.sg.nsum.matmul_dense_rows(rows, &done[t - 1]);

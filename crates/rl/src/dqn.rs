@@ -104,11 +104,8 @@ impl DqnAgent {
         let d = self.cfg.state_dim + self.cfg.action_dim;
         debug_assert_eq!(actions.len() % self.cfg.action_dim, 0, "action width");
         let mut t = Tensor::zeros(actions.len() / self.cfg.action_dim, d);
-        for (row, a) in t
-            .data
-            .chunks_exact_mut(d)
-            .zip(actions.chunks_exact(self.cfg.action_dim))
-        {
+        let rows = t.data.chunks_exact_mut(d);
+        for (row, a) in rows.zip(actions.chunks_exact(self.cfg.action_dim)) {
             row[..self.cfg.state_dim].copy_from_slice(state);
             row[self.cfg.state_dim..].copy_from_slice(a);
         }

@@ -3,19 +3,18 @@
 working tree, on the same host and with the same settings.
 
 Usage, from the repository root:
-    python3 scripts/ab.py [--parent REV] [--pairs N] [--seeds LO-HI]
-                          [--seconds S] [workload ...]
+    python3 scripts/ab.py --parent REV [--pairs N] [--seeds LO-HI] [workload ...]
 
 Steps:
-1. Exports REV (default HEAD) with `git archive` into target/ab/<sha>/ and
+1. Exports REV with `git archive` into target/ab/<sha>/ and
    builds its e2ebench there; builds the working tree's e2ebench into
    target/ab/change-target/. Both builds run `cargo build --release
    --offline`. An export that already exists is reused.
 2. Runs N pairs (default 10) per workload (default: every workload in
    BENCHMARK.json). Pair i uses the i-th seed of LO-HI (default 101-110),
    wrapping around, and alternates which side runs first. Each run is the
-   BENCHMARK.json invocation with --seconds S (default its run_seconds)
-   and --trace 0; each side writes its --out-dir under target/ab/.
+   BENCHMARK.json invocation with --seconds set to its run_seconds and
+   --trace 0; each side writes its --out-dir under target/ab/.
 3. Prints, per end-to-end metric of BENCHMARK.json, both sides' medians and
    quartiles, the change's wins (ties count for neither side) and two
    verdicts: `gain` when the change wins at least 9 of every 10 pairs and
@@ -86,7 +85,7 @@ def quartiles(values):
 
 def main(argv):
     bench = json.load(open("BENCHMARK.json"))
-    parent, pairs, seeds, seconds = "HEAD", 10, range(101, 111), str(bench["run_seconds"])
+    parent, pairs, seeds, seconds = None, 10, range(101, 111), str(bench["run_seconds"])
     workloads = []
     it = iter(argv)
     for arg in it:
@@ -97,12 +96,12 @@ def main(argv):
         elif arg == "--seeds":
             lo, hi = next(it).split("-")
             seeds = range(int(lo), int(hi) + 1)
-        elif arg == "--seconds":
-            seconds = next(it)
         elif arg.startswith("--"):
             sys.exit(__doc__)
         else:
             workloads.append(arg)
+    if parent is None:
+        sys.exit(__doc__)
     workloads = workloads or [w["name"] for w in bench["workloads"]]
     sha, parent_root = export(parent)
     sides = {
