@@ -200,16 +200,13 @@ impl Gcomb {
 
     /// GCN scores for every node of `graph` under the current parameters.
     pub fn gcn_scores(&self, graph: &Graph) -> Vec<f32> {
-        let n = graph.num_nodes();
-        if n == 0 {
+        let _span = mcpb_trace::span("drl.gcomb.gcn_scores");
+        if graph.num_nodes() == 0 {
             return Vec::new();
         }
-        let adj = Arc::new(gcn_normalized(graph));
-        let mut tape = Tape::new();
-        let x = tape.input(Self::node_features(graph));
-        let h = self.gcn.forward(&mut tape, &self.store, adj, x);
-        let s = self.head.forward(&mut tape, &self.store, h);
-        tape.value(s).data.clone()
+        let adj = gcn_normalized(graph);
+        let h = self.gcn.eval(&self.store, &adj, Self::node_features(graph));
+        self.head.eval(&self.store, &h).data
     }
 
     /// Probabilistic greedy: like greedy but samples among the current

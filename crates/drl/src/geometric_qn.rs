@@ -29,7 +29,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::sync::Arc;
 
 /// Geometric-QN hyper-parameters, CPU-scaled.
 #[derive(Debug, Clone, Copy)]
@@ -128,11 +127,7 @@ impl GeometricQn {
                 seed: self.cfg.seed,
             },
         );
-        let adj = Arc::new(gcn_normalized(sub));
-        let mut tape = Tape::new();
-        let x = tape.input(feats);
-        let h = self.encoder.forward(&mut tape, &self.store, adj, x);
-        tape.value(h).clone()
+        self.encoder.eval(&self.store, &gcn_normalized(sub), feats)
     }
 
     /// One exploration rollout on `graph`; returns the discovered node set

@@ -140,13 +140,12 @@ impl Lense {
         if sub.num_nodes() == 0 {
             return 0.0;
         }
-        let adj = Arc::new(gcn_normalized(sub));
-        let mut tape = Tape::new();
-        let x = tape.input(Self::sub_features(sub));
-        let h = self.encoder.forward(&mut tape, &self.store, adj, x);
-        let pooled = mcpb_gnn::gcn::readout_mean(&mut tape, h);
-        let q = self.head.forward(&mut tape, &self.store, pooled);
-        tape.value(q).item()
+        let adj = gcn_normalized(sub);
+        let h = self
+            .encoder
+            .eval(&self.store, &adj, Self::sub_features(sub));
+        let pooled = mcpb_gnn::gcn::readout_mean_eval(&h);
+        self.head.eval(&self.store, &pooled).item()
     }
 
     /// Runs the final-stage heuristic on the subgraph induced by `nodes`

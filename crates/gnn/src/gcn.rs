@@ -89,6 +89,17 @@ impl GcnEncoder {
         x
     }
 
+    /// [`GcnEncoder::forward`] without a tape, through the same kernels,
+    /// for every forward that needs no gradient.
+    pub fn eval(&self, store: &ParamStore, adj: &SparseMatrix, mut x: Tensor) -> Tensor {
+        let _span = mcpb_trace::span("nn.forward");
+        for layer in &self.layers {
+            x = layer.linear.eval(store, &adj.matmul_dense(&x));
+            layer.activation.apply_in_place(&mut x);
+        }
+        x
+    }
+
     /// Embedding dimension of the final layer.
     pub fn out_dim(&self) -> usize {
         self.layers.last().expect("encoder has layers").out_dim()
@@ -100,6 +111,13 @@ pub fn readout_mean(tape: &mut Tape, h: Var) -> Var {
     let n = tape.value(h).rows.max(1);
     let s = tape.sum_rows(h);
     tape.scale(s, 1.0 / n as f32)
+}
+
+/// [`readout_mean`] without a tape, through the same kernels.
+pub fn readout_mean_eval(h: &Tensor) -> Tensor {
+    let mut s = h.sum_rows();
+    s.scale_assign(1.0 / h.rows.max(1) as f32);
+    s
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
-//! Layer abstractions over the tape: `Linear` and `Mlp`.
+//! Layer abstractions over the tape: `Linear` and `Mlp`. Their `eval`
+//! twins run the same kernels without a tape, for no-grad forwards.
 
 use crate::params::{ParamId, ParamStore};
 use crate::tape::{Tape, Var};
+use crate::tensor::Tensor;
 
 /// A dense affine layer `y = x W + b` whose parameters live in a store.
 #[derive(Debug, Clone, Copy)]
@@ -36,7 +38,17 @@ impl Linear {
         let xw = tape.matmul(x, w);
         tape.add_bias(xw, b)
     }
+
+    /// [`Linear::forward`] without a tape, on borrowed parameters.
+    pub fn eval(&self, store: &ParamStore, x: &Tensor) -> Tensor {
+        let mut y = x.matmul(store.value(self.weight));
+        y.add_row_assign(store.value(self.bias));
+        y
+    }
 }
+
+/// Negative slope of [`Activation::LeakyRelu`].
+const LEAKY_SLOPE: f32 = 0.01;
 
 /// Activation applied between MLP layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,9 +68,20 @@ impl Activation {
     pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
         match self {
             Activation::Relu => tape.relu(x),
-            Activation::LeakyRelu => tape.leaky_relu(x, 0.01),
+            Activation::LeakyRelu => tape.leaky_relu(x, LEAKY_SLOPE),
             Activation::Tanh => tape.tanh(x),
             Activation::Identity => x,
+        }
+    }
+
+    /// Applies the activation to `x` in place, through the kernels the
+    /// tape ops use.
+    pub fn apply_in_place(self, x: &mut Tensor) {
+        match self {
+            Activation::Relu => x.relu_assign(),
+            Activation::LeakyRelu => x.leaky_relu_assign(LEAKY_SLOPE),
+            Activation::Tanh => x.tanh_assign(),
+            Activation::Identity => {}
         }
     }
 }
@@ -96,6 +119,18 @@ impl Mlp {
         x
     }
 
+    /// [`Mlp::forward`] without a tape, for every forward that needs no
+    /// gradient: each layer's output replaces its input.
+    pub fn eval(&self, store: &ParamStore, mut x: Tensor) -> Tensor {
+        let _span = mcpb_trace::span("nn.forward");
+        let (last, hidden) = self.layers.split_last().expect("invariant: 1+ layers");
+        for layer in hidden {
+            x = layer.eval(store, &x);
+            self.activation.apply_in_place(&mut x);
+        }
+        last.eval(store, &x)
+    }
+
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.layers.last().expect("mlp has layers").out_dim
@@ -111,7 +146,6 @@ impl Mlp {
 mod tests {
     use super::*;
     use crate::optim::Adam;
-    use crate::tensor::Tensor;
 
     #[test]
     fn linear_shapes() {

@@ -8,7 +8,8 @@
 //! built on (see DESIGN.md's substitution table): the op set covers exactly
 //! the GCN / Struc2Vec message passing, Q-value heads, and TD-regression
 //! losses those methods need, and every op is gradient-checked against
-//! finite differences.
+//! finite differences. The tape is the gradient path only: [`Mlp::eval`]
+//! runs every no-grad forward off it, through the same kernels, bit for bit.
 //!
 //! ```
 //! use mcpb_nn::prelude::*;

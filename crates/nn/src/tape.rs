@@ -209,38 +209,34 @@ impl Tape {
         self.nodes[v.0].grad.as_ref()
     }
 
+    /// Clones `a`'s value, applies the in-place kernel `f` and records `op`.
+    fn unary(&mut self, a: Var, op: Op, f: impl FnOnce(&mut Tensor)) -> Var {
+        let mut out = self.nodes[a.0].value.clone();
+        f(&mut out);
+        self.push(out, op)
+    }
+
     /// Elementwise sum (same shape).
     pub fn add(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!((ta.rows, ta.cols), (tb.rows, tb.cols), "add shape mismatch");
-        let mut out = ta.clone();
-        out.add_assign(tb);
+        let out = zip_map(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x + y);
         self.push(out, Op::Add(a, b))
     }
 
     /// Elementwise difference (same shape).
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!((ta.rows, ta.cols), (tb.rows, tb.cols), "sub shape mismatch");
-        let data: Vec<f32> = ta.data.iter().zip(&tb.data).map(|(&x, &y)| x - y).collect();
-        let out = Tensor::from_slice(ta.rows, ta.cols, &data);
+        let out = zip_map(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x - y);
         self.push(out, Op::Sub(a, b))
     }
 
     /// Hadamard product (same shape).
     pub fn mul(&mut self, a: Var, b: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        assert_eq!((ta.rows, ta.cols), (tb.rows, tb.cols), "mul shape mismatch");
-        let data: Vec<f32> = ta.data.iter().zip(&tb.data).map(|(&x, &y)| x * y).collect();
-        let out = Tensor::from_slice(ta.rows, ta.cols, &data);
+        let out = zip_map(&self.nodes[a.0].value, &self.nodes[b.0].value, |x, y| x * y);
         self.push(out, Op::Mul(a, b))
     }
 
     /// Scalar multiple.
     pub fn scale(&mut self, a: Var, s: f32) -> Var {
-        let mut out = self.nodes[a.0].value.clone();
-        out.scale_assign(s);
-        self.push(out, Op::Scale(a, s))
+        self.unary(a, Op::Scale(a, s), |t| t.scale_assign(s))
     }
 
     /// Dense matrix product.
@@ -257,51 +253,28 @@ impl Tape {
 
     /// Rectified linear unit.
     pub fn relu(&mut self, a: Var) -> Var {
-        let t = &self.nodes[a.0].value;
-        let data: Vec<f32> = t.data.iter().map(|&v| v.max(0.0)).collect();
-        let out = Tensor::from_slice(t.rows, t.cols, &data);
-        self.push(out, Op::Relu(a))
+        self.unary(a, Op::Relu(a), Tensor::relu_assign)
     }
 
     /// Leaky ReLU with negative slope `alpha`.
     pub fn leaky_relu(&mut self, a: Var, alpha: f32) -> Var {
-        let t = &self.nodes[a.0].value;
-        let data: Vec<f32> = t
-            .data
-            .iter()
-            .map(|&v| if v > 0.0 { v } else { alpha * v })
-            .collect();
-        let out = Tensor::from_slice(t.rows, t.cols, &data);
-        self.push(out, Op::LeakyRelu(a, alpha))
+        self.unary(a, Op::LeakyRelu(a, alpha), |t| t.leaky_relu_assign(alpha))
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let t = &self.nodes[a.0].value;
-        let data: Vec<f32> = t.data.iter().map(|&v| 1.0 / (1.0 + (-v).exp())).collect();
-        let out = Tensor::from_slice(t.rows, t.cols, &data);
-        self.push(out, Op::Sigmoid(a))
+        self.unary(a, Op::Sigmoid(a), Tensor::sigmoid_assign)
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let t = &self.nodes[a.0].value;
-        let data: Vec<f32> = t.data.iter().map(|&v| v.tanh()).collect();
-        let out = Tensor::from_slice(t.rows, t.cols, &data);
-        self.push(out, Op::Tanh(a))
+        self.unary(a, Op::Tanh(a), Tensor::tanh_assign)
     }
 
     /// Broadcast-add a `1 x d` bias to every row of an `n x d` matrix.
     pub fn add_bias(&mut self, a: Var, bias: Var) -> Var {
-        let (ta, tb) = (&self.nodes[a.0].value, &self.nodes[bias.0].value);
-        assert_eq!(tb.rows, 1, "bias must be a row vector");
-        assert_eq!(ta.cols, tb.cols, "bias width mismatch");
-        let mut out = ta.clone();
-        for r in 0..out.rows {
-            for c in 0..out.cols {
-                out.data[r * out.cols + c] += tb.data[c];
-            }
-        }
+        let mut out = self.nodes[a.0].value.clone();
+        out.add_row_assign(&self.nodes[bias.0].value);
         self.push(out, Op::AddBias(a, bias))
     }
 
@@ -331,13 +304,7 @@ impl Tape {
 
     /// Column-wise sum: `n x d` -> `1 x d`.
     pub fn sum_rows(&mut self, a: Var) -> Var {
-        let t = &self.nodes[a.0].value;
-        let mut out = Tensor::zeros(1, t.cols);
-        for r in 0..t.rows {
-            for c in 0..t.cols {
-                out.data[c] += t.data[r * t.cols + c];
-            }
-        }
+        let out = self.nodes[a.0].value.sum_rows();
         self.push(out, Op::SumRows(a))
     }
 
@@ -445,8 +412,8 @@ impl Tape {
                     self.accumulate(b, &neg);
                 }
                 Op::Mul(a, b) => {
-                    let da = hadamard(&g, &self.nodes[b.0].value);
-                    let db = hadamard(&g, &self.nodes[a.0].value);
+                    let da = zip_map(&g, &self.nodes[b.0].value, |x, y| x * y);
+                    let db = zip_map(&g, &self.nodes[a.0].value, |x, y| x * y);
                     self.accumulate(a, &da);
                     self.accumulate(b, &db);
                 }
@@ -467,46 +434,20 @@ impl Tape {
                 }
                 Op::Relu(a) => {
                     let mask = &self.nodes[a.0].value;
-                    let data: Vec<f32> = g
-                        .data
-                        .iter()
-                        .zip(&mask.data)
-                        .map(|(&gv, &xv)| if xv > 0.0 { gv } else { 0.0 })
-                        .collect();
-                    let da = Tensor::from_slice(g.rows, g.cols, &data);
+                    let da = zip_map(&g, mask, |gv, xv| if xv > 0.0 { gv } else { 0.0 });
                     self.accumulate(a, &da);
                 }
                 Op::LeakyRelu(a, alpha) => {
                     let mask = &self.nodes[a.0].value;
-                    let data: Vec<f32> = g
-                        .data
-                        .iter()
-                        .zip(&mask.data)
-                        .map(|(&gv, &xv)| if xv > 0.0 { gv } else { alpha * gv })
-                        .collect();
-                    let da = Tensor::from_slice(g.rows, g.cols, &data);
+                    let da = zip_map(&g, mask, |gv, xv| if xv > 0.0 { gv } else { alpha * gv });
                     self.accumulate(a, &da);
                 }
                 Op::Sigmoid(a) => {
-                    let y = &self.nodes[i].value;
-                    let data: Vec<f32> = g
-                        .data
-                        .iter()
-                        .zip(&y.data)
-                        .map(|(&gv, &yv)| gv * yv * (1.0 - yv))
-                        .collect();
-                    let da = Tensor::from_slice(g.rows, g.cols, &data);
+                    let da = zip_map(&g, &self.nodes[i].value, |gv, yv| gv * yv * (1.0 - yv));
                     self.accumulate(a, &da);
                 }
                 Op::Tanh(a) => {
-                    let y = &self.nodes[i].value;
-                    let data: Vec<f32> = g
-                        .data
-                        .iter()
-                        .zip(&y.data)
-                        .map(|(&gv, &yv)| gv * (1.0 - yv * yv))
-                        .collect();
-                    let da = Tensor::from_slice(g.rows, g.cols, &data);
+                    let da = zip_map(&g, &self.nodes[i].value, |gv, yv| gv * (1.0 - yv * yv));
                     self.accumulate(a, &da);
                 }
                 Op::AddBias(a, bias) => {
@@ -572,34 +513,22 @@ impl Tape {
                     let pred = &self.nodes[a.0].value;
                     let n = pred.len().max(1) as f32;
                     let scale = 2.0 * g.item() / n;
-                    let data: Vec<f32> = pred
-                        .data
-                        .iter()
-                        .zip(&target.data)
-                        .map(|(&p, &y)| scale * (p - y))
-                        .collect();
-                    let da = Tensor::from_slice(pred.rows, pred.cols, &data);
+                    let da = zip_map(pred, &target, |p, y| scale * (p - y));
                     self.accumulate(a, &da);
                 }
                 Op::Huber(a, target, delta) => {
                     let pred = &self.nodes[a.0].value;
                     let n = pred.len().max(1) as f32;
                     let scale = g.item() / n;
-                    let data: Vec<f32> = pred
-                        .data
-                        .iter()
-                        .zip(&target.data)
-                        .map(|(&p, &y)| {
-                            let e = p - y;
-                            scale
-                                * if e.abs() <= delta {
-                                    e
-                                } else {
-                                    delta * e.signum()
-                                }
-                        })
-                        .collect();
-                    let da = Tensor::from_slice(pred.rows, pred.cols, &data);
+                    let da = zip_map(pred, &target, |p, y| {
+                        let e = p - y;
+                        scale
+                            * if e.abs() <= delta {
+                                e
+                            } else {
+                                delta * e.signum()
+                            }
+                    });
                     self.accumulate(a, &da);
                 }
             }
@@ -626,9 +555,20 @@ impl Tape {
     }
 }
 
-fn hadamard(a: &Tensor, b: &Tensor) -> Tensor {
-    let data: Vec<f32> = a.data.iter().zip(&b.data).map(|(&x, &y)| x * y).collect();
-    Tensor::from_slice(a.rows, a.cols, &data)
+/// `f` over the elements of two same-shape tensors, written straight into
+/// the output's one buffer.
+fn zip_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    assert_eq!(
+        (a.rows, a.cols),
+        (b.rows, b.cols),
+        "elementwise shape mismatch"
+    );
+    let data = a.data.iter().zip(&b.data).map(|(&x, &y)| f(x, y)).collect();
+    Tensor {
+        rows: a.rows,
+        cols: a.cols,
+        data,
+    }
 }
 
 #[cfg(test)]

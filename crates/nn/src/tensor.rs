@@ -260,6 +260,51 @@ impl Tensor {
         }
     }
 
+    // The in-place kernels below are the only copy of their math: the
+    // tape's ops and the gradient-free `eval` paths both call them.
+
+    /// In-place broadcast add of the `1 x cols` row `bias` to every row.
+    pub fn add_row_assign(&mut self, bias: &Tensor) {
+        assert_eq!(bias.rows, 1, "bias must be a row vector");
+        assert_eq!(self.cols, bias.cols, "bias width mismatch");
+        for row in self.data.chunks_exact_mut(self.cols.max(1)) {
+            row.iter_mut().zip(&bias.data).for_each(|(v, &b)| *v += b);
+        }
+    }
+
+    /// In-place rectified linear unit.
+    pub fn relu_assign(&mut self) {
+        self.data.iter_mut().for_each(|v| *v = v.max(0.0));
+    }
+
+    /// In-place leaky ReLU with negative slope `alpha`.
+    pub fn leaky_relu_assign(&mut self, alpha: f32) {
+        self.data
+            .iter_mut()
+            .for_each(|v| *v = if *v > 0.0 { *v } else { alpha * *v });
+    }
+
+    /// In-place logistic sigmoid.
+    pub fn sigmoid_assign(&mut self) {
+        self.data
+            .iter_mut()
+            .for_each(|v| *v = 1.0 / (1.0 + (-*v).exp()));
+    }
+
+    /// In-place hyperbolic tangent.
+    pub fn tanh_assign(&mut self) {
+        self.data.iter_mut().for_each(|v| *v = v.tanh());
+    }
+
+    /// Column-wise sum: `n x d` -> `1 x d`, rows added in order.
+    pub fn sum_rows(&self) -> Tensor {
+        let mut out = Tensor::zeros(1, self.cols);
+        for row in self.data.chunks_exact(self.cols.max(1)) {
+            out.data.iter_mut().zip(row).for_each(|(o, &v)| *o += v);
+        }
+        out
+    }
+
     /// Frobenius norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|&v| v * v).sum::<f32>().sqrt()

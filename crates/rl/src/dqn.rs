@@ -112,14 +112,9 @@ impl DqnAgent {
         t
     }
 
+    /// Q values off the tape; only `train_batch`'s online forward needs one.
     fn q_with(&self, store: &ParamStore, state: &[f32], actions: &[f32]) -> Vec<f32> {
-        if actions.is_empty() {
-            return Vec::new();
-        }
-        let mut tape = Tape::new();
-        let x = tape.input(self.batch_input(state, actions));
-        let q = self.net.forward(&mut tape, store, x);
-        tape.value(q).data.clone()
+        self.net.eval(store, self.batch_input(state, actions)).data
     }
 
     /// Online-network Q values for every action; `actions` holds one
@@ -358,6 +353,24 @@ mod tests {
         for _ in 0..10 {
             assert!(agent.select_action(&state, &actions, 1.0) < 3);
         }
+    }
+
+    #[test]
+    fn q_values_match_the_tape_bit_for_bit() {
+        let agent = agent_for_lineworld();
+        let state = vec![0.5, -1.0, 0.0, 2.0, -0.25];
+        assert!(agent.q_values(&state, &[]).is_empty());
+        let actions: Vec<f32> = (0..14).map(|i| (i as f32 - 6.5) * 0.4).collect();
+        let mut tape = Tape::new();
+        let x = tape.input(agent.batch_input(&state, &actions));
+        let q = agent.net.forward(&mut tape, &agent.online, x);
+        let eager: Vec<u32> = agent
+            .q_values(&state, &actions)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        let taped: Vec<u32> = tape.value(q).data.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(eager, taped);
     }
 
     #[test]

@@ -10,10 +10,13 @@
 //! the global allocator for its bookkeeping to run) from several allocator
 //! threads while a dedicated thread hammers `reset_peak`, then checks the
 //! invariant `peak_bytes() >= live_bytes()` holds once the dust settles.
+//! A barrier holds the workers until the resetter has reset once, so the
+//! resetter runs however the threads are scheduled.
 
 use mcpb_trace::alloc::{live_bytes, peak_bytes, reset_peak, TrackingAllocator};
 use std::alloc::{GlobalAlloc, Layout};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 const THREADS: usize = 8;
 const ROUNDS: usize = 400;
@@ -22,12 +25,14 @@ const BLOCK: usize = 4096;
 #[test]
 fn reset_peak_never_leaves_peak_below_live() {
     let stop = AtomicBool::new(false);
+    let first_reset = Barrier::new(THREADS + 1);
     let layout = Layout::from_size_align(BLOCK, 8).expect("valid layout");
 
     std::thread::scope(|scope| {
         let mut workers = Vec::with_capacity(THREADS);
         for _ in 0..THREADS {
             workers.push(scope.spawn(|| {
+                first_reset.wait();
                 let mut held: Vec<*mut u8> = Vec::with_capacity(ROUNDS);
                 for round in 0..ROUNDS {
                     // SAFETY: alloc/dealloc are paired with the same layout.
@@ -66,6 +71,9 @@ fn reset_peak_never_leaves_peak_below_live() {
                     peak + THREADS * BLOCK >= live,
                     "reset left peak below live: peak={peak} live={live} (reset #{resets})"
                 );
+                if resets == 1 {
+                    first_reset.wait();
+                }
                 std::hint::spin_loop();
             }
             resets

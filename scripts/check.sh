@@ -29,6 +29,11 @@ MCPB_THREADS=1 cargo test -q --workspace
 echo "==> cargo test (workspace, MCPB_THREADS=4)"
 MCPB_THREADS=4 cargo test -q --workspace
 
+echo "==> eval == tape, bit for bit, in the optimized build the benchmark runs"
+cargo test -q --release -p mcpb-nn --test eval_equivalence
+cargo test -q --release -p mcpb-gnn --test eval_equivalence
+cargo test -q --release -p mcpb-rl --lib q_values_match_the_tape
+
 echo "==> benchmark package self-tests (outside the workspace, so --workspace never builds it)"
 # --locked: a dependency change must fail here, not silently rewrite the
 # benchmark package's committed Cargo.lock.
