@@ -30,11 +30,14 @@
 //! | MCPB013 | alloc-in-hot-loop      | per-item allocation dominates kernel profiles|
 //! | MCPB014 | box-dyn-in-loop        | per-item boxing allocates and blocks inlining|
 //! | MCPB015 | dynamic-metric-name-in-hot-loop | computed metric names format per item |
+//! | MCPB016 | unbounded-queue-or-undeadlined-io | one slow client must not stall the server |
+//! | MCPB017 | unreferenced-pub-item  | a `pub` item no code names is dead weight    |
 //!
 //! See DESIGN.md § "Static analysis" for the full rule table with examples
 //! and allowlist syntax. False positives are waived inline with
 //! `// audit:allow(MCPBnnn)` (MCPB012 has its own
-//! `// audit: relaxed-ok(reason)` marker); existing debt is grandfathered
+//! `// audit: relaxed-ok(reason)` marker, and an MCPB017 waiver must give a
+//! reason after the parenthesis); existing debt is grandfathered
 //! per (rule, file) in `audit.baseline.json` (schema v2: counts + spans),
 //! so the gate only fails when a cell *grows*.
 
@@ -48,6 +51,7 @@ pub mod rules;
 pub mod selfcheck;
 pub mod source;
 pub mod syntax;
+pub mod unreferenced;
 pub mod walk;
 
 use std::fmt::Write as _;
@@ -70,15 +74,24 @@ pub struct AuditReport {
     pub findings: Vec<Finding>,
 }
 
-/// Scans every first-party source file under `root`.
+/// Scans every first-party source file under `root`, then runs the
+/// workspace-level MCPB017 pass over them and the consumer-only files.
 pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
     let files = walk::workspace_sources(root)?;
+    let mut sources = Vec::new();
     let mut findings = Vec::new();
     for rel in &files {
         let key = walk::path_key(rel);
         let file = SourceFile::load(&root.join(rel), &key)?;
         findings.extend(rules::scan_file(&file));
+        sources.push(file);
     }
+    for rel in walk::consumer_sources(root)? {
+        sources.push(SourceFile::load(&root.join(&rel), &walk::path_key(&rel))?);
+    }
+    findings.extend(unreferenced::scan_workspace(&sources));
+    findings
+        .sort_by(|a, b| (&a.file, a.line, a.col, a.rule).cmp(&(&b.file, b.line, b.col, b.rule)));
     Ok(AuditReport {
         root: root.to_path_buf(),
         files_scanned: files.len(),
@@ -87,6 +100,7 @@ pub fn audit_workspace(root: &Path) -> io::Result<AuditReport> {
 }
 
 /// Runs the full gate: scan + baseline comparison.
+// audit:allow(MCPB017) tests/lint_gate.rs runs the gate under `cargo test`
 pub fn run_gate(root: &Path) -> io::Result<(AuditReport, GateResult)> {
     let report = audit_workspace(root)?;
     let baseline = Baseline::load(&root.join(BASELINE_FILE))?;

@@ -1,6 +1,6 @@
-//! The lint rules (MCPB001–MCPB016).
+//! The lint rules (MCPB001–MCPB017).
 //!
-//! Rules come in two flavors, both dependency-free (no `syn`, no type
+//! Rules come in three flavors, all dependency-free (no `syn`, no type
 //! resolution):
 //!
 //! - *line rules* (MCPB001–MCPB008) scan the sanitized line view, where
@@ -8,7 +8,9 @@
 //! - *token rules* (MCPB009–MCPB016) walk the lossless token stream from
 //!   [`crate::lexer`] with the [`crate::syntax::ScopeMap`] annotations, so
 //!   they can require a pattern to sit inside a loop body or match exact
-//!   token sequences like `Ordering :: Relaxed`.
+//!   token sequences like `Ordering :: Relaxed`;
+//! - one *workspace rule* (MCPB017, [`crate::unreferenced`]) that needs
+//!   every file at once, because an item is dead only if no file names it.
 //!
 //! Each rule carries an id, a severity, and a fix hint that is printed
 //! verbatim when the gate fails (and by `--fix-hints`), so a violation
@@ -181,6 +183,12 @@ pub const RULES: &[Rule] = &[
         name: "unbounded-queue-or-undeadlined-io",
         severity: Severity::Warn,
         fix_hint: "the serving path must stay bounded under load: replace mpsc::channel with mpsc::sync_channel (admission control needs backpressure), and give every blocking read a timeout (recv_timeout, set_read_timeout) — or annotate a read whose deadline is set elsewhere with `// audit: deadline-ok(reason)`",
+    },
+    Rule {
+        id: "MCPB017",
+        name: "unreferenced-pub-item",
+        severity: Severity::Info,
+        fix_hint: "no non-test code in the workspace, examples/ or e2ebench/src names this pub item; delete it with the tests that only exercise it, or, when a root tests/ file still needs it, waive it with `// audit:allow(MCPB017) <reason>`",
     },
 ];
 
@@ -642,16 +650,7 @@ fn check_solver_panic_surface(
 /// Dispatches the token-stream rules (MCPB010–MCPB016). MCPB009 shares the
 /// declaration-tracking line scan with MCPB005 above.
 fn check_token_rules(file: &SourceFile, findings: &mut Vec<Finding>) {
-    // Indices of non-trivia tokens, so rules can match adjacent-token
-    // sequences without tripping over whitespace and comments.
-    let code: Vec<usize> = (0..file.tokens.len())
-        .filter(|&i| {
-            !matches!(
-                file.tokens[i].kind,
-                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-            )
-        })
-        .collect();
+    let code = file.code_indices();
     let txt = |k: usize| -> &str {
         code.get(k)
             .map(|&i| file.tokens[i].text(&file.text))
@@ -1196,7 +1195,7 @@ mod tests {
 
     #[test]
     fn rule_table_is_consistent() {
-        assert_eq!(RULES.len(), 16);
+        assert_eq!(RULES.len(), 17);
         for r in RULES {
             assert!(r.id.starts_with("MCPB"));
             assert!(!r.fix_hint.is_empty());

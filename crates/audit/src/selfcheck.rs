@@ -7,7 +7,8 @@
 //! need to believe the file lives in a solver/hot-kernel crate) and
 //! asserts the findings match the tags *exactly* — no misses, no spurious
 //! hits — and that every rule in [`RULES`] has at least one positive
-//! case.
+//! case. A fixture flagged `workspace` also runs the workspace-level
+//! MCPB017 pass, with itself as the whole workspace.
 //!
 //! `tests/fixtures_scan.rs` runs the same check under `cargo test`; the
 //! CLI flag exists so a deployed binary can prove its rule packs are alive
@@ -19,6 +20,7 @@ use std::path::Path;
 
 use crate::rules::{scan_file, RULES};
 use crate::source::SourceFile;
+use crate::unreferenced;
 
 /// Whether a fixture declares findings or must be clean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,48 +41,64 @@ pub struct FixtureSpec {
     pub scan_path: &'static str,
     /// Positive (tagged) or negative (clean).
     pub kind: FixtureKind,
+    /// Also run the workspace-level MCPB017 pass over the fixture alone.
+    pub workspace: bool,
 }
 
 /// The golden fixture set. Paths are chosen so each pack's scope applies:
 /// `solver_positive` under a solver crate (MCPB008), `det_positive` under
 /// a determinism-critical crate (MCPB009/010), `hot_loop_positive` under a
 /// hot-kernel path (MCPB013), `serve_positive` under the serving crate
-/// (MCPB016).
+/// (MCPB016), `unreferenced_positive` under a crate's `src/`, where MCPB017
+/// looks for declarations.
 pub const FIXTURES: &[FixtureSpec] = &[
     FixtureSpec {
         name: "positive.rs",
         scan_path: "crates/fixture/src/lib.rs",
         kind: FixtureKind::Positive,
+        workspace: false,
     },
     FixtureSpec {
         name: "solver_positive.rs",
         scan_path: "crates/drl/src/fixture.rs",
         kind: FixtureKind::Positive,
+        workspace: false,
     },
     FixtureSpec {
         name: "det_positive.rs",
         scan_path: "crates/im/src/fixture.rs",
         kind: FixtureKind::Positive,
+        workspace: false,
     },
     FixtureSpec {
         name: "hot_loop_positive.rs",
         scan_path: "crates/nn/src/fixture.rs",
         kind: FixtureKind::Positive,
+        workspace: false,
     },
     FixtureSpec {
         name: "concurrency_positive.rs",
         scan_path: "crates/fixture/src/lib.rs",
         kind: FixtureKind::Positive,
+        workspace: false,
     },
     FixtureSpec {
         name: "serve_positive.rs",
         scan_path: "crates/serve/src/fixture.rs",
         kind: FixtureKind::Positive,
+        workspace: false,
     },
     FixtureSpec {
         name: "negative.rs",
         scan_path: "crates/fixture/src/lib.rs",
         kind: FixtureKind::Negative,
+        workspace: false,
+    },
+    FixtureSpec {
+        name: "unreferenced_positive.rs",
+        scan_path: "crates/fixture/src/lib.rs",
+        kind: FixtureKind::Positive,
+        workspace: true,
     },
 ];
 
@@ -109,7 +127,11 @@ pub fn expected_findings(src: &str) -> BTreeSet<(usize, String)> {
 /// mismatch.
 pub fn check_fixture(spec: &FixtureSpec, src: &str) -> Result<usize, String> {
     let file = SourceFile::parse(spec.scan_path, src);
-    let actual: BTreeSet<(usize, String)> = scan_file(&file)
+    let mut findings = scan_file(&file);
+    if spec.workspace {
+        findings.extend(unreferenced::scan_workspace(std::slice::from_ref(&file)));
+    }
+    let actual: BTreeSet<(usize, String)> = findings
         .into_iter()
         .map(|f| (f.line, f.rule.to_string()))
         .collect();
@@ -221,6 +243,7 @@ mod tests {
             name: "inline",
             scan_path: "crates/fixture/src/lib.rs",
             kind: FixtureKind::Positive,
+            workspace: false,
         };
         // Tagged line that does not fire → missed.
         let err = check_fixture(&spec, "let a = 1; // FIRE:MCPB001\n").unwrap_err();
@@ -243,6 +266,7 @@ mod tests {
             name: "inline-neg",
             scan_path: "crates/fixture/src/lib.rs",
             kind: FixtureKind::Negative,
+            workspace: false,
         };
         assert!(check_fixture(&spec, "let a = 1;\n").is_ok());
         assert!(check_fixture(&spec, "let a = x.unwrap();\n").is_err());

@@ -127,6 +127,19 @@ impl SourceFile {
                 .is_some_and(|rules| rules.iter().any(|r| r == rule))
     }
 
+    /// Indices of the non-trivia tokens (no whitespace, no comments), so
+    /// rules can match adjacent-token sequences.
+    pub fn code_indices(&self) -> Vec<usize> {
+        (0..self.tokens.len())
+            .filter(|&i| {
+                !matches!(
+                    self.tokens[i].kind,
+                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
+                )
+            })
+            .collect()
+    }
+
     /// True when 0-based `line` carries a `audit: relaxed-ok(reason)` waiver.
     pub fn has_relaxed_waiver(&self, line: usize) -> bool {
         self.relaxed_ok.get(line).copied().unwrap_or(false)

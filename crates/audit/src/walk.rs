@@ -4,6 +4,8 @@
 //! the workspace root. `target/` output, rule fixtures, and the `shims/`
 //! tree (vendored stand-ins for external crates, not first-party code) are
 //! excluded. Results are sorted so every run visits files in the same order.
+//! `examples/` and `e2ebench/src` are listed separately: they are read only
+//! as consumers of the workspace's `pub` items (MCPB017), never linted.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -14,11 +16,24 @@ const SKIP_DIRS: &[&str] = &["target", "fixtures", ".git", "shims", "node_module
 /// Source roots scanned, relative to the workspace root.
 const SCAN_ROOTS: &[&str] = &["crates", "src", "tests"];
 
+/// Roots read only for their references to workspace items.
+const CONSUMER_ROOTS: &[&str] = &["examples", "e2ebench/src"];
+
 /// Returns every first-party `.rs` file under `root`, workspace-relative,
 /// sorted.
 pub fn workspace_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
+    sources_under(root, SCAN_ROOTS)
+}
+
+/// Returns the `.rs` files under `examples/` and `e2ebench/src`,
+/// workspace-relative, sorted.
+pub fn consumer_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
+    sources_under(root, CONSUMER_ROOTS)
+}
+
+fn sources_under(root: &Path, roots: &[&str]) -> io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
-    for scan_root in SCAN_ROOTS {
+    for scan_root in roots {
         let dir = root.join(scan_root);
         if dir.is_dir() {
             collect(&dir, &mut files)?;

@@ -120,3 +120,19 @@ fn test_path_exempts_the_whole_positive_fixture() {
         }
     }
 }
+
+#[test]
+fn unreferenced_fixture_declares_nothing_outside_a_crate_src() {
+    // MCPB017 looks for declarations only under `crates/*/src`: the same
+    // file as a test, a bench or the root package declares nothing.
+    let src = fixture("unreferenced_positive.rs");
+    for path in [
+        "crates/fixture/tests/helpers.rs",
+        "crates/fixture/benches/b.rs",
+        "src/lib.rs",
+    ] {
+        let file = SourceFile::parse(path, &src);
+        let findings = mcpb_audit::unreferenced::scan_workspace(std::slice::from_ref(&file));
+        assert!(findings.is_empty(), "{path}: {findings:?}");
+    }
+}

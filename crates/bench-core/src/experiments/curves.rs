@@ -194,7 +194,6 @@ fn render(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::by_method;
 
     #[test]
     fn fig4_shape_lazy_greedy_dominates() {
@@ -230,7 +229,10 @@ mod tests {
     #[test]
     fn fig4_coverage_monotone_in_budget() {
         let records = fig4_mcp_curves(&ExpConfig::quick());
-        let lg = by_method(&records, "LazyGreedy");
+        let lg: Vec<_> = records
+            .iter()
+            .filter(|r| r.method == "LazyGreedy")
+            .collect();
         for a in &lg {
             for b in &lg {
                 if a.dataset == b.dataset && a.budget < b.budget {

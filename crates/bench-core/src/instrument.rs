@@ -1,6 +1,5 @@
 //! Wall-clock + memory instrumentation around solver runs.
 
-use mcpb_resilience::{run_cell, CellOutcome, CellPolicy};
 use mcpb_trace::alloc::{measure_peak, tracking_installed};
 use mcpb_trace::Stopwatch;
 use serde::{Deserialize, Serialize};
@@ -28,19 +27,6 @@ pub fn run_measured<R>(f: impl FnOnce() -> R) -> (R, Measurement) {
             peak_bytes: tracking_installed().then_some(peak),
         },
     )
-}
-
-/// Runs `f` as a fault-isolated, instrumented cell: the closure executes
-/// under [`run_cell`] (catch_unwind + retry + soft deadline) at the given
-/// fault-injection `site`, and each successful attempt carries its own
-/// [`Measurement`]. A panicking or overrunning cell becomes a typed
-/// [`CellOutcome::Failed`] instead of aborting the sweep.
-pub fn run_measured_guarded<R>(
-    policy: &CellPolicy,
-    site: &str,
-    mut f: impl FnMut() -> R,
-) -> CellOutcome<(R, Measurement)> {
-    run_cell(policy, site, || run_measured(&mut f))
 }
 
 /// Mean of a sample.
@@ -103,27 +89,6 @@ mod tests {
             json2.contains("1024"),
             "Some must encode the value: {json2}"
         );
-    }
-
-    #[test]
-    fn guarded_run_isolates_panics_and_measures_successes() {
-        let ok = run_measured_guarded(&CellPolicy::default(), "instrument.t1", || 7);
-        match ok {
-            CellOutcome::Completed {
-                value: (v, m),
-                attempts: 1,
-                ..
-            } => {
-                assert_eq!(v, 7);
-                assert!(m.seconds >= 0.0);
-            }
-            other => panic!("expected completion, got {other:?}"),
-        }
-        let bad: CellOutcome<(u32, Measurement)> =
-            run_measured_guarded(&CellPolicy::default(), "instrument.t2", || {
-                panic!("cell blew up")
-            });
-        assert!(bad.is_failed());
     }
 
     #[test]

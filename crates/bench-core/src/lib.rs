@@ -27,7 +27,7 @@ pub mod sweep;
 
 pub use agreement::{jaccard, pairwise_agreements, summarize, Agreement, SolverAnswer};
 pub use experiments::ExpConfig;
-pub use instrument::{run_measured, run_measured_guarded, Measurement};
+pub use instrument::{run_measured, Measurement};
 pub use rating::{format_rating_table, rating_scale, Observation, RatingRow};
 pub use registry::{
     prepare_im, prepare_mcp, ImMethodKind, McpMethodKind, PreparedImSolver, PreparedMcpSolver,

@@ -160,18 +160,6 @@ impl ImMethodKind {
             ImMethodKind::Lense,
         ]
     }
-
-    /// The extended lineup: the paper's set plus the RIS family additions
-    /// this repo implements (TIM+, CELF++, simulated annealing).
-    pub fn extended_set() -> Vec<ImMethodKind> {
-        let mut set = Self::benchmark_set();
-        set.extend([
-            ImMethodKind::TimPlus,
-            ImMethodKind::CelfPlusPlus,
-            ImMethodKind::SimulatedAnnealing,
-        ]);
-        set
-    }
 }
 
 /// Counts trainings that hit their divergence-recovery budget on the trace
@@ -484,7 +472,6 @@ mod tests {
         assert_eq!(ImMethodKind::GeometricQn.name(), "Geometric-QN");
         assert_eq!(McpMethodKind::benchmark_set().len(), 5);
         assert_eq!(ImMethodKind::benchmark_set().len(), 7);
-        assert_eq!(ImMethodKind::extended_set().len(), 10);
     }
 
     #[test]

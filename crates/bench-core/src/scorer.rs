@@ -51,11 +51,6 @@ impl ImScorer {
             self.spread(seeds) / self.n as f64
         }
     }
-
-    /// Number of RR sets backing the estimate.
-    pub fn num_rr_sets(&self) -> usize {
-        self.rr.len()
-    }
 }
 
 #[cfg(test)]
@@ -87,7 +82,6 @@ mod tests {
         let rel = (ris - mc).abs() / mc.max(1.0);
         assert!(rel < 0.08, "ris {ris} vs mc {mc}");
         assert!((scorer.normalized(&seeds) - ris / 100.0).abs() < 1e-12);
-        assert_eq!(scorer.num_rr_sets(), 20_000);
     }
 
     #[test]

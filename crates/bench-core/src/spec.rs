@@ -102,6 +102,7 @@ pub struct BenchmarkReport {
 
 impl BenchmarkReport {
     /// Serializes the raw records as JSON.
+    // audit:allow(MCPB017) tests/end_to_end.rs parses the records JSON
     pub fn records_json(&self) -> String {
         serde_json::to_string_pretty(&self.records).expect("invariant: in-memory records serialize")
     }

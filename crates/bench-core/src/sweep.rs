@@ -643,11 +643,6 @@ pub fn run_im_sweep_resilient(
     })
 }
 
-/// Filters records by method.
-pub fn by_method<'a>(records: &'a [SweepRecord], method: &str) -> Vec<&'a SweepRecord> {
-    records.iter().filter(|r| r.method == method).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -672,15 +667,14 @@ mod tests {
             assert!(r.weight_model.is_none());
         }
         // Lazy greedy never loses to top-degree.
-        let lg: f64 = by_method(&records, "LazyGreedy")
-            .iter()
-            .map(|r| r.quality)
-            .sum();
-        let td: f64 = by_method(&records, "TopDegree")
-            .iter()
-            .map(|r| r.quality)
-            .sum();
-        assert!(lg >= td);
+        let total = |method: &str| -> f64 {
+            records
+                .iter()
+                .filter(|r| r.method == method)
+                .map(|r| r.quality)
+                .sum()
+        };
+        assert!(total("LazyGreedy") >= total("TopDegree"));
     }
 
     #[test]

@@ -165,20 +165,6 @@ impl<'g> RewardOracle<'g> {
             }
         }
     }
-
-    /// Denormalized objective (covered nodes / estimated spread).
-    pub fn total_absolute(&self) -> f64 {
-        match self {
-            RewardOracle::Coverage(o, _) => o.covered_count() as f64,
-            RewardOracle::Influence { rr, hits, n, .. } => {
-                if rr.is_empty() {
-                    0.0
-                } else {
-                    *n as f64 * *hits as f64 / rr.len() as f64
-                }
-            }
-        }
-    }
 }
 
 /// Normalized objective of `seeds` on `graph`, scored by a fresh
@@ -418,18 +404,6 @@ impl TrainReport {
             .iter()
             .map(|c| c.validation_score)
             .fold(0.0, f64::max)
-    }
-
-    /// Epoch of the best checkpoint (0 when empty).
-    pub fn best_epoch(&self) -> usize {
-        self.checkpoints
-            .iter()
-            .max_by(|a, b| {
-                a.validation_score
-                    .partial_cmp(&b.validation_score)
-                    .expect("scores are finite")
-            })
-            .map_or(0, |c| c.epoch)
     }
 }
 
@@ -676,7 +650,6 @@ mod tests {
         let gain = o.add_seed(0);
         assert!((gain - 0.75).abs() < 1e-12);
         assert!((o.total() - 0.75).abs() < 1e-12);
-        assert_eq!(o.total_absolute(), 3.0);
         assert_eq!(o.seeds(), &[0]);
     }
 
@@ -694,7 +667,6 @@ mod tests {
         // Second add of the same node gains nothing.
         assert_eq!(o.add_seed(0), 0.0);
         assert!(o.total() > 0.0);
-        assert!(o.total_absolute() > 0.0);
     }
 
     #[test]
@@ -791,7 +763,6 @@ mod tests {
             train_seconds: 1.0,
             ..TrainReport::default()
         };
-        assert_eq!(r.best_epoch(), 5);
         assert!((r.best_score() - 0.4).abs() < 1e-12);
     }
 

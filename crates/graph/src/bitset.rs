@@ -66,25 +66,6 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
-    /// Unions `other` into `self`. Panics if capacities differ.
-    pub fn union_with(&mut self, other: &BitSet) {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
-    /// Counts bits set in `other` but not in `self` (i.e. the marginal gain
-    /// of unioning `other` into `self`).
-    pub fn count_fresh(&self, other: &BitSet) -> usize {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (!a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Read-only view of the backing `u64` words (bit `i` lives in word
     /// `i / 64` at position `i % 64`). Lets callers run word-level kernels
     /// (popcount deltas, masked unions) without going through per-bit calls.
@@ -133,21 +114,6 @@ mod tests {
         b.remove(3);
         assert!(!b.contains(3));
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn union_and_fresh_count() {
-        let mut a = BitSet::new(200);
-        let mut b = BitSet::new(200);
-        a.insert(1);
-        a.insert(100);
-        b.insert(100);
-        b.insert(150);
-        b.insert(199);
-        assert_eq!(a.count_fresh(&b), 2);
-        a.union_with(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.count_fresh(&b), 0);
     }
 
     #[test]

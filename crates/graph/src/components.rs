@@ -1,7 +1,5 @@
-//! Connected components and k-core decomposition over the undirected view —
-//! standard structural tools used to sanity-check the catalog stand-ins
-//! (giant-component size, core structure) and by downstream seed-selection
-//! heuristics.
+//! Connected components over the undirected view, used to sanity-check the
+//! catalog stand-ins' giant-component size.
 
 use crate::csr::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -26,22 +24,14 @@ impl Components {
     }
 
     /// Size of the largest (giant) component; 0 for an empty graph.
+    // audit:allow(MCPB017) crates/graph/tests/catalog_integrity.rs checks every stand-in's giant component
     pub fn giant_size(&self) -> usize {
         self.sizes().into_iter().max().unwrap_or(0)
-    }
-
-    /// The members of component `id`.
-    pub fn members(&self, id: u32) -> Vec<NodeId> {
-        self.label
-            .iter()
-            .enumerate()
-            .filter(|&(_, &l)| l == id)
-            .map(|(v, _)| v as NodeId)
-            .collect()
     }
 }
 
 /// Computes weakly connected components by BFS.
+// audit:allow(MCPB017) crates/graph/tests/catalog_integrity.rs checks every stand-in's giant component
 pub fn connected_components(g: &Graph) -> Components {
     let n = g.num_nodes();
     let mut label = vec![u32::MAX; n];
@@ -69,77 +59,6 @@ pub fn connected_components(g: &Graph) -> Components {
     }
 }
 
-/// K-core decomposition (Matula–Beck peeling): returns each node's core
-/// number — the largest `k` such that the node survives in the subgraph
-/// where every node has (undirected) degree >= k.
-pub fn core_numbers(g: &Graph) -> Vec<u32> {
-    let n = g.num_nodes();
-    // Undirected simple-degree view.
-    let mut adj: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-    for e in g.edges() {
-        if e.src != e.dst {
-            adj[e.src as usize].push(e.dst);
-            adj[e.dst as usize].push(e.src);
-        }
-    }
-    for list in adj.iter_mut() {
-        list.sort_unstable();
-        list.dedup();
-    }
-    let mut degree: Vec<usize> = adj.iter().map(|l| l.len()).collect();
-    let max_deg = degree.iter().copied().max().unwrap_or(0);
-
-    // Bucket sort by degree (classic O(n + m) peeling).
-    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); max_deg + 1];
-    for v in 0..n {
-        buckets[degree[v]].push(v as NodeId);
-    }
-    let mut core = vec![0u32; n];
-    let mut removed = vec![false; n];
-    let mut current_core = 0usize;
-    let mut processed = 0usize;
-    let mut cursor = 0usize;
-    while processed < n {
-        // Find the lowest non-empty bucket at or below the scan point.
-        while cursor <= max_deg && buckets[cursor].is_empty() {
-            cursor += 1;
-        }
-        if cursor > max_deg {
-            break;
-        }
-        let v = buckets[cursor].pop().expect("non-empty bucket");
-        let vi = v as usize;
-        if removed[vi] {
-            continue;
-        }
-        if degree[vi] > cursor {
-            // Stale bucket entry; re-file.
-            buckets[degree[vi]].push(v);
-            continue;
-        }
-        current_core = current_core.max(degree[vi]);
-        core[vi] = current_core as u32;
-        removed[vi] = true;
-        processed += 1;
-        for &u in &adj[vi] {
-            let ui = u as usize;
-            if !removed[ui] && degree[ui] > degree[vi] {
-                degree[ui] -= 1;
-                buckets[degree[ui]].push(u);
-                if degree[ui] < cursor {
-                    cursor = degree[ui];
-                }
-            }
-        }
-    }
-    core
-}
-
-/// The maximum core number (degeneracy) of the graph.
-pub fn degeneracy(g: &Graph) -> u32 {
-    core_numbers(g).into_iter().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +81,7 @@ mod tests {
         assert_eq!(c.giant_size(), 3);
         assert_eq!(c.label[0], c.label[1]);
         assert_ne!(c.label[0], c.label[3]);
-        assert_eq!(c.members(c.label[6]), vec![6]);
+        assert_eq!(c.label[6], 2);
         let mut sizes = c.sizes();
         sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 3, 3]);
@@ -182,53 +101,19 @@ mod tests {
     }
 
     #[test]
-    fn ba_graph_is_connected_plus_core() {
+    fn ba_graph_is_connected() {
         let g = generators::barabasi_albert(200, 2, 1);
         let c = connected_components(&g);
         assert_eq!(c.count, 1, "preferential attachment is connected");
-        // Every node attaches with 2 edges => 2-core everywhere.
-        let cores = core_numbers(&g);
-        assert!(cores.iter().all(|&k| k >= 1));
-        assert!(degeneracy(&g) >= 2);
-    }
-
-    #[test]
-    fn core_numbers_of_clique_with_tail() {
-        // 4-clique (core 3) with a pendant path 3-4-5 (core 1).
-        let mut b = GraphBuilder::new(6);
-        for i in 0..4u32 {
-            for j in (i + 1)..4 {
-                b.add_undirected(i, j, 1.0);
-            }
-        }
-        b.add_undirected(3, 4, 1.0);
-        b.add_undirected(4, 5, 1.0);
-        let g = b.build().unwrap();
-        let cores = core_numbers(&g);
-        assert_eq!(&cores[0..4], &[3, 3, 3, 3]);
-        assert_eq!(cores[4], 1);
-        assert_eq!(cores[5], 1);
-        assert_eq!(degeneracy(&g), 3);
-    }
-
-    #[test]
-    fn core_of_ring_is_two() {
-        let mut b = GraphBuilder::new(8);
-        for i in 0..8u32 {
-            b.add_undirected(i, (i + 1) % 8, 1.0);
-        }
-        let g = b.build().unwrap();
-        assert!(core_numbers(&g).iter().all(|&k| k == 2));
     }
 
     #[test]
     fn empty_and_isolated() {
         let g = Graph::from_edges(0, &[]).unwrap();
         assert_eq!(connected_components(&g).count, 0);
-        assert_eq!(degeneracy(&g), 0);
+        assert_eq!(connected_components(&g).giant_size(), 0);
         let g = Graph::from_edges(3, &[]).unwrap();
         let c = connected_components(&g);
         assert_eq!(c.count, 3);
-        assert_eq!(core_numbers(&g), vec![0, 0, 0]);
     }
 }

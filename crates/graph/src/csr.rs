@@ -36,6 +36,7 @@ impl Edge {
     }
 
     /// Creates an unweighted edge (weight `1.0`).
+    // audit:allow(MCPB017) tests/properties.rs and tests/failure_injection.rs build edges with it
     pub fn unweighted(src: NodeId, dst: NodeId) -> Self {
         Self::new(src, dst, 1.0)
     }
@@ -460,6 +461,7 @@ impl Graph {
     /// [`Graph::validate`] plus topological symmetry: every arc `(u, v, w)`
     /// must be mirrored by `(v, u, w)`, as produced by
     /// [`GraphBuilder::add_undirected`].
+    // audit:allow(MCPB017) crates/graph/tests/validate_sanitizer.rs checks the undirected generators' mirror arcs
     pub fn validate_undirected(&self) -> Result<(), GraphError> {
         self.validate()?;
         let mut arcs = self.arc_keys_forward();
@@ -494,20 +496,6 @@ impl Graph {
         self
     }
 
-    /// Returns the transpose (all arcs reversed). In/out adjacency swap;
-    /// the result owns copies of all six arrays.
-    pub fn transpose(&self) -> Graph {
-        Graph::from_parts(
-            self.n,
-            self.in_offsets.copied(),
-            self.in_sources.copied(),
-            self.in_weights.copied(),
-            self.out_offsets.copied(),
-            self.out_targets.copied(),
-            self.out_weights.copied(),
-        )
-    }
-
     /// The six arrays in disk-cache section order: out offsets, targets
     /// and weights, then in offsets, sources and weights.
     #[allow(clippy::type_complexity)]
@@ -524,6 +512,7 @@ impl Graph {
 
     /// True when the arrays view an mmap'd cache file rather than the heap.
     /// Every constructor gives all six arrays the same backing.
+    // audit:allow(MCPB017) the owned == mapped suites assert which backing they compare
     pub fn is_mapped(&self) -> bool {
         matches!(self.out_targets.store, Store::Mapped(_))
     }
@@ -755,15 +744,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_swaps_directions() {
-        let g = triangle();
-        let t = g.transpose();
-        assert_eq!(t.out_neighbors(1), g.in_neighbors(1));
-        assert_eq!(t.in_neighbors(1), g.out_neighbors(1));
-        assert_eq!(t.out_weights(2), g.in_weights(2));
-    }
-
-    #[test]
     fn builder_dedups_and_drops_self_loops() {
         let mut b = GraphBuilder::new(3);
         b.add_edge(0, 1, 0.1)
@@ -847,7 +827,6 @@ mod tests {
     fn validate_accepts_well_formed_graphs() {
         triangle().validate().unwrap();
         Graph::from_edges(0, &[]).unwrap().validate().unwrap();
-        triangle().transpose().validate().unwrap();
         triangle().reweighted(|_, _, w| w + 1.0).validate().unwrap();
     }
 

@@ -404,12 +404,6 @@ fn map_file(file: &mut File, len: usize) -> Result<Mapping, CacheError> {
     Ok(Mapping::Heap { words, len })
 }
 
-/// Whether loaded graphs on this platform view an actual file mapping
-/// (true on unix) or the heap fallback.
-pub fn mmap_supported() -> bool {
-    cfg!(unix)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,7 +431,7 @@ mod tests {
         save(&g, 0xabcd, &path).unwrap();
         // A clone shares the mapping and outlives the loaded original.
         let back = load(&path, 0xabcd).unwrap().clone();
-        assert_eq!(back.is_mapped(), mmap_supported());
+        assert_eq!(back.is_mapped(), cfg!(unix));
         back.validate().unwrap();
         for v in 0..300u32 {
             assert_eq!(g.out_neighbors(v), back.out_neighbors(v));

@@ -8,7 +8,6 @@
 
 use crate::convert;
 use crate::csr::{Graph, GraphBuilder, NodeId};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -39,6 +38,7 @@ pub fn rng(seed: u64) -> GenRng {
 
 /// Erdős–Rényi `G(n, m)`: exactly `m` distinct undirected edges chosen
 /// uniformly at random (both arcs inserted).
+// audit:allow(MCPB017) tests/failure_injection.rs and many unit tests draw random graphs from it
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> Graph {
     assert_node_count(n);
     let mut rng = rng(seed);
@@ -154,6 +154,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> Graph {
 /// within-community edges appear with probability `p_in`, cross-community
 /// with `p_out`. Used to synthesize graphs with pronounced community
 /// structure (the statistic Tab. 4 found most predictive).
+// audit:allow(MCPB017) louvain's unit tests and crates/graph/tests/determinism.rs plant communities with it
 pub fn stochastic_block_model(n: usize, blocks: usize, p_in: f64, p_out: f64, seed: u64) -> Graph {
     assert!(blocks >= 1);
     assert_node_count(n);
@@ -171,24 +172,6 @@ pub fn stochastic_block_model(n: usize, blocks: usize, p_in: f64, p_out: f64, se
                 builder.add_undirected(nid(a), nid(b), 1.0);
             }
         }
-    }
-    builder
-        .build()
-        .expect("generated ids are in range")
-        .debug_validated()
-}
-
-/// A directed scale-free graph: preferential attachment backbone plus a
-/// fraction `isolated_frac` of trailing isolated nodes, matching the large
-/// isolated-node fractions of several catalog datasets (e.g. Wiki-Talk at
-/// 93.8%).
-pub fn scale_free_with_isolated(n: usize, m_attach: usize, isolated_frac: f64, seed: u64) -> Graph {
-    assert!((0.0..1.0).contains(&isolated_frac));
-    let active = ((n as f64) * (1.0 - isolated_frac)).round().max(2.0) as usize;
-    let core = barabasi_albert(active.min(n), m_attach, seed);
-    let mut builder = GraphBuilder::new(n);
-    for e in core.edges() {
-        builder.add_edge(e.src, e.dst, e.weight);
     }
     builder
         .build()
@@ -223,14 +206,6 @@ pub fn hub_graph(n: usize, hubs: usize, spoke_prob: f64, seed: u64) -> Graph {
         .build()
         .expect("generated ids are in range")
         .debug_validated()
-}
-
-/// Random node permutation, used when sampling training subgraphs.
-pub fn random_permutation(n: usize, seed: u64) -> Vec<NodeId> {
-    assert_node_count(n);
-    let mut ids: Vec<NodeId> = (0..nid(n)).collect();
-    ids.shuffle(&mut rng(seed));
-    ids
 }
 
 #[cfg(test)]
@@ -304,19 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn isolated_fraction_respected() {
-        let g = scale_free_with_isolated(200, 2, 0.4, 5);
-        let isolated = g
-            .nodes()
-            .filter(|&v| g.out_degree(v) == 0 && g.in_degree(v) == 0)
-            .count();
-        assert!(
-            (isolated as f64 / 200.0 - 0.4).abs() < 0.05,
-            "isolated fraction {isolated}/200"
-        );
-    }
-
-    #[test]
     fn hub_graph_concentrates_degree() {
         let g = hub_graph(200, 3, 0.5, 13);
         let hub_deg: usize = (0..3u32).map(|h| g.degree(h)).sum();
@@ -324,13 +286,5 @@ mod tests {
         // Each arc contributes 2 to total degree; hubs holding more than
         // half the degree mass means hub_deg > total arcs.
         assert!(hub_deg > total / 2, "hubs hold {hub_deg} of {total} arcs");
-    }
-
-    #[test]
-    fn permutation_is_a_permutation() {
-        let p = random_permutation(64, 2);
-        let mut sorted = p.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..64u32).collect::<Vec<_>>());
     }
 }

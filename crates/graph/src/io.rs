@@ -9,6 +9,7 @@ use crate::csr::{Edge, Graph, GraphError};
 use std::io::{BufRead, BufReader, Read, Write as IoWrite};
 
 /// Parses a SNAP-style edge list from a reader.
+// audit:allow(MCPB017) tests/failure_injection.rs fuzzes the parser through it
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, GraphError> {
     let reader = BufReader::new(reader);
     let mut edges: Vec<Edge> = Vec::new();

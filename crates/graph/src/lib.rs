@@ -37,7 +37,7 @@ pub mod wl;
 
 pub use bitset::BitSet;
 pub use compact::CompactWeights;
-pub use components::{connected_components, core_numbers, degeneracy, Components};
+pub use components::{connected_components, Components};
 pub use convert::IdOverflow;
 pub use csr::{Edge, Graph, GraphBuilder, GraphError, NodeId};
 pub use stream::{StreamFamily, StreamSpec};
@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::bitset::BitSet;
     pub use crate::catalog::{self, Dataset};
     pub use crate::compact::CompactWeights;
-    pub use crate::components::{connected_components, core_numbers, degeneracy, Components};
+    pub use crate::components::{connected_components, Components};
     pub use crate::csr::{Edge, Graph, GraphBuilder, GraphError, NodeId};
     pub use crate::generators;
     pub use crate::io;

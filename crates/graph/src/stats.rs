@@ -166,28 +166,6 @@ pub fn global_transitivity(g: &Graph) -> f64 {
     }
 }
 
-/// Counts undirected triangles (each counted once).
-pub fn triangle_count(g: &Graph) -> u64 {
-    let n = g.num_nodes();
-    let adj: Vec<Vec<NodeId>> = g.nodes().map(|v| undirected_neighbors(g, v)).collect();
-    let mut count = 0u64;
-    for v in 0..n {
-        let nbrs = &adj[v];
-        for (i, &a) in nbrs.iter().enumerate() {
-            if (a as usize) < v {
-                continue;
-            }
-            let a_nbrs = &adj[a as usize];
-            for &b in &nbrs[i + 1..] {
-                if (b as usize) > a as usize && a_nbrs.binary_search(&b).is_ok() {
-                    count += 1;
-                }
-            }
-        }
-    }
-    count
-}
-
 /// BFS distances from `src` over the undirected view; unreachable nodes get
 /// `usize::MAX`.
 pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<usize> {
@@ -296,12 +274,6 @@ mod tests {
         // wedges: node0:1, node1:1, node2:3, node3:0 => 5; closed: 3 (one per corner).
         let t = global_transitivity(&g);
         assert!((t - 3.0 / 5.0).abs() < 1e-9, "{t}");
-    }
-
-    #[test]
-    fn triangle_count_counts_once() {
-        let g = undirected_triangle_plus_tail();
-        assert_eq!(triangle_count(&g), 1);
     }
 
     #[test]

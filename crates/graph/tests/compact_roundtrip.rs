@@ -48,7 +48,7 @@ fn build_save_mmap_reload_is_byte_identical() {
     diskcache::save(&built, cfg.config_hash(), &path).expect("save");
 
     let loaded = diskcache::load(&path, cfg.config_hash()).expect("load");
-    assert_eq!(loaded.is_mapped(), diskcache::mmap_supported());
+    assert_eq!(loaded.is_mapped(), cfg!(unix));
     assert_same_arrays(&built, &loaded);
     loaded.validate().expect("loaded graph validates");
     let _ = std::fs::remove_dir_all(&dir);
@@ -139,7 +139,7 @@ fn mapped_derivations_match_owned_and_are_owned() {
     let path = cfg.cache_path(&dir);
     diskcache::save(&owned, cfg.config_hash(), &path).expect("save");
     let mapped = diskcache::load(&path, cfg.config_hash()).expect("load");
-    assert_eq!(mapped.is_mapped(), diskcache::mmap_supported());
+    assert_eq!(mapped.is_mapped(), cfg!(unix));
 
     let (n, m) = (owned.num_nodes(), owned.num_edges());
     for g in [&owned, &mapped] {
@@ -151,7 +151,6 @@ fn mapped_derivations_match_owned_and_are_owned() {
         let (sub, order) = g.induced_subgraph(&picked);
         let derived = [
             g.reweighted(|u, v, w| w * 0.5 + (u ^ v) as f32 * 1e-6),
-            g.transpose(),
             assign_weights(g, WeightModel::TriValency, 9),
             assign_weights(g, WeightModel::WeightedCascade, 0),
             sub,

@@ -51,17 +51,6 @@ proptest! {
     }
 
     #[test]
-    fn scale_free_with_isolated_always_validates(
-        n in 4usize..100,
-        m in 1usize..4,
-        iso in 0.0f64..0.9,
-        seed in 0u64..1000,
-    ) {
-        let g = generators::scale_free_with_isolated(n, m, iso, seed);
-        g.validate().unwrap();
-    }
-
-    #[test]
     fn hub_graph_always_validates(
         hubs in 1usize..4,
         extra in 2usize..60,

@@ -49,16 +49,6 @@ pub fn simulate_ic_into(
     active
 }
 
-/// Runs one IC diffusion from `seeds`, reusing this lane's
-/// [`CascadeScratch`] buffers.
-pub fn simulate_ic(graph: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
-    CascadeScratch::with(|s| {
-        s.ensure_ic(graph.num_nodes());
-        let stamp = s.next_stamp();
-        simulate_ic_into(graph, seeds, rng, &mut s.visited, stamp, &mut s.frontier)
-    })
-}
-
 /// Estimates the influence spread `I(S)` as the mean active count over
 /// `trials` IC simulations. Deterministic per `seed` *and* shard width:
 /// every fixed 64-trial base block ([`crate::shard::MC_BASE`]) derives its
@@ -113,6 +103,12 @@ mod tests {
     use super::*;
     use mcpb_graph::weights::{assign_weights, WeightModel};
     use mcpb_graph::{generators, Edge, Graph};
+
+    /// One IC diffusion on fresh buffers.
+    fn simulate_ic(graph: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
+        let mut visited = vec![0u32; graph.num_nodes()];
+        simulate_ic_into(graph, seeds, rng, &mut visited, 1, &mut Vec::new())
+    }
 
     #[test]
     fn seeds_are_always_active() {

@@ -2,37 +2,21 @@
 //! oracle. Used as the small-graph reference solver (Kempe et al.'s greedy
 //! with CELF acceleration) and inside LeNSE's subgraph-solving stage.
 //!
-//! Two oracles are provided: Monte-Carlo (faithful to the original, slow)
-//! and RIS-backed (what the paper's optimized LeNSE pipeline uses,
-//! Appendix C).
+//! The oracle is RIS-backed, as in the paper's optimized LeNSE pipeline
+//! (Appendix C): one RR-set collection sampled up front estimates every
+//! marginal gain.
 
-use crate::cascade::influence_mc;
-use crate::rrset::{sample_collection, RrCollection};
+use crate::rrset::sample_collection;
 use crate::solver::{ImSolution, ImSolver};
 use mcpb_graph::{Graph, NodeId};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Spread oracle used by CELF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CelfOracle {
-    /// Monte-Carlo simulation with this many trials per evaluation.
-    MonteCarlo {
-        /// IC simulations per marginal-gain evaluation.
-        trials: usize,
-    },
-    /// RR-set estimation with this many sets sampled once up front.
-    Ris {
-        /// Number of RR sets in the shared collection.
-        rr_sets: usize,
-    },
-}
-
 /// CELF greedy IM solver.
 #[derive(Debug, Clone)]
 pub struct CelfGreedy {
-    /// Oracle configuration.
-    pub oracle: CelfOracle,
+    /// Number of RR sets in the shared collection.
+    pub rr_sets: usize,
     /// RNG seed.
     pub seed: u64,
 }
@@ -42,20 +26,9 @@ pub struct CelfGreedy {
 const SCALE: f64 = 1e4;
 
 impl CelfGreedy {
-    /// MC-backed CELF (the classical algorithm).
-    pub fn monte_carlo(trials: usize, seed: u64) -> Self {
-        Self {
-            oracle: CelfOracle::MonteCarlo { trials },
-            seed,
-        }
-    }
-
     /// RIS-backed CELF (Appendix C optimization).
     pub fn ris(rr_sets: usize, seed: u64) -> Self {
-        Self {
-            oracle: CelfOracle::Ris { rr_sets },
-            seed,
-        }
+        Self { rr_sets, seed }
     }
 
     /// Runs CELF selection.
@@ -65,20 +38,11 @@ impl CelfGreedy {
         if n == 0 || k == 0 {
             return ImSolution::seeds_only(Vec::new());
         }
-        let rr: Option<RrCollection> = match self.oracle {
-            CelfOracle::Ris { rr_sets } => Some(sample_collection(graph, rr_sets, self.seed)),
-            CelfOracle::MonteCarlo { .. } => None,
-        };
+        let rr = sample_collection(graph, self.rr_sets, self.seed);
         let eval = |seeds: &[NodeId], extra: NodeId| -> f64 {
             let mut s: Vec<NodeId> = seeds.to_vec();
             s.push(extra);
-            match (&rr, self.oracle) {
-                (Some(rr), _) => rr.estimate_spread(&s),
-                (None, CelfOracle::MonteCarlo { trials }) => {
-                    influence_mc(graph, &s, trials, self.seed)
-                }
-                _ => unreachable!("oracle/collection mismatch"),
-            }
+            rr.estimate_spread(&s)
         };
 
         let mut seeds: Vec<NodeId> = Vec::with_capacity(k.min(n));
@@ -112,10 +76,7 @@ impl CelfGreedy {
 
 impl ImSolver for CelfGreedy {
     fn name(&self) -> &str {
-        match self.oracle {
-            CelfOracle::MonteCarlo { .. } => "CELF-MC",
-            CelfOracle::Ris { .. } => "CELF-RIS",
-        }
+        "CELF-RIS"
     }
 
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
@@ -126,6 +87,7 @@ impl ImSolver for CelfGreedy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cascade::influence_mc;
     use mcpb_graph::weights::{assign_weights, WeightModel};
     use mcpb_graph::{generators, Edge};
 
@@ -136,14 +98,6 @@ mod tests {
         let sol = CelfGreedy::ris(500, 1).run(&g, 1);
         assert_eq!(sol.seeds, vec![0]);
         assert!(sol.spread_estimate > 10.0);
-    }
-
-    #[test]
-    fn mc_celf_finds_dominant_seed() {
-        let edges: Vec<Edge> = (1..8).map(|v| Edge::new(0, v, 1.0)).collect();
-        let g = Graph::from_edges(8, &edges).unwrap();
-        let sol = CelfGreedy::monte_carlo(300, 2).run(&g, 1);
-        assert_eq!(sol.seeds, vec![0]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! `prev_best` is indeed the next pick, the cached `mg2` becomes the fresh
 //! gain for free, skipping a recomputation.
 
-use crate::rrset::{sample_collection, RrCollection};
+use crate::rrset::sample_collection;
 use crate::solver::{ImSolution, ImSolver};
 use mcpb_graph::{Graph, NodeId};
 use std::cmp::Reverse;
@@ -148,11 +148,6 @@ impl CelfPlusPlus {
     /// Runs CELF++ and discards the evaluation count.
     pub fn run(&self, graph: &Graph, k: usize) -> ImSolution {
         self.run_counting(graph, k).0
-    }
-
-    /// Access the underlying RR collection for a graph (test helper).
-    pub fn collection(&self, graph: &Graph) -> RrCollection {
-        sample_collection(graph, self.rr_sets, self.seed)
     }
 }
 

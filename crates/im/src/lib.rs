@@ -38,13 +38,13 @@ pub mod solver;
 pub mod tim;
 
 pub use annealing::{SaParams, SimulatedAnnealing};
-pub use cascade::{influence_mc, simulate_ic};
-pub use celf::{CelfGreedy, CelfOracle};
+pub use cascade::influence_mc;
+pub use celf::CelfGreedy;
 pub use celfpp::CelfPlusPlus;
 pub use change::Change;
 pub use discount::{DegreeDiscount, SingleDiscount};
 pub use imm::{Imm, ImmParams};
-pub use lt::{influence_mc_lt, simulate_lt, LtRisGreedy};
+pub use lt::{influence_mc_lt, LtRisGreedy};
 pub use opim::{Opim, OpimParams};
 pub use rrset::{sample_collection, sample_rr_set, RrCollection, SetsView};
 pub use scratch::CascadeScratch;
@@ -54,13 +54,13 @@ pub use tim::{TimParams, TimPlus};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::annealing::{SaParams, SimulatedAnnealing};
-    pub use crate::cascade::{influence_mc, simulate_ic};
-    pub use crate::celf::{CelfGreedy, CelfOracle};
+    pub use crate::cascade::influence_mc;
+    pub use crate::celf::CelfGreedy;
     pub use crate::celfpp::CelfPlusPlus;
     pub use crate::change::Change;
     pub use crate::discount::{DegreeDiscount, SingleDiscount};
     pub use crate::imm::{Imm, ImmParams};
-    pub use crate::lt::{influence_mc_lt, simulate_lt, LtRisGreedy};
+    pub use crate::lt::{influence_mc_lt, LtRisGreedy};
     pub use crate::opim::{Opim, OpimParams};
     pub use crate::rrset::{sample_collection, sample_rr_set, RrCollection, SetsView};
     pub use crate::scratch::CascadeScratch;

@@ -107,12 +107,6 @@ pub fn simulate_lt_into(
     count
 }
 
-/// Runs one LT diffusion from `seeds`, reusing this lane's
-/// [`CascadeScratch`] buffers.
-pub fn simulate_lt(graph: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
-    CascadeScratch::with(|s| simulate_lt_into(graph, seeds, rng, s))
-}
-
 /// Monte-Carlo LT spread estimate (pool-parallel, seeded). Each trial
 /// derives its RNG from the trial index — identical to the reference
 /// per-trial seeding, so the estimate is invariant to both thread count and
@@ -238,6 +232,11 @@ mod tests {
     use super::*;
     use mcpb_graph::weights::{assign_weights, WeightModel};
     use mcpb_graph::{generators, Edge};
+
+    /// One LT diffusion on fresh buffers.
+    fn simulate_lt(graph: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
+        simulate_lt_into(graph, seeds, rng, &mut CascadeScratch::new())
+    }
 
     fn wc_graph(n: usize, seed: u64) -> Graph {
         assign_weights(

@@ -129,8 +129,21 @@ fn single_trial_cascades_match_references() {
     for trial in 0..50u64 {
         let mut a = ChaCha8Rng::seed_from_u64(trial);
         let mut b = ChaCha8Rng::seed_from_u64(trial);
+        // The lane scratch, as `influence_mc` reuses it across trials.
+        let scratch = mcpb_im::CascadeScratch::with(|s| {
+            s.ensure_ic(graph.num_nodes());
+            let stamp = s.next_stamp();
+            mcpb_im::cascade::simulate_ic_into(
+                &graph,
+                &seeds,
+                &mut a,
+                &mut s.visited,
+                stamp,
+                &mut s.frontier,
+            )
+        });
         assert_eq!(
-            mcpb_im::simulate_ic(&graph, &seeds, &mut a),
+            scratch,
             {
                 // Reference IC is simulate_ic_into with fresh buffers; the
                 // optimized path reuses per-lane scratch. Same RNG stream.
@@ -150,7 +163,9 @@ fn single_trial_cascades_match_references() {
         let mut c = ChaCha8Rng::seed_from_u64(trial ^ 0x55);
         let mut d = ChaCha8Rng::seed_from_u64(trial ^ 0x55);
         assert_eq!(
-            mcpb_im::simulate_lt(&graph, &seeds, &mut c),
+            mcpb_im::CascadeScratch::with(|s| mcpb_im::lt::simulate_lt_into(
+                &graph, &seeds, &mut c, s
+            )),
             reference::simulate_lt(&graph, &seeds, &mut d),
             "LT trial {trial}"
         );

@@ -66,7 +66,7 @@ fn owned_and_mapped() -> (Graph, Graph) {
     let mapped = diskcache::load(&path, cfg.config_hash()).expect("load");
     std::fs::remove_dir_all(&dir).expect("remove temp dir");
     assert!(!owned.is_mapped());
-    assert_eq!(mapped.is_mapped(), diskcache::mmap_supported());
+    assert_eq!(mapped.is_mapped(), cfg!(unix));
     (owned, mapped)
 }
 

@@ -47,18 +47,11 @@ impl Linear {
     }
 }
 
-/// Negative slope of [`Activation::LeakyRelu`].
-const LEAKY_SLOPE: f32 = 0.01;
-
 /// Activation applied between MLP layers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Activation {
     /// Rectified linear unit.
     Relu,
-    /// Leaky ReLU with slope 0.01.
-    LeakyRelu,
-    /// Hyperbolic tangent.
-    Tanh,
     /// No nonlinearity.
     Identity,
 }
@@ -68,8 +61,6 @@ impl Activation {
     pub fn apply(self, tape: &mut Tape, x: Var) -> Var {
         match self {
             Activation::Relu => tape.relu(x),
-            Activation::LeakyRelu => tape.leaky_relu(x, LEAKY_SLOPE),
-            Activation::Tanh => tape.tanh(x),
             Activation::Identity => x,
         }
     }
@@ -79,8 +70,6 @@ impl Activation {
     pub fn apply_in_place(self, x: &mut Tensor) {
         match self {
             Activation::Relu => x.relu_assign(),
-            Activation::LeakyRelu => x.leaky_relu_assign(LEAKY_SLOPE),
-            Activation::Tanh => x.tanh_assign(),
             Activation::Identity => {}
         }
     }
@@ -160,7 +149,7 @@ mod tests {
     #[test]
     fn mlp_learns_xor() {
         let mut store = ParamStore::new(11);
-        let mlp = Mlp::new(&mut store, "xor", &[2, 8, 1], Activation::Tanh);
+        let mlp = Mlp::new(&mut store, "xor", &[2, 8, 1], Activation::Relu);
         let mut adam = Adam::new(0.05);
         let xs = Tensor::from_slice(4, 2, &[0., 0., 0., 1., 1., 0., 1., 1.]);
         let ys = Tensor::column(&[0., 1., 1., 0.]);
@@ -169,8 +158,7 @@ mod tests {
             let mut tape = Tape::new();
             let x = tape.input(xs.clone());
             let out = mlp.forward(&mut tape, &store, x);
-            let s = tape.sigmoid(out);
-            let loss = tape.mse_loss(s, ys.clone());
+            let loss = tape.mse_loss(out, ys.clone());
             tape.backward(loss);
             final_loss = tape.value(loss).item();
             let grads = tape.param_grads();

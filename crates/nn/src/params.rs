@@ -65,6 +65,7 @@ impl ParamStore {
     }
 
     /// Mutable value access (e.g. for target-network copies).
+    // audit:allow(MCPB017) the nn grad-check and eval-equivalence suites set parameters through it
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
         &mut self.entries[id.0].value
     }
@@ -89,11 +90,6 @@ impl ParamStore {
         (0..self.entries.len()).map(ParamId)
     }
 
-    /// Total scalar parameter count.
-    pub fn num_scalars(&self) -> usize {
-        self.entries.iter().map(|e| e.value.len()).sum()
-    }
-
     /// Copies every parameter value from `src` (shapes must match);
     /// used to sync DQN target networks.
     pub fn copy_values_from(&mut self, src: &ParamStore) {
@@ -107,36 +103,6 @@ impl ParamStore {
             );
             dst.value = s.value.clone();
         }
-    }
-
-    /// Exports every parameter as `(name, value)` pairs — the persistence
-    /// format (serialize with serde; tensors derive `Serialize`).
-    pub fn export(&self) -> Vec<(String, Tensor)> {
-        self.entries
-            .iter()
-            .map(|e| (e.name.clone(), e.value.clone()))
-            .collect()
-    }
-
-    /// Imports parameter values by name into an identically registered
-    /// store. Unknown names are rejected; missing names are left at their
-    /// current values. Returns the number of parameters updated.
-    pub fn import(&mut self, params: &[(String, Tensor)]) -> Result<usize, String> {
-        let mut updated = 0usize;
-        for (name, value) in params {
-            let Some(e) = self.entries.iter_mut().find(|e| &e.name == name) else {
-                return Err(format!("unknown parameter {name:?}"));
-            };
-            if (e.value.rows, e.value.cols) != (value.rows, value.cols) {
-                return Err(format!(
-                    "shape mismatch for {name:?}: {}x{} vs {}x{}",
-                    e.value.rows, e.value.cols, value.rows, value.cols
-                ));
-            }
-            e.value = value.clone();
-            updated += 1;
-        }
-        Ok(updated)
     }
 
     /// Snapshots every parameter value (in id order) — pair with
@@ -177,7 +143,6 @@ mod tests {
         assert_eq!(s.value(id).item(), 1.5);
         assert_eq!(s.name(id), "w");
         assert_eq!(s.len(), 1);
-        assert_eq!(s.num_scalars(), 1);
     }
 
     #[test]
@@ -201,32 +166,6 @@ mod tests {
         assert_ne!(online.value(w), target.value(tw));
         target.copy_values_from(&online);
         assert_eq!(online.value(w), target.value(tw));
-    }
-
-    #[test]
-    fn export_import_round_trip() {
-        let mut a = ParamStore::new(1);
-        let w = a.register_xavier("w", 2, 3);
-        let b = a.register_zeros("b", 1, 3);
-        let exported = a.export();
-        let mut fresh = ParamStore::new(2);
-        let w2 = fresh.register_xavier("w", 2, 3);
-        let b2 = fresh.register_zeros("b", 1, 3);
-        assert_ne!(a.value(w), fresh.value(w2));
-        let updated = fresh.import(&exported).unwrap();
-        assert_eq!(updated, 2);
-        assert_eq!(a.value(w), fresh.value(w2));
-        assert_eq!(a.value(b), fresh.value(b2));
-    }
-
-    #[test]
-    fn import_rejects_unknown_and_mismatched() {
-        let mut s = ParamStore::new(0);
-        s.register_zeros("w", 2, 2);
-        assert!(s
-            .import(&[("nope".to_string(), Tensor::zeros(2, 2))])
-            .is_err());
-        assert!(s.import(&[("w".to_string(), Tensor::zeros(3, 3))]).is_err());
     }
 
     #[test]

@@ -277,25 +277,6 @@ impl Tensor {
         self.data.iter_mut().for_each(|v| *v = v.max(0.0));
     }
 
-    /// In-place leaky ReLU with negative slope `alpha`.
-    pub fn leaky_relu_assign(&mut self, alpha: f32) {
-        self.data
-            .iter_mut()
-            .for_each(|v| *v = if *v > 0.0 { *v } else { alpha * *v });
-    }
-
-    /// In-place logistic sigmoid.
-    pub fn sigmoid_assign(&mut self) {
-        self.data
-            .iter_mut()
-            .for_each(|v| *v = 1.0 / (1.0 + (-*v).exp()));
-    }
-
-    /// In-place hyperbolic tangent.
-    pub fn tanh_assign(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = v.tanh());
-    }
-
     /// Column-wise sum: `n x d` -> `1 x d`, rows added in order.
     pub fn sum_rows(&self) -> Tensor {
         let mut out = Tensor::zeros(1, self.cols);
@@ -412,11 +393,6 @@ impl SparseMatrix {
         }
         out
     }
-
-    /// Number of stored non-zeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
 }
 
 #[cfg(test)]
@@ -456,7 +432,7 @@ mod tests {
         let x = Tensor::from_slice(2, 2, &[1., 1., 1., 0.]);
         let y = s.matmul_dense(&x);
         assert_eq!(y.data, vec![1., 1., 5., 2.]);
-        assert_eq!(s.nnz(), 3);
+        assert_eq!(s.values.len(), 3);
     }
 
     #[test]

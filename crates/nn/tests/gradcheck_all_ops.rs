@@ -1,11 +1,11 @@
 //! Finite-difference verification of every tape op.
 //!
-//! Each case builds a scalar loss through one op under test (plus a smooth
-//! nonlinearity where the op alone would have a constant gradient) and runs
-//! [`mcpb_nn::grad_check`] at 1e-3 relative tolerance. The final test
-//! unions the op kinds actually recorded on the case tapes and asserts the
-//! union equals [`mcpb_nn::tape::OP_KINDS`]: adding an op without extending
-//! this suite fails CI.
+//! Each case builds a scalar loss through one op under test, reduced by
+//! [`mcpb_nn::Tape::mse_loss`] against a constant target so the gradient
+//! is never constant, and runs [`mcpb_nn::grad_check`] at 1e-3 relative
+//! tolerance. The final test unions the op kinds actually recorded on the
+//! case tapes and asserts the union equals [`mcpb_nn::tape::OP_KINDS`]:
+//! adding an op without extending this suite fails CI.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -16,6 +16,14 @@ use mcpb_nn::{grad_check, SparseMatrix, Tape, Tensor, Var};
 const TOL: f64 = 1e-3;
 
 type Build = Box<dyn Fn(&mut Tape, &[Var]) -> Var>;
+
+/// Mean squared distance of `v` from a constant 0.25 target.
+fn reduce(t: &mut Tape, v: Var) -> Var {
+    let (rows, cols) = (t.value(v).rows, t.value(v).cols);
+    let mut target = Tensor::zeros(rows, cols);
+    target.data.fill(0.25);
+    t.mse_loss(v, target)
+}
 
 /// All cases: (label, inputs, graph builder). Inputs are chosen away from
 /// ReLU/Huber kinks so the finite difference is well-defined.
@@ -31,25 +39,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             vec![a23.clone(), b23.clone()],
             Box::new(|t: &mut Tape, v: &[Var]| {
                 let s = t.add(v[0], v[1]);
-                let s = t.sigmoid(s);
-                t.sum_all(s)
-            }),
-        ),
-        (
-            "sub",
-            vec![a23.clone(), b23.clone()],
-            Box::new(|t: &mut Tape, v: &[Var]| {
-                let s = t.sub(v[0], v[1]);
-                let s = t.tanh(s);
-                t.sum_all(s)
-            }),
-        ),
-        (
-            "mul",
-            vec![a23.clone(), b23.clone()],
-            Box::new(|t: &mut Tape, v: &[Var]| {
-                let s = t.mul(v[0], v[1]);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -57,8 +47,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             vec![a23.clone()],
             Box::new(|t: &mut Tape, v: &[Var]| {
                 let s = t.scale(v[0], 1.7);
-                let s = t.sigmoid(s);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -66,7 +55,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             vec![a23.clone(), a32.clone()],
             Box::new(|t: &mut Tape, v: &[Var]| {
                 let s = t.matmul(v[0], v[1]);
-                t.mean_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -79,8 +68,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
                     &[(0, 0, 0.5), (0, 2, 1.2), (1, 1, -0.7), (1, 0, 0.3)],
                 ));
                 let s = t.spmm(adj, v[0]);
-                let s = t.tanh(s);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -89,31 +77,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             vec![a23.clone()],
             Box::new(|t: &mut Tape, v: &[Var]| {
                 let s = t.relu(v[0]);
-                t.sum_all(s)
-            }),
-        ),
-        (
-            "leaky_relu",
-            vec![a23.clone()],
-            Box::new(|t: &mut Tape, v: &[Var]| {
-                let s = t.leaky_relu(v[0], 0.1);
-                t.sum_all(s)
-            }),
-        ),
-        (
-            "sigmoid",
-            vec![a23.clone()],
-            Box::new(|t: &mut Tape, v: &[Var]| {
-                let s = t.sigmoid(v[0]);
-                t.sum_all(s)
-            }),
-        ),
-        (
-            "tanh",
-            vec![a23.clone()],
-            Box::new(|t: &mut Tape, v: &[Var]| {
-                let s = t.tanh(v[0]);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -121,8 +85,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             vec![a32.clone(), Tensor::from_slice(1, 2, &[0.3, -0.5])],
             Box::new(|t: &mut Tape, v: &[Var]| {
                 let s = t.add_bias(v[0], v[1]);
-                let s = t.sigmoid(s);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -131,8 +94,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             Box::new(|t: &mut Tape, v: &[Var]| {
                 // Duplicate index: gradients must accumulate into row 1.
                 let s = t.gather_rows(v[0], vec![2, 0, 1, 1]);
-                let s = t.tanh(s);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -140,8 +102,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             vec![a23.clone(), b23.clone()],
             Box::new(|t: &mut Tape, v: &[Var]| {
                 let s = t.concat_cols(v[0], v[1]);
-                let s = t.sigmoid(s);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -149,8 +110,7 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             vec![a32.clone()],
             Box::new(|t: &mut Tape, v: &[Var]| {
                 let s = t.sum_rows(v[0]);
-                let s = t.tanh(s);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
@@ -158,33 +118,15 @@ fn cases() -> Vec<(&'static str, Vec<Tensor>, Build)> {
             vec![row3.clone()],
             Box::new(|t: &mut Tape, v: &[Var]| {
                 let s = t.repeat_row(v[0], 4);
-                let s = t.tanh(s);
-                t.sum_all(s)
-            }),
-        ),
-        (
-            "mean_all",
-            vec![a23.clone()],
-            Box::new(|t: &mut Tape, v: &[Var]| {
-                let s = t.tanh(v[0]);
-                t.mean_all(s)
-            }),
-        ),
-        (
-            "sum_all",
-            vec![a23.clone()],
-            Box::new(|t: &mut Tape, v: &[Var]| {
-                let s = t.sigmoid(v[0]);
-                t.sum_all(s)
+                reduce(t, s)
             }),
         ),
         (
             "mse",
             vec![a23.clone()],
             Box::new(|t: &mut Tape, v: &[Var]| {
-                let p = t.tanh(v[0]);
                 t.mse_loss(
-                    p,
+                    v[0],
                     Tensor::from_slice(2, 3, &[0.1, 0.2, -0.3, 0.5, 0.0, -0.6]),
                 )
             }),

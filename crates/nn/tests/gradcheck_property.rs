@@ -31,7 +31,7 @@ fn finite_diff_param(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Every parameter gradient of a random tanh MLP + MSE matches finite
+    /// Every parameter gradient of a random ReLU MLP + MSE matches finite
     /// differences.
     #[test]
     fn mlp_param_grads_match_finite_differences(
@@ -42,7 +42,7 @@ proptest! {
         batch in 1usize..4,
     ) {
         let mut store = ParamStore::new(seed);
-        let mlp = Mlp::new(&mut store, "g", &[in_dim, hidden, out_dim], Activation::Tanh);
+        let mlp = Mlp::new(&mut store, "g", &[in_dim, hidden, out_dim], Activation::Relu);
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xabc);
         let x = Tensor::xavier(batch, in_dim, &mut rng);

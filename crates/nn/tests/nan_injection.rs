@@ -37,17 +37,17 @@ fn overflow_names_the_producing_op() {
 }
 
 #[test]
-fn nan_from_mul_names_mul_not_downstream_ops() {
-    // 1e38 * 1e38 overflows to Inf in Mul; the sanitizer fires there, not
-    // at the sum that would consume it.
+fn overflow_in_add_names_add_not_downstream_ops() {
+    // 3e38 + 3e38 overflows to Inf in Add; the sanitizer fires there, not
+    // at the loss that would consume it.
     let msg = panic_message(catch_unwind(AssertUnwindSafe(|| {
         let mut tape = Tape::new();
-        let a = tape.input(Tensor::from_slice(1, 2, &[1.0e38, 0.5]));
-        let b = tape.input(Tensor::from_slice(1, 2, &[1.0e38, 0.5]));
-        let m = tape.mul(a, b);
-        let _ = tape.sum_all(m);
+        let a = tape.input(Tensor::from_slice(1, 2, &[3.0e38, 0.5]));
+        let b = tape.input(Tensor::from_slice(1, 2, &[3.0e38, 0.5]));
+        let m = tape.add(a, b);
+        let _ = tape.mse_loss(m, Tensor::zeros(1, 2));
     })));
-    assert!(msg.contains("op Mul"), "wrong provenance: {msg:?}");
+    assert!(msg.contains("op Add"), "wrong provenance: {msg:?}");
     assert!(
         msg.contains("inputs [1x2, 1x2]"),
         "should print input shapes: {msg:?}"
@@ -68,8 +68,8 @@ fn non_finite_input_is_reported_as_leaf() {
 fn finite_pipelines_do_not_trip_the_sanitizer() {
     let mut tape = Tape::new();
     let x = tape.input(Tensor::from_slice(2, 2, &[0.5, -1.5, 3.0, -0.25]));
-    let y = tape.tanh(x);
-    let loss = tape.mean_all(y);
+    let y = tape.relu(x);
+    let loss = tape.mse_loss(y, Tensor::zeros(2, 2));
     tape.backward(loss);
     assert!(tape.grad(x).is_some());
 }

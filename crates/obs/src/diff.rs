@@ -64,6 +64,7 @@ pub struct RunDiff {
 impl RunDiff {
     /// The single worst regression, if any — what an attribution check
     /// asserts on.
+    // audit:allow(MCPB017) tests/obs_tools.rs checks stall attribution with it
     pub fn top_regression(&self) -> Option<&DiffRow> {
         self.regressions.first()
     }

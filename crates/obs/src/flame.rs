@@ -37,6 +37,7 @@ pub fn render_flame(model: &RunModel) -> String {
 /// Duplicate stacks accumulate, matching flamegraph semantics. Blank lines
 /// are skipped; a malformed line (no weight, or a non-integer weight) is an
 /// error naming the 1-based line number.
+// audit:allow(MCPB017) tests/obs_tools.rs round-trips the flame exporter through it
 pub fn parse_flame(text: &str) -> Result<BTreeMap<String, u64>, String> {
     let mut stacks = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {

@@ -2,8 +2,8 @@
 //! `mcpb-serve` can scrape (ROADMAP item 1), rendered today by
 //! `mcpbench obs metrics`.
 //!
-//! A [`MetricsRegistry`] is an ordered set of metric families built from a
-//! live [`mcpb_trace::TraceSummary`] or an ingested [`RunModel`]. The
+//! A [`MetricsRegistry`] is an ordered set of metric families built from an
+//! ingested [`RunModel`]. The
 //! renderer follows the Prometheus [text exposition format]: `# HELP` /
 //! `# TYPE` headers, sanitized metric names, escaped label values, and
 //! quantile series for histogram summaries.
@@ -11,7 +11,6 @@
 //! [text exposition format]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
 use crate::model::RunModel;
-use mcpb_trace::TraceSummary;
 
 /// The Prometheus metric type of a family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,62 +136,9 @@ impl MetricsRegistry {
         self.families.push(family);
     }
 
-    /// Builds the registry from a live collector snapshot: counters become
-    /// `counter` families, span self-time/calls become labelled gauges, and
-    /// histograms become `summary` quantile series.
-    pub fn from_summary(summary: &TraceSummary) -> Self {
-        let mut reg = Self::new();
-        for c in &summary.counters {
-            reg.push_scalar(
-                &format!("mcpb_{}_total", c.name),
-                "Accumulated trace counter.",
-                MetricType::Counter,
-                c.value as f64,
-            );
-        }
-        if !summary.spans.is_empty() {
-            let mk =
-                |suffix: &str, help: &str, f: &dyn Fn(&mcpb_trace::SpanProfile) -> f64| Family {
-                    name: format!("mcpb_span_{suffix}"),
-                    help: help.to_string(),
-                    kind: MetricType::Gauge,
-                    samples: summary
-                        .spans
-                        .iter()
-                        .map(|s| {
-                            (
-                                None,
-                                Sample {
-                                    labels: vec![("path".to_string(), s.path.clone())],
-                                    value: f(s),
-                                },
-                            )
-                        })
-                        .collect(),
-                };
-            reg.push_family(mk("self_seconds", "Span self-time in seconds.", &|s| {
-                s.self_nanos as f64 / 1e9
-            }));
-            reg.push_family(mk("calls", "Span close count.", &|s| s.calls as f64));
-            reg.push_family(mk(
-                "heap_peak_bytes",
-                "Largest peak-heap delta observed for the span.",
-                &|s| s.heap_peak_bytes as f64,
-            ));
-        }
-        for h in &summary.histograms {
-            reg.push_family(summary_family(
-                &format!("mcpb_hist_{}", h.name),
-                h.count,
-                h.mean,
-                &[(0.5, h.p50), (0.9, h.p90), (0.99, h.p99)],
-            ));
-        }
-        reg
-    }
-
-    /// Builds the registry from an ingested run: same families as
-    /// [`Self::from_summary`] plus run-level throughput gauges.
+    /// Builds the registry from an ingested run: counters become `counter`
+    /// families, span self-time/calls become labelled gauges, histograms
+    /// become `summary` quantile series, plus run-level throughput gauges.
     pub fn from_model(model: &RunModel) -> Self {
         let mut reg = Self::new();
         for (name, value) in &model.counters {
@@ -393,30 +339,6 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-    }
-
-    #[test]
-    fn summary_snapshot_exposition_matches_model_families() {
-        let summary = TraceSummary {
-            spans: vec![mcpb_trace::SpanProfile {
-                path: "root/leaf".into(),
-                calls: 2,
-                total_nanos: 10,
-                self_nanos: 10,
-                heap_peak_bytes: 0,
-            }],
-            counters: vec![mcpb_trace::CounterSnapshot {
-                name: "n.events".into(),
-                value: 9,
-            }],
-            histograms: Vec::new(),
-        };
-        let text = MetricsRegistry::from_summary(&summary).render_prometheus();
-        assert!(text.contains("mcpb_n_events_total 9"), "{text}");
-        assert!(
-            text.contains("mcpb_span_calls{path=\"root/leaf\"} 2"),
-            "{text}"
-        );
     }
 
     #[test]

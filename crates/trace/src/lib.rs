@@ -2,7 +2,7 @@
 //!
 //! Zero-dependency observability substrate for the benchmark workspace:
 //!
-//! - **Spans** ([`span`], [`with_span`]): RAII guards that nest through a
+//! - **Spans** ([`span`]): RAII guards that nest through a
 //!   thread-local stack and aggregate into a span-tree profile with call
 //!   counts, total/self time, and peak-heap deltas (via the tracking
 //!   allocator in [`alloc`]).
@@ -51,7 +51,7 @@ pub use collector::{
 pub use event::Event;
 pub use metrics::{Histogram, HistogramSummary};
 pub use profile::{fmt_nanos, CounterSnapshot, SpanProfile, TraceSummary};
-pub use span::{span, span_named, with_span, Span};
+pub use span::{span, span_named, Span};
 
 /// Serializes tests that toggle the process-global collector. Tests within
 /// one binary run on parallel threads; anything that calls `set_enabled` /

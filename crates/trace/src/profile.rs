@@ -84,47 +84,6 @@ impl TraceSummary {
             .find(|c| c.name == name)
             .map(|c| c.value)
     }
-
-    /// Renders the whole summary as an indented plain-text report: the span
-    /// tree first (indentation mirrors nesting), then counters, then
-    /// histogram quantiles.
-    pub fn render_text(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        if !self.spans.is_empty() {
-            out.push_str("span tree (calls, total, self, heap-peak):\n");
-            for s in &self.spans {
-                let _ = writeln!(
-                    out,
-                    "  {:indent$}{:<28} {:>7}  {:>9}  {:>9}  {:>10}",
-                    "",
-                    s.name(),
-                    s.calls,
-                    fmt_nanos(s.total_nanos),
-                    fmt_nanos(s.self_nanos),
-                    format!("{}B", s.heap_peak_bytes),
-                    indent = 2 * s.depth(),
-                );
-            }
-        }
-        if !self.counters.is_empty() {
-            out.push_str("counters:\n");
-            for c in &self.counters {
-                let _ = writeln!(out, "  {:<38} {:>12}", c.name, c.value);
-            }
-        }
-        if !self.histograms.is_empty() {
-            out.push_str("histograms (count, mean, p50, p90, p99):\n");
-            for h in &self.histograms {
-                let _ = writeln!(
-                    out,
-                    "  {:<30} {:>7}  {:>10.4}  {:>10.4}  {:>10.4}  {:>10.4}",
-                    h.name, h.count, h.mean, h.p50, h.p90, h.p99
-                );
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +112,7 @@ mod tests {
     }
 
     #[test]
-    fn render_includes_every_section() {
+    fn lookups_find_spans_and_counters() {
         let summary = TraceSummary {
             spans: vec![SpanProfile {
                 path: "root".into(),
@@ -166,16 +125,8 @@ mod tests {
                 name: "widgets".into(),
                 value: 7,
             }],
-            histograms: vec![{
-                let mut h = crate::metrics::Histogram::new();
-                h.observe(2.0);
-                h.summarize("latency")
-            }],
+            histograms: Vec::new(),
         };
-        let text = summary.render_text();
-        assert!(text.contains("root"));
-        assert!(text.contains("widgets"));
-        assert!(text.contains("latency"));
         assert!(!summary.is_empty());
         assert_eq!(summary.counter("widgets"), Some(7));
         assert!(summary.span("root").is_some());

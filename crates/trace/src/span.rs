@@ -57,13 +57,6 @@ pub fn span_named(name: impl Into<Cow<'static, str>>) -> Span {
     open(name.into())
 }
 
-/// Runs `f` inside a span named `name`.
-#[inline]
-pub fn with_span<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
-    let _guard = span(name);
-    f()
-}
-
 fn open(name: Cow<'static, str>) -> Span {
     STACK.with(|stack| {
         stack.borrow_mut().push(Frame {
@@ -189,18 +182,6 @@ mod tests {
             .collect();
         assert_eq!(roots.len(), 1, "only the root close is an event");
         assert_eq!(events.len(), 1, "child closes aggregate silently");
-        collector::reset();
-    }
-
-    #[test]
-    fn with_span_passes_through_result() {
-        let _g = test_lock();
-        collector::set_enabled(true);
-        collector::reset();
-        let v = with_span("f", || 41 + 1);
-        assert_eq!(v, 42);
-        collector::set_enabled(false);
-        assert!(collector::snapshot().span("f").is_some());
         collector::reset();
     }
 }
