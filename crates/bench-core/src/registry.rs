@@ -474,6 +474,8 @@ mod tests {
         assert_eq!(ImMethodKind::benchmark_set().len(), 7);
     }
 
+    /// Pins the answers of the solvers outside the paper's benchmark set
+    /// the same way as the IM test above.
     #[test]
     fn extended_solvers_prepare_and_solve() {
         let train = assign_weights(
@@ -481,6 +483,7 @@ mod tests {
             WeightModel::Constant,
             0,
         );
+        let mut pin = Vec::new();
         for kind in [
             ImMethodKind::TimPlus,
             ImMethodKind::CelfPlusPlus,
@@ -494,6 +497,12 @@ mod tests {
             );
             let sol = solver.solve(&train, 4);
             assert_eq!(sol.seeds.len(), 4, "{}", kind.name());
+            fold_row(&mut pin, kind.name(), &sol.seeds);
         }
+        let digest = mcpb_resilience::fnv1a64(&pin);
+        assert_eq!(
+            digest, 0xe477_551e_cda2_638f,
+            "extended registry pin moved: {digest:#018x}"
+        );
     }
 }

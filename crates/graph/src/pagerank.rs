@@ -142,6 +142,34 @@ mod tests {
         assert!(pr[1] > pr[0]);
     }
 
+    /// Pins every score bit of three runs: a generator graph that converges
+    /// within the tolerance, an in-star whose dangling hub spreads its mass
+    /// uniformly, and a two-way star whose period 2 keeps it iterating until
+    /// the iteration cap.
+    #[test]
+    fn scores_are_pinned_bit_for_bit() {
+        let (mut in_star, mut two_way) = (GraphBuilder::new(6), GraphBuilder::new(6));
+        for v in 1..6u32 {
+            in_star.add_edge(v, 0, 1.0);
+            two_way.add_edge(v, 0, 1.0);
+            two_way.add_edge(0, v, 1.0);
+        }
+        let (in_star, two_way) = (in_star.build().unwrap(), two_way.build().unwrap());
+        let ba = crate::generators::barabasi_albert(200, 3, 7);
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for g in [&ba, &in_star, &two_way] {
+            for r in pagerank(g, PageRankOptions::default()) {
+                for byte in r.to_bits().to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            digest, 0x4ec3_043c_5086_b0c6,
+            "PageRank pin moved: {digest:#018x}"
+        );
+    }
+
     #[test]
     fn profile_distance_zero_for_identical() {
         let a = vec![0.5, 0.3, 0.2];
