@@ -9,7 +9,7 @@ use crate::results::{fmt_f, Table};
 use crate::scorer::{ImScorer, McpScorer};
 use mcpb_graph::catalog;
 use mcpb_graph::louvain::{community_profile_distance, louvain};
-use mcpb_graph::pagerank::{pagerank, pagerank_profile_distance, PageRankOptions};
+use mcpb_graph::pagerank::{pagerank, pagerank_profile_distance};
 use mcpb_graph::spearman::spearman;
 use mcpb_graph::stats;
 use mcpb_graph::weights::{assign_weights, WeightModel};
@@ -56,8 +56,8 @@ fn metric_vector(g: &Graph, train: &Graph, quick: bool, seed: u64) -> Vec<f64> {
     let part = louvain(g, 3);
     let comm_dist = community_profile_distance(&part, &train_part, 8);
     let wl = wl_kernel(g, train, 2);
-    let pr_g = pagerank(g, PageRankOptions::default());
-    let pr_t = pagerank(train, PageRankOptions::default());
+    let pr_g = pagerank(g);
+    let pr_t = pagerank(train);
     let pr_dist = pagerank_profile_distance(&pr_g, &pr_t, 32);
     vec![
         s.nodes as f64,
@@ -349,7 +349,7 @@ pub fn tab6_similarity_cost(cfg: &ExpConfig) -> Vec<SimilarityCostCell> {
                 metric: "WL Kernel".into(),
                 ratio: m.seconds / opim_t,
             });
-            let (_, m) = run_measured(|| pagerank(&g, PageRankOptions::default()));
+            let (_, m) = run_measured(|| pagerank(&g));
             cells.push(SimilarityCostCell {
                 dataset: ds.name.to_string(),
                 model: wm.abbrev().to_string(),

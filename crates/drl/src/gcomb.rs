@@ -52,8 +52,6 @@ pub struct GcombConfig {
     pub rl_episodes: usize,
     /// Budget per training episode.
     pub train_budget: usize,
-    /// Adam learning rate (GCN and DQN).
-    pub lr: f32,
     /// Task.
     pub task: Task,
     /// RNG seed.
@@ -75,7 +73,6 @@ impl Default for GcombConfig {
             noise_budgets: vec![2, 5, 10, 20],
             rl_episodes: 30,
             train_budget: 5,
-            lr: 5e-3,
             task: Task::Mcp,
             seed: 0,
             validate_every: 10,
@@ -147,6 +144,8 @@ pub struct Gcomb {
 
 const STATE_DIM: usize = 2;
 const ACTION_DIM: usize = 3;
+/// Adam learning rate (GCN and DQN).
+const LR: f32 = 5e-3;
 
 impl Gcomb {
     /// Creates an untrained model.
@@ -159,7 +158,7 @@ impl Gcomb {
             action_dim: ACTION_DIM,
             hidden: 24,
             gamma: 0.99,
-            lr: cfg.lr,
+            lr: LR,
             target_sync: 60,
             seed: cfg.seed ^ 0x9c0b,
         });
@@ -294,7 +293,7 @@ impl Gcomb {
         // Supervised GCN regression.
         let adj = Arc::new(gcn_normalized(&tg));
         let feats = Self::node_features(&tg);
-        let mut adam = Adam::new(self.cfg.lr);
+        let mut adam = Adam::new(LR);
         let mut sup_loss = 0.0;
         for _ in 0..self.cfg.supervised_epochs {
             let mut tape = Tape::new();

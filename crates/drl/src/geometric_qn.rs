@@ -33,22 +33,12 @@ use rand_chacha::ChaCha8Rng;
 /// Geometric-QN hyper-parameters, CPU-scaled.
 #[derive(Debug, Clone, Copy)]
 pub struct GeometricQnConfig {
-    /// DeepWalk feature dimension on the discovered subgraph.
-    pub feat_dim: usize,
-    /// GCN embedding dimension.
-    pub embed_dim: usize,
-    /// Random-walk length per expansion.
-    pub walk_length: usize,
     /// Exploration steps (node expansions) per query.
     pub explore_steps: usize,
     /// Training episodes.
     pub episodes: usize,
     /// Budget used during training episodes.
     pub train_budget: usize,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Epsilon decay horizon.
-    pub eps_decay_steps: usize,
     /// Validate every this many episodes.
     pub validate_every: usize,
     /// Task.
@@ -60,14 +50,9 @@ pub struct GeometricQnConfig {
 impl Default for GeometricQnConfig {
     fn default() -> Self {
         Self {
-            feat_dim: 8,
-            embed_dim: 8,
-            walk_length: 8,
             explore_steps: 10,
             episodes: 20,
             train_budget: 3,
-            lr: 3e-3,
-            eps_decay_steps: 80,
             validate_every: 5,
             task: Task::Im { rr_sets: 300 },
             seed: 0,
@@ -85,18 +70,28 @@ pub struct GeometricQn {
 }
 
 const STATE_DIM: usize = 3;
+/// DeepWalk feature dimension on the discovered subgraph.
+const FEAT_DIM: usize = 8;
+/// GCN embedding dimension.
+const EMBED_DIM: usize = 8;
+/// Random-walk length per expansion.
+const WALK_LENGTH: usize = 8;
+/// Adam learning rate.
+const LR: f32 = 3e-3;
+/// Epsilon decay horizon.
+const EPS_DECAY_STEPS: usize = 80;
 
 impl GeometricQn {
     /// Creates an untrained model.
     pub fn new(cfg: GeometricQnConfig) -> Self {
         let mut store = ParamStore::new(cfg.seed);
-        let encoder = GcnEncoder::new(&mut store, "gqn", &[cfg.feat_dim, cfg.embed_dim]);
+        let encoder = GcnEncoder::new(&mut store, "gqn", &[FEAT_DIM, EMBED_DIM]);
         let agent = DqnAgent::new(DqnConfig {
             state_dim: STATE_DIM,
-            action_dim: cfg.embed_dim + 2,
+            action_dim: EMBED_DIM + 2,
             hidden: 24,
             gamma: 0.95,
-            lr: cfg.lr,
+            lr: LR,
             target_sync: 40,
             seed: cfg.seed ^ 0x60e0,
         });
@@ -119,7 +114,7 @@ impl GeometricQn {
         let feats = deepwalk_features(
             sub,
             &DeepWalkConfig {
-                dim: self.cfg.feat_dim,
+                dim: FEAT_DIM,
                 walks_per_node: 3,
                 walk_length: 10,
                 window: 2,
@@ -175,7 +170,7 @@ impl GeometricQn {
             let from = order[expandable[idx]];
             // Random walk from the chosen node reveals new territory.
             let mut cur = from;
-            for _ in 0..self.cfg.walk_length {
+            for _ in 0..WALK_LENGTH {
                 let outs = graph.out_neighbors(cur);
                 let ins = graph.in_neighbors(cur);
                 let total = outs.len() + ins.len();
@@ -217,7 +212,7 @@ impl GeometricQn {
             idle_loss: 0.0,
         };
         let mut run = GeometricQnRun {
-            schedule: EpsilonSchedule::standard(self.cfg.eps_decay_steps),
+            schedule: EpsilonSchedule::standard(EPS_DECAY_STEPS),
             model: self,
             graphs,
             val_graph,

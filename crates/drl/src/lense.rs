@@ -38,8 +38,6 @@ pub struct LenseConfig {
     pub subgraph_size: usize,
     /// Labeled subgraphs for encoder training.
     pub num_labeled: usize,
-    /// GCN embedding dimension.
-    pub embed_dim: usize,
     /// Encoder regression epochs.
     pub encoder_epochs: usize,
     /// Navigation training episodes.
@@ -48,8 +46,6 @@ pub struct LenseConfig {
     pub nav_steps: usize,
     /// Budget used for labeling and training rollouts.
     pub train_budget: usize,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Validate every this many navigation episodes.
     pub validate_every: usize,
     /// Task.
@@ -63,12 +59,10 @@ impl Default for LenseConfig {
         Self {
             subgraph_size: 40,
             num_labeled: 24,
-            embed_dim: 8,
             encoder_epochs: 80,
             nav_episodes: 15,
             nav_steps: 8,
             train_budget: 5,
-            lr: 5e-3,
             validate_every: 5,
             task: Task::Mcp,
             seed: 0,
@@ -88,19 +82,23 @@ pub struct Lense {
 
 const STATE_DIM: usize = 2;
 const ACTION_DIM: usize = 3;
+/// GCN embedding dimension.
+const EMBED_DIM: usize = 8;
+/// Adam learning rate.
+const LR: f32 = 5e-3;
 
 impl Lense {
     /// Creates an untrained model.
     pub fn new(cfg: LenseConfig) -> Self {
         let mut store = ParamStore::new(cfg.seed);
-        let encoder = GcnEncoder::new(&mut store, "lense", &[2, cfg.embed_dim, cfg.embed_dim]);
-        let head = Linear::new(&mut store, "lense.head", cfg.embed_dim, 1);
+        let encoder = GcnEncoder::new(&mut store, "lense", &[2, EMBED_DIM, EMBED_DIM]);
+        let head = Linear::new(&mut store, "lense.head", EMBED_DIM, 1);
         let agent = DqnAgent::new(DqnConfig {
             state_dim: STATE_DIM,
             action_dim: ACTION_DIM,
             hidden: 24,
             gamma: 0.95,
-            lr: cfg.lr,
+            lr: LR,
             target_sync: 40,
             seed: cfg.seed ^ 0x1e5e,
         });
@@ -207,7 +205,7 @@ impl Lense {
             let (sub, _) = train_graph.induced_subgraph(&sub_nodes);
             subs.push((sub, ratio as f32));
         }
-        let mut adam = Adam::new(self.cfg.lr);
+        let mut adam = Adam::new(LR);
         for _ in 0..self.cfg.encoder_epochs {
             let mut grads = Vec::new();
             for (sub, ratio) in &subs {

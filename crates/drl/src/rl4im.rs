@@ -32,14 +32,8 @@ pub struct Rl4ImConfig {
     pub episodes: usize,
     /// Budget per training episode.
     pub train_budget: usize,
-    /// Discount factor.
-    pub gamma: f32,
-    /// Adam learning rate.
-    pub lr: f32,
     /// Replay minibatch size.
     pub batch_size: usize,
-    /// Gradient steps between target syncs.
-    pub target_sync: usize,
     /// Epsilon decay horizon.
     pub eps_decay_steps: usize,
     /// Validate every this many episodes.
@@ -61,10 +55,7 @@ impl Default for Rl4ImConfig {
             rounds: 2,
             episodes: 40,
             train_budget: 5,
-            gamma: 0.99,
-            lr: 5e-3,
             batch_size: 4,
-            target_sync: 40,
             eps_decay_steps: 120,
             validate_every: 10,
             state_abstraction: true,
@@ -74,6 +65,9 @@ impl Default for Rl4ImConfig {
         }
     }
 }
+
+/// RL4IM's discount factor.
+const GAMMA: f32 = 0.99;
 
 /// The trained RL4IM model.
 pub struct Rl4Im {
@@ -89,9 +83,7 @@ impl Rl4Im {
                 "rl4im",
                 cfg.embed_dim,
                 cfg.rounds,
-                cfg.lr,
                 cfg.batch_size,
-                cfg.target_sync,
                 [cfg.seed, cfg.seed ^ 0x414d, cfg.seed ^ 0x1407],
             ),
             cfg,
@@ -209,10 +201,7 @@ impl TrainHooks for Rl4ImRun<'_> {
         }
         let mut grad_norm = 0f64;
         if self.replay.len() >= self.model.learner.batch_size {
-            let (loss, gnorm) = self
-                .model
-                .learner
-                .update(&self.replay, &self.sgs, cfg.gamma);
+            let (loss, gnorm) = self.model.learner.update(&self.replay, &self.sgs, GAMMA);
             losses.push(loss);
             grad_norm = gnorm;
         }

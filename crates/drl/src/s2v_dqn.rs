@@ -184,6 +184,11 @@ fn unselected(tags: &[f32]) -> Vec<NodeId> {
         .collect()
 }
 
+/// Adam learning rate of the S2V Q-learner.
+const LR: f32 = 5e-3;
+/// Gradient steps between target syncs of the S2V Q-learner.
+const TARGET_SYNC: u64 = 40;
+
 /// The S2V Q-learner S2V-DQN and RL4IM share: online and target stores,
 /// Adam, epsilon-greedy acting, the TD update and greedy inference.
 pub(crate) struct S2vLearner {
@@ -196,7 +201,6 @@ pub(crate) struct S2vLearner {
     pub(crate) rng: ChaCha8Rng,
     /// Replay minibatch size.
     pub(crate) batch_size: usize,
-    target_sync: usize,
 }
 
 impl S2vLearner {
@@ -207,9 +211,7 @@ impl S2vLearner {
         name: &str,
         embed_dim: usize,
         rounds: usize,
-        lr: f32,
         batch_size: usize,
-        target_sync: usize,
         seeds: [u64; 3],
     ) -> Self {
         let mut online = ParamStore::new(seeds[0]);
@@ -221,10 +223,9 @@ impl S2vLearner {
             net,
             online,
             target,
-            optimizer: Adam::new(lr),
+            optimizer: Adam::new(LR),
             rng: ChaCha8Rng::seed_from_u64(seeds[2]),
             batch_size,
-            target_sync,
         }
     }
 
@@ -282,7 +283,7 @@ impl S2vLearner {
         let merged = merge_grads(grads);
         let gnorm = grad_l2_norm(&merged);
         self.optimizer.step(&mut self.online, &merged);
-        if self.optimizer.t % self.target_sync as u64 == 0 {
+        if self.optimizer.t % TARGET_SYNC == 0 {
             self.target.copy_values_from(&self.online);
         }
         (total_loss / batch.len().max(1) as f32, gnorm)
@@ -343,16 +344,6 @@ pub struct S2vDqnConfig {
     pub episodes: usize,
     /// Seeds selected per training episode.
     pub train_budget: usize,
-    /// Discount factor.
-    pub gamma: f32,
-    /// Adam learning rate.
-    pub lr: f32,
-    /// Replay minibatch size (each sample costs one full forward/backward).
-    pub batch_size: usize,
-    /// Gradient steps between target syncs.
-    pub target_sync: usize,
-    /// Replay capacity.
-    pub replay_capacity: usize,
     /// Epsilon decay horizon in environment steps.
     pub eps_decay_steps: usize,
     /// n-step returns (the original uses n-step Q-learning; 1 = plain TD).
@@ -373,11 +364,6 @@ impl Default for S2vDqnConfig {
             train_subgraph_nodes: 40,
             episodes: 40,
             train_budget: 5,
-            gamma: 0.99,
-            lr: 5e-3,
-            batch_size: 4,
-            target_sync: 40,
-            replay_capacity: 2_000,
             eps_decay_steps: 120,
             n_step: 2,
             validate_every: 10,
@@ -386,6 +372,14 @@ impl Default for S2vDqnConfig {
         }
     }
 }
+
+/// S2V-DQN's discount factor.
+const GAMMA: f32 = 0.99;
+/// S2V-DQN's replay minibatch size (each sample costs one full
+/// forward/backward).
+const BATCH_SIZE: usize = 4;
+/// S2V-DQN's replay capacity.
+const REPLAY_CAPACITY: usize = 2_000;
 
 /// The trained S2V-DQN model.
 pub struct S2vDqn {
@@ -401,9 +395,7 @@ impl S2vDqn {
                 "s2vdqn",
                 cfg.embed_dim,
                 cfg.rounds,
-                cfg.lr,
-                cfg.batch_size,
-                cfg.target_sync,
+                BATCH_SIZE,
                 [cfg.seed, cfg.seed ^ 0xbeef, cfg.seed ^ 0x51f7],
             ),
             cfg,
@@ -431,7 +423,7 @@ impl S2vDqn {
             idle_loss: 0.0,
         };
         let mut run = S2vDqnRun {
-            replay: ReplayBuffer::new(self.cfg.replay_capacity),
+            replay: ReplayBuffer::new(REPLAY_CAPACITY),
             schedule: EpsilonSchedule::standard(self.cfg.eps_decay_steps),
             model: self,
             train_graph,
@@ -502,13 +494,13 @@ impl TrainHooks for S2vDqnRun<'_> {
         // the bootstrap state h steps ahead (the original's n-step
         // Q-learning; n_step = 1 recovers plain TD), discounted by gamma^n.
         let nstep = cfg.n_step.max(1);
-        let discount = cfg.gamma.powi(nstep as i32);
+        let discount = GAMMA.powi(nstep as i32);
         let len = trace.len();
         for i in 0..len {
             let horizon = (i + nstep).min(len);
             let mut ret = 0f32;
             for (j, item) in trace[i..horizon].iter().enumerate() {
-                ret += cfg.gamma.powi(j as i32) * item.2;
+                ret += GAMMA.powi(j as i32) * item.2;
             }
             // Tags after `horizon` actions: start state i plus the
             // actions taken in between.
@@ -713,7 +705,7 @@ mod tests {
             ),
             ("edgeless", Graph::from_edges(8, &[]).unwrap()),
         ];
-        let fresh = S2vLearner::new("s2vdqn", 16, 2, 5e-3, 4, 40, [1, 2, 3]);
+        let fresh = S2vLearner::new("s2vdqn", 16, 2, 4, [1, 2, 3]);
         let mut trained = S2vDqn::new(tiny_cfg());
         trained.train(&graphs[0].1);
         for (params, learner) in [("fresh", &fresh), ("trained", &trained.learner)] {
@@ -774,7 +766,7 @@ mod tests {
             ("self-loops", Graph::from_edges(8, &loops).unwrap()),
         ];
         for rounds in [1, 2, 3] {
-            let learner = S2vLearner::new("s2vdqn", 8, rounds, 5e-3, 4, 40, [rounds as u64, 5, 6]);
+            let learner = S2vLearner::new("s2vdqn", 8, rounds, 4, [rounds as u64, 5, 6]);
             let (net, store) = (&learner.net, &learner.online);
             for (name, g) in &graphs {
                 let n = g.num_nodes();

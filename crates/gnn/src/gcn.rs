@@ -164,7 +164,7 @@ mod tests {
         let mut last = 0.0;
         for _ in 0..300 {
             let mut tape = Tape::new();
-            let x = tape.input(Tensor::full(n, 1, 1.0));
+            let x = tape.input(Tensor::column(&vec![1.0; n]));
             let h = enc.forward(&mut tape, &store, adj.clone(), x);
             let loss = tape.mse_loss(h, target.clone());
             tape.backward(loss);

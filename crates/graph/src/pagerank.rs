@@ -3,30 +3,16 @@
 
 use crate::csr::Graph;
 
-/// Options for the power-iteration PageRank.
-#[derive(Debug, Clone, Copy)]
-pub struct PageRankOptions {
-    /// Damping factor (probability of following an out-edge).
-    pub damping: f64,
-    /// Maximum number of power iterations.
-    pub max_iters: usize,
-    /// L1 convergence tolerance.
-    pub tolerance: f64,
-}
-
-impl Default for PageRankOptions {
-    fn default() -> Self {
-        Self {
-            damping: 0.85,
-            max_iters: 100,
-            tolerance: 1e-9,
-        }
-    }
-}
+/// Damping factor (probability of following an out-edge).
+const DAMPING: f64 = 0.85;
+/// Maximum number of power iterations.
+const MAX_ITERS: usize = 100;
+/// L1 convergence tolerance.
+const TOLERANCE: f64 = 1e-9;
 
 /// Computes PageRank scores; returns a probability vector over nodes.
 /// Dangling mass is redistributed uniformly, so the output always sums to 1.
-pub fn pagerank(g: &Graph, opts: PageRankOptions) -> Vec<f64> {
+pub fn pagerank(g: &Graph) -> Vec<f64> {
     let n = g.num_nodes();
     if n == 0 {
         return Vec::new();
@@ -35,7 +21,7 @@ pub fn pagerank(g: &Graph, opts: PageRankOptions) -> Vec<f64> {
     let mut rank = vec![uniform; n];
     let mut next = vec![0.0f64; n];
 
-    for _ in 0..opts.max_iters {
+    for _ in 0..MAX_ITERS {
         next.fill(0.0);
         let mut dangling = 0.0f64;
         for v in 0..n {
@@ -49,14 +35,14 @@ pub fn pagerank(g: &Graph, opts: PageRankOptions) -> Vec<f64> {
                 }
             }
         }
-        let base = (1.0 - opts.damping) * uniform + opts.damping * dangling * uniform;
+        let base = (1.0 - DAMPING) * uniform + DAMPING * dangling * uniform;
         let mut delta = 0.0f64;
         for v in 0..n {
-            let new = base + opts.damping * next[v];
+            let new = base + DAMPING * next[v];
             delta += (new - rank[v]).abs();
             rank[v] = new;
         }
-        if delta < opts.tolerance {
+        if delta < TOLERANCE {
             break;
         }
     }
@@ -92,7 +78,7 @@ mod tests {
     #[test]
     fn sums_to_one() {
         let g = crate::generators::barabasi_albert(100, 3, 1);
-        let pr = pagerank(&g, PageRankOptions::default());
+        let pr = pagerank(&g);
         let s: f64 = pr.iter().sum();
         assert!((s - 1.0).abs() < 1e-6, "sum {s}");
     }
@@ -105,7 +91,7 @@ mod tests {
             b.add_edge(v, 0, 1.0);
         }
         let g = b.build().unwrap();
-        let pr = pagerank(&g, PageRankOptions::default());
+        let pr = pagerank(&g);
         let argmax = pr
             .iter()
             .enumerate()
@@ -128,7 +114,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let pr = pagerank(&g, PageRankOptions::default());
+        let pr = pagerank(&g);
         for &r in &pr {
             assert!((r - 0.25).abs() < 1e-6, "{r}");
         }
@@ -137,7 +123,7 @@ mod tests {
     #[test]
     fn dangling_nodes_do_not_lose_mass() {
         let g = Graph::from_edges(3, &[Edge::unweighted(0, 1), Edge::unweighted(0, 2)]).unwrap();
-        let pr = pagerank(&g, PageRankOptions::default());
+        let pr = pagerank(&g);
         assert!((pr.iter().sum::<f64>() - 1.0).abs() < 1e-6);
         assert!(pr[1] > pr[0]);
     }
@@ -158,7 +144,7 @@ mod tests {
         let ba = crate::generators::barabasi_albert(200, 3, 7);
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         for g in [&ba, &in_star, &two_way] {
-            for r in pagerank(g, PageRankOptions::default()) {
+            for r in pagerank(g) {
                 for byte in r.to_bits().to_le_bytes() {
                     digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
                 }

@@ -12,49 +12,26 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Simulated-annealing parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SaParams {
-    /// RR sets backing the spread estimator.
-    pub rr_sets: usize,
-    /// Initial temperature (in normalized-spread units).
-    pub t0: f64,
-    /// Geometric cooling factor per iteration.
-    pub cooling: f64,
-    /// Local-search iterations.
-    pub iterations: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for SaParams {
-    fn default() -> Self {
-        Self {
-            rr_sets: 5_000,
-            t0: 0.05,
-            cooling: 0.99,
-            iterations: 2_000,
-            seed: 0,
-        }
-    }
-}
+/// RR sets backing the spread estimator.
+const RR_SETS: usize = 5_000;
+/// Initial temperature (in normalized-spread units).
+const T0: f64 = 0.05;
+/// Geometric cooling factor per iteration.
+const COOLING: f64 = 0.99;
+/// Local-search iterations.
+const ITERATIONS: usize = 2_000;
 
 /// The simulated-annealing IM solver.
 #[derive(Debug, Clone)]
 pub struct SimulatedAnnealing {
-    /// Parameters used per solve.
-    pub params: SaParams,
+    /// RNG seed.
+    pub seed: u64,
 }
 
 impl SimulatedAnnealing {
-    /// Creates the solver with default parameters and a seed.
+    /// Creates the solver with a seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self {
-            params: SaParams {
-                seed,
-                ..SaParams::default()
-            },
-        }
+        Self { seed }
     }
 
     fn spread(rr: &RrCollection, seeds: &[NodeId]) -> f64 {
@@ -72,8 +49,8 @@ impl SimulatedAnnealing {
             // Every node is a seed; nothing to search.
             return ImSolution::seeds_only((0..n as NodeId).collect());
         }
-        let rr = sample_collection(graph, self.params.rr_sets, self.params.seed);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed ^ 0x5a5a);
+        let rr = sample_collection(graph, RR_SETS, self.seed);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x5a5a);
 
         // Initialize with the top-k out-degree nodes (warm start).
         let mut by_degree: Vec<NodeId> = (0..n as NodeId).collect();
@@ -86,9 +63,9 @@ impl SimulatedAnnealing {
         let mut current_spread = Self::spread(&rr, &current);
         let mut best = current.clone();
         let mut best_spread = current_spread;
-        let mut temp = self.params.t0 * n as f64;
+        let mut temp = T0 * n as f64;
 
-        for _ in 0..self.params.iterations {
+        for _ in 0..ITERATIONS {
             // Propose a swap: random member out, random non-member in.
             let out_idx = rng.gen_range(0..k);
             let incoming = loop {
@@ -113,7 +90,7 @@ impl SimulatedAnnealing {
             } else {
                 current[out_idx] = outgoing;
             }
-            temp *= self.params.cooling;
+            temp *= COOLING;
         }
         best.shuffle(&mut rng); // selection order is meaningless for SA
         ImSolution {
@@ -154,7 +131,7 @@ mod tests {
         let g = test_graph(1);
         let k = 6;
         let sa = SimulatedAnnealing::with_seed(3);
-        let rr = sample_collection(&g, sa.params.rr_sets, sa.params.seed);
+        let rr = sample_collection(&g, RR_SETS, sa.seed);
         let mut by_degree: Vec<u32> = (0..150).collect();
         by_degree.sort_by_key(|&v| (std::cmp::Reverse(g.out_degree(v)), v));
         let warm = rr.estimate_spread(&by_degree[..k]);

@@ -16,26 +16,25 @@ use mcpb_graph::Graph;
 pub struct ImmParams {
     /// Approximation slack `eps` in the `(1 - 1/e - eps)` guarantee.
     pub epsilon: f64,
-    /// Failure-probability exponent: guarantee holds w.p. `1 - 1/n^ell`.
-    pub ell: f64,
     /// RNG seed for RR-set sampling.
     pub seed: u64,
-    /// Hard cap on the number of RR sets (guards atypical instances where
-    /// theta explodes; the paper observes exactly this blow-up in the
-    /// "influence spread insensitive to budget" cases).
-    pub max_rr_sets: usize,
 }
 
 impl Default for ImmParams {
     fn default() -> Self {
         Self {
             epsilon: 0.5,
-            ell: 1.0,
             seed: 0,
-            max_rr_sets: 4_000_000,
         }
     }
 }
+
+/// Failure-probability exponent: the guarantee holds w.p. `1 - 1/n^ell`.
+const ELL: f64 = 1.0;
+/// Hard cap on the number of RR sets (guards atypical instances where
+/// theta explodes; the paper observes exactly this blow-up in the
+/// "influence spread insensitive to budget" cases).
+const MAX_RR_SETS: usize = 4_000_000;
 
 /// The IMM solver.
 #[derive(Debug, Clone)]
@@ -72,7 +71,7 @@ impl Imm {
         let eps = self.params.epsilon;
         // Adjust ell so the union bound over the sampling phase holds
         // (IMM paper, §4.2: ell' = ell * (1 + log 2 / log n)).
-        let ell = self.params.ell * (1.0 + 2f64.ln() / nf.ln().max(1.0));
+        let ell = ELL * (1.0 + 2f64.ln() / nf.ln().max(1.0));
         let log_cnk = log_binomial(n, k);
 
         // Phase 1: estimate a lower bound of OPT.
@@ -85,7 +84,7 @@ impl Imm {
         let max_i = (nf.log2().ceil() as usize).saturating_sub(1).max(1);
         for i in 1..=max_i {
             let x = nf / 2f64.powi(i as i32);
-            let theta_i = ((lambda_prime / x).ceil() as usize).min(self.params.max_rr_sets);
+            let theta_i = ((lambda_prime / x).ceil() as usize).min(MAX_RR_SETS);
             rr.extend_to(graph, theta_i, self.params.seed);
             let (_, covered) = rr.greedy_max_coverage(k);
             let frac = covered as f64 / rr.len().max(1) as f64;
@@ -93,7 +92,7 @@ impl Imm {
                 lb = nf * frac / (1.0 + eps_prime);
                 break;
             }
-            if rr.len() >= self.params.max_rr_sets {
+            if rr.len() >= MAX_RR_SETS {
                 lb = (nf * frac / (1.0 + eps_prime)).max(1.0);
                 break;
             }
@@ -105,7 +104,7 @@ impl Imm {
             ((1.0 - 1.0 / std::f64::consts::E) * (log_cnk + ell * nf.ln() + 2f64.ln())).sqrt();
         let lambda_star =
             2.0 * nf * ((1.0 - 1.0 / std::f64::consts::E) * alpha + beta).powi(2) / (eps * eps);
-        let theta = ((lambda_star / lb).ceil() as usize).clamp(1, self.params.max_rr_sets);
+        let theta = ((lambda_star / lb).ceil() as usize).clamp(1, MAX_RR_SETS);
         rr.extend_to(graph, theta, self.params.seed);
         let (seeds, covered) = rr.greedy_max_coverage(k);
         let spread = nf * covered as f64 / rr.len().max(1) as f64;

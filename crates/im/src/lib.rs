@@ -37,7 +37,7 @@ pub mod shard;
 pub mod solver;
 pub mod tim;
 
-pub use annealing::{SaParams, SimulatedAnnealing};
+pub use annealing::SimulatedAnnealing;
 pub use cascade::influence_mc;
 pub use celf::CelfGreedy;
 pub use celfpp::CelfPlusPlus;
@@ -49,11 +49,11 @@ pub use opim::{Opim, OpimParams};
 pub use rrset::{sample_collection, sample_rr_set, RrCollection, SetsView};
 pub use scratch::CascadeScratch;
 pub use solver::{ImSolution, ImSolver};
-pub use tim::{TimParams, TimPlus};
+pub use tim::TimPlus;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::annealing::{SaParams, SimulatedAnnealing};
+    pub use crate::annealing::SimulatedAnnealing;
     pub use crate::cascade::influence_mc;
     pub use crate::celf::CelfGreedy;
     pub use crate::celfpp::CelfPlusPlus;
@@ -65,5 +65,5 @@ pub mod prelude {
     pub use crate::rrset::{sample_collection, sample_rr_set, RrCollection, SetsView};
     pub use crate::scratch::CascadeScratch;
     pub use crate::solver::{ImSolution, ImSolver};
-    pub use crate::tim::{TimParams, TimPlus};
+    pub use crate::tim::TimPlus;
 }

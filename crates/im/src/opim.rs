@@ -12,14 +12,9 @@ use crate::rrset::RrCollection;
 use crate::solver::{ImSolution, ImSolver};
 use mcpb_graph::Graph;
 
-/// OPIM-C parameters. The paper's benchmark sets `epsilon = 0.1`.
+/// OPIM-C parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct OpimParams {
-    /// Approximation slack.
-    pub epsilon: f64,
-    /// Overall failure probability `delta` (the paper uses `1/n`; we fix a
-    /// small constant so tiny graphs don't demand absurd sample sizes).
-    pub delta: f64,
     /// RNG seed.
     pub seed: u64,
     /// Cap on RR sets per collection.
@@ -29,13 +24,17 @@ pub struct OpimParams {
 impl Default for OpimParams {
     fn default() -> Self {
         Self {
-            epsilon: 0.1,
-            delta: 0.01,
             seed: 0,
             max_rr_sets: 2_000_000,
         }
     }
 }
+
+/// Approximation slack; the paper's benchmark sets 0.1.
+const EPSILON: f64 = 0.1;
+/// Overall failure probability `delta` (the paper uses `1/n`; we fix a
+/// small constant so tiny graphs don't demand absurd sample sizes).
+const DELTA: f64 = 0.01;
 
 /// The OPIM-C solver.
 #[derive(Debug, Clone)]
@@ -71,13 +70,13 @@ impl Opim {
         }
         let k = k.min(n);
         let nf = n as f64;
-        let eps = self.params.epsilon;
+        let eps = EPSILON;
         let target = ONE_MINUS_INV_E - eps;
 
         // theta_max from the OPIM paper (eq. for a (1-1/e-eps) guarantee
         // with spread at least k).
         let log_cnk = log_binomial(n, k);
-        let delta = self.params.delta;
+        let delta = DELTA;
         let alpha = (-(delta / 2.0).ln()).sqrt();
         let beta = (ONE_MINUS_INV_E * (log_cnk - (delta / 2.0).ln())).sqrt();
         let theta_max = ((2.0 * nf * (ONE_MINUS_INV_E * alpha + beta).powi(2))

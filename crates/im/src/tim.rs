@@ -15,49 +15,24 @@ use mcpb_graph::{Graph, NodeId};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// TIM+ parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct TimParams {
-    /// Approximation slack.
-    pub epsilon: f64,
-    /// Failure-probability exponent (`1 - 1/n^ell`).
-    pub ell: f64,
-    /// RNG seed.
-    pub seed: u64,
-    /// Cap on RR sets.
-    pub max_rr_sets: usize,
-}
-
-impl Default for TimParams {
-    fn default() -> Self {
-        Self {
-            epsilon: 0.5,
-            ell: 1.0,
-            seed: 0,
-            max_rr_sets: 2_000_000,
-        }
-    }
-}
+/// Approximation slack.
+const EPSILON: f64 = 0.5;
+/// Failure-probability exponent (`1 - 1/n^ell`).
+const ELL: f64 = 1.0;
+/// Cap on RR sets.
+const MAX_RR_SETS: usize = 2_000_000;
 
 /// The TIM+ solver.
 #[derive(Debug, Clone)]
 pub struct TimPlus {
-    /// Parameters used per `solve`.
-    pub params: TimParams,
+    /// RNG seed.
+    pub seed: u64,
 }
 
 impl TimPlus {
-    /// Creates TIM+ with the given parameters.
-    pub fn new(params: TimParams) -> Self {
-        Self { params }
-    }
-
-    /// Creates TIM+ with defaults and a seed.
+    /// Creates TIM+ with a seed.
     pub fn with_seed(seed: u64) -> Self {
-        Self::new(TimParams {
-            seed,
-            ..TimParams::default()
-        })
+        Self { seed }
     }
 
     /// Width of an RR set: total in-degree of its members (the number of
@@ -70,11 +45,11 @@ impl TimPlus {
     fn estimate_kpt(&self, graph: &Graph, k: usize) -> f64 {
         let n = graph.num_nodes() as f64;
         let m = graph.num_edges().max(1) as f64;
-        let mut rng = ChaCha8Rng::seed_from_u64(self.params.seed ^ 0x71a1);
+        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x71a1);
         let log2n = n.log2().max(1.0);
         for i in 1..(log2n as usize) {
-            let ci = (6.0 * self.params.ell * n.ln() + 6.0 * log2n.ln()) * 2f64.powi(i as i32);
-            let ci = (ci.ceil() as usize).clamp(1, self.params.max_rr_sets);
+            let ci = (6.0 * ELL * n.ln() + 6.0 * log2n.ln()) * 2f64.powi(i as i32);
+            let ci = (ci.ceil() as usize).clamp(1, MAX_RR_SETS);
             let mut sum = 0.0f64;
             for _ in 0..ci {
                 let rr = sample_rr_set(graph, &mut rng);
@@ -99,12 +74,11 @@ impl TimPlus {
         let k = k.min(n);
         let nf = n as f64;
         let kpt = self.estimate_kpt(graph, k).max(1.0);
-        let eps = self.params.epsilon;
+        let eps = EPSILON;
         let lambda =
-            (8.0 + 2.0 * eps) * nf * (self.params.ell * nf.ln() + log_binomial(n, k) + 2f64.ln())
-                / (eps * eps);
-        let theta = ((lambda / kpt).ceil() as usize).clamp(1, self.params.max_rr_sets);
-        rr.extend_to(graph, theta, self.params.seed);
+            (8.0 + 2.0 * eps) * nf * (ELL * nf.ln() + log_binomial(n, k) + 2f64.ln()) / (eps * eps);
+        let theta = ((lambda / kpt).ceil() as usize).clamp(1, MAX_RR_SETS);
+        rr.extend_to(graph, theta, self.seed);
         let (seeds, covered) = rr.greedy_max_coverage(k);
         let spread = nf * covered as f64 / rr.len().max(1) as f64;
         (

@@ -30,15 +30,6 @@ impl Tensor {
         }
     }
 
-    /// All-`value` matrix.
-    pub fn full(rows: usize, cols: usize, value: f32) -> Self {
-        Self {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Matrix from a row-major slice.
     pub fn from_slice(rows: usize, cols: usize, data: &[f32]) -> Self {
         assert_eq!(data.len(), rows * cols, "shape/data mismatch");

@@ -52,7 +52,6 @@ pub fn serve_area() -> AreaReport {
             requests,
             seed: 20_240_817,
             burst: true,
-            ..LoadGenConfig::default()
         },
     );
     let opts = EngineOptions {

@@ -26,10 +26,6 @@ pub struct LoadGenConfig {
     /// Emit a mid-log burst of maximum-cost requests that overloads
     /// admission (exercises degrade + shed).
     pub burst: bool,
-    /// Probability a line is deliberately malformed (typed-error path).
-    pub malformed_rate: f64,
-    /// Probability a request carries a tight deadline.
-    pub deadline_rate: f64,
 }
 
 impl Default for LoadGenConfig {
@@ -38,11 +34,14 @@ impl Default for LoadGenConfig {
             requests: 200,
             seed: 7,
             burst: false,
-            malformed_rate: 0.03,
-            deadline_rate: 0.10,
         }
     }
 }
+
+/// Probability a line is deliberately malformed (typed-error path).
+const MALFORMED_RATE: f64 = 0.03;
+/// Probability a request carries a tight deadline.
+const DEADLINE_RATE: f64 = 0.10;
 
 /// Generates a JSONL request log against the preloaded `state`. Requests
 /// reference only preloaded datasets and solvers (apart from the
@@ -53,7 +52,7 @@ pub fn generate_log(state: &ServeState, cfg: &LoadGenConfig) -> String {
     let burst_lo = cfg.requests / 3;
     let burst_hi = burst_lo + cfg.requests / 4;
     for i in 0..cfg.requests {
-        if rng.gen_bool(cfg.malformed_rate) {
+        if rng.gen_bool(MALFORMED_RATE) {
             out.push_str(malformed_line(&mut rng));
             out.push('\n');
             continue;
@@ -79,7 +78,7 @@ pub fn generate_log(state: &ServeState, cfg: &LoadGenConfig) -> String {
             // budget's worth of work.
             out.push_str(",\"cost\":40");
         }
-        if rng.gen_bool(cfg.deadline_rate) {
+        if rng.gen_bool(DEADLINE_RATE) {
             let ms = rng.gen_range(50u64..500);
             out.push_str(&format!(",\"deadline_ms\":{ms}"));
         }

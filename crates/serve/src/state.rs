@@ -33,12 +33,6 @@ pub struct ServeConfig {
     pub mcp_solvers: Vec<McpMethodKind>,
     /// IM methods to prepare.
     pub im_solvers: Vec<ImMethodKind>,
-    /// Edge-weight model for IM graphs.
-    pub weight_model: WeightModel,
-    /// Training scale for Deep-RL methods.
-    pub scale: Scale,
-    /// Base seed for weights, sketches, and solver preparation.
-    pub seed: u64,
     /// RR-set sketch size per dataset.
     pub rr_sets: usize,
 }
@@ -57,13 +51,17 @@ impl Default for ServeConfig {
                 ImMethodKind::DDiscount,
                 ImMethodKind::SDiscount,
             ],
-            weight_model: WeightModel::WeightedCascade,
-            scale: Scale::Quick,
-            seed: 42,
             rr_sets: 2_000,
         }
     }
 }
+
+/// Edge-weight model for IM graphs.
+const WEIGHT_MODEL: WeightModel = WeightModel::WeightedCascade;
+/// Training scale for Deep-RL methods.
+const SCALE: Scale = Scale::Quick;
+/// Base seed for weights, sketches, and solver preparation.
+const SEED: u64 = 42;
 
 /// Everything preloaded for one dataset.
 pub struct DatasetState {
@@ -139,9 +137,9 @@ pub fn config_hash(cfg: &ServeConfig) -> u64 {
     parts.extend(cfg.datasets.iter().cloned());
     parts.extend(cfg.mcp_solvers.iter().map(|k| k.name().to_string()));
     parts.extend(cfg.im_solvers.iter().map(|k| k.name().to_string()));
-    parts.push(format!("{:?}", cfg.weight_model));
+    parts.push(format!("{WEIGHT_MODEL:?}"));
     parts.push(format!("rr={}", cfg.rr_sets));
-    parts.push(format!("seed={}", cfg.seed));
+    parts.push(format!("seed={SEED}"));
     // Each part ends in a 0x1f unit separator, so ["ab", "c"] and
     // ["a", "bc"] hash apart.
     let mut bytes = Vec::new();
@@ -190,9 +188,9 @@ pub fn preload(cfg: &ServeConfig) -> Result<(Arc<ServeState>, SolverPool), Prelo
     for name in &cfg.datasets {
         let ds = catalog::require(name).map_err(|_| PreloadError::UnknownDataset(name.clone()))?;
         let mcp_graph = ds.load();
-        let im_graph = assign_weights(&mcp_graph, cfg.weight_model, cfg.seed);
-        let sketch = sample_collection(&im_graph, cfg.rr_sets, cfg.seed ^ 0x5eed);
-        let im_scorer = ImScorer::new(&im_graph, cfg.rr_sets, cfg.seed ^ 0x5c03);
+        let im_graph = assign_weights(&mcp_graph, WEIGHT_MODEL, SEED);
+        let sketch = sample_collection(&im_graph, cfg.rr_sets, SEED ^ 0x5eed);
+        let im_scorer = ImScorer::new(&im_graph, cfg.rr_sets, SEED ^ 0x5c03);
         datasets.push(DatasetState {
             name: name.clone(),
             mcp_graph,
@@ -206,16 +204,16 @@ pub fn preload(cfg: &ServeConfig) -> Result<(Arc<ServeState>, SolverPool), Prelo
     let mcp = cfg
         .mcp_solvers
         .iter()
-        .map(|&kind| prepare_mcp(kind, train_mcp, cfg.scale, cfg.seed))
+        .map(|&kind| prepare_mcp(kind, train_mcp, SCALE, SEED))
         .collect();
     let im = cfg
         .im_solvers
         .iter()
-        .map(|&kind| prepare_im(kind, train_im, cfg.weight_model, cfg.scale, cfg.seed))
+        .map(|&kind| prepare_im(kind, train_im, WEIGHT_MODEL, SCALE, SEED))
         .collect();
     let state = Arc::new(ServeState {
         config_hash: config_hash(cfg),
-        seed: cfg.seed,
+        seed: SEED,
         datasets,
         mcp_kinds: cfg.mcp_solvers.clone(),
         im_kinds: cfg.im_solvers.clone(),

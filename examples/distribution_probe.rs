@@ -13,7 +13,7 @@
 
 use mcp_benchmark::prelude::*;
 use mcpb_graph::louvain::{community_profile_distance, louvain};
-use mcpb_graph::pagerank::{pagerank, pagerank_profile_distance, PageRankOptions};
+use mcpb_graph::pagerank::{pagerank, pagerank_profile_distance};
 use mcpb_graph::wl::wl_kernel;
 use std::time::Instant;
 
@@ -48,8 +48,8 @@ fn main() {
         let wl_time = t.elapsed();
 
         let t = Instant::now();
-        let pr1 = pagerank(&train, PageRankOptions::default());
-        let pr2 = pagerank(g, PageRankOptions::default());
+        let pr1 = pagerank(&train);
+        let pr2 = pagerank(g);
         let pr = pagerank_profile_distance(&pr1, &pr2, 64);
         let pr_time = t.elapsed();
 

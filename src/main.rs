@@ -748,7 +748,6 @@ fn serve_cmd(args: &[String]) {
                 requests: n,
                 seed,
                 burst,
-                ..LoadGenConfig::default()
             },
         );
         match &out {
