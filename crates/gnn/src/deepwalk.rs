@@ -259,6 +259,38 @@ mod tests {
     }
 
     #[test]
+    fn features_are_pinned_bit_for_bit() {
+        // Geometric-QN's settings, on a BA graph and on a graph whose
+        // isolated nodes stay zero and whose width pads past n.
+        let cfg = DeepWalkConfig {
+            dim: 8,
+            walks_per_node: 3,
+            walk_length: 10,
+            window: 2,
+            power_iters: 4,
+            seed: 11,
+        };
+        let ba = generators::barabasi_albert(60, 2, 5);
+        let mut isolated = mcpb_graph::GraphBuilder::new(7);
+        for (u, v) in [(0, 1), (1, 2), (4, 5)] {
+            isolated.add_edge(u, v, 1.0);
+        }
+        let isolated = isolated.build().unwrap();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for g in [&ba, &isolated] {
+            for v in deepwalk_features(g, &cfg).data {
+                for byte in v.to_bits().to_le_bytes() {
+                    digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(
+            digest, 0x8b74_0c98_7853_7849,
+            "DeepWalk pin moved: {digest:#018x}"
+        );
+    }
+
+    #[test]
     fn dim_larger_than_n_is_padded() {
         let g = generators::erdos_renyi(5, 6, 0);
         let f = deepwalk_features(
