@@ -270,14 +270,12 @@ pub struct RecoveryHarness {
 }
 
 impl RecoveryHarness {
-    /// A harness with the default thresholds and recovery budget.
+    /// A harness with the guard's fixed thresholds and recovery budget.
     pub fn new(solver: &'static str) -> Self {
         RecoveryHarness {
             solver,
             site: format!("train.{solver}"),
-            guard: mcpb_resilience::DivergenceGuard::new(
-                mcpb_resilience::DivergenceConfig::default(),
-            ),
+            guard: mcpb_resilience::DivergenceGuard::default(),
         }
     }
 

@@ -38,8 +38,6 @@ use std::sync::Arc;
 /// GCOMB hyper-parameters, CPU-scaled.
 #[derive(Debug, Clone)]
 pub struct GcombConfig {
-    /// GCN embedding dimension.
-    pub embed_dim: usize,
     /// Supervised training epochs for the score GCN.
     pub supervised_epochs: usize,
     /// Probabilistic-greedy rollouts used to build labels.
@@ -66,7 +64,6 @@ pub struct GcombConfig {
 impl Default for GcombConfig {
     fn default() -> Self {
         Self {
-            embed_dim: 16,
             supervised_epochs: 60,
             prob_greedy_runs: 8,
             train_subgraph_nodes: 120,
@@ -144,6 +141,8 @@ pub struct Gcomb {
 
 const STATE_DIM: usize = 2;
 const ACTION_DIM: usize = 3;
+/// GCN embedding dimension.
+const EMBED_DIM: usize = 16;
 /// Adam learning rate (GCN and DQN).
 const LR: f32 = 5e-3;
 
@@ -151,12 +150,11 @@ impl Gcomb {
     /// Creates an untrained model.
     pub fn new(cfg: GcombConfig) -> Self {
         let mut store = ParamStore::new(cfg.seed);
-        let gcn = GcnEncoder::new(&mut store, "gcomb", &[3, cfg.embed_dim, cfg.embed_dim]);
-        let head = Linear::new(&mut store, "gcomb.head", cfg.embed_dim, 1);
+        let gcn = GcnEncoder::new(&mut store, "gcomb", &[3, EMBED_DIM, EMBED_DIM]);
+        let head = Linear::new(&mut store, "gcomb.head", EMBED_DIM, 1);
         let agent = DqnAgent::new(DqnConfig {
             state_dim: STATE_DIM,
             action_dim: ACTION_DIM,
-            hidden: 24,
             gamma: 0.99,
             lr: LR,
             target_sync: 60,
@@ -520,7 +518,6 @@ mod tests {
 
     fn tiny_cfg() -> GcombConfig {
         GcombConfig {
-            embed_dim: 8,
             supervised_epochs: 40,
             prob_greedy_runs: 5,
             train_subgraph_nodes: 80,

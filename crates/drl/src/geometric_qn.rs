@@ -15,7 +15,7 @@ use crate::common::{
     TrainReport, TrainScope,
 };
 use mcpb_gnn::adjacency::gcn_normalized;
-use mcpb_gnn::deepwalk::{deepwalk_features, DeepWalkConfig};
+use mcpb_gnn::deepwalk::{self, deepwalk_features};
 use mcpb_gnn::gcn::GcnEncoder;
 use mcpb_graph::{Graph, NodeId};
 use mcpb_im::discount::DegreeDiscount;
@@ -70,8 +70,6 @@ pub struct GeometricQn {
 }
 
 const STATE_DIM: usize = 3;
-/// DeepWalk feature dimension on the discovered subgraph.
-const FEAT_DIM: usize = 8;
 /// GCN embedding dimension.
 const EMBED_DIM: usize = 8;
 /// Random-walk length per expansion.
@@ -85,11 +83,10 @@ impl GeometricQn {
     /// Creates an untrained model.
     pub fn new(cfg: GeometricQnConfig) -> Self {
         let mut store = ParamStore::new(cfg.seed);
-        let encoder = GcnEncoder::new(&mut store, "gqn", &[FEAT_DIM, EMBED_DIM]);
+        let encoder = GcnEncoder::new(&mut store, "gqn", &[deepwalk::DIM, EMBED_DIM]);
         let agent = DqnAgent::new(DqnConfig {
             state_dim: STATE_DIM,
             action_dim: EMBED_DIM + 2,
-            hidden: 24,
             gamma: 0.95,
             lr: LR,
             target_sync: 40,
@@ -111,17 +108,7 @@ impl GeometricQn {
 
     /// Encodes the discovered subgraph; returns per-node embeddings.
     fn encode(&self, sub: &Graph) -> Tensor {
-        let feats = deepwalk_features(
-            sub,
-            &DeepWalkConfig {
-                dim: FEAT_DIM,
-                walks_per_node: 3,
-                walk_length: 10,
-                window: 2,
-                power_iters: 4,
-                seed: self.cfg.seed,
-            },
-        );
+        let feats = deepwalk_features(sub, self.cfg.seed);
         self.encoder.eval(&self.store, &gcn_normalized(sub), feats)
     }
 

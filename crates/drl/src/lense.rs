@@ -96,7 +96,6 @@ impl Lense {
         let agent = DqnAgent::new(DqnConfig {
             state_dim: STATE_DIM,
             action_dim: ACTION_DIM,
-            hidden: 24,
             gamma: 0.95,
             lr: LR,
             target_sync: 40,

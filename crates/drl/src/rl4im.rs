@@ -26,8 +26,6 @@ use rand::Rng;
 pub struct Rl4ImConfig {
     /// Embedding dimension.
     pub embed_dim: usize,
-    /// Message-passing rounds.
-    pub rounds: usize,
     /// Training episodes (each on a random training graph).
     pub episodes: usize,
     /// Budget per training episode.
@@ -52,7 +50,6 @@ impl Default for Rl4ImConfig {
     fn default() -> Self {
         Self {
             embed_dim: 16,
-            rounds: 2,
             episodes: 40,
             train_budget: 5,
             batch_size: 4,
@@ -68,6 +65,8 @@ impl Default for Rl4ImConfig {
 
 /// RL4IM's discount factor.
 const GAMMA: f32 = 0.99;
+/// Message-passing rounds.
+const ROUNDS: usize = 2;
 
 /// The trained RL4IM model.
 pub struct Rl4Im {
@@ -82,7 +81,7 @@ impl Rl4Im {
             learner: S2vLearner::new(
                 "rl4im",
                 cfg.embed_dim,
-                cfg.rounds,
+                ROUNDS,
                 cfg.batch_size,
                 [cfg.seed, cfg.seed ^ 0x414d, cfg.seed ^ 0x1407],
             ),
@@ -271,7 +270,6 @@ mod tests {
     fn tiny_cfg() -> Rl4ImConfig {
         Rl4ImConfig {
             embed_dim: 8,
-            rounds: 2,
             episodes: 60,
             train_budget: 5,
             batch_size: 8,

@@ -334,8 +334,6 @@ impl Learner for S2vLearner {
 /// S2V-DQN hyper-parameters, CPU-scaled from the paper's setup.
 #[derive(Debug, Clone, Copy)]
 pub struct S2vDqnConfig {
-    /// Embedding dimension.
-    pub embed_dim: usize,
     /// Message-passing rounds.
     pub rounds: usize,
     /// Nodes per BFS-sampled training subgraph.
@@ -346,8 +344,6 @@ pub struct S2vDqnConfig {
     pub train_budget: usize,
     /// Epsilon decay horizon in environment steps.
     pub eps_decay_steps: usize,
-    /// n-step returns (the original uses n-step Q-learning; 1 = plain TD).
-    pub n_step: usize,
     /// Validate (and checkpoint) every this many episodes.
     pub validate_every: usize,
     /// Task (MCP or IM).
@@ -359,13 +355,11 @@ pub struct S2vDqnConfig {
 impl Default for S2vDqnConfig {
     fn default() -> Self {
         Self {
-            embed_dim: 16,
             rounds: 2,
             train_subgraph_nodes: 40,
             episodes: 40,
             train_budget: 5,
             eps_decay_steps: 120,
-            n_step: 2,
             validate_every: 10,
             task: Task::Mcp,
             seed: 0,
@@ -373,8 +367,12 @@ impl Default for S2vDqnConfig {
     }
 }
 
+/// S2V-DQN's embedding dimension.
+const EMBED_DIM: usize = 16;
 /// S2V-DQN's discount factor.
 const GAMMA: f32 = 0.99;
+/// Steps per return: the original's n-step Q-learning.
+const N_STEP: usize = 2;
 /// S2V-DQN's replay minibatch size (each sample costs one full
 /// forward/backward).
 const BATCH_SIZE: usize = 4;
@@ -393,7 +391,7 @@ impl S2vDqn {
         Self {
             learner: S2vLearner::new(
                 "s2vdqn",
-                cfg.embed_dim,
+                EMBED_DIM,
                 cfg.rounds,
                 BATCH_SIZE,
                 [cfg.seed, cfg.seed ^ 0xbeef, cfg.seed ^ 0x51f7],
@@ -491,13 +489,11 @@ impl TrainHooks for S2vDqnRun<'_> {
         }
 
         // Build n-step transitions: R = sum_{j<h} gamma^j r_{i+j}, with
-        // the bootstrap state h steps ahead (the original's n-step
-        // Q-learning; n_step = 1 recovers plain TD), discounted by gamma^n.
-        let nstep = cfg.n_step.max(1);
-        let discount = GAMMA.powi(nstep as i32);
+        // the bootstrap state h steps ahead, discounted by gamma^n.
+        let discount = GAMMA.powi(N_STEP as i32);
         let len = trace.len();
         for i in 0..len {
-            let horizon = (i + nstep).min(len);
+            let horizon = (i + N_STEP).min(len);
             let mut ret = 0f32;
             for (j, item) in trace[i..horizon].iter().enumerate() {
                 ret += GAMMA.powi(j as i32) * item.2;
@@ -567,7 +563,6 @@ mod tests {
 
     fn tiny_cfg() -> S2vDqnConfig {
         S2vDqnConfig {
-            embed_dim: 8,
             rounds: 2,
             train_subgraph_nodes: 40,
             episodes: 30,
@@ -644,20 +639,6 @@ mod tests {
         assert!(report.best_score() >= 0.0);
         let sol = ImSolver::solve(&mut model, &g, 4);
         assert_eq!(sol.seeds.len(), 4);
-    }
-
-    #[test]
-    fn n_step_variants_all_train() {
-        let g = generators::barabasi_albert(150, 3, 9);
-        for n_step in [1usize, 3] {
-            let mut cfg = tiny_cfg();
-            cfg.n_step = n_step;
-            cfg.episodes = 10;
-            let mut model = S2vDqn::new(cfg);
-            let report = model.train(&g);
-            assert!(!report.checkpoints.is_empty(), "n_step={n_step}");
-            assert_eq!(model.infer(&g, 3).len(), 3);
-        }
     }
 
     fn bits(q: &[f32]) -> Vec<u32> {

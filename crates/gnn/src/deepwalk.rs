@@ -6,7 +6,8 @@
 //! factorize it with subspace power iteration. Matrix factorization of the
 //! PMI matrix is the classical equivalent of skip-gram training (Levy &
 //! Goldberg 2014), which keeps this substrate dependency-free and exactly
-//! reproducible.
+//! reproducible. The walk, window and factorization sizes are Geometric-QN's,
+//! its only caller; only the seed varies.
 
 use mcpb_graph::{Graph, NodeId};
 use mcpb_nn::Tensor;
@@ -14,35 +15,16 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// DeepWalk configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct DeepWalkConfig {
-    /// Walks started per node.
-    pub walks_per_node: usize,
-    /// Length of each walk.
-    pub walk_length: usize,
-    /// Co-occurrence window radius.
-    pub window: usize,
-    /// Output feature dimension.
-    pub dim: usize,
-    /// Power-iteration rounds for the factorization.
-    pub power_iters: usize,
-    /// RNG seed.
-    pub seed: u64,
-}
-
-impl Default for DeepWalkConfig {
-    fn default() -> Self {
-        Self {
-            walks_per_node: 6,
-            walk_length: 20,
-            window: 3,
-            dim: 16,
-            power_iters: 8,
-            seed: 0,
-        }
-    }
-}
+/// Walks started per node.
+const WALKS_PER_NODE: usize = 3;
+/// Length of each walk.
+const WALK_LENGTH: usize = 10;
+/// Co-occurrence window radius.
+const WINDOW: usize = 2;
+/// Output feature dimension.
+pub const DIM: usize = 8;
+/// Power-iteration rounds for the factorization.
+const POWER_ITERS: usize = 4;
 
 /// Samples one truncated random walk over the undirected view.
 fn random_walk(g: &Graph, start: NodeId, length: usize, rng: &mut impl Rng) -> Vec<NodeId> {
@@ -67,26 +49,26 @@ fn random_walk(g: &Graph, start: NodeId, length: usize, rng: &mut impl Rng) -> V
     walk
 }
 
-/// Computes DeepWalk features for every node: an `n x dim` matrix.
+/// Computes DeepWalk features for every node: an `n x DIM` matrix.
 /// Intended for the small/medium graphs Geometric-QN explores (PPMI is
 /// dense `n x n`).
-pub fn deepwalk_features(g: &Graph, cfg: &DeepWalkConfig) -> Tensor {
+pub fn deepwalk_features(g: &Graph, seed: u64) -> Tensor {
     let n = g.num_nodes();
     if n == 0 {
-        return Tensor::zeros(0, cfg.dim);
+        return Tensor::zeros(0, DIM);
     }
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
 
     // Window co-occurrence counts.
     let mut cooc = vec![0f64; n * n];
     let mut row_sum = vec![0f64; n];
     let mut total = 0f64;
     for start in 0..n as NodeId {
-        for _ in 0..cfg.walks_per_node {
-            let walk = random_walk(g, start, cfg.walk_length, &mut rng);
+        for _ in 0..WALKS_PER_NODE {
+            let walk = random_walk(g, start, WALK_LENGTH, &mut rng);
             for (i, &a) in walk.iter().enumerate() {
-                let lo = i.saturating_sub(cfg.window);
-                let hi = (i + cfg.window + 1).min(walk.len());
+                let lo = i.saturating_sub(WINDOW);
+                let hi = (i + WINDOW + 1).min(walk.len());
                 for &b in &walk[lo..hi] {
                     if a != b {
                         cooc[a as usize * n + b as usize] += 1.0;
@@ -98,7 +80,7 @@ pub fn deepwalk_features(g: &Graph, cfg: &DeepWalkConfig) -> Tensor {
         }
     }
     if total == 0.0 {
-        return Tensor::zeros(n, cfg.dim);
+        return Tensor::zeros(n, DIM);
     }
 
     // PPMI: max(0, log(p(a,b) / (p(a) p(b)))).
@@ -121,10 +103,10 @@ pub fn deepwalk_features(g: &Graph, cfg: &DeepWalkConfig) -> Tensor {
     let m = Tensor::from_slice(n, n, &ppmi);
 
     // Subspace power iteration: Q spans the top-dim eigenspace of M M^T.
-    let dim = cfg.dim.min(n);
+    let dim = DIM.min(n);
     let mut q = Tensor::xavier(n, dim, &mut rng);
     orthonormalize(&mut q);
-    for _ in 0..cfg.power_iters {
+    for _ in 0..POWER_ITERS {
         let mq = m.matmul(&q);
         let mtmq = m.transposed().matmul(&mq);
         q = mtmq;
@@ -132,18 +114,18 @@ pub fn deepwalk_features(g: &Graph, cfg: &DeepWalkConfig) -> Tensor {
     }
     // Features: projection of each node's PPMI row onto the subspace.
     let mut feats = m.matmul(&q);
-    if dim < cfg.dim {
-        // Pad to the requested width so downstream layers see fixed dims.
-        let mut padded = Tensor::zeros(n, cfg.dim);
+    if dim < DIM {
+        // Pad to the full width so downstream layers see fixed dims.
+        let mut padded = Tensor::zeros(n, DIM);
         for r in 0..n {
-            padded.data[r * cfg.dim..r * cfg.dim + dim]
+            padded.data[r * DIM..r * DIM + dim]
                 .copy_from_slice(&feats.data[r * dim..(r + 1) * dim]);
         }
         feats = padded;
     }
     // Row-normalize for stable downstream training.
     for r in 0..n {
-        let row = &mut feats.data[r * cfg.dim..(r + 1) * cfg.dim];
+        let row = &mut feats.data[r * DIM..(r + 1) * DIM];
         let norm = row.iter().map(|&v| v * v).sum::<f32>().sqrt();
         if norm > 1e-8 {
             for v in row.iter_mut() {
@@ -190,14 +172,14 @@ mod tests {
     #[test]
     fn features_have_requested_shape() {
         let g = generators::barabasi_albert(30, 2, 1);
-        let f = deepwalk_features(&g, &DeepWalkConfig::default());
-        assert_eq!((f.rows, f.cols), (30, 16));
+        let f = deepwalk_features(&g, 0);
+        assert_eq!((f.rows, f.cols), (30, DIM));
     }
 
     #[test]
     fn rows_are_unit_norm_or_zero() {
         let g = generators::barabasi_albert(25, 2, 4);
-        let f = deepwalk_features(&g, &DeepWalkConfig::default());
+        let f = deepwalk_features(&g, 0);
         for r in 0..f.rows {
             let norm: f32 = f.row_slice(r).iter().map(|&v| v * v).sum::<f32>().sqrt();
             assert!(
@@ -222,13 +204,7 @@ mod tests {
         // One weak bridge so walks can technically cross.
         b.add_undirected(0, 6, 1.0);
         let g = b.build().unwrap();
-        let f = deepwalk_features(
-            &g,
-            &DeepWalkConfig {
-                walks_per_node: 12,
-                ..DeepWalkConfig::default()
-            },
-        );
+        let f = deepwalk_features(&g, 0);
         let cos = |a: usize, b: usize| -> f32 {
             f.row_slice(a)
                 .iter()
@@ -244,32 +220,23 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = generators::barabasi_albert(20, 2, 3);
-        let cfg = DeepWalkConfig::default();
-        assert_eq!(deepwalk_features(&g, &cfg), deepwalk_features(&g, &cfg));
+        assert_eq!(deepwalk_features(&g, 0), deepwalk_features(&g, 0));
     }
 
     #[test]
     fn handles_isolated_and_empty() {
         let g = Graph::from_edges(5, &[]).unwrap();
-        let f = deepwalk_features(&g, &DeepWalkConfig::default());
+        let f = deepwalk_features(&g, 0);
         assert_eq!(f.rows, 5);
         assert!(f.data.iter().all(|&v| v == 0.0));
         let e = Graph::from_edges(0, &[]).unwrap();
-        assert_eq!(deepwalk_features(&e, &DeepWalkConfig::default()).rows, 0);
+        assert_eq!(deepwalk_features(&e, 0).rows, 0);
     }
 
     #[test]
     fn features_are_pinned_bit_for_bit() {
-        // Geometric-QN's settings, on a BA graph and on a graph whose
-        // isolated nodes stay zero and whose width pads past n.
-        let cfg = DeepWalkConfig {
-            dim: 8,
-            walks_per_node: 3,
-            walk_length: 10,
-            window: 2,
-            power_iters: 4,
-            seed: 11,
-        };
+        // At Geometric-QN's settings: a BA graph, and a graph whose isolated
+        // nodes stay zero and whose width pads past n.
         let ba = generators::barabasi_albert(60, 2, 5);
         let mut isolated = mcpb_graph::GraphBuilder::new(7);
         for (u, v) in [(0, 1), (1, 2), (4, 5)] {
@@ -278,7 +245,7 @@ mod tests {
         let isolated = isolated.build().unwrap();
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         for g in [&ba, &isolated] {
-            for v in deepwalk_features(g, &cfg).data {
+            for v in deepwalk_features(g, 11).data {
                 for byte in v.to_bits().to_le_bytes() {
                     digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
                 }
@@ -293,13 +260,7 @@ mod tests {
     #[test]
     fn dim_larger_than_n_is_padded() {
         let g = generators::erdos_renyi(5, 6, 0);
-        let f = deepwalk_features(
-            &g,
-            &DeepWalkConfig {
-                dim: 12,
-                ..DeepWalkConfig::default()
-            },
-        );
-        assert_eq!(f.cols, 12);
+        assert!(g.num_nodes() < DIM);
+        assert_eq!(deepwalk_features(&g, 0).cols, DIM);
     }
 }

@@ -13,14 +13,14 @@ pub mod gcn;
 pub mod s2v;
 
 pub use adjacency::{gcn_normalized, in_edge_incidence, neighbor_sum};
-pub use deepwalk::{deepwalk_features, DeepWalkConfig};
+pub use deepwalk::deepwalk_features;
 pub use gcn::{readout_mean, GcnEncoder, GcnLayer};
 pub use s2v::{S2v, S2vGraph};
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::adjacency::{gcn_normalized, in_edge_incidence, neighbor_sum};
-    pub use crate::deepwalk::{deepwalk_features, DeepWalkConfig};
+    pub use crate::deepwalk::deepwalk_features;
     pub use crate::gcn::{readout_mean, GcnEncoder, GcnLayer};
     pub use crate::s2v::{S2v, S2vGraph};
 }

@@ -6,29 +6,17 @@
 //! RR sets certifies `OPT >= x / (1 + eps')`; (2) *node selection* samples
 //! `theta = lambda* / LB` RR sets and runs greedy max coverage, yielding a
 //! `(1 - 1/e - eps)`-approximation with probability `1 - 1/n^ell`.
+//!
+//! `eps`, `ell` and the RR-set cap are the paper's benchmark settings and
+//! are constants; an [`Imm`] carries only its seed.
 
 use crate::rrset::RrCollection;
 use crate::solver::{ImSolution, ImSolver};
 use mcpb_graph::Graph;
 
-/// IMM parameters. The paper's benchmark sets `epsilon = 0.5`.
-#[derive(Debug, Clone, Copy)]
-pub struct ImmParams {
-    /// Approximation slack `eps` in the `(1 - 1/e - eps)` guarantee.
-    pub epsilon: f64,
-    /// RNG seed for RR-set sampling.
-    pub seed: u64,
-}
-
-impl Default for ImmParams {
-    fn default() -> Self {
-        Self {
-            epsilon: 0.5,
-            seed: 0,
-        }
-    }
-}
-
+/// Approximation slack `eps` in the `(1 - 1/e - eps)` guarantee; the
+/// paper's benchmark sets 0.5.
+const EPSILON: f64 = 0.5;
 /// Failure-probability exponent: the guarantee holds w.p. `1 - 1/n^ell`.
 const ELL: f64 = 1.0;
 /// Hard cap on the number of RR sets (guards atypical instances where
@@ -39,22 +27,14 @@ const MAX_RR_SETS: usize = 4_000_000;
 /// The IMM solver.
 #[derive(Debug, Clone)]
 pub struct Imm {
-    /// Parameters used on each `solve` call.
-    pub params: ImmParams,
+    /// RNG seed for RR-set sampling.
+    pub seed: u64,
 }
 
 impl Imm {
-    /// Creates IMM with the given parameters.
-    pub fn new(params: ImmParams) -> Self {
-        Self { params }
-    }
-
     /// Creates IMM with the paper's benchmark configuration (`eps = 0.5`).
     pub fn paper_default(seed: u64) -> Self {
-        Self::new(ImmParams {
-            seed,
-            ..ImmParams::default()
-        })
+        Self { seed }
     }
 
     /// Runs IMM, returning the seed set, its spread estimate, and the RR
@@ -68,7 +48,7 @@ impl Imm {
         }
         let k = k.min(n);
         let nf = n as f64;
-        let eps = self.params.epsilon;
+        let eps = EPSILON;
         // Adjust ell so the union bound over the sampling phase holds
         // (IMM paper, §4.2: ell' = ell * (1 + log 2 / log n)).
         let ell = ELL * (1.0 + 2f64.ln() / nf.ln().max(1.0));
@@ -85,7 +65,7 @@ impl Imm {
         for i in 1..=max_i {
             let x = nf / 2f64.powi(i as i32);
             let theta_i = ((lambda_prime / x).ceil() as usize).min(MAX_RR_SETS);
-            rr.extend_to(graph, theta_i, self.params.seed);
+            rr.extend_to(graph, theta_i, self.seed);
             let (_, covered) = rr.greedy_max_coverage(k);
             let frac = covered as f64 / rr.len().max(1) as f64;
             if nf * frac >= (1.0 + eps_prime) * x {
@@ -105,7 +85,7 @@ impl Imm {
         let lambda_star =
             2.0 * nf * ((1.0 - 1.0 / std::f64::consts::E) * alpha + beta).powi(2) / (eps * eps);
         let theta = ((lambda_star / lb).ceil() as usize).clamp(1, MAX_RR_SETS);
-        rr.extend_to(graph, theta, self.params.seed);
+        rr.extend_to(graph, theta, self.seed);
         let (seeds, covered) = rr.greedy_max_coverage(k);
         let spread = nf * covered as f64 / rr.len().max(1) as f64;
         (

@@ -43,9 +43,9 @@ pub use celf::CelfGreedy;
 pub use celfpp::CelfPlusPlus;
 pub use change::Change;
 pub use discount::{DegreeDiscount, SingleDiscount};
-pub use imm::{Imm, ImmParams};
+pub use imm::Imm;
 pub use lt::{influence_mc_lt, LtRisGreedy};
-pub use opim::{Opim, OpimParams};
+pub use opim::Opim;
 pub use rrset::{sample_collection, sample_rr_set, RrCollection, SetsView};
 pub use scratch::CascadeScratch;
 pub use solver::{ImSolution, ImSolver};
@@ -59,9 +59,9 @@ pub mod prelude {
     pub use crate::celfpp::CelfPlusPlus;
     pub use crate::change::Change;
     pub use crate::discount::{DegreeDiscount, SingleDiscount};
-    pub use crate::imm::{Imm, ImmParams};
+    pub use crate::imm::Imm;
     pub use crate::lt::{influence_mc_lt, LtRisGreedy};
-    pub use crate::opim::{Opim, OpimParams};
+    pub use crate::opim::Opim;
     pub use crate::rrset::{sample_collection, sample_rr_set, RrCollection, SetsView};
     pub use crate::scratch::CascadeScratch;
     pub use crate::solver::{ImSolution, ImSolver};

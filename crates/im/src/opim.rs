@@ -6,58 +6,37 @@
 //! *lower* bound on the selected set's spread. Both collections double until
 //! the ratio `lower / upper` certifies a `(1 - 1/e - eps)` approximation, so
 //! users can stop anytime with a valid online guarantee.
+//!
+//! `eps`, `delta` and the per-collection RR-set cap are constants; an
+//! [`Opim`] carries only its seed.
 
 use crate::imm::log_binomial;
 use crate::rrset::RrCollection;
 use crate::solver::{ImSolution, ImSolver};
 use mcpb_graph::Graph;
 
-/// OPIM-C parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct OpimParams {
-    /// RNG seed.
-    pub seed: u64,
-    /// Cap on RR sets per collection.
-    pub max_rr_sets: usize,
-}
-
-impl Default for OpimParams {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            max_rr_sets: 2_000_000,
-        }
-    }
-}
-
 /// Approximation slack; the paper's benchmark sets 0.1.
 const EPSILON: f64 = 0.1;
 /// Overall failure probability `delta` (the paper uses `1/n`; we fix a
 /// small constant so tiny graphs don't demand absurd sample sizes).
 const DELTA: f64 = 0.01;
+/// Cap on RR sets per collection.
+const MAX_RR_SETS: usize = 2_000_000;
 
 /// The OPIM-C solver.
 #[derive(Debug, Clone)]
 pub struct Opim {
-    /// Parameters used on each `solve` call.
-    pub params: OpimParams,
+    /// RNG seed.
+    pub seed: u64,
 }
 
 /// Approximation ratio target constant `1 - 1/e`.
 const ONE_MINUS_INV_E: f64 = 1.0 - 1.0 / std::f64::consts::E;
 
 impl Opim {
-    /// Creates OPIM-C with the given parameters.
-    pub fn new(params: OpimParams) -> Self {
-        Self { params }
-    }
-
     /// Creates OPIM-C with the paper's benchmark configuration (`eps = 0.1`).
     pub fn paper_default(seed: u64) -> Self {
-        Self::new(OpimParams {
-            seed,
-            ..OpimParams::default()
-        })
+        Self { seed }
     }
 
     /// Runs OPIM-C; returns the solution and the achieved approximation
@@ -83,7 +62,7 @@ impl Opim {
             / (eps * eps * k as f64))
             .ceil()
             .max(8.0) as usize;
-        let theta_max = theta_max.min(self.params.max_rr_sets);
+        let theta_max = theta_max.min(MAX_RR_SETS);
         let theta_0 = ((theta_max as f64 * eps * eps * k as f64 / nf).ceil() as usize).max(8);
         let i_max = ((theta_max as f64 / theta_0 as f64).log2().ceil() as usize).max(1);
         // Per-round failure budget.
@@ -96,8 +75,8 @@ impl Opim {
         let mut guarantee = 0.0f64;
 
         for round in 0..=i_max {
-            r1.extend_to(graph, theta, self.params.seed ^ 0xaaaa_aaaa);
-            r2.extend_to(graph, theta, self.params.seed ^ 0x5555_5555);
+            r1.extend_to(graph, theta, self.seed ^ 0xaaaa_aaaa);
+            r2.extend_to(graph, theta, self.seed ^ 0x5555_5555);
 
             let (seeds, cov1) = r1.greedy_max_coverage(k);
             let cov2 = r2.coverage(&seeds);

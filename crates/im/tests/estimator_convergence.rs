@@ -92,28 +92,3 @@ fn all_ris_solvers_agree_on_strong_instances() {
         );
     }
 }
-
-#[test]
-fn imm_quality_improves_with_tighter_epsilon() {
-    let g = weighted(17, WeightModel::WeightedCascade);
-    let k = 5;
-    let scorer = sample_collection(&g, 40_000, 29);
-    let loose = Imm::new(ImmParams {
-        epsilon: 0.9,
-        seed: 3,
-        ..ImmParams::default()
-    });
-    let tight = Imm::new(ImmParams {
-        epsilon: 0.2,
-        seed: 3,
-        ..ImmParams::default()
-    });
-    let (ls, _) = loose.run(&g, k);
-    let (ts, _) = tight.run(&g, k);
-    let loose_q = scorer.estimate_spread(&ls.seeds);
-    let tight_q = scorer.estimate_spread(&ts.seeds);
-    assert!(
-        tight_q >= loose_q * 0.98,
-        "tight eps should not lose: {tight_q} vs {loose_q}"
-    );
-}

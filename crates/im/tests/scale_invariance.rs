@@ -15,7 +15,6 @@
 use mcpb_graph::{diskcache, CompactWeights, Graph, LargeConfig, StreamFamily, StreamSpec};
 use mcpb_im::{
     influence_mc, influence_mc_lt, reference, sample_collection, ImSolution, ImSolver, Imm, Opim,
-    OpimParams,
 };
 use mcpb_mcp::{LazyGreedy, McpSolver};
 use mcpb_par::set_thread_override;
@@ -160,11 +159,7 @@ fn owned_and_mapped_graphs_give_identical_results() {
         imm.clone().solve(&owned, 10),
         imm.clone().solve(&mapped, 10),
     );
-    let opim = Opim::new(OpimParams {
-        seed: 5,
-        max_rr_sets: 50_000,
-        ..OpimParams::default()
-    });
+    let opim = Opim::paper_default(5);
     same(
         "OPIM",
         opim.clone().solve(&owned, 10),

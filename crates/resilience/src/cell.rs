@@ -21,9 +21,10 @@ pub struct CellPolicy {
     pub deadline_secs: Option<f64>,
     /// Sleep before the first retry, in seconds.
     pub backoff_base_secs: f64,
-    /// Multiplier applied to the backoff after each retry.
-    pub backoff_mult: f64,
 }
+
+/// Multiplier applied to the backoff after each retry.
+const BACKOFF_MULT: f64 = 2.0;
 
 impl Default for CellPolicy {
     fn default() -> Self {
@@ -31,7 +32,6 @@ impl Default for CellPolicy {
             max_attempts: 1,
             deadline_secs: None,
             backoff_base_secs: 0.0,
-            backoff_mult: 2.0,
         }
     }
 }
@@ -188,7 +188,7 @@ pub fn run_cell_armed<T>(
                 elapsed_secs: start.elapsed().as_secs_f64(),
             };
         }
-        let backoff = policy.backoff_base_secs * policy.backoff_mult.powi(attempts as i32 - 1);
+        let backoff = policy.backoff_base_secs * BACKOFF_MULT.powi(attempts as i32 - 1);
         if backoff > 0.0 {
             std::thread::sleep(std::time::Duration::from_secs_f64(backoff));
         }

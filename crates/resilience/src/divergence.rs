@@ -1,33 +1,19 @@
 //! Numeric divergence detection with a bounded recovery budget.
 //!
 //! Training loops feed their per-episode loss (and optionally a gradient
-//! norm) to a [`DivergenceGuard`]. A NaN/Inf or exploding value yields
-//! [`Verdict::Recover`] until the budget is spent, then
-//! [`Verdict::Exhausted`] — the caller maps those to "roll back + halve LR"
-//! and a typed train error respectively. The guard is pure bookkeeping: it
-//! owns no parameters, so it works across otherwise incompatible solver
-//! substrates.
+//! norm) to a [`DivergenceGuard`]. A NaN/Inf value, or one beyond 1e6 in
+//! magnitude, yields [`Verdict::Recover`] until three recoveries are spent,
+//! then [`Verdict::Exhausted`] — the caller maps those to "roll back +
+//! halve LR" and a typed train error respectively. The guard is pure
+//! bookkeeping: it owns no parameters, so it works across otherwise
+//! incompatible solver substrates.
 
-/// Thresholds and budget for one training run.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DivergenceConfig {
-    /// Absolute loss magnitude treated as an explosion (on top of NaN/Inf).
-    pub loss_limit: f64,
-    /// Gradient-norm magnitude treated as an explosion.
-    pub grad_norm_limit: f64,
-    /// Recoveries allowed before the run is declared failed.
-    pub max_recoveries: u32,
-}
-
-impl Default for DivergenceConfig {
-    fn default() -> Self {
-        DivergenceConfig {
-            loss_limit: 1e6,
-            grad_norm_limit: 1e6,
-            max_recoveries: 3,
-        }
-    }
-}
+/// Absolute loss magnitude treated as an explosion (on top of NaN/Inf).
+const LOSS_LIMIT: f64 = 1e6;
+/// Gradient-norm magnitude treated as an explosion.
+const GRAD_NORM_LIMIT: f64 = 1e6;
+/// Recoveries allowed before the run is declared failed.
+const MAX_RECOVERIES: u32 = 3;
 
 /// Outcome of one [`DivergenceGuard::observe`] call.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,19 +29,14 @@ pub enum Verdict {
     Exhausted,
 }
 
-/// Divergence detector shared by all DRL training loops.
-#[derive(Debug, Clone)]
+/// Divergence detector shared by all DRL training loops; `default()` has
+/// no recoveries spent.
+#[derive(Debug, Clone, Default)]
 pub struct DivergenceGuard {
-    cfg: DivergenceConfig,
     recoveries: u32,
 }
 
 impl DivergenceGuard {
-    /// A guard with the given thresholds and budget.
-    pub fn new(cfg: DivergenceConfig) -> Self {
-        DivergenceGuard { cfg, recoveries: 0 }
-    }
-
     /// Recoveries consumed so far.
     pub fn recoveries(&self) -> u32 {
         self.recoveries
@@ -69,12 +50,12 @@ impl DivergenceGuard {
     /// Classifies one training step from its loss and (optionally) gradient
     /// norm, consuming one unit of budget when divergent.
     pub fn observe(&mut self, loss: f64, grad_norm: Option<f64>) -> Verdict {
-        let diverged = Self::is_divergent(loss, self.cfg.loss_limit)
-            || grad_norm.is_some_and(|g| Self::is_divergent(g, self.cfg.grad_norm_limit));
+        let diverged = Self::is_divergent(loss, LOSS_LIMIT)
+            || grad_norm.is_some_and(|g| Self::is_divergent(g, GRAD_NORM_LIMIT));
         if !diverged {
             return Verdict::Healthy;
         }
-        if self.recoveries >= self.cfg.max_recoveries {
+        if self.recoveries >= MAX_RECOVERIES {
             return Verdict::Exhausted;
         }
         self.recoveries += 1;
@@ -90,7 +71,7 @@ mod tests {
 
     #[test]
     fn healthy_steps_cost_nothing() {
-        let mut g = DivergenceGuard::new(DivergenceConfig::default());
+        let mut g = DivergenceGuard::default();
         for loss in [0.0, 1.5, -3.0, 999.0] {
             assert_eq!(g.observe(loss, Some(10.0)), Verdict::Healthy);
         }
@@ -99,7 +80,7 @@ mod tests {
 
     #[test]
     fn nan_inf_and_explosions_trigger_recovery() {
-        let mut g = DivergenceGuard::new(DivergenceConfig::default());
+        let mut g = DivergenceGuard::default();
         assert_eq!(g.observe(f64::NAN, None), Verdict::Recover { recovery: 1 });
         assert_eq!(
             g.observe(f64::INFINITY, None),
@@ -112,23 +93,11 @@ mod tests {
 
     #[test]
     fn grad_norm_alone_can_diverge() {
-        let mut g = DivergenceGuard::new(DivergenceConfig {
-            grad_norm_limit: 100.0,
-            ..DivergenceConfig::default()
-        });
+        let mut g = DivergenceGuard::default();
         assert_eq!(
-            g.observe(0.5, Some(101.0)),
+            g.observe(0.5, Some(1.01e6)),
             Verdict::Recover { recovery: 1 }
         );
-        assert_eq!(g.observe(0.5, Some(99.0)), Verdict::Healthy);
-    }
-
-    #[test]
-    fn zero_budget_fails_immediately() {
-        let mut g = DivergenceGuard::new(DivergenceConfig {
-            max_recoveries: 0,
-            ..DivergenceConfig::default()
-        });
-        assert_eq!(g.observe(f64::NAN, None), Verdict::Exhausted);
+        assert_eq!(g.observe(0.5, Some(0.99e6)), Verdict::Healthy);
     }
 }

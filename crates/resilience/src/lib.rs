@@ -25,7 +25,7 @@ pub mod fault;
 pub mod journal;
 
 pub use cell::{run_cell, run_cell_armed, CellError, CellOutcome, CellPolicy};
-pub use divergence::{DivergenceConfig, DivergenceGuard, Verdict};
+pub use divergence::{DivergenceGuard, Verdict};
 pub use fault::{FaultKind, FaultPlan};
 pub use journal::{
     diff_journals_modulo_timing, normalize_timing, parse_journal, read_journal, EntryStatus,

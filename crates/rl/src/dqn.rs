@@ -36,8 +36,6 @@ pub struct DqnConfig {
     pub state_dim: usize,
     /// Action feature dimension.
     pub action_dim: usize,
-    /// Hidden width of the two-layer Q head.
-    pub hidden: usize,
     /// Discount factor.
     pub gamma: f32,
     /// Adam learning rate.
@@ -48,19 +46,8 @@ pub struct DqnConfig {
     pub seed: u64,
 }
 
-impl Default for DqnConfig {
-    fn default() -> Self {
-        Self {
-            state_dim: 8,
-            action_dim: 8,
-            hidden: 32,
-            gamma: 0.99,
-            lr: 1e-3,
-            target_sync: 100,
-            seed: 0,
-        }
-    }
-}
+/// Hidden width of the two-layer Q head.
+const HIDDEN: usize = 24;
 
 /// The agent: online + target Q networks and an Adam optimizer.
 pub struct DqnAgent {
@@ -78,7 +65,7 @@ impl DqnAgent {
     /// Builds the agent. Online and target stores register the identical
     /// network so parameter ids are interchangeable between them.
     pub fn new(cfg: DqnConfig) -> Self {
-        let dims = [cfg.state_dim + cfg.action_dim, cfg.hidden, cfg.hidden, 1];
+        let dims = [cfg.state_dim + cfg.action_dim, HIDDEN, HIDDEN, 1];
         let mut online = ParamStore::new(cfg.seed);
         let net = Mlp::new(&mut online, "q", &dims, Activation::Relu);
         let mut target = ParamStore::new(cfg.seed ^ 0xdead_beef);
@@ -306,7 +293,6 @@ mod tests {
         DqnAgent::new(DqnConfig {
             state_dim: 5,
             action_dim: 2,
-            hidden: 16,
             gamma: 0.9,
             lr: 5e-3,
             target_sync: 50,

@@ -50,8 +50,6 @@ pub struct SocketConfig {
     /// Bounded job-queue depth between handlers and the worker; a full
     /// queue sheds.
     pub queue_depth: usize,
-    /// Per-connection socket read deadline.
-    pub read_timeout_ms: u64,
 }
 
 impl Default for SocketConfig {
@@ -59,7 +57,6 @@ impl Default for SocketConfig {
         SocketConfig {
             endpoint: "tcp:127.0.0.1:0".to_string(),
             queue_depth: 32,
-            read_timeout_ms: 2_000,
         }
     }
 }
@@ -205,8 +202,7 @@ pub fn serve_listener(
         shutdown: Arc::clone(&shutdown),
         counters: Arc::clone(&counters),
     };
-    let read_timeout = Duration::from_millis(cfg.read_timeout_ms.max(1));
-    let (acceptor, endpoint) = spawn_acceptor(&cfg.endpoint, door, read_timeout)?;
+    let (acceptor, endpoint) = spawn_acceptor(&cfg.endpoint, door)?;
     let worker = {
         let shutdown = Arc::clone(&shutdown);
         let counters = Arc::clone(&counters);
@@ -226,7 +222,6 @@ pub fn serve_listener(
 fn spawn_acceptor(
     endpoint: &str,
     door: Door,
-    read_timeout: Duration,
 ) -> Result<(thread::JoinHandle<()>, String), ServeSocketError> {
     if let Some(addr) = endpoint.strip_prefix("tcp:") {
         let l = TcpListener::bind(addr).map_err(ServeSocketError::Bind)?;
@@ -235,7 +230,7 @@ fn spawn_acceptor(
             .local_addr()
             .map(|a| format!("tcp:{a}"))
             .unwrap_or_else(|_| endpoint.to_string());
-        let acceptor = thread::spawn(move || accept_loop(l, door, read_timeout));
+        let acceptor = thread::spawn(move || accept_loop(l, door));
         Ok((acceptor, resolved))
     } else if let Some(path) = endpoint.strip_prefix("unix:") {
         // A stale socket file from a previous run would fail the bind.
@@ -244,7 +239,7 @@ fn spawn_acceptor(
         l.set_nonblocking(true).map_err(ServeSocketError::Bind)?;
         let path = path.to_string();
         let acceptor = thread::spawn(move || {
-            accept_loop(l, door, read_timeout);
+            accept_loop(l, door);
             let _ = std::fs::remove_file(path);
         });
         Ok((acceptor, endpoint.to_string()))
@@ -256,12 +251,15 @@ fn spawn_acceptor(
 trait ConnStream: Read + Write + Send {}
 impl<T: Read + Write + Send> ConnStream for T {}
 
+/// Per-connection socket read and write deadline.
+const CONN_DEADLINE: Duration = Duration::from_millis(2_000);
+
 /// A non-blocking listener the accept loop can poll.
 trait Listen {
     type Conn: ConnStream + 'static;
-    /// Accepts one pending connection, back in blocking mode with read and
-    /// write deadlines set.
-    fn accept_conn(&self, deadline: Duration) -> std::io::Result<Self::Conn>;
+    /// Accepts one pending connection, back in blocking mode with
+    /// [`CONN_DEADLINE`] set on reads and writes.
+    fn accept_conn(&self) -> std::io::Result<Self::Conn>;
 }
 
 // TCP and Unix sockets spell these calls identically.
@@ -269,11 +267,11 @@ macro_rules! impl_listen {
     ($listener:ty => $conn:ty) => {
         impl Listen for $listener {
             type Conn = $conn;
-            fn accept_conn(&self, deadline: Duration) -> std::io::Result<$conn> {
+            fn accept_conn(&self) -> std::io::Result<$conn> {
                 let (s, _) = self.accept()?;
                 let _ = s.set_nonblocking(false);
-                let _ = s.set_read_timeout(Some(deadline));
-                let _ = s.set_write_timeout(Some(deadline));
+                let _ = s.set_read_timeout(Some(CONN_DEADLINE));
+                let _ = s.set_write_timeout(Some(CONN_DEADLINE));
                 Ok(s)
             }
         }
@@ -286,10 +284,10 @@ impl_listen!(UnixListener => UnixStream);
 /// each, then joins every handler. Dropping `door` afterwards drops the
 /// last job sender, so the worker sees the queue disconnect once it
 /// drains.
-fn accept_loop<L: Listen>(listener: L, door: Door, read_timeout: Duration) {
+fn accept_loop<L: Listen>(listener: L, door: Door) {
     let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
     while !door.shutdown.load(Ordering::SeqCst) {
-        match listener.accept_conn(read_timeout) {
+        match listener.accept_conn() {
             Ok(conn) => {
                 let door = door.clone();
                 handlers.push(thread::spawn(move || door.handle_connection(conn)));

@@ -17,6 +17,17 @@ cargo run -q -- audit --self-check
 echo "==> mcpb-audit SARIF export (audit.sarif at the repo root)"
 cargo run -q -- audit --format sarif --out audit.sarif
 
+echo "==> settable-value ceiling (a fold lowers it; no change may raise it)"
+# The pub fields of *Config/*Params/*Options/*Policy structs that
+# scripts/loc.sh counts. A value only one non-test caller uses is a const.
+SETTABLE_CEILING=75
+settable=$(scripts/loc.sh | awk '/^settable values/ { print $NF }')
+echo "    settable values: $settable (ceiling $SETTABLE_CEILING)"
+if ! [[ $settable =~ ^[0-9]+$ ]] || (( settable > SETTABLE_CEILING )); then
+  echo "FAIL: settable values '$settable' not a count at or below $SETTABLE_CEILING" >&2
+  exit 1
+fi
+
 echo "==> rustdoc (warnings are errors, so a link to a deleted item fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 

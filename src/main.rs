@@ -815,7 +815,6 @@ fn serve_cmd(args: &[String]) {
     let sock_cfg = SocketConfig {
         endpoint,
         queue_depth: queue,
-        ..SocketConfig::default()
     };
     let handle = serve_listener(state, pool, &sock_cfg).unwrap_or_else(|e| {
         eprintln!("mcpbench serve: {e}");
