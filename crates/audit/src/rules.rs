@@ -596,15 +596,13 @@ fn check_lossy_cast(file: &SourceFile, lineno: usize, line: &str, findings: &mut
 /// MCPB007: direct `std::time::Instant` use outside the sanctioned timing
 /// layers. Wall-clock reads belong in `mcpb-trace` (spans / `Stopwatch`)
 /// or `bench-core::instrument::run_measured`; everything else timing itself
-/// by hand fragments the profile. The two layers that *implement* timing
+/// by hand fragments the profile. The layers that *implement* timing
 /// are path-exempt.
 fn check_raw_instant(file: &SourceFile, lineno: usize, line: &str, findings: &mut Vec<Finding>) {
     // `mcpb-resilience` is zero-dep by design (it sits below the trace
-    // crate) and implements the deadline/backoff timing itself. The
-    // criterion shim is a timing harness by definition.
+    // crate) and implements the deadline/backoff timing itself.
     if file.rel_path.starts_with("crates/trace/")
         || file.rel_path.starts_with("crates/resilience/")
-        || file.rel_path.starts_with("shims/criterion/")
         || file.rel_path == "crates/bench-core/src/instrument.rs"
     {
         return;

@@ -1,7 +1,8 @@
 //! The recorded perf-trajectory suite behind `mcpbench bench`.
 //!
-//! Three areas, one `BENCH_<area>.json` each (schema `mcpb-perf/1`, same
-//! shape as `BENCH_audit.json`), plus a combined `BENCH_REPORT.md`:
+//! Every area is timed through one in-tree timer, [`Timer`], and written as
+//! one `BENCH_<area>.json` (schema `mcpb-perf/1`), plus a combined
+//! `BENCH_REPORT.md`. The areas:
 //!
 //! * `nn` — the dense matmul microkernel vs its scalar reference, the
 //!   GNN-shaped product, SpMM, and a tape forward+backward pass.
@@ -9,6 +10,9 @@
 //!   level vs the per-node walk reference) and lazy greedy end-to-end.
 //! * `im` — RR-set sampling, IC and LT Monte-Carlo at 1/2/4/8 threads
 //!   (the scaling curve), each against its pre-PR reference at 1 thread.
+//! * `serve` (`mcpb-serve`) — query latency quantiles of a replayed load mix.
+//! * `audit` (`mcpbench bench` itself) — the lint engine's lexer, per-file
+//!   scan and full workspace pass.
 //! * `large` (opt-in via `mcpbench bench --large`) — the same sharded
 //!   consumers over the million-node `ba-1m` graph, with per-shard
 //!   peak-memory accounting in the document's `memory` extras block.
@@ -19,14 +23,104 @@
 //! [`compare_benches`], which `scripts/bench-ratchet.sh` runs against the
 //! committed baselines.
 
-use criterion::{bench_threads, black_box, quick_mode, Criterion, Summary};
 use mcpb_graph::weights::{assign_weights, WeightModel};
 use mcpb_graph::{generators, Graph};
 use mcpb_nn::prelude::*;
+use mcpb_trace::Stopwatch;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Serialize, Value};
+use std::hint::black_box;
 use std::path::Path;
+use std::time::Duration;
+
+/// The thread counts the scaling benches sweep.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Timed samples per bench.
+const SAMPLES: usize = 10;
+
+/// Largest batch the warmup doubles up to.
+const MAX_BATCH: u64 = 1 << 20;
+
+/// One recorded bench: the id and its per-call sample statistics.
+#[derive(Debug, Clone)]
+pub struct Summary {
+    /// The id passed to [`Timer::bench`].
+    pub id: String,
+    /// Number of timed samples.
+    pub samples: usize,
+    /// Fastest sample, in nanoseconds.
+    pub min_nanos: u128,
+    /// Median sample (`sorted[len / 2]`), in nanoseconds.
+    pub median_nanos: u128,
+    /// Mean over all samples, in nanoseconds.
+    pub mean_nanos: u128,
+}
+
+/// The wall-clock timer every area records through. Per bench, a warmup
+/// doubles the batch (up to 2^20 calls) until one batch takes at least
+/// 5 ms (500 µs when `quick`); then 10 batches are timed, each sample
+/// being the batch time divided by the batch size.
+pub struct Timer {
+    /// The shortest batch the warmup sizes toward, in nanoseconds.
+    warmup_nanos: u64,
+    summaries: Vec<Summary>,
+}
+
+/// Nanoseconds `batch` back-to-back calls of `routine` take.
+fn time_batch<O>(batch: u64, routine: &mut impl FnMut() -> O) -> u64 {
+    let watch = Stopwatch::start();
+    for _ in 0..batch {
+        black_box(routine());
+    }
+    watch.elapsed_nanos()
+}
+
+impl Timer {
+    /// A timer with no recorded benches; `quick` shortens the warmup target.
+    pub fn new(quick: bool) -> Timer {
+        Timer {
+            warmup_nanos: if quick { 500_000 } else { 5_000_000 },
+            summaries: Vec::new(),
+        }
+    }
+
+    /// Times `routine` under `id`, prints a one-line summary and records it.
+    pub fn bench<O>(&mut self, id: &str, mut routine: impl FnMut() -> O) {
+        let mut batch = 1u64;
+        while time_batch(batch, &mut routine) < self.warmup_nanos && batch < MAX_BATCH {
+            batch *= 2;
+        }
+        let mut sorted: Vec<u64> = (0..SAMPLES)
+            .map(|_| time_batch(batch, &mut routine) / batch)
+            .collect();
+        sorted.sort_unstable();
+        let min = sorted[0];
+        let median = sorted[sorted.len() / 2];
+        let mean = sorted.iter().sum::<u64>() / sorted.len() as u64;
+        let d = Duration::from_nanos;
+        println!(
+            "{id:<40} min {:>12?}  median {:>12?}  mean {:>12?}  ({} samples)",
+            d(min),
+            d(median),
+            d(mean),
+            sorted.len()
+        );
+        self.summaries.push(Summary {
+            id: id.to_string(),
+            samples: sorted.len(),
+            min_nanos: min.into(),
+            median_nanos: median.into(),
+            mean_nanos: mean.into(),
+        });
+    }
+
+    /// Every recorded summary, in [`Timer::bench`] call order.
+    pub fn into_summaries(self) -> Vec<Summary> {
+        self.summaries
+    }
+}
 
 /// A `<id>` vs `<id>_ref` median ratio recorded alongside the raw benches.
 #[derive(Debug, Clone)]
@@ -76,10 +170,6 @@ impl AreaReport {
     }
 }
 
-fn fresh_criterion() -> Criterion {
-    Criterion::default().sample_size(10)
-}
-
 fn random_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     Tensor::xavier(rows, cols, &mut rng)
@@ -87,25 +177,25 @@ fn random_tensor(rows: usize, cols: usize, seed: u64) -> Tensor {
 
 /// `nn` area: dense matmul (blocked vs naive at a square and a GNN-shaped
 /// size), SpMM over a BA adjacency, and an MLP forward+backward pass.
-pub fn run_nn() -> AreaReport {
-    let mut c = fresh_criterion();
+pub fn run_nn(quick: bool) -> AreaReport {
+    let mut timer = Timer::new(quick);
 
     let a256 = random_tensor(256, 256, 11);
     let b256 = random_tensor(256, 256, 13);
-    c.bench_function("nn/matmul_dense_256", |b| {
-        b.iter(|| black_box(a256.matmul(&b256)).data[0])
+    timer.bench("nn/matmul_dense_256", || {
+        black_box(a256.matmul(&b256)).data[0]
     });
-    c.bench_function("nn/matmul_dense_256_ref", |b| {
-        b.iter(|| black_box(mcpb_nn::reference::matmul_naive(&a256, &b256)).data[0])
+    timer.bench("nn/matmul_dense_256_ref", || {
+        black_box(mcpb_nn::reference::matmul_naive(&a256, &b256)).data[0]
     });
 
     let ag = random_tensor(4096, 64, 17);
     let bg = random_tensor(64, 64, 19);
-    c.bench_function("nn/matmul_gnn_4096x64", |b| {
-        b.iter(|| black_box(ag.matmul(&bg)).data[0])
+    timer.bench("nn/matmul_gnn_4096x64", || {
+        black_box(ag.matmul(&bg)).data[0]
     });
-    c.bench_function("nn/matmul_gnn_4096x64_ref", |b| {
-        b.iter(|| black_box(mcpb_nn::reference::matmul_naive(&ag, &bg)).data[0])
+    timer.bench("nn/matmul_gnn_4096x64_ref", || {
+        black_box(mcpb_nn::reference::matmul_naive(&ag, &bg)).data[0]
     });
 
     let g = generators::barabasi_albert(20_000, 8, 23);
@@ -120,28 +210,26 @@ pub fn run_nn() -> AreaReport {
         .collect();
     let adj = SparseMatrix::from_triplets(20_000, 20_000, &triplets);
     let x = random_tensor(20_000, 64, 29);
-    c.bench_function("nn/spmm_ba20k_64", |b| {
-        b.iter(|| black_box(adj.matmul_dense(&x)).data[0])
+    timer.bench("nn/spmm_ba20k_64", || {
+        black_box(adj.matmul_dense(&x)).data[0]
     });
 
     let mut store = ParamStore::new(7);
     let mlp = Mlp::new(&mut store, "perf", &[64, 128, 128, 1], Activation::Relu);
     let batch = random_tensor(256, 64, 31);
     let target = Tensor::zeros(256, 1);
-    c.bench_function("nn/tape_mlp_fwd_bwd_256x64", |b| {
-        b.iter(|| {
-            let mut tape = Tape::new();
-            let xin = tape.input(batch.clone());
-            let y = mlp.forward(&mut tape, &store, xin);
-            let loss = tape.mse_loss(y, target.clone());
-            tape.backward(loss);
-            tape.value(loss).item()
-        })
+    timer.bench("nn/tape_mlp_fwd_bwd_256x64", || {
+        let mut tape = Tape::new();
+        let xin = tape.input(batch.clone());
+        let y = mlp.forward(&mut tape, &store, xin);
+        let loss = tape.mse_loss(y, target.clone());
+        tape.backward(loss);
+        tape.value(loss).item()
     });
 
     let mut report = AreaReport {
         area: "nn",
-        benches: c.summaries().to_vec(),
+        benches: timer.into_summaries(),
         speedups: Vec::new(),
         extras: Vec::new(),
     };
@@ -164,10 +252,10 @@ fn kernels_graph() -> Graph {
 
 /// `kernels` area: coverage-oracle marginal-gain sweeps and seed insertion
 /// (word-level vs walk reference) plus the lazy-greedy end-to-end solve.
-pub fn run_kernels() -> AreaReport {
+pub fn run_kernels(quick: bool) -> AreaReport {
     let g = kernels_graph();
     let n = g.num_nodes() as u32; // audit:allow(MCPB006) — bench graphs are fixed-size
-    let mut c = fresh_criterion();
+    let mut timer = Timer::new(quick);
 
     let mut seeded = mcpb_mcp::CoverageOracle::new(&g);
     let mut seeded_ref = mcpb_mcp::reference::CoverageOracle::new(&g);
@@ -175,52 +263,44 @@ pub fn run_kernels() -> AreaReport {
         seeded.add_seed(v);
         seeded_ref.add_seed(v);
     }
-    c.bench_function("kernels/coverage_gain_sweep", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for v in 0..n {
-                acc += seeded.marginal_gain(v);
-            }
-            black_box(acc)
-        })
+    timer.bench("kernels/coverage_gain_sweep", || {
+        let mut acc = 0usize;
+        for v in 0..n {
+            acc += seeded.marginal_gain(v);
+        }
+        black_box(acc)
     });
-    c.bench_function("kernels/coverage_gain_sweep_ref", |b| {
-        b.iter(|| {
-            let mut acc = 0usize;
-            for v in 0..n {
-                acc += seeded_ref.marginal_gain(v);
-            }
-            black_box(acc)
-        })
+    timer.bench("kernels/coverage_gain_sweep_ref", || {
+        let mut acc = 0usize;
+        for v in 0..n {
+            acc += seeded_ref.marginal_gain(v);
+        }
+        black_box(acc)
     });
 
-    c.bench_function("kernels/coverage_add_seeds", |b| {
-        b.iter(|| {
-            let mut o = mcpb_mcp::CoverageOracle::new(&g);
-            for v in (0..n).step_by(37) {
-                black_box(o.add_seed(v));
-            }
-            o.covered_count()
-        })
+    timer.bench("kernels/coverage_add_seeds", || {
+        let mut o = mcpb_mcp::CoverageOracle::new(&g);
+        for v in (0..n).step_by(37) {
+            black_box(o.add_seed(v));
+        }
+        o.covered_count()
     });
-    c.bench_function("kernels/coverage_add_seeds_ref", |b| {
-        b.iter(|| {
-            let mut o = mcpb_mcp::reference::CoverageOracle::new(&g);
-            for v in (0..n).step_by(37) {
-                black_box(o.add_seed(v));
-            }
-            o.covered_count()
-        })
+    timer.bench("kernels/coverage_add_seeds_ref", || {
+        let mut o = mcpb_mcp::reference::CoverageOracle::new(&g);
+        for v in (0..n).step_by(37) {
+            black_box(o.add_seed(v));
+        }
+        o.covered_count()
     });
 
     let g2k = generators::barabasi_albert(2_000, 4, 43);
-    c.bench_function("kernels/lazy_greedy_2k_k50", |b| {
-        b.iter(|| black_box(mcpb_mcp::LazyGreedy::run(&g2k, 50)).covered)
+    timer.bench("kernels/lazy_greedy_2k_k50", || {
+        black_box(mcpb_mcp::LazyGreedy::run(&g2k, 50)).covered
     });
 
     let mut report = AreaReport {
         area: "kernels",
-        benches: c.summaries().to_vec(),
+        benches: timer.into_summaries(),
         speedups: Vec::new(),
         extras: Vec::new(),
     };
@@ -245,62 +325,61 @@ fn im_graph() -> Graph {
     )
 }
 
-/// `im` area: RR sampling, IC MC, and LT MC at each thread count in
-/// [`bench_threads`] (default 1/2/4/8 — the scaling curve), plus the
-/// single-threaded references and RR greedy selection.
-pub fn run_im() -> AreaReport {
+/// `im` area: RR sampling, IC MC, and LT MC at 1/2/4/8 threads (the
+/// scaling curve), plus the single-threaded references and RR greedy
+/// selection.
+pub fn run_im(quick: bool) -> AreaReport {
     let g = im_graph();
     let seeds = [0u32, 3, 11, 42, 117];
-    let threads = bench_threads();
-    let mut c = fresh_criterion();
+    let mut timer = Timer::new(quick);
 
-    for &t in &threads {
+    for t in THREADS {
         mcpb_par::set_thread_override(Some(t));
-        c.bench_function(&format!("im/rr_sample_20k_t{t}"), |b| {
-            b.iter(|| mcpb_im::sample_collection(&g, 20_000, 71).len())
+        timer.bench(&format!("im/rr_sample_20k_t{t}"), || {
+            mcpb_im::sample_collection(&g, 20_000, 71).len()
         });
         mcpb_par::set_thread_override(None);
     }
     mcpb_par::set_thread_override(Some(1));
-    c.bench_function("im/rr_sample_20k_ref_t1", |b| {
-        b.iter(|| mcpb_im::reference::sample_collection(&g, 20_000, 71).len())
+    timer.bench("im/rr_sample_20k_ref_t1", || {
+        mcpb_im::reference::sample_collection(&g, 20_000, 71).len()
     });
     mcpb_par::set_thread_override(None);
 
-    for &t in &threads {
+    for t in THREADS {
         mcpb_par::set_thread_override(Some(t));
-        c.bench_function(&format!("im/ic_mc_10k_t{t}"), |b| {
-            b.iter(|| mcpb_im::influence_mc(&g, &seeds, 10_000, 73).to_bits())
+        timer.bench(&format!("im/ic_mc_10k_t{t}"), || {
+            mcpb_im::influence_mc(&g, &seeds, 10_000, 73).to_bits()
         });
         mcpb_par::set_thread_override(None);
     }
     mcpb_par::set_thread_override(Some(1));
-    c.bench_function("im/ic_mc_10k_ref_t1", |b| {
-        b.iter(|| mcpb_im::reference::influence_mc(&g, &seeds, 10_000, 73).to_bits())
+    timer.bench("im/ic_mc_10k_ref_t1", || {
+        mcpb_im::reference::influence_mc(&g, &seeds, 10_000, 73).to_bits()
     });
     mcpb_par::set_thread_override(None);
 
-    for &t in &threads {
+    for t in THREADS {
         mcpb_par::set_thread_override(Some(t));
-        c.bench_function(&format!("im/lt_mc_5k_t{t}"), |b| {
-            b.iter(|| mcpb_im::influence_mc_lt(&g, &seeds, 5_000, 79).to_bits())
+        timer.bench(&format!("im/lt_mc_5k_t{t}"), || {
+            mcpb_im::influence_mc_lt(&g, &seeds, 5_000, 79).to_bits()
         });
         mcpb_par::set_thread_override(None);
     }
     mcpb_par::set_thread_override(Some(1));
-    c.bench_function("im/lt_mc_5k_ref_t1", |b| {
-        b.iter(|| mcpb_im::reference::influence_mc_lt(&g, &seeds, 5_000, 79).to_bits())
+    timer.bench("im/lt_mc_5k_ref_t1", || {
+        mcpb_im::reference::influence_mc_lt(&g, &seeds, 5_000, 79).to_bits()
     });
     mcpb_par::set_thread_override(None);
 
     let rr = mcpb_im::sample_collection(&g, 50_000, 83);
-    c.bench_function("im/rr_greedy_k50", |b| {
-        b.iter(|| black_box(rr.greedy_max_coverage(50)).1)
+    timer.bench("im/rr_greedy_k50", || {
+        black_box(rr.greedy_max_coverage(50)).1
     });
 
     let mut report = AreaReport {
         area: "im",
-        benches: c.summaries().to_vec(),
+        benches: timer.into_summaries(),
         speedups: Vec::new(),
         extras: Vec::new(),
     };
@@ -330,18 +409,16 @@ pub fn run_im() -> AreaReport {
 /// feeds ([`mcpb_im::shard`]) and lands in the document's `memory` extras
 /// block next to the throughput numbers, with the documented budget
 /// ([`mcpb_im::shard::SHARD_PEAK_BUDGET_BYTES`]) and a `within_budget`
-/// verdict. Not part of [`collect_areas`]: `mcpbench bench --large` (or
-/// `MCPB_BENCH_LARGE=1`) opts in, so the default suite's runtime does not
-/// balloon.
-pub fn run_large() -> AreaReport {
+/// verdict. Not part of [`collect_areas`]: `mcpbench bench --large` opts
+/// in, so the default suite's runtime does not balloon.
+pub fn run_large(quick: bool) -> AreaReport {
     // The bench harness runs from the CLI, never inside a fault-isolated
     // sweep cell; a missing catalog entry here is a build-time bug.
     // audit:allow(MCPB008)
     let cfg = mcpb_graph::large_config("ba-1m").expect("invariant: ba-1m is in the large catalog");
     let g = cfg.build().expect("invariant: catalog configs build"); // audit:allow(MCPB008)
     let seeds = [0u32, 3, 11, 42, 117];
-    let threads = bench_threads();
-    let mut c = fresh_criterion();
+    let mut timer = Timer::new(quick);
 
     // The shard layer reports peak bytes through trace histograms, which
     // are off by default. Enable + reset around the benches so the window
@@ -350,16 +427,16 @@ pub fn run_large() -> AreaReport {
     mcpb_trace::set_enabled(true);
     mcpb_trace::reset();
 
-    for &t in &threads {
+    for t in THREADS {
         mcpb_par::set_thread_override(Some(t));
-        c.bench_function(&format!("large/rr_sample_ba1m_t{t}"), |b| {
-            b.iter(|| mcpb_im::sample_collection(&g, 4_096, 131).len())
+        timer.bench(&format!("large/rr_sample_ba1m_t{t}"), || {
+            mcpb_im::sample_collection(&g, 4_096, 131).len()
         });
-        c.bench_function(&format!("large/ic_mc_ba1m_t{t}"), |b| {
-            b.iter(|| mcpb_im::influence_mc(&g, &seeds, 1_024, 137).to_bits())
+        timer.bench(&format!("large/ic_mc_ba1m_t{t}"), || {
+            mcpb_im::influence_mc(&g, &seeds, 1_024, 137).to_bits()
         });
-        c.bench_function(&format!("large/lt_mc_ba1m_t{t}"), |b| {
-            b.iter(|| mcpb_im::influence_mc_lt(&g, &seeds, 64, 139).to_bits())
+        timer.bench(&format!("large/lt_mc_ba1m_t{t}"), || {
+            mcpb_im::influence_mc_lt(&g, &seeds, 64, 139).to_bits()
         });
         mcpb_par::set_thread_override(None);
     }
@@ -399,26 +476,26 @@ pub fn run_large() -> AreaReport {
 
     AreaReport {
         area: "large",
-        benches: c.summaries().to_vec(),
+        benches: timer.into_summaries(),
         speedups: Vec::new(),
         extras: vec![("memory".to_string(), memory), ("graph".to_string(), graph)],
     }
 }
 
 /// Runs the areas defined in this crate (`nn`, `kernels`, `im`). Callers
-/// that own additional areas (e.g. `mcpb-serve`'s latency suite) append
-/// theirs before [`write_reports`]; the opt-in `large` area is added by
-/// `mcpbench bench --large`.
-pub fn collect_areas() -> Vec<AreaReport> {
-    vec![run_nn(), run_kernels(), run_im()]
+/// that own additional areas (`mcpb-serve`'s latency suite, the `audit`
+/// area) append theirs before [`write_reports`]; the opt-in `large` area is
+/// added by `mcpbench bench --large`.
+pub fn collect_areas(quick: bool) -> Vec<AreaReport> {
+    vec![run_nn(quick), run_kernels(quick), run_im(quick)]
 }
 
 /// Writes one `BENCH_<area>.json` per report plus the combined
-/// `BENCH_REPORT.md` under `root`.
-pub fn write_reports(root: &Path, reports: &[AreaReport]) -> std::io::Result<()> {
+/// `BENCH_REPORT.md` under `root`; `quick` is recorded in each document.
+pub fn write_reports(root: &Path, reports: &[AreaReport], quick: bool) -> std::io::Result<()> {
     for r in reports {
         let path = root.join(format!("BENCH_{}.json", r.area));
-        std::fs::write(&path, render_json(r))?;
+        std::fs::write(&path, render_json(r, quick))?;
         println!("wrote {}", path.display());
     }
     let report_path = root.join("BENCH_REPORT.md");
@@ -431,8 +508,8 @@ fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-/// Renders one area as a `mcpb-perf/1` JSON document.
-pub fn render_json(report: &AreaReport) -> String {
+/// Renders one area as a `mcpb-perf/1` JSON document recorded with `quick`.
+pub fn render_json(report: &AreaReport, quick: bool) -> String {
     let benches = Value::Array(
         report
             .benches
@@ -478,17 +555,13 @@ pub fn render_json(report: &AreaReport) -> String {
     let mut fields = vec![
         ("schema", "mcpb-perf/1".to_value()),
         ("area", report.area.to_value()),
-        ("quick", quick_mode().to_value()),
+        ("quick", quick.to_value()),
         ("host_threads", (host_threads() as u64).to_value()),
         ("host", host),
-        ("threads", {
-            Value::Array(
-                bench_threads()
-                    .iter()
-                    .map(|&t| (t as u64).to_value())
-                    .collect(),
-            )
-        }),
+        (
+            "threads",
+            Value::Array(THREADS.iter().map(|&t| (t as u64).to_value()).collect()),
+        ),
         ("benches", benches),
         ("speedups", speedups),
     ];
@@ -563,7 +636,7 @@ fn fmt_nanos(n: u128) -> String {
 }
 
 /// Renders the combined markdown report with per-area tables, speedup
-/// ratios, and 1/2/4/8 thread-scaling curves (ids ending in `_t<n>`).
+/// ratios, and thread-scaling curves (ids ending in `_t<n>`).
 pub fn render_markdown(reports: &[AreaReport]) -> String {
     let mut out = String::new();
     out.push_str("# Perf trajectory report\n\n");
@@ -622,7 +695,13 @@ pub fn render_markdown(reports: &[AreaReport]) -> String {
         let scaling = scaling_rows(r);
         if !scaling.is_empty() {
             out.push_str("\n### Thread scaling\n\n");
-            out.push_str("| bench | threads | median | speedup vs t1 |\n");
+            out.push_str(&format!(
+                "The last column is t1 median / tN median. Rows with more \
+                 threads than the host's {} are oversubscribed: their ratio \
+                 is not a speedup.\n\n",
+                host_threads()
+            ));
+            out.push_str("| bench | threads | median | t1 median / tN median |\n");
             out.push_str("|---|---:|---:|---:|\n");
             for (base, t, median, ratio) in scaling {
                 out.push_str(&format!(
@@ -635,8 +714,8 @@ pub fn render_markdown(reports: &[AreaReport]) -> String {
     out
 }
 
-/// Extracts `(base_id, threads, median, speedup_vs_t1)` rows from ids of
-/// the form `<base>_t<n>`.
+/// Extracts `(base_id, threads, median, t1_median / median)` rows from ids
+/// of the form `<base>_t<n>`.
 fn scaling_rows(report: &AreaReport) -> Vec<(String, usize, u128, f64)> {
     let mut rows = Vec::new();
     for s in &report.benches {
@@ -747,6 +826,32 @@ mod tests {
     }
 
     #[test]
+    fn timer_records_in_call_order_and_quick_shortens_warmup() {
+        // Each call sleeps, so a batch's time grows with its size and the
+        // 5 ms full-mode target needs a larger batch than the 500 µs one.
+        let calls_under = |quick: bool| {
+            let mut calls = 0u64;
+            let mut timer = Timer::new(quick);
+            timer.bench("timer/sleep", || {
+                calls += 1;
+                std::thread::sleep(Duration::from_micros(50));
+            });
+            timer.bench("timer/sum", || (0..100u64).sum::<u64>());
+            let summaries = timer.into_summaries();
+            let ids: Vec<&str> = summaries.iter().map(|s| s.id.as_str()).collect();
+            assert_eq!(ids, ["timer/sleep", "timer/sum"]);
+            for s in &summaries {
+                assert_eq!(s.samples, SAMPLES);
+                assert!(s.min_nanos <= s.median_nanos, "{s:?}");
+            }
+            calls
+        };
+        let quick = calls_under(true);
+        let full = calls_under(false);
+        assert!(quick < full, "quick {quick} calls vs full {full}");
+    }
+
+    #[test]
     fn ratchet_accepts_equal_and_faster() {
         let base = doc(&[("a/x", 1000), ("a/y", 2000)]);
         let cur = doc(&[("a/x", 1000), ("a/y", 1500)]);
@@ -815,7 +920,7 @@ mod tests {
             speedups: Vec::new(),
             extras: Vec::new(),
         };
-        let text = render_json(&report);
+        let text = render_json(&report, false);
         let parsed: Value = serde_json::from_str(&text).expect("parse");
         assert_eq!(
             parsed.get("schema").and_then(|s| s.as_str()),
@@ -832,7 +937,7 @@ mod tests {
             speedups: Vec::new(),
             extras: Vec::new(),
         };
-        let text = render_json(&report);
+        let text = render_json(&report, false);
         let parsed: Value = serde_json::from_str(&text).expect("parse");
         let host = parsed.get("host").expect("host block");
         assert!(host.get("threads").and_then(|v| v.as_u64()).unwrap_or(0) >= 1);
@@ -900,6 +1005,8 @@ mod tests {
         assert!((report.speedups[0].ratio - 2.5).abs() < 1e-9);
         let md = render_markdown(&[report]);
         assert!(md.contains("Thread scaling"), "{md}");
+        assert!(md.contains("t1 median / tN median"), "{md}");
+        assert!(md.contains("oversubscribed"), "{md}");
         assert!(md.contains("| `im/x` | 4 |"), "{md}");
         assert!(md.contains("2.50x"), "{md}");
     }

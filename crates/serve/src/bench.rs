@@ -10,8 +10,7 @@
 //! includes a burst window, so run-to-run variance comes only from the
 //! machine, matching the other areas' contract.
 
-use criterion::{quick_mode, Summary};
-use mcpb_bench::perf::AreaReport;
+use mcpb_bench::perf::{AreaReport, Summary};
 
 use crate::engine::{replay, EngineOptions};
 use crate::loadgen::{generate_log, LoadGenConfig};
@@ -32,8 +31,9 @@ fn stat_summary(id: &str, samples: usize, value: f64) -> Summary {
     }
 }
 
-/// Runs the serve latency benchmark and returns its area report.
-pub fn serve_area() -> AreaReport {
+/// Runs the serve latency benchmark and returns its area report; `quick`
+/// replays a shorter log.
+pub fn serve_area(quick: bool) -> AreaReport {
     let cfg = ServeConfig {
         datasets: vec!["Damascus".to_string()],
         mcp_solvers: vec![
@@ -45,7 +45,7 @@ pub fn serve_area() -> AreaReport {
         ..ServeConfig::default()
     };
     let (state, mut pool) = preload(&cfg).expect("invariant: default serve preload succeeds");
-    let requests = if quick_mode() { 150 } else { 400 };
+    let requests = if quick { 150 } else { 400 };
     let log = generate_log(
         &state,
         &LoadGenConfig {
@@ -79,9 +79,7 @@ mod tests {
 
     #[test]
     fn serve_area_reports_three_stats() {
-        // Quick mode keeps this test cheap regardless of the env.
-        std::env::set_var("MCPB_BENCH_QUICK", "1");
-        let area = serve_area();
+        let area = serve_area(true);
         assert_eq!(area.area, "serve");
         let ids: Vec<&str> = area.benches.iter().map(|s| s.id.as_str()).collect();
         assert_eq!(

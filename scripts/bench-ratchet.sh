@@ -4,6 +4,7 @@
 # under target/bench/ against the copies committed at HEAD and fails if any bench median
 # regressed by more than the tolerance (default 10%). A missing nn/kernels/im/serve file
 # fails the check; a missing BENCH_large.json is skipped, since only `bench --large` writes it.
+# BENCH_audit.json is written too but not ratcheted.
 # Baselines are the committed files themselves — a deliberate slowdown is landed by
 # committing the new numbers, which is what `--rebaseline` does.
 #
@@ -49,7 +50,8 @@ if [[ "$REBASELINE" == 1 ]]; then
   fi
   cargo run -q --release -- bench --large
   echo "bench-ratchet: baselines refreshed — review and commit:"
-  git --no-pager diff --stat -- BENCH_nn.json BENCH_kernels.json BENCH_im.json BENCH_serve.json BENCH_large.json BENCH_REPORT.md
+  git --no-pager diff --stat -- BENCH_nn.json BENCH_kernels.json BENCH_im.json BENCH_serve.json \
+    BENCH_audit.json BENCH_large.json BENCH_REPORT.md
   exit 0
 fi
 
@@ -62,7 +64,7 @@ for area in "${AREAS[@]}"; do
       echo "bench-ratchet: $file not recorded (needs bench --large) — skipping"
     else
       echo "bench-ratchet: $file missing — run" >&2
-      echo "  MCPB_BENCH_QUICK=1 cargo run --release -- bench --out-dir ${RUN_DIR}" >&2
+      echo "  cargo run --release -- bench --quick --out-dir ${RUN_DIR}" >&2
       status=1
     fi
     continue

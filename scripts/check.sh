@@ -31,9 +31,6 @@ fi
 echo "==> rustdoc (warnings are errors, so a link to a deleted item fails here)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
-echo "==> feature-gated bench target compiles (mcpb-audit audit_pass)"
-cargo check -q -p mcpb-audit --features bench --benches
-
 echo "==> cargo test (workspace, MCPB_THREADS=1)"
 MCPB_THREADS=1 cargo test -q --workspace
 
@@ -136,7 +133,7 @@ fi
 echo "==> perf suite smoke (quick mode; writes BENCH_*.json + BENCH_REPORT.md under target/bench/)"
 # Start empty so the ratchet compares only files this run wrote.
 rm -rf target/bench
-MCPB_BENCH_QUICK=1 cargo run -q --release -- bench --out-dir target/bench
+cargo run -q --release -- bench --quick --out-dir target/bench
 
 echo "==> perf ratchet (target/bench/BENCH_*.json vs committed baselines, 10% tolerance)"
 scripts/bench-ratchet.sh

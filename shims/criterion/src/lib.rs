@@ -1,314 +1,5 @@
-//! Offline stand-in for `criterion`.
-//!
-//! Implements the macro/struct surface the workspace's benches use —
-//! [`Criterion::bench_function`], [`Bencher::iter`] / [`Bencher::iter_batched`],
-//! `criterion_group! { name = ...; config = ...; targets = ... }`, and
-//! [`criterion_main!`] — backed by plain wall-clock timing: a warmup pass
-//! sizes the batch, then `sample_size` samples are timed and a
-//! min/median/mean summary is printed. No statistical analysis, no HTML
-//! reports, no command-line filtering; this exists so `cargo bench` runs
-//! offline with meaningful relative numbers.
-
-use std::time::{Duration, Instant};
-
-/// Opaque black box: tells the optimizer a value is used.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
-/// Env pin for the per-benchmark sample count: when `MCPB_BENCH_SAMPLES` is
-/// set to a positive integer it overrides both the default and any
-/// programmatic [`Criterion::sample_size`] call, so CI can shrink (or a
-/// careful local run can grow) every bench in a process uniformly.
-pub fn env_samples() -> Option<usize> {
-    std::env::var("MCPB_BENCH_SAMPLES")
-        .ok()?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 2)
-}
-
-/// True when `MCPB_BENCH_QUICK` is set to `1`/`true`: quick mode keeps
-/// every problem size and thread count (so medians stay comparable to
-/// full-run baselines) but drops the default sample count and the warmup
-/// sizing target, trading variance for wall-clock.
-pub fn quick_mode() -> bool {
-    matches!(
-        std::env::var("MCPB_BENCH_QUICK").as_deref(),
-        Ok("1") | Ok("true")
-    )
-}
-
-/// The thread counts a scaling suite should sweep: `MCPB_BENCH_THREADS`
-/// as a comma-separated list (e.g. `1,2,4`), defaulting to `1,2,4,8`.
-pub fn bench_threads() -> Vec<usize> {
-    match std::env::var("MCPB_BENCH_THREADS") {
-        Ok(s) => {
-            let parsed: Vec<usize> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse::<usize>().ok())
-                .filter(|&t| t >= 1)
-                .collect();
-            if parsed.is_empty() {
-                vec![1, 2, 4, 8]
-            } else {
-                parsed
-            }
-        }
-        Err(_) => vec![1, 2, 4, 8],
-    }
-}
-
-/// Minimum per-sample duration the warmup loop sizes batches toward.
-fn warmup_target() -> Duration {
-    if quick_mode() {
-        Duration::from_micros(500)
-    } else {
-        Duration::from_millis(5)
-    }
-}
-
-/// Default samples per benchmark (env pin > quick mode > 20).
-fn default_samples() -> usize {
-    env_samples().unwrap_or(if quick_mode() { 5 } else { 20 })
-}
-
-/// How `iter_batched` amortizes setup cost (accepted, but the shim always
-/// re-runs setup per iteration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small per-iteration inputs.
-    SmallInput,
-    /// Large per-iteration inputs.
-    LargeInput,
-    /// One input per batch.
-    PerIteration,
-}
-
-/// Times one benchmark body.
-pub struct Bencher {
-    samples: Vec<Duration>,
-    sample_size: usize,
-}
-
-impl Bencher {
-    /// Times `routine`, collecting `sample_size` samples after warmup.
-    pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
-        // Warmup + batch sizing: aim for >= ~5ms per sample (less under
-        // quick mode — see `quick_mode`).
-        let target = warmup_target();
-        let mut batch = 1usize;
-        loop {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(routine());
-            }
-            let elapsed = t.elapsed();
-            if elapsed >= target || batch >= 1 << 20 {
-                break;
-            }
-            batch *= 2;
-        }
-        for _ in 0..self.sample_size {
-            let t = Instant::now();
-            for _ in 0..batch {
-                black_box(routine());
-            }
-            self.samples.push(t.elapsed() / batch as u32);
-        }
-    }
-
-    /// Times `routine` over inputs produced by `setup` (setup excluded from
-    /// the timing, rebuilt every iteration regardless of `size`).
-    pub fn iter_batched<I, O>(
-        &mut self,
-        mut setup: impl FnMut() -> I,
-        mut routine: impl FnMut(I) -> O,
-        _size: BatchSize,
-    ) {
-        for _ in 0..self.sample_size {
-            let input = setup();
-            let t = Instant::now();
-            black_box(routine(input));
-            self.samples.push(t.elapsed());
-        }
-    }
-}
-
-/// One recorded benchmark result, kept so harnesses can persist timings
-/// (the `BENCH_<area>.json` perf-trajectory files) instead of just reading
-/// the printed summary. Not part of the real criterion API.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    /// The id passed to [`Criterion::bench_function`].
-    pub id: String,
-    /// Number of timed samples.
-    pub samples: usize,
-    /// Fastest sample, in nanoseconds.
-    pub min_nanos: u128,
-    /// Median sample, in nanoseconds.
-    pub median_nanos: u128,
-    /// Mean over all samples, in nanoseconds.
-    pub mean_nanos: u128,
-}
-
-/// Benchmark registry/configuration (subset of the real API).
-pub struct Criterion {
-    sample_size: usize,
-    summaries: Vec<Summary>,
-}
-
-impl Default for Criterion {
-    fn default() -> Self {
-        Criterion {
-            sample_size: default_samples(),
-            summaries: Vec::new(),
-        }
-    }
-}
-
-impl Criterion {
-    /// Sets the per-benchmark sample count. An `MCPB_BENCH_SAMPLES` env pin
-    /// takes precedence so a whole process can be resized uniformly.
-    pub fn sample_size(mut self, n: usize) -> Self {
-        assert!(n >= 2, "sample_size must be >= 2");
-        self.sample_size = env_samples().unwrap_or(n);
-        self
-    }
-
-    /// Runs `f` under `id` and prints a timing summary.
-    pub fn bench_function(&mut self, id: &str, f: impl FnOnce(&mut Bencher)) -> &mut Self {
-        let mut b = Bencher {
-            samples: Vec::new(),
-            sample_size: self.sample_size,
-        };
-        f(&mut b);
-        let mut sorted = b.samples.clone();
-        sorted.sort();
-        if sorted.is_empty() {
-            println!("{id:<40} (no samples)");
-            return self;
-        }
-        let min = sorted[0];
-        let median = sorted[sorted.len() / 2];
-        let mean = sorted.iter().sum::<Duration>() / sorted.len() as u32;
-        println!(
-            "{id:<40} min {min:>12?}  median {median:>12?}  mean {mean:>12?}  ({} samples)",
-            sorted.len()
-        );
-        self.summaries.push(Summary {
-            id: id.to_string(),
-            samples: sorted.len(),
-            min_nanos: min.as_nanos(),
-            median_nanos: median.as_nanos(),
-            mean_nanos: mean.as_nanos(),
-        });
-        self
-    }
-
-    /// Every summary recorded so far, in `bench_function` call order.
-    pub fn summaries(&self) -> &[Summary] {
-        &self.summaries
-    }
-}
-
-/// Declares a benchmark group: either `criterion_group!(name, target, ...)`
-/// or the struct form with an explicit `config`.
-#[macro_export]
-macro_rules! criterion_group {
-    (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
-        pub fn $name() {
-            let mut c: $crate::Criterion = $config;
-            $($target(&mut c);)+
-        }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        );
-    };
-}
-
-/// Declares the bench entry point running each group.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn work(c: &mut Criterion) {
-        c.bench_function("shim/sum", |b| b.iter(|| (0..100u64).sum::<u64>()));
-        c.bench_function("shim/batched", |b| {
-            b.iter_batched(
-                || vec![1u64; 64],
-                |v| v.iter().sum::<u64>(),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-
-    criterion_group! {
-        name = benches;
-        config = Criterion::default().sample_size(3);
-        targets = work
-    }
-
-    #[test]
-    fn group_runs() {
-        benches();
-    }
-
-    /// Env-var mutation is process-global; tests that touch it serialize.
-    static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn summaries_are_recorded_in_call_order() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-        let mut c = Criterion::default().sample_size(3);
-        work(&mut c);
-        let ids: Vec<&str> = c.summaries().iter().map(|s| s.id.as_str()).collect();
-        assert_eq!(ids, ["shim/sum", "shim/batched"]);
-        for s in c.summaries() {
-            assert_eq!(s.samples, 3);
-            assert!(s.min_nanos <= s.median_nanos, "{s:?}");
-        }
-    }
-
-    #[test]
-    fn env_pins_override_defaults() {
-        let _g = ENV_LOCK.lock().unwrap_or_else(|p| p.into_inner());
-
-        assert_eq!(env_samples(), None);
-        std::env::set_var("MCPB_BENCH_SAMPLES", "7");
-        assert_eq!(env_samples(), Some(7));
-        let c = Criterion::default().sample_size(50);
-        assert_eq!(c.sample_size, 7, "env pin beats programmatic size");
-        std::env::set_var("MCPB_BENCH_SAMPLES", "1");
-        assert_eq!(env_samples(), None, "below-minimum pin is ignored");
-        std::env::remove_var("MCPB_BENCH_SAMPLES");
-
-        assert!(!quick_mode());
-        std::env::set_var("MCPB_BENCH_QUICK", "1");
-        assert!(quick_mode());
-        assert!(warmup_target() < Duration::from_millis(5));
-        assert!(default_samples() < 20);
-        std::env::remove_var("MCPB_BENCH_QUICK");
-
-        assert_eq!(bench_threads(), vec![1, 2, 4, 8]);
-        std::env::set_var("MCPB_BENCH_THREADS", "1, 3,9");
-        assert_eq!(bench_threads(), vec![1, 3, 9]);
-        std::env::set_var("MCPB_BENCH_THREADS", "zero");
-        assert_eq!(bench_threads(), vec![1, 2, 4, 8], "garbage falls back");
-        std::env::remove_var("MCPB_BENCH_THREADS");
-    }
-}
+//! Empty stand-in for `criterion`. No workspace code imports it: every perf
+//! area times itself through `mcpb_bench::perf::Timer`. The crate exists
+//! only because the benchmark package's committed `e2ebench/Cargo.lock`
+//! lists it and that package builds with `--locked`, so the manifests that
+//! name `criterion` keep it until the next change to the benchmark package.

@@ -19,6 +19,7 @@ use mcpb_bench::experiments::{
     ablations, curves, datasets, distribution, memory, noise, overview, small_scale, training,
     ExpConfig,
 };
+use mcpb_bench::perf::AreaReport;
 use mcpb_bench::rating::format_rating_table;
 use mcpb_graph::weights::WeightModel;
 
@@ -348,23 +349,23 @@ fn audit_cmd(args: &[String]) {
 
 /// `bench [--quick] [--large] [--out-dir <dir>]`: runs the recorded perf
 /// suite and writes `BENCH_nn.json`, `BENCH_kernels.json`,
-/// `BENCH_im.json`, `BENCH_serve.json`, and `BENCH_REPORT.md` at the
-/// workspace root, or under `<dir>` (created if missing) so a check run
-/// leaves the committed baselines alone.
-/// `--quick` shrinks samples and warmup (problem sizes and thread counts
-/// are unchanged, so medians stay comparable — just noisier);
-/// `MCPB_BENCH_SAMPLES` / `MCPB_BENCH_THREADS` pin the suite further.
-/// `--large` (or `MCPB_BENCH_LARGE=1`) additionally records the opt-in
-/// million-node tier as `BENCH_large.json`, with per-shard peak memory in
-/// the document's `memory` block.
+/// `BENCH_im.json`, `BENCH_serve.json`, `BENCH_audit.json`, and
+/// `BENCH_REPORT.md` at the workspace root, or under `<dir>` (created if
+/// missing) so a check run leaves the committed baselines alone.
+/// `--quick` shortens the warmup and the serve replay (problem sizes and
+/// thread counts are unchanged, so medians stay comparable — just noisier).
+/// `--large` additionally records the opt-in million-node tier as
+/// `BENCH_large.json`, with per-shard peak memory in the document's
+/// `memory` block.
 fn bench_cmd(args: &[String]) {
     const USAGE: &str = "usage: mcpbench bench [--quick] [--large] [--out-dir <dir>]";
-    let mut large = std::env::var("MCPB_BENCH_LARGE").map_or(false, |v| v == "1");
+    let mut quick = false;
+    let mut large = false;
     let mut out_dir = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => std::env::set_var("MCPB_BENCH_QUICK", "1"),
+            "--quick" => quick = true,
             "--large" => large = true,
             "--out-dir" => match it.next() {
                 Some(dir) => out_dir = Some(std::path::PathBuf::from(dir)),
@@ -379,6 +380,11 @@ fn bench_cmd(args: &[String]) {
             }
         }
     }
+    let workspace = mcpb_audit::cli::detect_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
+        .unwrap_or_else(|| {
+            eprintln!("mcpbench bench: cannot locate workspace root");
+            std::process::exit(2);
+        });
     let root = match out_dir {
         Some(dir) => {
             if let Err(e) = std::fs::create_dir_all(&dir) {
@@ -387,18 +393,18 @@ fn bench_cmd(args: &[String]) {
             }
             dir
         }
-        None => mcpb_audit::cli::detect_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
-            .unwrap_or_else(|| {
-                eprintln!("mcpbench bench: cannot locate workspace root");
-                std::process::exit(2);
-            }),
+        None => workspace.clone(),
     };
-    let mut reports = mcpb_bench::perf::collect_areas();
-    reports.push(mcpb_serve::bench::serve_area());
+    let mut reports = mcpb_bench::perf::collect_areas(quick);
+    reports.push(mcpb_serve::bench::serve_area(quick));
+    reports.push(audit_area(&workspace, quick).unwrap_or_else(|e| {
+        eprintln!("mcpbench bench: audit area: {e}");
+        std::process::exit(1);
+    }));
     if large {
-        reports.push(mcpb_bench::perf::run_large());
+        reports.push(mcpb_bench::perf::run_large(quick));
     }
-    if let Err(e) = mcpb_bench::perf::write_reports(&root, &reports) {
+    if let Err(e) = mcpb_bench::perf::write_reports(&root, &reports, quick) {
         eprintln!("mcpbench bench: {e}");
         std::process::exit(1);
     }
@@ -407,6 +413,58 @@ fn bench_cmd(args: &[String]) {
             println!("{}: {} is {:.2}x the reference", r.area, s.name, s.ratio);
         }
     }
+}
+
+/// The `audit` perf area: the lint engine's lexer alone, lex+scope+scan per
+/// file over sources already in memory, and the end-to-end workspace pass
+/// (walk + read + scan) that the lint gate pays. The document's extras
+/// record how many files and bytes each pass covers.
+fn audit_area(workspace: &std::path::Path, quick: bool) -> std::io::Result<AreaReport> {
+    use mcpb_audit::{lexer, walk, SourceFile};
+
+    let mut sources = Vec::new();
+    for rel in walk::workspace_sources(workspace)? {
+        sources.push((
+            walk::path_key(&rel),
+            std::fs::read_to_string(workspace.join(&rel))?,
+        ));
+    }
+    let source_bytes: usize = sources.iter().map(|(_, text)| text.len()).sum();
+    // One untimed pass up front, so an I/O error surfaces here and not as a
+    // timed `Err`.
+    mcpb_audit::audit_workspace(workspace)?;
+
+    let mut timer = mcpb_bench::perf::Timer::new(quick);
+    timer.bench("audit/lex_workspace", || {
+        sources
+            .iter()
+            .map(|(_, text)| lexer::lex(text).len())
+            .sum::<usize>()
+    });
+    timer.bench("audit/scan_workspace_cached_io", || {
+        sources
+            .iter()
+            .map(|(key, text)| mcpb_audit::scan_file(&SourceFile::parse(key, text)).len())
+            .sum::<usize>()
+    });
+    timer.bench("audit/full_pass_with_io", || {
+        mcpb_audit::audit_workspace(workspace).map(|r| r.findings.len())
+    });
+    Ok(AreaReport {
+        area: "audit",
+        benches: timer.into_summaries(),
+        speedups: Vec::new(),
+        extras: vec![
+            (
+                "files_scanned".to_string(),
+                serde_json::Value::Number(sources.len() as f64),
+            ),
+            (
+                "source_bytes".to_string(),
+                serde_json::Value::Number(source_bytes as f64),
+            ),
+        ],
+    })
 }
 
 /// `datasets --large [<name>...]`: materializes the million-node catalog
@@ -694,7 +752,7 @@ fn serve_cmd(args: &[String]) {
     let mut burst = false;
     let mut det_timing = false;
     let mut label = "serve-replay".to_string();
-    let mut queue = 32usize;
+    let mut sock_cfg = SocketConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -709,7 +767,7 @@ fn serve_cmd(args: &[String]) {
                     .unwrap_or_else(|| usage())
             }
             "--queue" => {
-                queue = it
+                sock_cfg.queue_depth = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
@@ -811,11 +869,7 @@ fn serve_cmd(args: &[String]) {
         return;
     }
 
-    let endpoint = listen.unwrap_or_else(|| usage());
-    let sock_cfg = SocketConfig {
-        endpoint,
-        queue_depth: queue,
-    };
+    sock_cfg.endpoint = listen.unwrap_or_else(|| usage());
     let handle = serve_listener(state, pool, &sock_cfg).unwrap_or_else(|e| {
         eprintln!("mcpbench serve: {e}");
         std::process::exit(1);
