@@ -377,15 +377,30 @@ mod tests {
     use mcpb_graph::generators;
     use mcpb_graph::weights::assign_weights;
 
-    /// Appends one method's name and seeds to the bytes a registry pin
-    /// hashes, with unit separators so no two rows can run together.
-    fn fold_row(bytes: &mut Vec<u8>, name: &str, seeds: &[mcpb_graph::NodeId]) {
-        bytes.extend_from_slice(name.as_bytes());
+    /// One row of a registry pin: FNV-1a of the method's name and answered
+    /// seeds, with unit separators so no two fields can run together.
+    fn row_digest(name: &str, seeds: &[mcpb_graph::NodeId]) -> u64 {
+        let mut bytes = name.as_bytes().to_vec();
         bytes.push(0x1f);
         for s in seeds {
             bytes.extend_from_slice(&s.to_le_bytes());
         }
         bytes.push(0x1e);
+        mcpb_resilience::fnv1a64(&bytes)
+    }
+
+    /// Checks every `(name, seeds, pin)` row: 1..=k seeds, and the row's
+    /// digest equal to its own pin, so deleting a method drops only its row.
+    fn assert_rows(label: &str, k: usize, rows: &[(&str, Vec<mcpb_graph::NodeId>, u64)]) {
+        let mut moved = Vec::new();
+        for (name, seeds, pin) in rows {
+            assert!(!seeds.is_empty() && seeds.len() <= k, "{name}: {seeds:?}");
+            let digest = row_digest(name, seeds);
+            if digest != *pin {
+                moved.push(format!("{name}: {digest:#018x}"));
+            }
+        }
+        assert!(moved.is_empty(), "{label} pin moved: {moved:?}");
     }
 
     /// Also pins the seeds every method answers with, so the config
@@ -395,35 +410,25 @@ mod tests {
     fn every_mcp_method_prepares_and_solves() {
         let train = generators::barabasi_albert(150, 3, 1);
         let test = generators::barabasi_albert(120, 3, 2);
-        let mut pin = Vec::new();
-        for kind in [
-            McpMethodKind::NormalGreedy,
-            McpMethodKind::LazyGreedy,
-            McpMethodKind::TopDegree,
-            McpMethodKind::Random,
-            McpMethodKind::S2vDqn,
-            McpMethodKind::Gcomb,
-            McpMethodKind::Lense,
+        let mut rows = Vec::new();
+        for (kind, pin) in [
+            (McpMethodKind::NormalGreedy, 0x67c2_ec01_fb27_ebed),
+            (McpMethodKind::LazyGreedy, 0x9a8f_f36f_700e_eb8c),
+            (McpMethodKind::TopDegree, 0xe8a1_1842_69d4_a183),
+            (McpMethodKind::Random, 0xb89a_74fb_0c6b_9585),
+            (McpMethodKind::S2vDqn, 0xb503_3783_e8d6_ef51),
+            (McpMethodKind::Gcomb, 0x19a3_b7ca_ebac_49c0),
+            (McpMethodKind::Lense, 0x36ea_347b_07b6_94e5),
         ] {
             let mut solver = prepare_mcp(kind, &train, Scale::Quick, 3);
             assert_eq!(solver.kind.is_deep_rl(), solver.train_report.is_some());
-            let sol = solver.solve(&test, 4);
-            assert!(
-                !sol.seeds.is_empty() && sol.seeds.len() <= 4,
-                "{}: {:?}",
-                kind.name(),
-                sol.seeds
-            );
-            fold_row(&mut pin, kind.name(), &sol.seeds);
+            rows.push((kind.name(), solver.solve(&test, 4).seeds, pin));
         }
-        let digest = mcpb_resilience::fnv1a64(&pin);
-        assert_eq!(
-            digest, 0x06d4_17af_02ca_ecc5,
-            "MCP registry pin moved: {digest:#018x}"
-        );
+        assert_rows("MCP registry", 4, &rows);
     }
 
-    /// Pins the IM registry's answers the same way as the MCP test above.
+    /// Pins the IM registry's answers the same way as the MCP test above,
+    /// plus CHANGE, which Fig. 7a, robustness and agreement call directly.
     #[test]
     fn every_im_method_prepares_and_solves() {
         let train = assign_weights(
@@ -436,34 +441,27 @@ mod tests {
             WeightModel::Constant,
             0,
         );
-        let mut pin = Vec::new();
-        for kind in [
-            ImMethodKind::Imm,
-            ImMethodKind::Opim,
-            ImMethodKind::DDiscount,
-            ImMethodKind::SDiscount,
-            ImMethodKind::CelfRis,
-            ImMethodKind::Change,
-            ImMethodKind::Gcomb,
-            ImMethodKind::Rl4Im,
-            ImMethodKind::GeometricQn,
-            ImMethodKind::Lense,
+        let mut rows = Vec::new();
+        for (kind, pin) in [
+            (ImMethodKind::Imm, 0x5aa7_459d_ad3a_abe4),
+            (ImMethodKind::Opim, 0x49ab_f4ca_61a9_60ae),
+            (ImMethodKind::DDiscount, 0x9836_3dfa_a091_3129),
+            (ImMethodKind::SDiscount, 0xd563_de83_4c93_6417),
+            (ImMethodKind::CelfRis, 0xe9b2_8786_70fb_1dee),
+            (ImMethodKind::Gcomb, 0x82a5_f243_c1d6_cdf9),
+            (ImMethodKind::Rl4Im, 0x022f_d8d5_12c5_a011),
+            (ImMethodKind::GeometricQn, 0xf35f_9bd3_7e19_a287),
+            (ImMethodKind::Lense, 0x904f_6af7_84e1_f7f7),
         ] {
             let mut solver = prepare_im(kind, &train, WeightModel::Constant, Scale::Quick, 3);
-            let sol = solver.solve(&test, 3);
-            assert!(
-                !sol.seeds.is_empty() && sol.seeds.len() <= 3,
-                "{}: {:?}",
-                kind.name(),
-                sol.seeds
-            );
-            fold_row(&mut pin, kind.name(), &sol.seeds);
+            rows.push((kind.name(), solver.solve(&test, 3).seeds, pin));
         }
-        let digest = mcpb_resilience::fnv1a64(&pin);
-        assert_eq!(
-            digest, 0x558e_dd6e_3eab_845e,
-            "IM registry pin moved: {digest:#018x}"
-        );
+        rows.push((
+            "CHANGE",
+            Change::new(3).solve(&test, 3).seeds,
+            0x3589_e088_44d5_29af,
+        ));
+        assert_rows("IM registry", 3, &rows);
     }
 
     #[test]
@@ -483,11 +481,10 @@ mod tests {
             WeightModel::Constant,
             0,
         );
-        let mut pin = Vec::new();
-        for kind in [
-            ImMethodKind::TimPlus,
-            ImMethodKind::CelfPlusPlus,
-            ImMethodKind::SimulatedAnnealing,
+        let mut rows = Vec::new();
+        for (kind, pin) in [
+            (ImMethodKind::TimPlus, 0x810a_d824_1b2a_d457),
+            (ImMethodKind::CelfPlusPlus, 0x6dc2_0cb7_60ed_7c90),
         ] {
             let mut solver = prepare_im(kind, &train, WeightModel::Constant, Scale::Quick, 1);
             assert!(
@@ -495,14 +492,16 @@ mod tests {
                 "{} is traditional",
                 kind.name()
             );
-            let sol = solver.solve(&train, 4);
-            assert_eq!(sol.seeds.len(), 4, "{}", kind.name());
-            fold_row(&mut pin, kind.name(), &sol.seeds);
+            rows.push((kind.name(), solver.solve(&train, 4).seeds, pin));
         }
-        let digest = mcpb_resilience::fnv1a64(&pin);
-        assert_eq!(
-            digest, 0xe477_551e_cda2_638f,
-            "extended registry pin moved: {digest:#018x}"
-        );
+        rows.push((
+            "SA",
+            SimulatedAnnealing::with_seed(1).solve(&train, 4).seeds,
+            0x47b8_0fc2_93e4_7d2c,
+        ));
+        for (name, seeds, _) in &rows {
+            assert_eq!(seeds.len(), 4, "{name}");
+        }
+        assert_rows("extended registry", 4, &rows);
     }
 }
