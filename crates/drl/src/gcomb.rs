@@ -491,20 +491,12 @@ impl TrainHooks for GcombRun<'_> {
 }
 
 impl McpSolver for Gcomb {
-    fn name(&self) -> &str {
-        "GCOMB"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         McpSolution::evaluate(graph, self.infer(graph, k))
     }
 }
 
 impl ImSolver for Gcomb {
-    fn name(&self) -> &str {
-        "GCOMB"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         ImSolution::seeds_only(self.infer(graph, k))
     }

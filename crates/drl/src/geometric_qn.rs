@@ -299,20 +299,12 @@ impl TrainHooks for GeometricQnRun<'_> {
 }
 
 impl ImSolver for GeometricQn {
-    fn name(&self) -> &str {
-        "Geometric-QN"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         ImSolution::seeds_only(self.infer(graph, k))
     }
 }
 
 impl McpSolver for GeometricQn {
-    fn name(&self) -> &str {
-        "Geometric-QN"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         let seeds = self.infer(graph, k);
         McpSolution::evaluate(graph, seeds)

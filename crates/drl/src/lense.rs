@@ -429,20 +429,12 @@ impl TrainHooks for LenseRun<'_> {
 }
 
 impl McpSolver for Lense {
-    fn name(&self) -> &str {
-        "LeNSE"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         McpSolution::evaluate(graph, self.infer(graph, k))
     }
 }
 
 impl ImSolver for Lense {
-    fn name(&self) -> &str {
-        "LeNSE"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         ImSolution::seeds_only(self.infer(graph, k))
     }

@@ -222,20 +222,12 @@ impl TrainHooks for Rl4ImRun<'_> {
 }
 
 impl ImSolver for Rl4Im {
-    fn name(&self) -> &str {
-        "RL4IM"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         ImSolution::seeds_only(self.infer(graph, k))
     }
 }
 
 impl McpSolver for Rl4Im {
-    fn name(&self) -> &str {
-        "RL4IM"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         McpSolution::evaluate(graph, self.infer(graph, k))
     }

@@ -536,20 +536,12 @@ impl TrainHooks for S2vDqnRun<'_> {
 }
 
 impl McpSolver for S2vDqn {
-    fn name(&self) -> &str {
-        "S2V-DQN"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         McpSolution::evaluate(graph, self.infer(graph, k))
     }
 }
 
 impl ImSolver for S2vDqn {
-    fn name(&self) -> &str {
-        "S2V-DQN"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         ImSolution::seeds_only(self.infer(graph, k))
     }

@@ -101,10 +101,6 @@ impl SimulatedAnnealing {
 }
 
 impl ImSolver for SimulatedAnnealing {
-    fn name(&self) -> &str {
-        "SA"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         self.run(graph, k)
     }

@@ -75,10 +75,6 @@ impl CelfGreedy {
 }
 
 impl ImSolver for CelfGreedy {
-    fn name(&self) -> &str {
-        "CELF-RIS"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         self.run(graph, k)
     }

@@ -152,10 +152,6 @@ impl CelfPlusPlus {
 }
 
 impl ImSolver for CelfPlusPlus {
-    fn name(&self) -> &str {
-        "CELF++"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         self.run(graph, k)
     }

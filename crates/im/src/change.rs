@@ -84,10 +84,6 @@ impl Change {
 }
 
 impl ImSolver for Change {
-    fn name(&self) -> &str {
-        "CHANGE"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         self.run(graph, k)
     }

@@ -61,10 +61,6 @@ impl DegreeDiscount {
 }
 
 impl ImSolver for DegreeDiscount {
-    fn name(&self) -> &str {
-        "DDiscount"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         Self::run(graph, k)
     }
@@ -113,10 +109,6 @@ impl SingleDiscount {
 }
 
 impl ImSolver for SingleDiscount {
-    fn name(&self) -> &str {
-        "SDiscount"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         Self::run(graph, k)
     }

@@ -99,10 +99,6 @@ impl Imm {
 }
 
 impl ImSolver for Imm {
-    fn name(&self) -> &str {
-        "IMM"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         self.run(graph, k).0
     }

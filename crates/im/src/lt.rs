@@ -218,10 +218,6 @@ impl LtRisGreedy {
 }
 
 impl ImSolver for LtRisGreedy {
-    fn name(&self) -> &str {
-        "LT-RIS"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         self.run(graph, k).0
     }

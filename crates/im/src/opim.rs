@@ -120,10 +120,6 @@ impl Opim {
 }
 
 impl ImSolver for Opim {
-    fn name(&self) -> &str {
-        "OPIM"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         self.run(graph, k).0
     }

@@ -25,9 +25,6 @@ impl ImSolution {
 
 /// Every IM solver in the benchmark implements this trait.
 pub trait ImSolver {
-    /// Human-readable solver name (used in report rows).
-    fn name(&self) -> &str;
-
     /// Selects up to `k` seeds on the probability-weighted `graph`.
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution;
 }

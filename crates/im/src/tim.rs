@@ -92,10 +92,6 @@ impl TimPlus {
 }
 
 impl ImSolver for TimPlus {
-    fn name(&self) -> &str {
-        "TIM+"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
         self.run(graph, k).0
     }

@@ -22,10 +22,6 @@ impl TopDegree {
 }
 
 impl McpSolver for TopDegree {
-    fn name(&self) -> &str {
-        "TopDegree"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         Self::run(graph, k)
     }
@@ -54,10 +50,6 @@ impl RandomSeeds {
 }
 
 impl McpSolver for RandomSeeds {
-    fn name(&self) -> &str {
-        "Random"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         Self::run(graph, k, self.seed)
     }

@@ -53,10 +53,6 @@ impl NormalGreedy {
 }
 
 impl McpSolver for NormalGreedy {
-    fn name(&self) -> &str {
-        "NormalGreedy"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         Self::run(graph, k)
     }
@@ -114,10 +110,6 @@ impl LazyGreedy {
 }
 
 impl McpSolver for LazyGreedy {
-    fn name(&self) -> &str {
-        "LazyGreedy"
-    }
-
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
         Self::run(graph, k)
     }
@@ -215,11 +207,13 @@ mod tests {
     #[test]
     fn trait_objects_work() {
         let g = Graph::from_edges(3, &[Edge::unweighted(0, 1)]).unwrap();
-        let mut solvers: Vec<Box<dyn McpSolver>> =
-            vec![Box::new(NormalGreedy), Box::new(LazyGreedy)];
-        for s in solvers.iter_mut() {
+        let mut solvers: Vec<(&str, Box<dyn McpSolver>)> = vec![
+            ("NormalGreedy", Box::new(NormalGreedy)),
+            ("LazyGreedy", Box::new(LazyGreedy)),
+        ];
+        for (label, s) in solvers.iter_mut() {
             let sol = s.solve(&g, 1);
-            assert_eq!(sol.seeds, vec![0], "{}", s.name());
+            assert_eq!(sol.seeds, vec![0], "{label}");
         }
     }
 }

@@ -33,9 +33,6 @@ impl McpSolution {
 /// Every MCP solver in the benchmark implements this trait; the harness is
 /// generic over it.
 pub trait McpSolver {
-    /// Human-readable solver name (used in report rows).
-    fn name(&self) -> &str;
-
     /// Selects up to `k` seeds on `graph`.
     fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution;
 }

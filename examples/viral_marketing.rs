@@ -42,24 +42,24 @@ fn main() {
     });
     rl4im.train(&pool);
 
-    let mut solvers: Vec<Box<dyn ImSolver>> = vec![
-        Box::new(im::Imm::paper_default(7)),
-        Box::new(im::Opim::paper_default(7)),
-        Box::new(im::DegreeDiscount),
-        Box::new(im::SingleDiscount),
-        Box::new(rl4im),
+    let mut solvers: Vec<(&str, Box<dyn ImSolver>)> = vec![
+        ("IMM", Box::new(im::Imm::paper_default(7))),
+        ("OPIM", Box::new(im::Opim::paper_default(7))),
+        ("DDiscount", Box::new(im::DegreeDiscount)),
+        ("SDiscount", Box::new(im::SingleDiscount)),
+        ("RL4IM", Box::new(rl4im)),
     ];
 
     println!("{:<12} {:>12} {:>12}", "method", "spread", "runtime");
     println!("{}", "-".repeat(38));
-    let mut rows: Vec<(String, f64, f64)> = Vec::new();
-    for solver in solvers.iter_mut() {
+    let mut rows: Vec<(&str, f64, f64)> = Vec::new();
+    for (label, solver) in solvers.iter_mut() {
         let t = Instant::now();
         let sol = solver.solve(&g, k);
         let secs = t.elapsed().as_secs_f64();
         let spread = scorer.spread(&sol.seeds);
-        println!("{:<12} {:>12.1} {:>11.3}s", solver.name(), spread, secs);
-        rows.push((solver.name().to_string(), spread, secs));
+        println!("{:<12} {:>12.1} {:>11.3}s", label, spread, secs);
+        rows.push((label, spread, secs));
     }
 
     let best = rows
