@@ -735,22 +735,27 @@ fn scaling_rows(report: &AreaReport) -> Vec<(String, usize, u128, f64)> {
     rows
 }
 
-/// Compares a current `mcpb-perf/1` document against a committed baseline:
-/// any bench whose median regressed by more than `tolerance` (fractional,
-/// e.g. `0.10`), or that disappeared, is reported. Returns the list of
-/// violations (empty = ratchet holds).
-///
-/// When the *current* document was recorded in quick mode (`"quick": true`
-/// — the few-sample smoke `check.sh` runs), the tolerance is widened to at
-/// least 30%: quick medians are noisy by design, and the smoke gate exists
-/// to catch order-of-magnitude regressions, not to re-litigate the
-/// committed full-run baselines at precision the sampling can't support.
-pub fn compare_benches(baseline: &Value, current: &Value, tolerance: f64) -> Vec<String> {
-    let tolerance = if current.get("quick").and_then(|q| q.as_bool()) == Some(true) {
+/// The tolerance [`compare_benches`] judges `current` at. When `current`
+/// was recorded in quick mode (`"quick": true` — the few-sample smoke
+/// `check.sh` runs), `tolerance` is widened to at least 30%: quick medians
+/// are noisy by design, and the smoke gate exists to catch
+/// order-of-magnitude regressions, not to re-litigate the committed
+/// full-run baselines at precision the sampling can't support.
+pub fn applied_tolerance(current: &Value, tolerance: f64) -> f64 {
+    if current.get("quick").and_then(|q| q.as_bool()) == Some(true) {
         tolerance.max(0.30)
     } else {
         tolerance
-    };
+    }
+}
+
+/// Compares a current `mcpb-perf/1` document against a committed baseline:
+/// any bench whose median regressed by more than `tolerance` (fractional,
+/// e.g. `0.10`), or that disappeared, is reported. Returns the list of
+/// violations (empty = ratchet holds). It judges at
+/// [`applied_tolerance`]`(current, tolerance)`.
+pub fn compare_benches(baseline: &Value, current: &Value, tolerance: f64) -> Vec<String> {
+    let tolerance = applied_tolerance(current, tolerance);
     let mut violations = Vec::new();
     let area = baseline
         .get("area")
@@ -880,6 +885,9 @@ mod tests {
         fields.push(("quick".into(), Value::Bool(true)));
         let quick_cur = Value::Object(fields);
         assert_eq!(compare_benches(&base, &quick_cur, 0.10).len(), 0);
+        assert!((applied_tolerance(&quick_cur, 0.10) - 0.30).abs() < 1e-12);
+        assert!((applied_tolerance(&quick_cur, 0.50) - 0.50).abs() < 1e-12);
+        assert!((applied_tolerance(&base, 0.10) - 0.10).abs() < 1e-12);
         // 40% over still fails even the widened smoke gate.
         let mut fields = match doc(&[("a/x", 1400)]) {
             Value::Object(f) => f,

@@ -2,8 +2,9 @@
 # Perf ratchet: compares the BENCH_nn.json / BENCH_kernels.json / BENCH_im.json /
 # BENCH_serve.json / BENCH_large.json that `mcpbench bench --out-dir target/bench` wrote
 # under target/bench/ against the copies committed at HEAD and fails if any bench median
-# regressed by more than the tolerance (default 10%). A missing nn/kernels/im/serve file
-# fails the check; a missing BENCH_large.json is skipped, since only `bench --large` writes it.
+# regressed by more than the tolerance (default 10%; bench-check widens it to 30% for a
+# quick run, and the failure line prints the value it applied). A missing nn/kernels/im/serve
+# file fails the check; a missing BENCH_large.json is skipped, since only `bench --large` writes it.
 # BENCH_audit.json is written too but not ratcheted.
 # Baselines are the committed files themselves — a deliberate slowdown is landed by
 # committing the new numbers, which is what `--rebaseline` does.
@@ -56,6 +57,7 @@ if [[ "$REBASELINE" == 1 ]]; then
 fi
 
 status=0
+applied=$TOLERANCE
 for area in "${AREAS[@]}"; do
   name="BENCH_${area}.json"
   file="${RUN_DIR}/${name}"
@@ -75,18 +77,24 @@ for area in "${AREAS[@]}"; do
   fi
   base="$(mktemp "${TMPDIR:-/tmp}/bench-base-${area}.XXXXXX.json")"
   git show "HEAD:$name" > "$base"
-  if ! cargo run -q --release -- bench-check "$base" "$file" --tolerance "$TOLERANCE"; then
+  if ! check_out=$(cargo run -q --release -- bench-check "$base" "$file" \
+    --tolerance "$TOLERANCE" 2>&1); then
+    echo "$check_out" >&2
     status=1
+    # bench-check widens the tolerance for quick runs; report what it used.
+    applied=$(sed -n 's/^bench-check: applied tolerance //p' <<<"$check_out")
     # Diagnostic only: rank which benches moved, worst first, so the failure
     # message names the culprit without re-running the suite.
     echo "bench-ratchet: per-bench attribution for ${area}:" >&2
     cargo run -q --release -- obs diff "$base" "$file" >&2 || true
+  else
+    echo "$check_out"
   fi
   rm -f "$base"
 done
 
 if [[ "$status" != 0 ]]; then
-  echo "bench-ratchet: FAILED — a recorded kernel regressed beyond ${TOLERANCE}." >&2
+  echo "bench-ratchet: FAILED — a recorded kernel regressed beyond the applied tolerance ${applied:-$TOLERANCE}." >&2
   echo "If the slowdown is intentional, land it via scripts/bench-ratchet.sh --rebaseline." >&2
 fi
 exit "$status"

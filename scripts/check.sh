@@ -8,6 +8,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> script syntax (scripts/*.sh and *.py; coverage.sh and ab.py run nowhere else here)"
+for f in scripts/*.sh; do bash -n "$f"; done
+# The bytecode cache goes under target/, so the check leaves no file in scripts/.
+PYTHONPYCACHEPREFIX=target/pycache python3 -m py_compile scripts/*.py
+
 echo "==> mcpb-audit lint gate"
 cargo run -q -p mcpb-audit
 

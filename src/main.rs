@@ -942,15 +942,17 @@ fn bench_check_cmd(args: &[String]) {
     let baseline = parse(base_path);
     let current = parse(cur_path);
     let violations = mcpb_bench::perf::compare_benches(&baseline, &current, tolerance);
+    let applied = mcpb_bench::perf::applied_tolerance(&current, tolerance);
     if violations.is_empty() {
         println!(
             "bench-check: {cur_path} holds the ratchet vs {base_path} (tolerance {:.0}%)",
-            tolerance * 100.0
+            applied * 100.0
         );
     } else {
         for v in &violations {
             eprintln!("bench-check: REGRESSION {v}");
         }
+        eprintln!("bench-check: applied tolerance {applied:.2}");
         std::process::exit(1);
     }
 }
