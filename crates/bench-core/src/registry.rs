@@ -41,8 +41,6 @@ pub enum McpMethodKind {
     LazyGreedy,
     /// Top-degree baseline.
     TopDegree,
-    /// Uniform-random baseline.
-    Random,
     /// S2V-DQN (Deep-RL).
     S2vDqn,
     /// GCOMB (Deep-RL).
@@ -58,7 +56,6 @@ impl McpMethodKind {
             McpMethodKind::NormalGreedy => "NormalGreedy",
             McpMethodKind::LazyGreedy => "LazyGreedy",
             McpMethodKind::TopDegree => "TopDegree",
-            McpMethodKind::Random => "Random",
             McpMethodKind::S2vDqn => "S2V-DQN",
             McpMethodKind::Gcomb => "GCOMB",
             McpMethodKind::Lense => "LeNSE",
@@ -98,8 +95,6 @@ pub enum ImMethodKind {
     SDiscount,
     /// CELF greedy with RIS oracle.
     CelfRis,
-    /// CHANGE sampling baseline.
-    Change,
     /// GCOMB (Deep-RL).
     Gcomb,
     /// RL4IM (Deep-RL).
@@ -108,12 +103,6 @@ pub enum ImMethodKind {
     GeometricQn,
     /// LeNSE (Deep-RL).
     Lense,
-    /// TIM+ (Tang et al. 2014) — extension beyond the paper's lineup.
-    TimPlus,
-    /// CELF++ (Goyal et al. 2011) — extension beyond the paper's lineup.
-    CelfPlusPlus,
-    /// Simulated annealing (Jiang et al. 2011) — extension.
-    SimulatedAnnealing,
 }
 
 impl ImMethodKind {
@@ -125,14 +114,10 @@ impl ImMethodKind {
             ImMethodKind::DDiscount => "DDiscount",
             ImMethodKind::SDiscount => "SDiscount",
             ImMethodKind::CelfRis => "CELF-RIS",
-            ImMethodKind::Change => "CHANGE",
             ImMethodKind::Gcomb => "GCOMB",
             ImMethodKind::Rl4Im => "RL4IM",
             ImMethodKind::GeometricQn => "Geometric-QN",
             ImMethodKind::Lense => "LeNSE",
-            ImMethodKind::TimPlus => "TIM+",
-            ImMethodKind::CelfPlusPlus => "CELF++",
-            ImMethodKind::SimulatedAnnealing => "SA",
         }
     }
 
@@ -246,7 +231,6 @@ pub fn prepare_mcp(
         McpMethodKind::NormalGreedy => (Box::new(NormalGreedy), None),
         McpMethodKind::LazyGreedy => (Box::new(LazyGreedy), None),
         McpMethodKind::TopDegree => (Box::new(TopDegree), None),
-        McpMethodKind::Random => (Box::new(RandomSeeds::new(seed)), None),
         McpMethodKind::S2vDqn => {
             let mut model = S2vDqn::new(S2vDqnConfig {
                 episodes: 20 * m,
@@ -320,10 +304,6 @@ pub fn prepare_im(
         ImMethodKind::DDiscount => (Box::new(DegreeDiscount), None),
         ImMethodKind::SDiscount => (Box::new(SingleDiscount), None),
         ImMethodKind::CelfRis => (Box::new(CelfGreedy::ris(5_000, seed)), None),
-        ImMethodKind::Change => (Box::new(Change::new(seed)), None),
-        ImMethodKind::TimPlus => (Box::new(TimPlus::with_seed(seed)), None),
-        ImMethodKind::CelfPlusPlus => (Box::new(CelfPlusPlus::new(5_000, seed)), None),
-        ImMethodKind::SimulatedAnnealing => (Box::new(SimulatedAnnealing::with_seed(seed)), None),
         ImMethodKind::Gcomb => {
             let mut model = Gcomb::new(gcomb_config(m, seed, rr_task));
             let report = model.train(train_graph);
@@ -415,7 +395,6 @@ mod tests {
             (McpMethodKind::NormalGreedy, 0x67c2_ec01_fb27_ebed),
             (McpMethodKind::LazyGreedy, 0x9a8f_f36f_700e_eb8c),
             (McpMethodKind::TopDegree, 0xe8a1_1842_69d4_a183),
-            (McpMethodKind::Random, 0xb89a_74fb_0c6b_9585),
             (McpMethodKind::S2vDqn, 0xb503_3783_e8d6_ef51),
             (McpMethodKind::Gcomb, 0x19a3_b7ca_ebac_49c0),
             (McpMethodKind::Lense, 0x36ea_347b_07b6_94e5),
@@ -458,7 +437,7 @@ mod tests {
         }
         rows.push((
             "CHANGE",
-            Change::new(3).solve(&test, 3).seeds,
+            Change::new(3).run(&test, 3).seeds,
             0x3589_e088_44d5_29af,
         ));
         assert_rows("IM registry", 3, &rows);
@@ -472,8 +451,8 @@ mod tests {
         assert_eq!(ImMethodKind::benchmark_set().len(), 7);
     }
 
-    /// Pins the answers of the solvers outside the paper's benchmark set
-    /// the same way as the IM test above.
+    /// Pins simulated annealing, which robustness and agreement call
+    /// directly, the same way as the IM test above.
     #[test]
     fn extended_solvers_prepare_and_solve() {
         let train = assign_weights(
@@ -481,24 +460,11 @@ mod tests {
             WeightModel::Constant,
             0,
         );
-        let mut rows = Vec::new();
-        for (kind, pin) in [
-            (ImMethodKind::TimPlus, 0x810a_d824_1b2a_d457),
-            (ImMethodKind::CelfPlusPlus, 0x6dc2_0cb7_60ed_7c90),
-        ] {
-            let mut solver = prepare_im(kind, &train, WeightModel::Constant, Scale::Quick, 1);
-            assert!(
-                solver.train_report.is_none(),
-                "{} is traditional",
-                kind.name()
-            );
-            rows.push((kind.name(), solver.solve(&train, 4).seeds, pin));
-        }
-        rows.push((
+        let rows = vec![(
             "SA",
-            SimulatedAnnealing::with_seed(1).solve(&train, 4).seeds,
+            SimulatedAnnealing::with_seed(1).run(&train, 4).seeds,
             0x47b8_0fc2_93e4_7d2c,
-        ));
+        )];
         for (name, seeds, _) in &rows {
             assert_eq!(seeds.len(), 4, "{name}");
         }

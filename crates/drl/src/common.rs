@@ -144,14 +144,6 @@ impl<'g> RewardOracle<'g> {
         out
     }
 
-    /// Seeds chosen so far.
-    pub fn seeds(&self) -> &[NodeId] {
-        match self {
-            RewardOracle::Coverage(o, _) => o.seeds(),
-            RewardOracle::Influence { seeds, .. } => seeds,
-        }
-    }
-
     /// Total normalized objective value of the current seed set.
     pub fn total(&self) -> f64 {
         match self {
@@ -648,7 +640,6 @@ mod tests {
         let gain = o.add_seed(0);
         assert!((gain - 0.75).abs() < 1e-12);
         assert!((o.total() - 0.75).abs() < 1e-12);
-        assert_eq!(o.seeds(), &[0]);
     }
 
     #[test]

@@ -171,11 +171,6 @@ impl Gcomb {
         }
     }
 
-    /// Config in effect.
-    pub fn config(&self) -> &GcombConfig {
-        &self.cfg
-    }
-
     fn node_features(graph: &Graph) -> Tensor {
         let n = graph.num_nodes();
         let max_deg = graph

@@ -20,7 +20,6 @@ use mcpb_gnn::gcn::GcnEncoder;
 use mcpb_graph::{Graph, NodeId};
 use mcpb_im::discount::DegreeDiscount;
 use mcpb_im::solver::{ImSolution, ImSolver};
-use mcpb_mcp::solver::{McpSolution, McpSolver};
 use mcpb_nn::prelude::*;
 use mcpb_rl::dqn::{DqnAgent, DqnConfig, Transition};
 use mcpb_rl::replay::ReplayBuffer;
@@ -99,11 +98,6 @@ impl GeometricQn {
             agent,
             cfg,
         }
-    }
-
-    /// Config in effect.
-    pub fn config(&self) -> &GeometricQnConfig {
-        &self.cfg
     }
 
     /// Encodes the discovered subgraph; returns per-node embeddings.
@@ -304,13 +298,6 @@ impl ImSolver for GeometricQn {
     }
 }
 
-impl McpSolver for GeometricQn {
-    fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
-        let seeds = self.infer(graph, k);
-        McpSolution::evaluate(graph, seeds)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,7 +374,7 @@ mod tests {
         cfg.task = Task::Mcp;
         let mut model = GeometricQn::new(cfg);
         model.train(std::slice::from_ref(&g));
-        let sol = McpSolver::solve(&mut model, &g, 3);
+        let sol = mcpb_mcp::solver::McpSolution::evaluate(&g, model.infer(&g, 3));
         assert!(sol.covered > 0);
     }
 }

@@ -111,11 +111,6 @@ impl Lense {
         }
     }
 
-    /// Config in effect.
-    pub fn config(&self) -> &LenseConfig {
-        &self.cfg
-    }
-
     fn sub_features(sub: &Graph) -> Tensor {
         let n = sub.num_nodes();
         let max_deg = sub

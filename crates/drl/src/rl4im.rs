@@ -16,7 +16,6 @@ use crate::s2v_dqn::{S2vLearner, S2vTransition};
 use mcpb_gnn::s2v::S2vGraph;
 use mcpb_graph::{Graph, NodeId};
 use mcpb_im::solver::{ImSolution, ImSolver};
-use mcpb_mcp::solver::{McpSolution, McpSolver};
 use mcpb_rl::replay::ReplayBuffer;
 use mcpb_rl::schedule::EpsilonSchedule;
 use rand::Rng;
@@ -87,11 +86,6 @@ impl Rl4Im {
             ),
             cfg,
         }
-    }
-
-    /// Config in effect.
-    pub fn config(&self) -> &Rl4ImConfig {
-        &self.cfg
     }
 
     fn tag_value(&self, step: usize, budget: usize) -> f32 {
@@ -227,12 +221,6 @@ impl ImSolver for Rl4Im {
     }
 }
 
-impl McpSolver for Rl4Im {
-    fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
-        McpSolution::evaluate(graph, self.infer(graph, k))
-    }
-}
-
 /// Generates the synthetic power-law training pool the paper uses for
 /// RL4IM (graphs of `nodes` nodes under `weight_model`).
 pub fn synthetic_training_pool(
@@ -313,8 +301,8 @@ mod tests {
         unshaped.train(&pool);
         // Both produce valid solutions; the configurations must be distinct
         // objects exercising different code paths.
-        assert!(shaped.config().reward_shaping);
-        assert!(!unshaped.config().reward_shaping);
+        assert!(shaped.cfg.reward_shaping);
+        assert!(!unshaped.cfg.reward_shaping);
         assert_eq!(shaped.infer(&pool[0], 3).len(), 3);
         assert_eq!(unshaped.infer(&pool[0], 3).len(), 3);
     }

@@ -17,7 +17,6 @@ use crate::common::{
 };
 use mcpb_gnn::s2v::{S2v, S2vEmbedding, S2vGraph};
 use mcpb_graph::{Graph, NodeId};
-use mcpb_im::solver::{ImSolution, ImSolver};
 use mcpb_mcp::solver::{McpSolution, McpSolver};
 use mcpb_nn::optim::merge_grads;
 use mcpb_nn::prelude::*;
@@ -400,11 +399,6 @@ impl S2vDqn {
         }
     }
 
-    /// Config in effect.
-    pub fn config(&self) -> &S2vDqnConfig {
-        &self.cfg
-    }
-
     /// Trains on subgraphs of `train_graph`, validating on a held-out
     /// subgraph. Keeps the best-validation checkpoint (the paper's
     /// protocol, §4.1).
@@ -541,12 +535,6 @@ impl McpSolver for S2vDqn {
     }
 }
 
-impl ImSolver for S2vDqn {
-    fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
-        ImSolution::seeds_only(self.infer(graph, k))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,8 +617,7 @@ mod tests {
         let mut model = S2vDqn::new(cfg);
         let report = model.train(&g);
         assert!(report.best_score() >= 0.0);
-        let sol = ImSolver::solve(&mut model, &g, 4);
-        assert_eq!(sol.seeds.len(), 4);
+        assert_eq!(model.infer(&g, 4).len(), 4);
     }
 
     fn bits(q: &[f32]) -> Vec<u32> {

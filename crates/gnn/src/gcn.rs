@@ -38,11 +38,6 @@ impl GcnLayer {
         let lin = self.linear.forward(tape, store, agg);
         self.activation.apply(tape, lin)
     }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.linear.out_dim
-    }
 }
 
 /// A stack of GCN layers.
@@ -99,11 +94,6 @@ impl GcnEncoder {
         }
         x
     }
-
-    /// Embedding dimension of the final layer.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("encoder has layers").out_dim()
-    }
 }
 
 /// Mean-pool readout: node embeddings (`n x d`) -> graph embedding (`1 x d`).
@@ -137,7 +127,6 @@ mod tests {
         let x = tape.input(Tensor::zeros(30, 4));
         let h = enc.forward(&mut tape, &store, adj, x);
         assert_eq!((tape.value(h).rows, tape.value(h).cols), (30, 5));
-        assert_eq!(enc.out_dim(), 5);
     }
 
     #[test]

@@ -20,12 +20,6 @@ impl BitSet {
         }
     }
 
-    /// Capacity in bits.
-    #[inline]
-    pub fn capacity(&self) -> usize {
-        self.len
-    }
-
     /// Sets bit `i`, returning `true` if it was previously unset.
     #[inline]
     pub fn insert(&mut self, i: usize) -> bool {
@@ -54,16 +48,6 @@ impl BitSet {
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Clears all bits, keeping capacity.
-    pub fn clear(&mut self) {
-        self.words.fill(0);
-    }
-
-    /// Returns `true` if no bit is set.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
     }
 
     /// Read-only view of the backing `u64` words (bit `i` lives in word
@@ -113,7 +97,7 @@ mod tests {
         b.insert(3);
         b.remove(3);
         assert!(!b.contains(3));
-        assert!(b.is_empty());
+        assert_eq!(b.count(), 0);
     }
 
     #[test]
@@ -127,18 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut b = BitSet::new(70);
-        b.insert(69);
-        b.clear();
-        assert_eq!(b.count(), 0);
-        assert_eq!(b.capacity(), 70);
-    }
-
-    #[test]
     fn zero_capacity() {
         let b = BitSet::new(0);
-        assert!(b.is_empty());
+        assert_eq!(b.count(), 0);
         assert_eq!(b.iter().count(), 0);
     }
 }

@@ -5,7 +5,7 @@
 //! collection so the search is fast and deterministic per seed.
 
 use crate::rrset::{sample_collection, RrCollection};
-use crate::solver::{ImSolution, ImSolver};
+use crate::solver::ImSolution;
 use mcpb_graph::{Graph, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -97,12 +97,6 @@ impl SimulatedAnnealing {
             seeds: best,
             spread_estimate: best_spread,
         }
-    }
-}
-
-impl ImSolver for SimulatedAnnealing {
-    fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
-        self.run(graph, k)
     }
 }
 

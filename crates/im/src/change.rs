@@ -7,7 +7,7 @@
 //! random neighbor of each (friendship-paradox step), then runs a greedy
 //! selection on the union of revealed ego networks.
 
-use crate::solver::{ImSolution, ImSolver};
+use crate::solver::ImSolution;
 use mcpb_graph::{Graph, NodeId};
 use mcpb_mcp::greedy::LazyGreedy;
 use rand::seq::SliceRandom;
@@ -80,12 +80,6 @@ impl Change {
         let local = LazyGreedy::run(&sub, k);
         let seeds: Vec<NodeId> = local.seeds.iter().map(|&l| order[l as usize]).collect();
         ImSolution::seeds_only(seeds)
-    }
-}
-
-impl ImSolver for Change {
-    fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
-        self.run(graph, k)
     }
 }
 

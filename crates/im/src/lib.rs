@@ -24,7 +24,6 @@
 pub mod annealing;
 pub mod cascade;
 pub mod celf;
-pub mod celfpp;
 pub mod change;
 pub mod discount;
 pub mod imm;
@@ -35,12 +34,10 @@ pub mod rrset;
 pub mod scratch;
 pub mod shard;
 pub mod solver;
-pub mod tim;
 
 pub use annealing::SimulatedAnnealing;
 pub use cascade::influence_mc;
 pub use celf::CelfGreedy;
-pub use celfpp::CelfPlusPlus;
 pub use change::Change;
 pub use discount::{DegreeDiscount, SingleDiscount};
 pub use imm::Imm;
@@ -49,14 +46,12 @@ pub use opim::Opim;
 pub use rrset::{sample_collection, sample_rr_set, RrCollection, SetsView};
 pub use scratch::CascadeScratch;
 pub use solver::{ImSolution, ImSolver};
-pub use tim::TimPlus;
 
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::annealing::SimulatedAnnealing;
     pub use crate::cascade::influence_mc;
     pub use crate::celf::CelfGreedy;
-    pub use crate::celfpp::CelfPlusPlus;
     pub use crate::change::Change;
     pub use crate::discount::{DegreeDiscount, SingleDiscount};
     pub use crate::imm::Imm;
@@ -65,5 +60,4 @@ pub mod prelude {
     pub use crate::rrset::{sample_collection, sample_rr_set, RrCollection, SetsView};
     pub use crate::scratch::CascadeScratch;
     pub use crate::solver::{ImSolution, ImSolver};
-    pub use crate::tim::TimPlus;
 }

@@ -15,7 +15,7 @@
 
 use crate::rrset::RrCollection;
 use crate::scratch::CascadeScratch;
-use crate::solver::{ImSolution, ImSolver};
+use crate::solver::ImSolution;
 use mcpb_graph::{Graph, NodeId};
 use rand::Rng;
 use rand::SeedableRng;
@@ -214,12 +214,6 @@ impl LtRisGreedy {
             },
             rr,
         )
-    }
-}
-
-impl ImSolver for LtRisGreedy {
-    fn solve(&mut self, graph: &Graph, k: usize) -> ImSolution {
-        self.run(graph, k).0
     }
 }
 

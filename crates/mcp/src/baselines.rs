@@ -27,18 +27,13 @@ impl McpSolver for TopDegree {
     }
 }
 
-/// Picks `k` distinct nodes uniformly at random (seeded).
+/// Picks `k` distinct nodes uniformly at random (seeded): the floor the
+/// tests hold every learned and greedy method above.
 #[derive(Debug, Clone)]
-pub struct RandomSeeds {
-    seed: u64,
-}
+// audit:allow(MCPB017) test helper: tests/paper_claims.rs and the drl, im and agreement unit tests
+pub struct RandomSeeds;
 
 impl RandomSeeds {
-    /// Creates the baseline with a fixed RNG seed.
-    pub fn new(seed: u64) -> Self {
-        Self { seed }
-    }
-
     /// Runs random selection directly.
     pub fn run(graph: &Graph, k: usize, seed: u64) -> McpSolution {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -46,12 +41,6 @@ impl RandomSeeds {
         nodes.shuffle(&mut rng);
         nodes.truncate(k);
         McpSolution::evaluate(graph, nodes)
-    }
-}
-
-impl McpSolver for RandomSeeds {
-    fn solve(&mut self, graph: &Graph, k: usize) -> McpSolution {
-        Self::run(graph, k, self.seed)
     }
 }
 

@@ -125,13 +125,6 @@ impl<'g> CoverageOracle<'g> {
     pub fn is_covered(&self, v: NodeId) -> bool {
         self.covered.contains(v as usize)
     }
-
-    /// Resets to the empty seed set.
-    pub fn reset(&mut self) {
-        self.covered.clear();
-        self.covered_count = 0;
-        self.seeds.clear();
-    }
 }
 
 /// One-shot coverage of an arbitrary seed set: `|X_S|`.
@@ -216,17 +209,6 @@ mod tests {
         let before = o.covered_count();
         assert_eq!(o.add_seed(0), 0);
         assert_eq!(o.covered_count(), before);
-    }
-
-    #[test]
-    fn reset_restores_empty_state() {
-        let g = star();
-        let mut o = CoverageOracle::new(&g);
-        o.add_seed(0);
-        o.reset();
-        assert_eq!(o.covered_count(), 0);
-        assert!(o.seeds().is_empty());
-        assert_eq!(o.coverage(), 0.0);
     }
 
     #[test]

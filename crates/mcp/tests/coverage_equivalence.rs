@@ -70,17 +70,3 @@ fn word_boundary_nodes_count_once() {
     let g = Graph::from_edges(200, &edges).expect("valid edges");
     lockstep(&g, &[63, 64, 127, 128, 0]);
 }
-
-#[test]
-fn reset_matches_fresh_oracle() {
-    let g = generators::barabasi_albert(120, 2, 5);
-    let mut fast = CoverageOracle::new(&g);
-    fast.add_seed(0);
-    fast.add_seed(60);
-    fast.reset();
-    let fresh = CoverageOracle::new(&g);
-    assert_eq!(fast.covered_count(), 0);
-    for v in 0..120 {
-        assert_eq!(fast.marginal_gain(v), fresh.marginal_gain(v));
-    }
-}

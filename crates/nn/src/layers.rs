@@ -119,16 +119,6 @@ impl Mlp {
         }
         last.eval(store, &x)
     }
-
-    /// Output dimension.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().expect("mlp has layers").out_dim
-    }
-
-    /// Input dimension.
-    pub fn in_dim(&self) -> usize {
-        self.layers.first().expect("mlp has layers").in_dim
-    }
 }
 
 #[cfg(test)]
@@ -171,8 +161,8 @@ mod tests {
     fn mlp_dims() {
         let mut store = ParamStore::new(0);
         let mlp = Mlp::new(&mut store, "m", &[3, 5, 7, 2], Activation::Relu);
-        assert_eq!(mlp.in_dim(), 3);
-        assert_eq!(mlp.out_dim(), 2);
+        assert_eq!(mlp.layers[0].in_dim, 3);
+        assert_eq!(mlp.layers[2].out_dim, 2);
         // 3 layers x 2 params each.
         assert_eq!(store.len(), 6);
     }

@@ -112,16 +112,10 @@ pub fn default_cost(state: &ServeState, task: QueryTask, lane: usize, budget: us
         QueryTask::Mcp => match state.mcp_kinds[lane] {
             McpMethodKind::NormalGreedy | McpMethodKind::LazyGreedy => 6,
             McpMethodKind::S2vDqn | McpMethodKind::Gcomb | McpMethodKind::Lense => 4,
-            McpMethodKind::TopDegree | McpMethodKind::Random => 1,
+            McpMethodKind::TopDegree => 1,
         },
         QueryTask::Im => match state.im_kinds[lane - state.mcp_kinds.len()] {
-            ImMethodKind::Imm
-            | ImMethodKind::Opim
-            | ImMethodKind::CelfRis
-            | ImMethodKind::TimPlus
-            | ImMethodKind::CelfPlusPlus
-            | ImMethodKind::Change
-            | ImMethodKind::SimulatedAnnealing => 8,
+            ImMethodKind::Imm | ImMethodKind::Opim | ImMethodKind::CelfRis => 8,
             ImMethodKind::Gcomb
             | ImMethodKind::Rl4Im
             | ImMethodKind::GeometricQn
