@@ -25,8 +25,9 @@
 #    Closures and derived impls (whose source line is a `#[derive(`) are
 #    left out of the list but counted.
 #
-# Writes only under target/coverage/: entered.txt (sorted entered names),
-# reference.txt (every named function), unentered.txt (the printed list).
+# Writes only under target/coverage/: entered.txt (sorted entered names, the
+# e2ebench crate's own included), reference.txt (every named function of
+# mcpbench) and unentered.txt (the printed list).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -215,10 +216,10 @@ fi
 cd "$ROOT"
 
 echo "==> symbolize"
-python3 - "$OUT" "$PCS" "$ROOT" "$BIN" <<'EOF'
+python3 - "$OUT" "$PCS" "$BIN" <<'EOF'
 import bisect, glob, os, re, subprocess, sys
 
-out, pcs_dir, root, bin_dir = sys.argv[1:]
+out, pcs_dir, bin_dir = sys.argv[1:]
 HASH = re.compile(r"::h[0-9a-f]{16}$")
 OWN = re.compile(r"^<?(mcpb_[a-z_]+|mcpbench|mcp_benchmark)::")
 ESCAPES = {"SP": "@", "BP": "*", "RF": "&", "LT": "<", "GT": ">", "LP": "(", "RP": ")", "C": ","}
@@ -287,8 +288,9 @@ for name, rows in (("entered.txt", own_entered), ("reference.txt", reference),
                    ("unentered.txt", listed)):
     with open(os.path.join(out, name), "w") as fh:
         fh.writelines(r + "\n" for r in rows)
-print(f"coverage: {len(reference)} named functions in mcpbench, {len(own_entered)} entered, "
-      f"{len(unentered)} not entered ({len(derived)} derived impls, {len(listed)} listed below)")
+print(f"coverage: {len(reference)} named functions in mcpbench, {len(reference) - len(unentered)} "
+      f"entered, {len(unentered)} not entered ({len(derived)} derived impls, {len(listed)} listed "
+      "below)")
 for n in listed:
     print(n)
 EOF
