@@ -180,11 +180,6 @@ impl DqnAgent {
         self.sync_target();
     }
 
-    /// Current optimizer learning rate.
-    pub fn lr(&self) -> f32 {
-        self.optimizer.lr
-    }
-
     /// Scales the learning rate (divergence recovery halves it) and returns
     /// the new value.
     pub fn scale_lr(&mut self, factor: f32) -> f32 {
