@@ -25,6 +25,7 @@
 #    Closures and derived impls (whose source line is a `#[derive(`) are
 #    left out of the list but counted.
 #
+# Leave the sources alone while it runs: the derive check reads them at the end.
 # Writes only under target/coverage/: entered.txt (sorted entered names, the
 # e2ebench crate's own included), reference.txt (every named function of
 # mcpbench) and unentered.txt (the printed list).
