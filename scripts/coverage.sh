@@ -21,7 +21,9 @@
 #    regression on an exported tree.
 # 4. Maps each PC to its function with `llvm-nm -n -C --defined-only`,
 #    strips the `::h<hash>`, unions the entered names over all binaries and
-#    prints every function of mcpbench's symbol table that none entered.
+#    prints every function of mcpbench's symbol table, or of its own crates'
+#    rlibs (a codegen unit nothing references is never linked), that none
+#    entered.
 #    Closures and derived impls (whose source line is a `#[derive(`) are
 #    left out of the list but counted.
 #
@@ -261,20 +263,41 @@ for f in sorted(glob.glob(os.path.join(pcs_dir, "*.pcs"))):
         if i >= 0:
             entered.add(names[i])
 
+# The reference list: every own function of the mcpbench binary, plus
+# those of the newest rlib of each own crate. A static link pulls in only
+# the object files something references, so a function alone in an
+# unreferenced codegen unit is missing from the binary even with
+# -C link-dead-code.
 ref_addrs, ref_names = symbols(os.path.join(bin_dir, "mcpbench"))
-reference = sorted({n for n in ref_names if OWN.match(n) and "{{closure}}" not in n})
+rlibs = {}
+for f in glob.glob(os.path.join(bin_dir, "deps", "lib*.rlib")):
+    crate = os.path.basename(f)[3:].rsplit("-", 1)[0]
+    if crate not in rlibs or os.path.getmtime(f) > os.path.getmtime(rlibs[crate]):
+        rlibs[crate] = f
+rlib_names = set()
+for crate, f in rlibs.items():
+    if OWN.match(crate + "::"):
+        rlib_names.update(symbols(f)[1])
+own = lambda n: OWN.match(n) and "{{closure}}" not in n
+reference = sorted({n for n in ref_names if own(n)} | {n for n in rlib_names if own(n)})
 own_entered = sorted(n for n in entered if OWN.match(n))
 unentered = [n for n in reference if n not in entered]
 
 # Derived impls: the function's source line is the `#[derive(...)]` line.
+# A function only an rlib holds has no address to look up; a derivable
+# trait's method there counts as derived.
+DERIVABLE = re.compile(r" as core::(clone::Clone|cmp::(Partial)?(Eq|Ord)|fmt::Debug|hash::Hash|"
+                       r"default::Default)>::|as serde::(Serialize|Deserialize)>::")
 first_addr = {}
 for a, n in zip(ref_addrs, ref_names):
     first_addr.setdefault(n, a)
-query = "\n".join(hex(first_addr[n]) for n in unentered)
+linked = [n for n in unentered if n in first_addr]
+query = "\n".join(hex(first_addr[n]) for n in linked)
 lines = subprocess.run(["llvm-addr2line", "-e", os.path.join(bin_dir, "mcpbench")],
                        input=query, check=True, capture_output=True, text=True).stdout.splitlines()
-derived, listed = [], []
-for n, loc in zip(unentered, lines):
+derived = [n for n in unentered if n not in first_addr and DERIVABLE.search(n)]
+listed = [n for n in unentered if n not in first_addr and not DERIVABLE.search(n)]
+for n, loc in zip(linked, lines):
     path, _, line = loc.rpartition(":")
     line = line.split(" ")[0]
     src = ""
@@ -284,12 +307,14 @@ for n, loc in zip(unentered, lines):
         if 0 < int(line) <= len(all_lines):
             src = all_lines[int(line) - 1]
     (derived if "derive(" in src else listed).append(n)
+listed.sort()
 
 for name, rows in (("entered.txt", own_entered), ("reference.txt", reference),
                    ("unentered.txt", listed)):
     with open(os.path.join(out, name), "w") as fh:
         fh.writelines(r + "\n" for r in rows)
-print(f"coverage: {len(reference)} named functions in mcpbench, {len(reference) - len(unentered)} "
+print(f"coverage: {len(reference)} named functions in mcpbench and its crates, "
+      f"{len(reference) - len(unentered)} "
       f"entered, {len(unentered)} not entered ({len(derived)} derived impls, {len(listed)} listed "
       "below)")
 for n in listed:
