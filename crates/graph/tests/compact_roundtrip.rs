@@ -2,7 +2,9 @@
 //! (`MCPBCSR1`): build → save → mmap reload must reproduce every array
 //! byte for byte, re-saving a loaded graph must reproduce the file byte
 //! for byte, and every corruption/staleness mode must be *rejected* (and
-//! rebuilt by the tier loader), never silently served.
+//! rebuilt by the tier loader), never silently served. The bytes `save`
+//! writes for two small configs are pinned by digest, so a rewrite of the
+//! writer must reproduce the file format exactly, padding included.
 
 use mcpb_graph::diskcache::{self, CacheError};
 use mcpb_graph::weights::{assign_weights, WeightModel};
@@ -169,4 +171,33 @@ fn mapped_derivations_match_owned_and_are_owned() {
         assert_same_arrays(a, b);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// FNV-1a (64-bit) over the bytes, one byte at a time.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+#[test]
+fn saved_bytes_are_pinned() {
+    // Odd n: the `(n + 1) * 4`-byte offset sections end on a word boundary.
+    // Even n: each offset section carries a 4-byte zero pad.
+    for (n, seed, want_len, want) in [
+        (777usize, 41u64, 80_672usize, 0x5e16_c669_a85d_1b13u64),
+        (1_000, 43, 103_872, 0x96cb_e623_e94a_c4ff),
+    ] {
+        let dir = temp_dir(&format!("pin-{n}"));
+        let cfg = test_config(n, seed);
+        let built = cfg.build().expect("build");
+        let path = cfg.cache_path(&dir);
+        diskcache::save(&built, cfg.config_hash(), &path).expect("save");
+        let bytes = std::fs::read(&path).expect("read cache");
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (want_len, want), "n = {n}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
