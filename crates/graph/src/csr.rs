@@ -382,11 +382,34 @@ impl Graph {
     /// - each node's out-targets and in-sources are sorted;
     /// - the out- and in-adjacency describe the same arc multiset.
     ///
-    /// `O(m log m)`. Generators and the dataset catalog run this under
+    /// The last check is a counting transpose, `O(n + m)` with no sort: a
+    /// cursor copy of `in_offsets` scatters every out-arc, in ascending
+    /// source order, into a `u64` slot array of `(src << 32) | weight bits`
+    /// laid out like the in-adjacency. A row that overflows is a mismatch;
+    /// otherwise every in-row is compared with its slots one by one. Each
+    /// slot row comes out sorted by source, as a valid in-row is, so only
+    /// a run of parallel arcs inside one row may list its weights in
+    /// another order; those runs are compared as sorted weight bits. The
+    /// check holds `8m + 4(n + 1)` bytes of heap (about 130 MB for the 16M
+    /// arcs of the 1M-node tier).
+    ///
+    /// Generators and the dataset catalog run this under
     /// `debug_assertions`; release builds skip it. The disk-cache loader
     /// checks only the file's header and checksum, so callers that load a
     /// cache validate it themselves.
     pub fn validate(&self) -> Result<(), GraphError> {
+        self.validate_layout()?;
+        if self.in_rows_match_transpose() {
+            Ok(())
+        } else {
+            Err(arc_multiset_mismatch())
+        }
+    }
+
+    /// Every check of [`Graph::validate`] before the arc-multiset
+    /// comparison: lengths, offsets, endpoint range, finite weights and
+    /// sorted rows, in that order.
+    fn validate_layout(&self) -> Result<(), GraphError> {
         let corrupt = |detail: String| Err(GraphError::Corrupt { detail });
         // Mmap-loaded graphs bypass `from_edges`, so re-check the id-space
         // guard here before trusting any `as NodeId` arithmetic.
@@ -444,18 +467,71 @@ impl Graph {
                 return corrupt(format!("non-finite weight on an arc at ({v}, {u})"));
             }
         }
-        let mut fwd = self.arc_keys_forward();
-        let mut rev = Vec::with_capacity(m);
-        for v in self.nodes() {
-            let arcs = self.in_neighbors(v).iter().zip(self.in_weights(v));
-            rev.extend(arcs.map(|(&u, &w)| (u, v, w.to_bits())));
-        }
-        fwd.sort_unstable();
-        rev.sort_unstable();
-        if fwd != rev {
-            return corrupt("out- and in-adjacency describe different arc multisets".into());
-        }
         Ok(())
+    }
+
+    /// The counting transpose of [`Graph::validate`]: true when the
+    /// in-adjacency holds exactly the out-adjacency's arcs. Assumes
+    /// [`Graph::validate_layout`] passed, so every offset, endpoint and
+    /// slot index below is in range.
+    fn in_rows_match_transpose(&self) -> bool {
+        let mut cursor = self.in_offsets.to_vec();
+        let mut slots = vec![0u64; self.num_edges()];
+        for u in self.nodes() {
+            let row = row(&self.out_offsets, u);
+            for (&v, &w) in self.out_targets[row.clone()]
+                .iter()
+                .zip(&self.out_weights[row])
+            {
+                let v = v as usize;
+                let at = cursor[v];
+                if at == self.in_offsets[v + 1] {
+                    return false;
+                }
+                slots[at as usize] = arc_key(u, w);
+                cursor[v] = at + 1;
+            }
+        }
+        // No row overflowed and both sides hold m arcs, so every slot row
+        // is full. Rows are independent: a run of equal sources never
+        // continues into the next row.
+        let mut run: Vec<u64> = Vec::new();
+        for v in self.nodes() {
+            let row = row(&self.in_offsets, v);
+            let (sources, weights) = (&self.in_sources[row.clone()], &self.in_weights[row.clone()]);
+            let slots = &mut slots[row];
+            if sources
+                .iter()
+                .zip(slots.iter())
+                .any(|(&s, &k)| u64::from(s) != k >> 32)
+            {
+                return false;
+            }
+            let mut lo = 0;
+            while lo < sources.len() {
+                let mut hi = lo + 1;
+                while hi < sources.len() && sources[hi] == sources[lo] {
+                    hi += 1;
+                }
+                if hi - lo == 1 {
+                    if arc_key(sources[lo], weights[lo]) != slots[lo] {
+                        return false;
+                    }
+                } else {
+                    // Parallel arcs: the keys share their source, so
+                    // sorting them sorts their weight bits.
+                    slots[lo..hi].sort_unstable();
+                    run.clear();
+                    run.extend((lo..hi).map(|i| arc_key(sources[i], weights[i])));
+                    run.sort_unstable();
+                    if run[..] != slots[lo..hi] {
+                        return false;
+                    }
+                }
+                lo = hi;
+            }
+        }
+        true
     }
 
     /// [`Graph::validate`] plus topological symmetry: every arc `(u, v, w)`
@@ -528,6 +604,20 @@ impl Graph {
             + self.out_weights.len()
             + self.in_weights.len())
     }
+}
+
+/// The error [`Graph::validate`] returns when the two directions disagree.
+fn arc_multiset_mismatch() -> GraphError {
+    GraphError::Corrupt {
+        detail: "out- and in-adjacency describe different arc multisets".into(),
+    }
+}
+
+/// One arc of an in-row as [`Graph::validate`] compares it: the source in
+/// the high 32 bits, the weight's bits in the low 32.
+#[inline]
+fn arc_key(src: NodeId, weight: f32) -> u64 {
+    (u64::from(src) << 32) | u64::from(weight.to_bits())
 }
 
 /// Arc-slot range of `v`'s row under `offsets`.
@@ -860,6 +950,165 @@ mod tests {
         let mut g = triangle();
         g.out_offsets = Arr::from(vec![0, 5, 2, 3]); // beyond the arc count, non-monotone
         assert!(g.validate().is_err());
+    }
+
+    /// The sort-based comparison [`Graph::validate`] ran before the
+    /// counting transpose, kept as its oracle: the same layout checks, then
+    /// both directions' arcs as sorted `(src, dst, weight bits)` keys.
+    fn sort_oracle(g: &Graph) -> Result<(), GraphError> {
+        g.validate_layout()?;
+        let mut fwd = g.arc_keys_forward();
+        let mut rev = Vec::with_capacity(g.num_edges());
+        for v in g.nodes() {
+            let arcs = g.in_neighbors(v).iter().zip(g.in_weights(v));
+            rev.extend(arcs.map(|(&u, &w)| (u, v, w.to_bits())));
+        }
+        fwd.sort_unstable();
+        rev.sort_unstable();
+        if fwd == rev {
+            Ok(())
+        } else {
+            Err(arc_multiset_mismatch())
+        }
+    }
+
+    fn assert_agrees_with_oracle(g: &Graph, valid: bool) {
+        let got = g.validate();
+        assert_eq!(got, sort_oracle(g));
+        assert_eq!(got.is_ok(), valid, "{got:?}");
+    }
+
+    /// A graph from its six arrays, unchecked.
+    fn raw(n: usize, out: (&[u32], &[u32], &[f32]), inn: (&[u32], &[u32], &[f32])) -> Graph {
+        Graph::from_parts(
+            n,
+            Arr::from(out.0.to_vec()),
+            Arr::from(out.1.to_vec()),
+            Arr::from(out.2.to_vec()),
+            Arr::from(inn.0.to_vec()),
+            Arr::from(inn.1.to_vec()),
+            Arr::from(inn.2.to_vec()),
+        )
+    }
+
+    /// Five arcs into node 2 (three parallel from 0, two parallel from 1)
+    /// and one arc 1 -> 0, with both directions agreeing.
+    fn multigraph() -> Graph {
+        raw(
+            3,
+            (
+                &[0, 3, 6, 6],
+                &[2, 2, 2, 0, 2, 2],
+                &[0.1, 0.2, 0.3, 0.9, 0.4, 0.5],
+            ),
+            (
+                &[0, 1, 1, 6],
+                &[1, 0, 0, 0, 1, 1],
+                &[0.9, 0.1, 0.2, 0.3, 0.4, 0.5],
+            ),
+        )
+    }
+
+    #[test]
+    fn validate_accepts_parallel_arcs_with_permuted_weights() {
+        let mut g = multigraph();
+        assert_agrees_with_oracle(&g, true);
+        g.in_weights = Arr::from(vec![0.9, 0.3, 0.1, 0.2, 0.5, 0.4]);
+        assert_agrees_with_oracle(&g, true);
+    }
+
+    #[test]
+    fn validate_rejects_weights_swapped_across_rows_of_one_source() {
+        // 0 -> 1 twice and 0 -> 2 twice. The in-rows of 1 and 2 trade one
+        // weight each: every row still holds two arcs from 0, and the four
+        // weights are the same multiset, so only a comparison that stops at
+        // the row boundary sees it.
+        let out = (
+            &[0, 4, 4, 4][..],
+            &[1, 1, 2, 2][..],
+            &[0.1, 0.2, 0.3, 0.4][..],
+        );
+        let in_offsets = [0, 0, 2, 4];
+        let good = raw(3, out, (&in_offsets, &[0, 0, 0, 0], &[0.2, 0.1, 0.4, 0.3]));
+        assert_agrees_with_oracle(&good, true);
+        let swapped = raw(3, out, (&in_offsets, &[0, 0, 0, 0], &[0.3, 0.2, 0.4, 0.1]));
+        assert_agrees_with_oracle(&swapped, false);
+    }
+
+    #[test]
+    fn validate_rejects_a_retargeted_in_source() {
+        let mut g = multigraph();
+        // The last of node 2's arcs from 0 claims source 1; rows stay sorted.
+        g.in_sources = Arr::from(vec![1, 0, 0, 1, 1, 1]);
+        assert_agrees_with_oracle(&g, false);
+    }
+
+    #[test]
+    fn validate_rejects_a_flipped_in_weight_bit() {
+        let mut g = multigraph();
+        let mut weights = g.in_weights.to_vec();
+        weights[3] = f32::from_bits(weights[3].to_bits() ^ 1);
+        g.in_weights = Arr::from(weights);
+        assert_agrees_with_oracle(&g, false);
+    }
+
+    #[test]
+    fn validate_rejects_in_offsets_shifted_by_one() {
+        let mut g = multigraph();
+        // Row 1 takes the first arc of row 2.
+        g.in_offsets = Arr::from(vec![0, 1, 2, 6]);
+        assert_agrees_with_oracle(&g, false);
+        let mut g = multigraph();
+        // Row 0's only arc moves to the empty row 1.
+        g.in_offsets = Arr::from(vec![0, 0, 1, 6]);
+        assert_agrees_with_oracle(&g, false);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// On random multigraphs (parallel arcs, repeated weights) with at
+        /// most one planted corruption, the counting transpose and the
+        /// sort-based oracle give the same verdict and the same error.
+        #[test]
+        fn validate_agrees_with_the_sort_oracle(
+            n in 1usize..12,
+            arcs in proptest::collection::vec((0u32..12, 0u32..12, 0u8..4), 0..40),
+            kind in 0u8..7,
+            a in 0usize..64,
+            b in 0usize..64,
+        ) {
+            let edges: Vec<Edge> = arcs
+                .iter()
+                .map(|&(u, v, w)| Edge::new(u % n as u32, v % n as u32, f32::from(w) * 0.25))
+                .collect();
+            let g = Graph::from_edges(n, &edges).unwrap();
+            proptest::prop_assert_eq!(g.validate(), Ok(()));
+            let m = g.num_edges();
+            let mut bad = g.clone();
+            let (mut sources, mut weights) = (g.in_sources.to_vec(), g.in_weights.to_vec());
+            let mut offsets = g.in_offsets.to_vec();
+            match kind {
+                0 if m > 0 => sources[a % m] = (sources[a % m] + 1 + (b % n) as u32) % n as u32,
+                1 if m > 0 => weights[a % m] = f32::from_bits(weights[a % m].to_bits() ^ (1 << (b % 32))),
+                2 if n > 1 => {
+                    let v = 1 + a % (n - 1);
+                    offsets[v] = if b % 2 == 0 { offsets[v] + 1 } else { offsets[v].wrapping_sub(1) };
+                }
+                3 if m > 0 => weights.swap(a % m, b % m),
+                4 if m > 0 => sources.swap(a % m, b % m),
+                5 if m > 0 => {
+                    let mut out = g.out_weights.to_vec();
+                    out[a % m] = f32::from_bits(out[a % m].to_bits() ^ (1 << (b % 32)));
+                    bad.out_weights = Arr::from(out);
+                }
+                _ => {}
+            }
+            bad.in_sources = Arr::from(sources);
+            bad.in_weights = Arr::from(weights);
+            bad.in_offsets = Arr::from(offsets);
+            proptest::prop_assert_eq!(bad.validate(), sort_oracle(&bad));
+        }
     }
 
     #[test]
