@@ -223,18 +223,30 @@ fn file_len(n: usize, m: usize) -> usize {
     (off + len).next_multiple_of(8)
 }
 
-/// FNV-1a folded one 8-byte word at a time. The section area is always a
-/// whole number of words (every section start and the file end are
-/// 8-aligned), so no tail handling is needed.
-fn checksum_words(bytes: &[u8]) -> u64 {
-    debug_assert_eq!(bytes.len() % 8, 0);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in bytes.chunks_exact(8) {
-        let word = u64::from_le_bytes([
-            chunk[0], chunk[1], chunk[2], chunk[3], chunk[4], chunk[5], chunk[6], chunk[7],
-        ]);
-        h ^= word;
+/// FNV-1a offset basis: the checksum of an empty section area.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the FNV-1a state `h` one 8-byte little-endian word
+/// at a time, a short last word read as if zero-padded to 8 bytes. The
+/// section area is whole words (every section start and the file end are
+/// 8-aligned), so [`load`] folds it in one call, and [`save`] folds each
+/// section alone, its zero pad implied by that last word.
+fn fnv_fold_words(mut h: u64, bytes: &[u8]) -> u64 {
+    let mut fold = |word: [u8; 8]| {
+        h ^= u64::from_le_bytes(word);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        fold([
+            word[0], word[1], word[2], word[3], word[4], word[5], word[6], word[7],
+        ]);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        fold(last);
     }
     h
 }
@@ -245,17 +257,18 @@ fn as_bytes<T: Copy>(s: &[T]) -> &[u8] {
 }
 
 /// Serializes `g` to `path` in `MCPBCSR1` format, tagged with
-/// `config_hash`. Writes via a sibling temp file + rename so a crashed
-/// writer never leaves a half-written cache behind. The output bytes are a
-/// pure function of the graph and hash (padding is zeroed), so re-saving an
-/// identical graph reproduces the file byte-for-byte.
+/// `config_hash`. Writes via a sibling temp file + `sync_all` + rename so
+/// a crashed writer never leaves a half-written cache behind. The output
+/// bytes are a pure function of the graph and hash (padding is zeroed), so
+/// re-saving an identical graph reproduces the file byte-for-byte.
+///
+/// Streamed: the checksum is folded section by section straight from the
+/// graph's arrays, then the header and each section plus its zero pad are
+/// written from those arrays too. No copy of the graph is made, so saving
+/// allocates only the temp path, however large the graph.
 pub fn save(g: &Graph, config_hash: u64, path: &Path) -> Result<(), CacheError> {
     let n = g.num_nodes();
     let m = g.num_edges();
-    let layout = section_layout(n, m);
-    let total = file_len(n, m);
-
-    let mut body = vec![0u8; total - HEADER_LEN];
     let (out_offsets, out_targets, out_weights, in_offsets, in_sources, in_weights) = g.arrays();
     let sections: [&[u8]; 6] = [
         as_bytes(out_offsets),
@@ -265,10 +278,13 @@ pub fn save(g: &Graph, config_hash: u64, path: &Path) -> Result<(), CacheError> 
         as_bytes(in_sources),
         as_bytes(in_weights),
     ];
-    for ((off, len), bytes) in layout.iter().zip(sections) {
-        debug_assert_eq!(bytes.len(), *len);
-        body[off - HEADER_LEN..off - HEADER_LEN + len].copy_from_slice(bytes);
-    }
+    debug_assert!(section_layout(n, m)
+        .iter()
+        .zip(sections)
+        .all(|((_, len), bytes)| bytes.len() == *len));
+    let checksum = sections
+        .iter()
+        .fold(FNV_OFFSET, |h, bytes| fnv_fold_words(h, bytes));
 
     let mut header = [0u8; HEADER_LEN];
     header[0..8].copy_from_slice(MAGIC);
@@ -277,13 +293,17 @@ pub fn save(g: &Graph, config_hash: u64, path: &Path) -> Result<(), CacheError> 
     header[16..24].copy_from_slice(&config_hash.to_le_bytes());
     header[24..32].copy_from_slice(&(n as u64).to_le_bytes());
     header[32..40].copy_from_slice(&(m as u64).to_le_bytes());
-    header[40..48].copy_from_slice(&checksum_words(&body).to_le_bytes());
+    header[40..48].copy_from_slice(&checksum.to_le_bytes());
 
     let tmp = path.with_extension("mcpbcsr.tmp");
     {
         let mut f = File::create(&tmp)?;
         f.write_all(&header)?;
-        f.write_all(&body)?;
+        for bytes in sections {
+            f.write_all(bytes)?;
+            let pad = bytes.len().next_multiple_of(8) - bytes.len();
+            f.write_all(&[0u8; 8][..pad])?;
+        }
         f.sync_all()?;
     }
     std::fs::rename(&tmp, path)?;
@@ -347,7 +367,7 @@ pub fn load(path: &Path, config_hash: u64) -> Result<Graph, CacheError> {
         )));
     }
     let expect_sum = read_u64(40);
-    let actual_sum = checksum_words(&bytes[HEADER_LEN..]);
+    let actual_sum = fnv_fold_words(FNV_OFFSET, &bytes[HEADER_LEN..]);
     if actual_sum != expect_sum {
         return Err(mismatch(format!(
             "checksum {actual_sum:016x} does not match header {expect_sum:016x}"

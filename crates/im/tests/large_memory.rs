@@ -2,7 +2,7 @@
 //! [`TrackingAllocator`] (integration tests are separate binaries, so the
 //! `#[global_allocator]` choice is local to this file).
 //!
-//! Two ceilings, both against the documented per-shard budget
+//! Two ceilings against the documented per-shard budget
 //! [`mcpb_im::shard::SHARD_PEAK_BUDGET_BYTES`] (also recorded in
 //! `BENCH_large.json`):
 //!
@@ -12,12 +12,23 @@
 //! * every sampling shard's scratch (reported through the `mcpb-trace`
 //!   histograms by [`mcpb_im::shard`]) and the whole single-threaded
 //!   sampling phase must stay under the budget.
+//!
+//! And two for the cache round trip the tier runs before sampling:
+//!
+//! * `diskcache::save` writes from the graph's own arrays, so it may
+//!   allocate at most 1 MiB, however large the graph;
+//! * `validate()` on the mmap-loaded graph holds only its counting
+//!   transpose, `8m + 4(n + 1)` bytes, so it may peak at `8m + 4n` plus
+//!   1 MiB.
 
+use mcpb_graph::diskcache;
 use mcpb_im::shard::SHARD_PEAK_BUDGET_BYTES;
 use mcpb_trace::alloc::{measure_peak, tracking_installed, TrackingAllocator};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator;
+
+const MIB: usize = 1 << 20;
 
 #[test]
 fn million_node_build_and_sampling_stay_under_budget() {
@@ -32,6 +43,28 @@ fn million_node_build_and_sampling_stay_under_budget() {
          more than one shard budget ({SHARD_PEAK_BUDGET_BYTES}) of transient state",
         g.memory_bytes()
     );
+
+    let dir = std::env::temp_dir().join(format!("mcpb-large-memory-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create cache dir");
+    let path = cfg.cache_path(&dir);
+    let (saved, save_peak) = measure_peak(|| diskcache::save(&g, cfg.config_hash(), &path));
+    saved.expect("save ba-1m");
+    assert!(
+        save_peak <= MIB,
+        "diskcache::save allocated {save_peak} bytes; it must stream from the graph's arrays"
+    );
+    let mapped = diskcache::load(&path, cfg.config_hash()).expect("load ba-1m");
+    let (n, m) = (mapped.num_nodes(), mapped.num_edges());
+    let (valid, validate_peak) = measure_peak(|| mapped.validate());
+    valid.expect("mapped ba-1m validates");
+    assert!(
+        validate_peak <= 8 * m + 4 * n + MIB,
+        "validate() on the mapped graph peaked at {validate_peak} bytes; \
+         the counting transpose needs 8m + 4(n + 1) = {}",
+        8 * m + 4 * (n + 1)
+    );
+    drop(mapped);
+    let _ = std::fs::remove_dir_all(&dir);
 
     // Single lane + a clean trace window: the allocator peak below is the
     // sampling phase's whole footprint, and the histograms record each
