@@ -52,43 +52,38 @@ pub fn simulate_ic_into(
 /// Estimates the influence spread `I(S)` as the mean active count over
 /// `trials` IC simulations. Deterministic per `seed` *and* shard width:
 /// every fixed 64-trial base block ([`crate::shard::MC_BASE`]) derives its
-/// RNG from its own block index, shards are degree-aware multiples of the
-/// base block ([`crate::shard::mc_chunk`], a pure function of the graph),
-/// and the `u64` shard sums are combined by integer addition — so neither
-/// the thread count nor the shard width can reach the result. Each worker
-/// lane reuses one [`CascadeScratch`] across all its shards (no heap
-/// allocation after lane warmup) and reports its scratch footprint through
+/// RNG from its own block index, each shard is one base block, and the
+/// `u64` shard sums are combined by integer addition — so neither the
+/// thread count nor the shard width can reach the result. Shards are one
+/// block wide rather than degree-scaled because one trial is a whole
+/// cascade, not a few arc touches: 128 trials on the 1M-node tier are two
+/// shards, one per lane (see [`crate::shard`]). Each worker lane reuses one
+/// [`CascadeScratch`] across all its shards (no heap allocation after lane
+/// warmup) and reports its scratch footprint through
 /// [`crate::shard::record_mc_shard`].
 pub fn influence_mc(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -> f64 {
     if trials == 0 || graph.num_nodes() == 0 {
         return 0.0;
     }
     let base = crate::shard::MC_BASE;
-    let sums = mcpb_par::map_chunked(trials, crate::shard::mc_chunk(graph), |range| {
+    let sums = mcpb_par::map_chunked(trials, base, |range| {
+        // One RNG stream per base block, and this shard is block `c`:
+        // trials `c*base..(c+1)*base`, the last one possibly short.
+        let c = range.start / base;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
         CascadeScratch::with(|s| {
             s.ensure_ic(graph.num_nodes());
             let mut sum = 0u64;
-            let mut t = range.start;
-            while t < range.end {
-                // One RNG stream per base block: block `c` always covers
-                // trials `c*base..(c+1)*base`, so widening shards cannot
-                // move a single random draw.
-                let c = t / base;
-                let mut rng =
-                    ChaCha8Rng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
-                let stop = ((c + 1) * base).min(range.end);
-                while t < stop {
-                    let stamp = s.next_stamp();
-                    sum += simulate_ic_into(
-                        graph,
-                        seeds,
-                        &mut rng,
-                        &mut s.visited,
-                        stamp,
-                        &mut s.frontier,
-                    ) as u64;
-                    t += 1;
-                }
+            for _ in range {
+                let stamp = s.next_stamp();
+                sum += simulate_ic_into(
+                    graph,
+                    seeds,
+                    &mut rng,
+                    &mut s.visited,
+                    stamp,
+                    &mut s.frontier,
+                ) as u64;
             }
             crate::shard::record_mc_shard(s.footprint_bytes());
             sum

@@ -110,15 +110,16 @@ pub fn simulate_lt_into(
 /// Monte-Carlo LT spread estimate (pool-parallel, seeded). Each trial
 /// derives its RNG from the trial index — identical to the reference
 /// per-trial seeding, so the estimate is invariant to both thread count and
-/// shard width — while trials are walked in degree-aware shards
-/// ([`crate::shard::mc_chunk`], a pure function of the graph) so each
+/// shard width — while trials are walked in shards of one base block
+/// ([`crate::shard::MC_BASE`] trials; one trial is a whole cascade, so a
+/// block is already a lane's worth of work, see [`crate::shard`]). Each
 /// worker lane reuses one [`CascadeScratch`] across its share and reports
 /// its scratch footprint through [`crate::shard::record_mc_shard`].
 pub fn influence_mc_lt(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -> f64 {
     if trials == 0 || graph.num_nodes() == 0 {
         return 0.0;
     }
-    let sums = mcpb_par::map_chunked(trials, crate::shard::mc_chunk(graph), |range| {
+    let sums = mcpb_par::map_chunked(trials, crate::shard::MC_BASE, |range| {
         CascadeScratch::with(|s| {
             let mut sum = 0u64;
             for t in range {

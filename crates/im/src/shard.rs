@@ -1,18 +1,29 @@
-//! Degree-aware shard planning and per-shard peak-memory accounting for the
-//! two hot sampling consumers (RR-set sampling, IC/LT Monte-Carlo).
+//! Shard planning and per-shard peak-memory accounting for the two hot
+//! sampling consumers (RR-set sampling, IC/LT Monte-Carlo).
 //!
 //! ## Determinism contract
 //!
-//! Shard (chunk) widths here are **pure functions of the graph** — keyed
-//! off the graph's average degree, never the thread count — and the consumers
-//! keep the PR-5 rules (randomness derived from global item/base-chunk
-//! index, results concatenated/summed in fixed chunk order). Together that
-//! makes every result bit-identical at any thread count *and* at any shard
-//! width: RR sampling seeds per global set index, so any partition yields
-//! the same arena; MC seeds per fixed 64-trial base block ([`MC_BASE`]) and
-//! shard widths are multiples of it, so widening a shard never moves a
-//! random draw; the per-shard `u64` spread sums combine by integer
+//! Shard (chunk) widths here are **pure functions of the graph** or
+//! constants, never the thread count, and the consumers keep the PR-5
+//! rules (randomness derived from global item/base-chunk index, results
+//! concatenated/summed in fixed chunk order). Together that makes every
+//! result bit-identical at any thread count *and* at any shard width: RR
+//! sampling seeds per global set index, so any partition yields the same
+//! arena; IC Monte Carlo seeds per fixed 64-trial base block
+//! ([`MC_BASE`]) and LT per trial, so no partition into whole base blocks
+//! moves a random draw; the per-shard `u64` spread sums combine by integer
 //! addition, which is associative.
+//!
+//! ## Shard widths
+//!
+//! RR sets are cheap (a reverse walk touches a few arcs), so [`rr_chunk`]
+//! widens shards on sparse graphs to amortise per-shard overhead. MC trials
+//! are not: one IC or LT trial runs a whole forward cascade, which on the
+//! 1M-node tier scans about 1.2M arcs. Pricing a trial at the average
+//! degree, as [`rr_chunk`] prices an RR set, would give that graph
+//! 256-trial shards and put a 128-trial estimate on one lane. So the
+//! spread estimators shard by one base block, [`MC_BASE`] trials, and
+//! every lane gets work once there are as many blocks as lanes.
 //!
 //! ## Memory accounting
 //!
@@ -36,10 +47,11 @@ use mcpb_graph::Graph;
 /// and `BENCH_large.json` both pin it.
 pub const SHARD_PEAK_BUDGET_BYTES: usize = 64 << 20;
 
-/// MC base block: the RNG-grouping width of the spread estimators. One
-/// ChaCha8 stream covers one base block of trials; shard widths are always
-/// multiples of this, so sharding can never regroup random draws. Equals
-/// [`mcpb_par::DEFAULT_CHUNK`] and must never change with thread count.
+/// MC base block: the RNG-grouping width of the spread estimators and
+/// their shard width. One ChaCha8 stream covers one base block of IC
+/// trials, so sharding by whole blocks can never regroup random draws.
+/// Equals [`mcpb_par::DEFAULT_CHUNK`] and must never change with thread
+/// count.
 pub const MC_BASE: usize = mcpb_par::DEFAULT_CHUNK;
 
 /// Per-shard work target (in expected arc touches). One shard should cost
@@ -58,13 +70,6 @@ pub fn rr_chunk(g: &Graph) -> usize {
         avg_degree(g).max(1.0),
         TARGET_SHARD_COST,
     )
-}
-
-/// Shard width (in MC trials) for spread estimation over `g`: a multiple of
-/// [`MC_BASE`] so base-block RNG grouping is preserved, scaled inversely
-/// with average degree, and a pure function of the graph.
-pub fn mc_chunk(g: &Graph) -> usize {
-    mcpb_par::cost_scaled_chunk(MC_BASE, avg_degree(g).max(1.0), TARGET_SHARD_COST)
 }
 
 /// Mean out-degree (equals mean in-degree): `arcs / nodes`, and `0.0` on an
@@ -99,7 +104,6 @@ mod tests {
     fn chunks_are_multiples_of_their_base() {
         let g = generators::barabasi_albert(500, 3, 1);
         assert_eq!(rr_chunk(&g) % mcpb_par::DEFAULT_CHUNK, 0);
-        assert_eq!(mc_chunk(&g) % MC_BASE, 0);
         assert!(rr_chunk(&g) >= mcpb_par::DEFAULT_CHUNK);
     }
 
@@ -108,7 +112,6 @@ mod tests {
         let sparse = generators::erdos_renyi(2_000, 2_000, 3);
         let dense = generators::erdos_renyi(2_000, 40_000, 3);
         assert!(rr_chunk(&sparse) >= rr_chunk(&dense));
-        assert!(mc_chunk(&sparse) >= mc_chunk(&dense));
     }
 
     #[test]
@@ -117,7 +120,7 @@ mod tests {
         let mut widths = Vec::new();
         for t in [1, 2, 8] {
             mcpb_par::set_thread_override(Some(t));
-            widths.push((rr_chunk(&g), mc_chunk(&g)));
+            widths.push(rr_chunk(&g));
         }
         mcpb_par::set_thread_override(None);
         assert_eq!(widths[0], widths[1]);
