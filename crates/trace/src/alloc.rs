@@ -96,7 +96,12 @@ pub fn reset_peak() {
         }
     }
     // Concurrent allocations may have raised LIVE past the level we just
-    // stored; repair until the peak again dominates the live count.
+    // stored.
+    raise_peak_to_live();
+}
+
+/// Repairs the peak upward until it again dominates the live count.
+fn raise_peak_to_live() {
     loop {
         let live = LIVE.load(Ordering::Relaxed); // audit: relaxed-ok(repair loop converges regardless of order)
         if PEAK.fetch_max(live, Ordering::Relaxed) >= live {
@@ -132,15 +137,40 @@ pub fn tracking_installed() -> bool {
     })
 }
 
+/// Opens a heap-peak window: returns the running peak and restarts it from
+/// the live level, so the window's peak is its own and not one inherited
+/// from memory freed before it opened. [`close_peak_window`] hands the saved
+/// peak back. Spans and [`measure_peak`] are windows; they nest, and the
+/// running peak after the outermost closes is what it would have been with
+/// no window at all.
+///
+/// `swap` rather than a load and a store: a peak published between the two
+/// would be in neither the saved value nor the window. Allocations that
+/// raise `LIVE` past the swapped-in level are repaired upward.
+pub(crate) fn open_peak_window() -> usize {
+    let saved = PEAK.swap(live_bytes(), Ordering::Relaxed); // audit: relaxed-ok(repair below restores PEAK >= LIVE)
+    raise_peak_to_live();
+    saved
+}
+
+/// Closes a window [`open_peak_window`] opened: returns the window's own
+/// peak (absolute live bytes) and restores the running peak to the larger
+/// of that and the `saved` outer peak.
+pub(crate) fn close_peak_window(saved: usize) -> usize {
+    PEAK.fetch_max(saved, Ordering::Relaxed) // audit: relaxed-ok(monotonic max, gates no data)
+}
+
 /// Runs `f`, returning its result plus the peak *additional* bytes
-/// allocated while it ran (0 when tracking is inactive). Single-threaded
-/// accounting: concurrent allocations from other threads are attributed to
-/// whatever measurement window is open.
+/// allocated while it ran (0 when tracking is inactive). The measurement is
+/// a peak window, as a span is, so it nests inside spans and other
+/// measurements without disturbing theirs. Single-threaded accounting:
+/// concurrent allocations from other threads are attributed to whatever
+/// measurement window is open.
 pub fn measure_peak<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let baseline = live_bytes();
-    reset_peak();
+    let saved = open_peak_window();
     let out = f();
-    let peak = peak_bytes().saturating_sub(baseline);
+    let peak = close_peak_window(saved).saturating_sub(baseline);
     (out, peak)
 }
 

@@ -2,9 +2,12 @@
 //!
 //! A [`Span`] measures the wall-clock time (and, when the tracking
 //! allocator is installed, the peak heap delta) between its creation and
-//! drop. Spans nest through a thread-local stack: a span opened while
-//! another is live becomes its child, and the profile aggregates by the
-//! full `/`-separated path — so `"train/nn.forward"` and
+//! drop. The heap peak is the span's own: each span is a peak window
+//! (`alloc::open_peak_window`), so a span does not inherit a peak from
+//! memory freed before it opened, and closing it hands the enclosing
+//! window's peak back. Spans nest through a thread-local stack: a span
+//! opened while another is live becomes its child, and the profile
+//! aggregates by the full `/`-separated path — so `"train/nn.forward"` and
 //! `"sweep/nn.forward"` stay distinct while recursive or repeated entries
 //! of the same site merge into one row with a call count.
 //!
@@ -24,6 +27,8 @@ struct Frame {
     watch: Stopwatch,
     child_nanos: u64,
     live_at_open: usize,
+    /// The enclosing window's running peak, restored at close.
+    outer_peak: usize,
 }
 
 thread_local! {
@@ -64,6 +69,7 @@ fn open(name: Cow<'static, str>) -> Span {
             watch: Stopwatch::start(),
             child_nanos: 0,
             live_at_open: alloc::live_bytes(),
+            outer_peak: alloc::open_peak_window(),
         });
     });
     Span { armed: true }
@@ -84,7 +90,8 @@ impl Drop for Span {
             };
             let elapsed = frame.watch.elapsed_nanos();
             let self_nanos = elapsed.saturating_sub(frame.child_nanos);
-            let heap_peak = alloc::peak_bytes().saturating_sub(frame.live_at_open);
+            let heap_peak =
+                alloc::close_peak_window(frame.outer_peak).saturating_sub(frame.live_at_open);
             let path = if stack.is_empty() {
                 frame.name.to_string()
             } else {
