@@ -48,12 +48,15 @@ fn million_node_build_and_sampling_stay_under_budget() {
     std::fs::create_dir_all(&dir).expect("create cache dir");
     let path = cfg.cache_path(&dir);
     let (saved, save_peak) = measure_peak(|| diskcache::save(&g, cfg.config_hash(), &path));
-    saved.expect("save ba-1m");
+    let mapped = saved.and_then(|()| diskcache::load(&path, cfg.config_hash()));
+    // A mapping outlives its directory entry, so the 252 MiB file goes
+    // before any assertion below can fail and leave it behind.
+    let _ = std::fs::remove_dir_all(&dir);
+    let mapped = mapped.expect("save and load ba-1m");
     assert!(
         save_peak <= MIB,
         "diskcache::save allocated {save_peak} bytes; it must stream from the graph's arrays"
     );
-    let mapped = diskcache::load(&path, cfg.config_hash()).expect("load ba-1m");
     let (n, m) = (mapped.num_nodes(), mapped.num_edges());
     let (valid, validate_peak) = measure_peak(|| mapped.validate());
     valid.expect("mapped ba-1m validates");
@@ -64,7 +67,6 @@ fn million_node_build_and_sampling_stay_under_budget() {
         8 * m + 4 * (n + 1)
     );
     drop(mapped);
-    let _ = std::fs::remove_dir_all(&dir);
 
     // Single lane + a clean trace window: the allocator peak below is the
     // sampling phase's whole footprint, and the histograms record each
