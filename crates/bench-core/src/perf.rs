@@ -13,9 +13,6 @@
 //! * `serve` (`mcpb-serve`) — query latency quantiles of a replayed load mix.
 //! * `audit` (`mcpbench bench` itself) — the lint engine's lexer, per-file
 //!   scan and full workspace pass.
-//! * `large` (opt-in via `mcpbench bench --large`) — the same sharded
-//!   consumers over the million-node `ba-1m` graph, with per-shard
-//!   peak-memory accounting in the document's `memory` extras block.
 //!
 //! Every `<id>` / `<id>_ref` pair also records a median speedup ratio so
 //! the report can state "blocked matmul is N× the naive kernel" from the
@@ -401,91 +398,9 @@ pub fn run_im(quick: bool) -> AreaReport {
     report
 }
 
-/// `large` area: the million-node catalog tier. Builds the `ba-1m` graph
-/// through the streamed generator (no disk cache, so the record is
-/// hermetic), then runs the two sharded hot consumers — partitioned RR-set
-/// sampling and IC/LT Monte-Carlo — across the thread curve. Per-shard peak
-/// memory is collected through the `mcpb-trace` histograms the shard layer
-/// feeds ([`mcpb_im::shard`]) and lands in the document's `memory` extras
-/// block next to the throughput numbers, with the documented budget
-/// ([`mcpb_im::shard::SHARD_PEAK_BUDGET_BYTES`]) and a `within_budget`
-/// verdict. Not part of [`collect_areas`]: `mcpbench bench --large` opts
-/// in, so the default suite's runtime does not balloon.
-pub fn run_large(quick: bool) -> AreaReport {
-    // The bench harness runs from the CLI, never inside a fault-isolated
-    // sweep cell; a missing catalog entry here is a build-time bug.
-    // audit:allow(MCPB008)
-    let cfg = mcpb_graph::large_config("ba-1m").expect("invariant: ba-1m is in the large catalog");
-    let g = cfg.build().expect("invariant: catalog configs build"); // audit:allow(MCPB008)
-    let seeds = [0u32, 3, 11, 42, 117];
-    let mut timer = Timer::new(quick);
-
-    // The shard layer reports peak bytes through trace histograms, which
-    // are off by default. Enable + reset around the benches so the window
-    // covers exactly this area's shards, then restore the prior state.
-    let was_enabled = mcpb_trace::is_enabled();
-    mcpb_trace::set_enabled(true);
-    mcpb_trace::reset();
-
-    for t in THREADS {
-        mcpb_par::set_thread_override(Some(t));
-        timer.bench(&format!("large/rr_sample_ba1m_t{t}"), || {
-            mcpb_im::sample_collection(&g, 4_096, 131).len()
-        });
-        timer.bench(&format!("large/ic_mc_ba1m_t{t}"), || {
-            mcpb_im::influence_mc(&g, &seeds, 1_024, 137).to_bits()
-        });
-        timer.bench(&format!("large/lt_mc_ba1m_t{t}"), || {
-            mcpb_im::influence_mc_lt(&g, &seeds, 64, 139).to_bits()
-        });
-        mcpb_par::set_thread_override(None);
-    }
-
-    let summary = mcpb_trace::snapshot();
-    mcpb_trace::set_enabled(was_enabled);
-
-    let hist = |name: &str| summary.histograms.iter().find(|h| h.name == name);
-    let hist_obj = |name: &str| match hist(name) {
-        Some(h) => obj(vec![
-            ("count", h.count.to_value()),
-            ("mean_bytes", h.mean.to_value()),
-            ("max_bytes", h.max.to_value()),
-        ]),
-        None => Value::Null,
-    };
-    let budget = mcpb_im::shard::SHARD_PEAK_BUDGET_BYTES;
-    let within_budget = ["im.rr_shard_peak_bytes", "im.mc_shard_peak_bytes"]
-        .iter()
-        .all(|name| hist(name).map(|h| h.max <= budget as f64).unwrap_or(true));
-    let memory = obj(vec![
-        ("per_shard_budget_bytes", (budget as u64).to_value()),
-        ("within_budget", within_budget.to_value()),
-        ("rr_shard_peak", hist_obj("im.rr_shard_peak_bytes")),
-        ("mc_shard_peak", hist_obj("im.mc_shard_peak_bytes")),
-    ]);
-    let graph = obj(vec![
-        ("config", cfg.name.to_value()),
-        (
-            "config_hash",
-            format!("{:016x}", cfg.config_hash()).to_value(),
-        ),
-        ("nodes", (g.num_nodes() as u64).to_value()),
-        ("arcs", (g.num_edges() as u64).to_value()),
-        ("bytes", (g.memory_bytes() as u64).to_value()),
-    ]);
-
-    AreaReport {
-        area: "large",
-        benches: timer.into_summaries(),
-        speedups: Vec::new(),
-        extras: vec![("memory".to_string(), memory), ("graph".to_string(), graph)],
-    }
-}
-
 /// Runs the areas defined in this crate (`nn`, `kernels`, `im`). Callers
 /// that own additional areas (`mcpb-serve`'s latency suite, the `audit`
-/// area) append theirs before [`write_reports`]; the opt-in `large` area is
-/// added by `mcpbench bench --large`.
+/// area) append theirs before [`write_reports`].
 pub fn collect_areas(quick: bool) -> Vec<AreaReport> {
     vec![run_nn(quick), run_kernels(quick), run_im(quick)]
 }

@@ -237,84 +237,16 @@ impl std::fmt::Display for TrainError {
 
 impl std::error::Error for TrainError {}
 
-/// How [`RecoveryHarness::observe`] classified an episode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EpisodeHealth {
-    /// Numerically sound — checkpoint/record as usual.
-    Healthy,
-    /// Divergence detected; parameters were rolled back and the learning
-    /// rate halved. Skip checkpointing this episode.
-    Recovered,
-}
+/// Absolute episode loss treated as an explosion (on top of NaN/Inf).
+const LOSS_LIMIT: f64 = 1e6;
+/// Episode gradient norm treated as an explosion.
+const GRAD_NORM_LIMIT: f64 = 1e6;
+/// Divergence recoveries a run may spend before [`TrainError::Diverged`].
+const MAX_RECOVERIES: u32 = 3;
 
-/// Per-run divergence recovery for `train_loop`.
-///
-/// The harness owns the [`mcpb_resilience::DivergenceGuard`] bookkeeping
-/// and the telemetry; the *mechanism* of rolling back (which parameter
-/// store, which optimizer) differs per solver and is supplied as a closure
-/// returning the new learning rate. It is also the loop's NaN
-/// fault-injection point: a `nan@train.<solver>` entry in `MCPB_FAULTS`
-/// poisons the observed loss, so the whole rollback path runs in CI.
-pub struct RecoveryHarness {
-    solver: &'static str,
-    site: String,
-    guard: mcpb_resilience::DivergenceGuard,
-}
-
-impl RecoveryHarness {
-    /// A harness with the guard's fixed thresholds and recovery budget.
-    pub fn new(solver: &'static str) -> Self {
-        RecoveryHarness {
-            solver,
-            site: format!("train.{solver}"),
-            guard: mcpb_resilience::DivergenceGuard::default(),
-        }
-    }
-
-    /// Recoveries performed so far (stored in [`TrainReport::recoveries`]).
-    pub fn recoveries(&self) -> u32 {
-        self.guard.recoveries()
-    }
-
-    /// Classifies one episode from its mean loss (and optional gradient
-    /// norm). On divergence, runs `rollback` — which must restore the last
-    /// good parameters, halve the learning rate, and return the new rate —
-    /// and emits a [`mcpb_trace::Event::Recovery`]. Returns the typed error
-    /// once the budget is spent.
-    pub fn observe(
-        &mut self,
-        episode: usize,
-        loss: f64,
-        grad_norm: Option<f64>,
-        rollback: impl FnOnce() -> f64,
-    ) -> Result<EpisodeHealth, TrainError> {
-        let loss = match mcpb_resilience::fault::arm(&self.site) {
-            Some(mcpb_resilience::FaultKind::Nan) => f64::NAN,
-            _ => loss,
-        };
-        match self.guard.observe(loss, grad_norm) {
-            mcpb_resilience::Verdict::Healthy => Ok(EpisodeHealth::Healthy),
-            mcpb_resilience::Verdict::Recover { .. } => {
-                let lr = rollback();
-                if mcpb_trace::is_enabled() {
-                    mcpb_trace::emit(mcpb_trace::Event::Recovery {
-                        solver: self.solver.to_string(),
-                        episode: episode as u64,
-                        loss,
-                        lr,
-                    });
-                    mcpb_trace::counter_add(&format!("train.recoveries/{}", self.solver), 1);
-                }
-                Ok(EpisodeHealth::Recovered)
-            }
-            mcpb_resilience::Verdict::Exhausted => Err(TrainError::Diverged {
-                solver: self.solver,
-                episode,
-                recoveries: self.guard.recoveries(),
-                loss,
-            }),
-        }
-    }
+/// True when `value` is NaN, infinite, or beyond `limit` in magnitude.
+fn diverges(value: f64, limit: f64) -> bool {
+    !value.is_finite() || value.abs() > limit
 }
 
 /// Shared instrumentation for every method's `train()`: the wall clock
@@ -400,8 +332,8 @@ impl TrainReport {
 /// What one training episode hands back to [`train_loop`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EpisodeStats {
-    /// Largest merged-gradient L2 norm of the episode, fed to the
-    /// divergence guard next to the loss (`None`: loss only).
+    /// Largest merged-gradient L2 norm of the episode, checked for
+    /// divergence next to the loss (`None`: loss only).
     pub(crate) grad_norm: Option<f64>,
     /// Exploration rate at the end of the episode (telemetry).
     pub(crate) epsilon: f64,
@@ -478,9 +410,13 @@ fn window_mean(losses: &[f32]) -> Option<f64> {
 
 /// The one training loop behind all five methods' `train`. It runs the
 /// episodes planned in `scope`, and after each one:
-/// - checks the episode's mean loss with a [`RecoveryHarness`], rolling
-///   back to the last healthy parameters and halving the learning rate on
-///   divergence (the episode then records nothing);
+/// - checks the episode's mean loss and gradient norm for divergence
+///   (NaN, Inf, or beyond 1e6), rolling back to the last healthy
+///   parameters and halving the learning rate (the episode then records
+///   nothing and emits a [`mcpb_trace::Event::Recovery`]); the fourth
+///   divergence ends the run with [`TrainError::Diverged`]. A
+///   `nan@train.<solver>` entry in `MCPB_FAULTS` poisons the checked loss,
+///   so the whole rollback path runs in CI;
 /// - emits the episode telemetry;
 /// - every `spec.validate_every` episodes and after the last, validates
 ///   and pushes a [`Checkpoint`] with the mean loss since the previous one.
@@ -495,7 +431,8 @@ pub(crate) fn train_loop(
     hooks: &mut dyn TrainHooks,
 ) -> TrainReport {
     let mut report = TrainReport::default();
-    let mut harness = RecoveryHarness::new(scope.solver);
+    let site = format!("train.{}", scope.solver);
+    let mut recoveries = 0u32;
     let mut last_good = hooks.learner().snapshot();
     let mut best = spec
         .keep_best
@@ -506,25 +443,43 @@ pub(crate) fn train_loop(
         let Some(stats) = hooks.episode(ep, &mut losses) else {
             continue;
         };
-        let ep_loss = mean_f32(&losses[window..]);
-        let health = harness.observe(ep + 1, ep_loss, stats.grad_norm, || {
-            let learner = hooks.learner();
-            learner.restore(&last_good);
-            learner.halve_lr()
-        });
-        match health {
-            Ok(EpisodeHealth::Healthy) => last_good = hooks.learner().snapshot(),
-            Ok(EpisodeHealth::Recovered) => {
-                // Drop the poisoned losses so the next checkpoint's mean
-                // stays finite, and skip checkpointing this episode.
-                losses.truncate(window);
-                continue;
-            }
-            Err(e) => {
-                report.error = Some(e);
+        let ep_loss = match mcpb_resilience::fault::arm(&site) {
+            Some(mcpb_resilience::FaultKind::Nan) => f64::NAN,
+            _ => mean_f32(&losses[window..]),
+        };
+        if diverges(ep_loss, LOSS_LIMIT)
+            || stats
+                .grad_norm
+                .is_some_and(|g| diverges(g, GRAD_NORM_LIMIT))
+        {
+            if recoveries == MAX_RECOVERIES {
+                report.error = Some(TrainError::Diverged {
+                    solver: scope.solver,
+                    episode: ep + 1,
+                    recoveries,
+                    loss: ep_loss,
+                });
                 break;
             }
+            recoveries += 1;
+            let learner = hooks.learner();
+            learner.restore(&last_good);
+            let lr = learner.halve_lr();
+            if mcpb_trace::is_enabled() {
+                mcpb_trace::emit(mcpb_trace::Event::Recovery {
+                    solver: scope.solver.to_string(),
+                    episode: (ep + 1) as u64,
+                    loss: ep_loss,
+                    lr,
+                });
+                mcpb_trace::counter_add(&format!("train.recoveries/{}", scope.solver), 1);
+            }
+            // Drop the poisoned losses so the next checkpoint's mean stays
+            // finite, and skip checkpointing this episode.
+            losses.truncate(window);
+            continue;
         }
+        last_good = hooks.learner().snapshot();
         scope.episode_end(ep + 1, ep_loss, stats.epsilon, stats.reward);
         if (ep + 1) % spec.validate_every == 0 || ep + 1 == scope.total_episodes {
             let score = hooks.validate();
@@ -546,13 +501,13 @@ pub(crate) fn train_loop(
     if let Some((_, best_params)) = best {
         hooks.learner().restore(&best_params);
     }
-    report.recoveries = harness.recoveries();
+    report.recoveries = recoveries;
     report.train_seconds = scope.elapsed_secs();
     report
 }
 
-/// L2 norm of a merged gradient set, fed to the [`RecoveryHarness`] as the
-/// explosion signal alongside the loss.
+/// L2 norm of a merged gradient set, which `train_loop` checks for
+/// divergence alongside the loss.
 pub fn grad_l2_norm(grads: &[(mcpb_nn::ParamId, mcpb_nn::Tensor)]) -> f64 {
     grads
         .iter()
@@ -563,7 +518,7 @@ pub fn grad_l2_norm(grads: &[(mcpb_nn::ParamId, mcpb_nn::Tensor)]) -> f64 {
 }
 
 /// Mean of an `f32` loss slice as `f64` (0 when empty): the per-episode
-/// loss `train_loop` hands to the divergence guard and the telemetry.
+/// loss `train_loop` checks for divergence and reports as telemetry.
 pub fn mean_f32(xs: &[f32]) -> f64 {
     if xs.is_empty() {
         0.0
@@ -756,10 +711,12 @@ mod tests {
     }
 
     /// A scripted run for `train_loop`: episode `e` pushes `losses[e]`
-    /// (`None` skips it) and sets the one "parameter" to `e + 1`;
-    /// validation returns the next scripted score.
+    /// (`None` skips it), reports `grad_norms[e]` (none past its end) and
+    /// sets the one "parameter" to `e + 1`; validation returns the next
+    /// scripted score.
     struct Scripted {
         losses: Vec<Option<Vec<f32>>>,
+        grad_norms: Vec<f64>,
         scores: std::vec::IntoIter<f64>,
         param: f32,
         restored: Vec<f32>,
@@ -770,6 +727,7 @@ mod tests {
         fn new(losses: Vec<Option<Vec<f32>>>, scores: Vec<f64>) -> Self {
             Scripted {
                 losses,
+                grad_norms: Vec::new(),
                 scores: scores.into_iter(),
                 param: 0.0,
                 restored: Vec::new(),
@@ -809,7 +767,7 @@ mod tests {
             losses.extend(self.losses[ep].clone()?);
             self.param = (ep + 1) as f32;
             Some(EpisodeStats {
-                grad_norm: None,
+                grad_norm: self.grad_norms.get(ep).copied(),
                 epsilon: 0.0,
                 reward: 0.0,
             })
@@ -884,6 +842,49 @@ mod tests {
         // The diverged episode records nothing, and its NaN does not leak
         // into the next checkpoint's loss.
         assert_eq!(epochs_and_losses(&report), [(1, 1.0), (3, 2.0)]);
+    }
+
+    #[test]
+    fn healthy_episodes_spend_no_recovery() {
+        let losses = [0.0, 1.5, -3.0, 999.0].map(|l| Some(vec![l])).to_vec();
+        let mut run = Scripted::new(losses, vec![0.1; 4]);
+        run.grad_norms = vec![10.0; 4];
+        let report = run.run(false, 1);
+        assert_eq!(report.recoveries, 0);
+        assert!(report.error.is_none() && run.restored.is_empty());
+        assert_eq!(report.checkpoints.len(), 4);
+    }
+
+    #[test]
+    fn nan_inf_and_explosions_spend_the_budget() {
+        let losses = [f32::NAN, f32::INFINITY, 1e9, f32::NAN]
+            .map(|l| Some(vec![l]))
+            .to_vec();
+        let mut run = Scripted::new(losses, vec![]);
+        let report = run.run(false, 1);
+        assert_eq!(report.recoveries, 3);
+        assert_eq!(run.restored, [0.0; 3], "each recovery rolls back");
+        assert_eq!(run.lr, 0.125, "learning rate halved three times");
+        assert!(report.checkpoints.is_empty());
+        match report.error {
+            Some(TrainError::Diverged {
+                solver: "scripted",
+                episode: 4,
+                recoveries: 3,
+                loss,
+            }) => assert!(loss.is_nan()),
+            other => panic!("expected an exhausted budget, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn grad_norm_alone_can_diverge() {
+        let mut run = Scripted::new(vec![Some(vec![0.5]); 2], vec![0.1]);
+        run.grad_norms = vec![1.01e6, 0.99e6];
+        let report = run.run(false, 1);
+        assert_eq!(report.recoveries, 1);
+        assert!(report.error.is_none());
+        assert_eq!(epochs_and_losses(&report), [(2, 0.5)]);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub mod lense;
 pub mod rl4im;
 pub mod s2v_dqn;
 
-pub use common::{EpisodeHealth, RecoveryHarness, RewardOracle, Task, TrainError, TrainReport};
+pub use common::{RewardOracle, Task, TrainError, TrainReport};
 pub use gcomb::{Gcomb, GcombConfig, NoisePredictor};
 pub use geometric_qn::{GeometricQn, GeometricQnConfig};
 pub use lense::{Lense, LenseConfig};
@@ -25,9 +25,7 @@ pub use s2v_dqn::{S2vDqn, S2vDqnConfig, S2vQNet};
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::common::{
-        EpisodeHealth, RecoveryHarness, RewardOracle, Task, TrainError, TrainReport,
-    };
+    pub use crate::common::{RewardOracle, Task, TrainError, TrainReport};
     pub use crate::gcomb::{Gcomb, GcombConfig, NoisePredictor};
     pub use crate::geometric_qn::{GeometricQn, GeometricQnConfig};
     pub use crate::lense::{Lense, LenseConfig};

@@ -245,7 +245,7 @@ impl S2vLearner {
 
     /// One optimizer step over a replay batch, bootstrapping with
     /// `discount * max_a' Q_target(s', a')`. Returns the mean loss and the
-    /// merged-gradient L2 norm (the divergence guard's two signals).
+    /// merged-gradient L2 norm (the two signals `train_loop` checks for divergence).
     pub(crate) fn update(
         &mut self,
         replay: &ReplayBuffer<S2vTransition>,

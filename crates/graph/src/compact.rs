@@ -223,7 +223,7 @@ mod tests {
     fn empty_graph_is_fine() {
         let g = Graph::build_streamed(
             &StreamSpec {
-                family: StreamFamily::ErdosRenyi { avg_degree: 4.0 },
+                family: StreamFamily::BarabasiAlbert { m_attach: 2 },
                 n: 0,
                 seed: 1,
             },

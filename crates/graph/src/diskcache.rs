@@ -427,19 +427,27 @@ fn map_file(file: &mut File, len: usize) -> Result<Mapping, CacheError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compact::CompactWeights;
-    use crate::stream::{StreamFamily, StreamSpec};
+    use crate::csr::Edge;
 
+    /// 300 nodes with uneven weights. Every fifth node is isolated, so its
+    /// rows are empty on both sides, and every arc out of a multiple of 3
+    /// is doubled, so some rows hold parallel arcs.
     fn sample() -> Graph {
-        Graph::build_streamed(
-            &StreamSpec {
-                family: StreamFamily::ErdosRenyi { avg_degree: 6.0 },
-                n: 300,
-                seed: 9,
-            },
-            CompactWeights::WeightedCascade,
-        )
-        .unwrap()
+        let mut edges = Vec::new();
+        for u in (0..300u32).filter(|u| u % 5 != 0) {
+            for step in [1, 7, 31] {
+                let v = (u + step) % 300;
+                if v % 5 == 0 {
+                    continue;
+                }
+                let e = Edge::new(u, v, 1.0 / (1 + (u + v) % 9) as f32);
+                edges.push(e);
+                if u % 3 == 0 {
+                    edges.push(e);
+                }
+            }
+        }
+        Graph::from_edges(300, &edges).unwrap()
     }
 
     #[test]
@@ -447,12 +455,14 @@ mod tests {
         let g = sample();
         let dir = std::env::temp_dir().join("mcpb-diskcache-test-rt");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("er300.mcpbcsr");
+        let path = dir.join("sample300.mcpbcsr");
         save(&g, 0xabcd, &path).unwrap();
         // A clone shares the mapping and outlives the loaded original.
         let back = load(&path, 0xabcd).unwrap().clone();
         assert_eq!(back.is_mapped(), cfg!(unix));
         back.validate().unwrap();
+        assert!(back.out_neighbors(5).is_empty() && back.in_neighbors(5).is_empty());
+        assert_eq!(back.out_neighbors(3), [4, 4, 34, 34]);
         for v in 0..300u32 {
             assert_eq!(g.out_neighbors(v), back.out_neighbors(v));
             assert_eq!(g.out_weights(v), back.out_weights(v));
@@ -467,7 +477,7 @@ mod tests {
         let g = sample();
         let dir = std::env::temp_dir().join("mcpb-diskcache-test-hash");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("er300.mcpbcsr");
+        let path = dir.join("sample300.mcpbcsr");
         save(&g, 1, &path).unwrap();
         match load(&path, 2) {
             Err(CacheError::Mismatch { detail }) => assert!(detail.contains("config hash")),
@@ -481,7 +491,7 @@ mod tests {
         let g = sample();
         let dir = std::env::temp_dir().join("mcpb-diskcache-test-corrupt");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("er300.mcpbcsr");
+        let path = dir.join("sample300.mcpbcsr");
         save(&g, 7, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;

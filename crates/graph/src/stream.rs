@@ -1,7 +1,7 @@
 //! Streamed random-graph generators for the `large` catalog tier.
 //!
 //! The mid-size generators in [`crate::generators`] buffer a full `Vec<Edge>`
-//! inside [`crate::GraphBuilder`]; at 1M–10M nodes that edge list (plus the
+//! inside [`crate::GraphBuilder`]; at 1M–4M nodes that edge list (plus the
 //! builder's dedup pass) dominates peak memory. The generators here instead
 //! *stream*: edges are produced block by block through a callback and are
 //! never materialized as one list. Each stream is a pure function of its
@@ -9,23 +9,16 @@
 //! ([`crate::Graph::build_streamed`]) simply replays it —
 //! first to count degrees, then to fill adjacency.
 //!
-//! Families and their per-stream state:
+//! The one family, **Barabási–Albert**, is Batagelj–Brandes preferential
+//! attachment. Only the per-node attachment *targets* are stored
+//! (`m_attach` u32 per node); the other half of the endpoint multiset is
+//! implicit, because stub `2q` of attachment pair `q` is analytically
+//! `m0 + q / m_attach`. That is the structural minimum for BA (attachment
+//! must sample its own history) and roughly a third of an explicit edge
+//! list.
 //!
-//! * **Barabási–Albert** — Batagelj–Brandes preferential attachment. Only
-//!   the per-node attachment *targets* are stored (`m_attach` u32 per node);
-//!   the other half of the endpoint multiset is implicit, because stub `2q`
-//!   of attachment pair `q` is analytically `m0 + q / m_attach`. That is the
-//!   structural minimum for BA (attachment must sample its own history) and
-//!   roughly a third of an explicit edge list.
-//! * **Erdős–Rényi `G(n, p)`** — per-row geometric skipping: the gap to the
-//!   next present edge is drawn directly, so work is `O(m)` with `O(1)`
-//!   state and every row is emitted with ascending columns.
-//! * **Planted community** — `blocks` contiguous equal communities; each row
-//!   is two geometric-skip segments (the in-block suffix at `p_in`, the
-//!   cross-block suffix at `p_out`).
-//!
-//! All three families are undirected (each emitted edge `(u, v)` stands for
-//! both arcs) and emit edges with `u` ascending, which the streamed build
+//! The stream is undirected (each emitted edge `(u, v)` stands for both
+//! arcs) and emits edges with `u` ascending, which the streamed build
 //! exploits for cache-blocked scatter.
 
 use crate::convert::{self, IdOverflow};
@@ -49,33 +42,6 @@ pub enum StreamFamily {
         /// Attachment edges per new node (`>= 1`).
         m_attach: usize,
     },
-    /// `G(n, p)` with `p = avg_degree / (n - 1)`: every undirected pair is
-    /// present independently, targeting the given mean degree.
-    ErdosRenyi {
-        /// Target mean (undirected) degree.
-        avg_degree: f64,
-    },
-    /// Planted partition: `blocks` contiguous equal-size communities;
-    /// in-block pairs appear with `p_in`, cross-block with `p_out`.
-    PlantedCommunity {
-        /// Number of communities (`>= 1`).
-        blocks: usize,
-        /// In-community edge probability.
-        p_in: f64,
-        /// Cross-community edge probability.
-        p_out: f64,
-    },
-}
-
-impl StreamFamily {
-    /// Stable tag for config hashing and file naming.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            StreamFamily::BarabasiAlbert { .. } => "ba",
-            StreamFamily::ErdosRenyi { .. } => "er",
-            StreamFamily::PlantedCommunity { .. } => "pc",
-        }
-    }
 }
 
 /// A fully determined streamed-generator configuration. Two replays of the
@@ -94,23 +60,10 @@ impl StreamSpec {
     /// Replays the stream, handing each edge `(u, v)` (meaning both arcs)
     /// to `f` in deterministic order. Fails fast if `n` does not fit the
     /// u32 id space, so no emitted endpoint can be a truncated id.
-    pub fn for_each_edge(&self, mut f: impl FnMut(NodeId, NodeId)) -> Result<(), IdOverflow> {
+    pub fn for_each_edge(&self, f: impl FnMut(NodeId, NodeId)) -> Result<(), IdOverflow> {
         convert::node_count(self.n)?;
         match self.family {
             StreamFamily::BarabasiAlbert { m_attach } => stream_ba(self.n, m_attach, self.seed, f),
-            StreamFamily::ErdosRenyi { avg_degree } => {
-                let p = if self.n > 1 {
-                    (avg_degree / (self.n - 1) as f64).clamp(0.0, 1.0)
-                } else {
-                    0.0
-                };
-                stream_gnp_rows(self.n, self.seed, |_| p, &mut f);
-            }
-            StreamFamily::PlantedCommunity {
-                blocks,
-                p_in,
-                p_out,
-            } => stream_planted(self.n, blocks, p_in, p_out, self.seed, f),
         }
         Ok(())
     }
@@ -198,82 +151,6 @@ fn stream_ba(n: usize, m: usize, seed: u64, mut f: impl FnMut(NodeId, NodeId)) {
     }
 }
 
-/// Row-major `G(n, p)` with a per-row probability: for each `u`, walks the
-/// columns `u+1..n` by geometric gaps, so only present edges cost RNG draws.
-fn stream_gnp_rows(
-    n: usize,
-    seed: u64,
-    p_of_row: impl Fn(usize) -> f64,
-    f: &mut impl FnMut(NodeId, NodeId),
-) {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    for u in 0..n {
-        let p = p_of_row(u);
-        geometric_segment(&mut rng, u, u + 1, n, p, f);
-    }
-}
-
-/// Emits the edges of row `u` over columns `[lo, hi)` under probability `p`
-/// by geometric skipping. Draw order is one `f64` per emitted edge (plus
-/// one for the trailing miss), identical across replays.
-fn geometric_segment(
-    rng: &mut ChaCha8Rng,
-    u: usize,
-    lo: usize,
-    hi: usize,
-    p: f64,
-    f: &mut impl FnMut(NodeId, NodeId),
-) {
-    if p <= 0.0 || lo >= hi {
-        return;
-    }
-    if p >= 1.0 {
-        let uu = nid(u);
-        for v in lo..hi {
-            f(uu, nid(v));
-        }
-        return;
-    }
-    let log1m = (1.0 - p).ln();
-    let mut v = lo;
-    loop {
-        // gap ~ Geometric(p): floor(ln(1 - U) / ln(1 - p)), U in [0, 1).
-        let u01: f64 = rng.gen();
-        let gap = ((1.0 - u01).ln() / log1m).floor();
-        if !gap.is_finite() || gap >= (hi - v) as f64 {
-            return;
-        }
-        v += gap as usize;
-        f(nid(u), nid(v));
-        v += 1;
-        if v >= hi {
-            return;
-        }
-    }
-}
-
-/// Planted partition: contiguous equal blocks (`block_of(v) = v * blocks / n`,
-/// matching [`crate::generators::stochastic_block_model`]); each row is an
-/// in-block segment at `p_in` followed by a cross-block segment at `p_out`.
-fn stream_planted(
-    n: usize,
-    blocks: usize,
-    p_in: f64,
-    p_out: f64,
-    seed: u64,
-    mut f: impl FnMut(NodeId, NodeId),
-) {
-    assert!(blocks >= 1, "need at least one community");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    for u in 0..n {
-        let b = u * blocks / n.max(1);
-        // First index of the next block: smallest v with v * blocks >= (b+1) * n.
-        let block_end = ((b + 1) * n).div_ceil(blocks).min(n);
-        geometric_segment(&mut rng, u, u + 1, block_end, p_in, &mut f);
-        geometric_segment(&mut rng, u, block_end, n, p_out, &mut f);
-    }
-}
-
 /// All stream entry points run [`convert::node_count`] first, so per-node
 /// conversions cannot fail; this keeps the typed check on every path.
 #[inline]
@@ -325,70 +202,17 @@ mod tests {
     }
 
     #[test]
-    fn er_hits_the_target_degree() {
-        let s = spec(StreamFamily::ErdosRenyi { avg_degree: 8.0 }, 20_000, 3);
-        let m = collect(&s).len();
-        let avg = 2.0 * m as f64 / 20_000.0;
-        assert!((avg - 8.0).abs() < 0.5, "avg degree {avg}");
-    }
-
-    #[test]
-    fn er_rows_are_sorted_and_upper_triangular() {
-        let s = spec(StreamFamily::ErdosRenyi { avg_degree: 6.0 }, 500, 9);
-        let mut last: Option<(NodeId, NodeId)> = None;
-        s.for_each_edge(|u, v| {
-            assert!(u < v, "upper triangular");
-            if let Some((lu, lv)) = last {
-                assert!((u, v) > (lu, lv), "strictly ascending emission");
-            }
-            last = Some((u, v));
-        })
-        .unwrap();
-    }
-
-    #[test]
-    fn planted_prefers_in_block_edges() {
-        let s = spec(
-            StreamFamily::PlantedCommunity {
-                blocks: 4,
-                p_in: 0.05,
-                p_out: 0.001,
-            },
-            2000,
-            5,
-        );
-        let block_of = |v: NodeId| (v as usize) * 4 / 2000;
-        let (mut intra, mut inter) = (0usize, 0usize);
-        s.for_each_edge(|u, v| {
-            if block_of(u) == block_of(v) {
-                intra += 1;
-            } else {
-                inter += 1;
-            }
-        })
-        .unwrap();
-        assert!(intra > inter * 3, "intra {intra} vs inter {inter}");
-    }
-
-    #[test]
     fn replay_is_bit_identical() {
-        for family in [
-            StreamFamily::BarabasiAlbert { m_attach: 4 },
-            StreamFamily::ErdosRenyi { avg_degree: 5.0 },
-            StreamFamily::PlantedCommunity {
-                blocks: 3,
-                p_in: 0.03,
-                p_out: 0.002,
-            },
-        ] {
-            let s = spec(family, 1500, 21);
+        for m_attach in [1, 4] {
+            let s = spec(StreamFamily::BarabasiAlbert { m_attach }, 1500, 21);
             assert_eq!(collect(&s), collect(&s));
         }
     }
 
     #[test]
     fn blocks_concatenate_to_the_edge_stream() {
-        let s = spec(StreamFamily::ErdosRenyi { avg_degree: 7.0 }, 4000, 13);
+        // About 75K edges: one full block and a partial one.
+        let s = spec(StreamFamily::BarabasiAlbert { m_attach: 3 }, 25_000, 13);
         let mut via_blocks = Vec::new();
         s.for_each_edge_block(|b| via_blocks.extend_from_slice(b))
             .unwrap();
@@ -397,17 +221,9 @@ mod tests {
 
     #[test]
     fn degenerate_sizes_are_fine() {
-        for family in [
-            StreamFamily::BarabasiAlbert { m_attach: 2 },
-            StreamFamily::ErdosRenyi { avg_degree: 4.0 },
-            StreamFamily::PlantedCommunity {
-                blocks: 2,
-                p_in: 0.5,
-                p_out: 0.1,
-            },
-        ] {
+        for m_attach in [1, 2, 4] {
             for n in [0usize, 1, 2, 3] {
-                let s = spec(family, n, 1);
+                let s = spec(StreamFamily::BarabasiAlbert { m_attach }, n, 1);
                 let _ = collect(&s);
             }
         }

@@ -3,7 +3,7 @@
 //! cache keyed by config hash.
 //!
 //! The mid-size catalog ([`crate::catalog`]) tops out around 60K nodes and
-//! materializes edge lists; this tier covers 1M–10M nodes and never builds
+//! materializes edge lists; this tier covers 1M–4M nodes and never builds
 //! an edge list ([`crate::stream`]). Entry points:
 //!
 //! - [`large_catalog`] — the named configs,
@@ -61,20 +61,6 @@ impl LargeConfig {
                 fold(&mut h, 1);
                 fold(&mut h, m_attach as u64);
             }
-            StreamFamily::ErdosRenyi { avg_degree } => {
-                fold(&mut h, 2);
-                fold(&mut h, avg_degree.to_bits());
-            }
-            StreamFamily::PlantedCommunity {
-                blocks,
-                p_in,
-                p_out,
-            } => {
-                fold(&mut h, 3);
-                fold(&mut h, blocks as u64);
-                fold(&mut h, p_in.to_bits());
-                fold(&mut h, p_out.to_bits());
-            }
         }
         fold(&mut h, self.spec.n as u64);
         fold(&mut h, self.spec.seed);
@@ -118,9 +104,9 @@ impl LargeConfig {
     }
 }
 
-/// The `large` tier: named configs from 1M to 10M nodes. The first entry
-/// (`ba-1m`) is the tier's smoke/bench config; the 4M/10M entries exist for
-/// scale runs and are never built by default test or check paths.
+/// The `large` tier: two named BA configs. `ba-1m` is the tier's smoke and
+/// benchmark config; `ba-4m` exists for scale runs and is never built by
+/// default test or check paths.
 pub fn large_catalog() -> Vec<LargeConfig> {
     vec![
         LargeConfig {
@@ -133,42 +119,11 @@ pub fn large_catalog() -> Vec<LargeConfig> {
             weights: CompactWeights::WeightedCascade,
         },
         LargeConfig {
-            name: "er-1m",
-            spec: StreamSpec {
-                family: StreamFamily::ErdosRenyi { avg_degree: 8.0 },
-                n: 1_000_000,
-                seed: 103,
-            },
-            weights: CompactWeights::WeightedCascade,
-        },
-        LargeConfig {
-            name: "pc-1m",
-            spec: StreamSpec {
-                family: StreamFamily::PlantedCommunity {
-                    blocks: 64,
-                    p_in: 4.0e-4,
-                    p_out: 2.0e-6,
-                },
-                n: 1_000_000,
-                seed: 107,
-            },
-            weights: CompactWeights::WeightedCascade,
-        },
-        LargeConfig {
             name: "ba-4m",
             spec: StreamSpec {
                 family: StreamFamily::BarabasiAlbert { m_attach: 6 },
                 n: 4_000_000,
                 seed: 109,
-            },
-            weights: CompactWeights::WeightedCascade,
-        },
-        LargeConfig {
-            name: "er-10m",
-            spec: StreamSpec {
-                family: StreamFamily::ErdosRenyi { avg_degree: 6.0 },
-                n: 10_000_000,
-                seed: 113,
             },
             weights: CompactWeights::WeightedCascade,
         },
@@ -187,7 +142,10 @@ mod tests {
     #[test]
     fn catalog_names_and_hashes_are_distinct() {
         let cat = large_catalog();
-        assert!(cat.len() >= 5);
+        let listed: Vec<_> = cat.iter().map(|c| (c.name, c.spec.n)).collect();
+        assert_eq!(listed, [("ba-1m", 1_000_000), ("ba-4m", 4_000_000)]);
+        // The cache file name embeds the hash, so this pins both.
+        assert_eq!(cat[0].cache_file_name(), "ba-1m-cc68ea66e6ad436d.mcpbcsr");
         let mut names: Vec<_> = cat.iter().map(|c| c.name).collect();
         let mut hashes: Vec<_> = cat.iter().map(|c| c.config_hash()).collect();
         names.sort_unstable();

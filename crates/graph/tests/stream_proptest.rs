@@ -7,19 +7,11 @@
 use mcpb_graph::{CompactWeights, Graph, StreamFamily, StreamSpec};
 use proptest::prelude::*;
 
-fn families(pick: u8, knob: usize) -> StreamFamily {
-    match pick % 3 {
-        0 => StreamFamily::BarabasiAlbert {
-            m_attach: 1 + knob % 4,
-        },
-        1 => StreamFamily::ErdosRenyi {
-            avg_degree: 2.0 + (knob % 8) as f64,
-        },
-        _ => StreamFamily::PlantedCommunity {
-            blocks: 1 + knob % 5,
-            p_in: 0.02 + (knob % 4) as f64 * 0.01,
-            p_out: 0.001,
-        },
+fn ba(m_attach: usize, n: usize, seed: u64) -> StreamSpec {
+    StreamSpec {
+        family: StreamFamily::BarabasiAlbert { m_attach },
+        n,
+        seed,
     }
 }
 
@@ -32,11 +24,10 @@ proptest! {
     #[test]
     fn every_replay_surface_agrees_on_counts(
         n in 50usize..1200,
-        pick in 0u8..3,
-        knob in 0usize..32,
+        m_attach in 1usize..5,
         seed in 0u64..500,
     ) {
-        let spec = StreamSpec { family: families(pick, knob), n, seed };
+        let spec = ba(m_attach, n, seed);
         let mut counted = 0u64;
         spec.for_each_edge(|_, _| counted += 1).unwrap();
         let mut blocked = 0u64;
@@ -55,11 +46,10 @@ proptest! {
     #[test]
     fn compact_rows_are_sorted_and_in_bounds(
         n in 50usize..1000,
-        pick in 0u8..3,
-        knob in 0usize..32,
+        m_attach in 1usize..5,
         seed in 0u64..500,
     ) {
-        let spec = StreamSpec { family: families(pick, knob), n, seed };
+        let spec = ba(m_attach, n, seed);
         let g = Graph::build_streamed(&spec, CompactWeights::WeightedCascade).unwrap();
         g.validate().unwrap();
         for v in 0..n as u32 {
@@ -79,11 +69,7 @@ proptest! {
         m_attach in 1usize..5,
         seed in 0u64..500,
     ) {
-        let spec = StreamSpec {
-            family: StreamFamily::BarabasiAlbert { m_attach },
-            n,
-            seed,
-        };
+        let spec = ba(m_attach, n, seed);
         let g = Graph::build_streamed(&spec, CompactWeights::Uniform).unwrap();
         let m0 = m_attach + 1;
         let expected_edges = (m0 * (m0 - 1) / 2 + (n - m0) * m_attach) as u64;
@@ -102,11 +88,10 @@ proptest! {
     #[test]
     fn replays_are_deterministic(
         n in 50usize..800,
-        pick in 0u8..3,
-        knob in 0usize..32,
+        m_attach in 1usize..5,
         seed in 0u64..500,
     ) {
-        let spec = StreamSpec { family: families(pick, knob), n, seed };
+        let spec = ba(m_attach, n, seed);
         let collect = || {
             let mut edges = Vec::new();
             spec.for_each_edge(|u, v| edges.push((u, v))).unwrap();
@@ -130,11 +115,7 @@ proptest! {
 #[test]
 fn u32_boundary_ids_are_rejected_up_front() {
     for n in [u32::MAX as usize + 1, u32::MAX as usize + 2, usize::MAX / 2] {
-        let spec = StreamSpec {
-            family: StreamFamily::ErdosRenyi { avg_degree: 1.0 },
-            n,
-            seed: 1,
-        };
+        let spec = ba(1, n, 1);
         assert!(spec.for_each_edge(|_, _| ()).is_err(), "n = {n} accepted");
         assert!(
             Graph::build_streamed(&spec, CompactWeights::Uniform).is_err(),

@@ -31,11 +31,11 @@
 //! capacities — exact for the `Vec`-backed scratch, and thread-count
 //! independent per shard, unlike a process-global allocator peak) through
 //! [`mcpb_trace`] histograms (`im.rr_shard_peak_bytes`,
-//! `im.mc_shard_peak_bytes`), which `mcpb-obs` renders and
-//! `BENCH_large.json` records next to the documented ceiling
-//! [`SHARD_PEAK_BUDGET_BYTES`]. The memory-ceiling test in
-//! `crates/im/tests/large_memory.rs` pins the budget with the real
-//! [`mcpb_trace::alloc`] TrackingAllocator.
+//! `im.mc_shard_peak_bytes`), which `mcpb-obs` renders and `mcpbench
+//! large-smoke` checks against the documented ceiling
+//! [`SHARD_PEAK_BUDGET_BYTES`] (its journal's `within_budget`). The
+//! memory-ceiling test in `crates/im/tests/large_memory.rs` pins the budget
+//! with the real [`mcpb_trace::alloc`] TrackingAllocator.
 
 use mcpb_graph::Graph;
 
@@ -44,7 +44,7 @@ use mcpb_graph::Graph;
 /// stamps, frontier, LT state, plus the shard's output buffers). 64 MiB
 /// comfortably holds the ~17 MiB a 1M-node LT shard needs while staying far
 /// below any per-core share of commodity memory; the `large_memory` test
-/// and `BENCH_large.json` both pin it.
+/// and `large-smoke`'s `within_budget` both pin it.
 pub const SHARD_PEAK_BUDGET_BYTES: usize = 64 << 20;
 
 /// MC base block: the RNG-grouping width of the spread estimators and

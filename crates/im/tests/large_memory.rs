@@ -3,8 +3,8 @@
 //! `#[global_allocator]` choice is local to this file).
 //!
 //! Two ceilings against the documented per-shard budget
-//! [`mcpb_im::shard::SHARD_PEAK_BUDGET_BYTES`] (also recorded in
-//! `BENCH_large.json`):
+//! [`mcpb_im::shard::SHARD_PEAK_BUDGET_BYTES`] (which `mcpbench
+//! large-smoke` also checks, as its journal's `within_budget`):
 //!
 //! * the streamed compact build must peak within one budget *above* the
 //!   finished graph — materializing the 16M-arc edge list (~192 MiB)

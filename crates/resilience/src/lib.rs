@@ -3,7 +3,7 @@
 //! The sweep grid and the five DRL training loops are long-running,
 //! failure-prone computations: a single panicking solver, one NaN-diverging
 //! episode, or a killed process should cost one cell — not the whole run.
-//! This crate supplies the four mechanisms the harness builds on, with **no
+//! This crate supplies the three mechanisms the harness builds on, with **no
 //! dependencies** (not even the workspace shims) so it can sit below every
 //! other crate:
 //!
@@ -13,19 +13,15 @@
 //! - [`journal`]: an append-only, fsync'd JSONL run journal whose header
 //!   records the seed and a config hash, tolerating a torn final line so a
 //!   killed process can resume from the last durable cell.
-//! - [`divergence`]: NaN/Inf and explosion detection with a bounded
-//!   recovery budget, shared by all DRL training loops.
 //! - [`fault`]: a deterministic, seed-driven fault-injection plan
 //!   (`MCPB_FAULTS`) that fires panics, artificial NaN losses, and deadline
 //!   stalls at named sites so every recovery path runs in CI.
 
 pub mod cell;
-pub mod divergence;
 pub mod fault;
 pub mod journal;
 
 pub use cell::{run_cell, run_cell_armed, CellError, CellOutcome, CellPolicy};
-pub use divergence::{DivergenceGuard, Verdict};
 pub use fault::{FaultKind, FaultPlan};
 pub use journal::{
     diff_journals_modulo_timing, normalize_timing, parse_journal, read_journal, EntryStatus,

@@ -1,10 +1,9 @@
 #!/usr/bin/env bash
 # Perf ratchet: compares the BENCH_nn.json / BENCH_kernels.json / BENCH_im.json /
-# BENCH_serve.json / BENCH_large.json that `mcpbench bench --out-dir target/bench` wrote
-# under target/bench/ against the copies committed at HEAD and fails if any bench median
-# regressed by more than the tolerance (default 10%; bench-check widens it to 30% for a
-# quick run, and the failure line prints the value it applied). A missing nn/kernels/im/serve
-# file fails the check; a missing BENCH_large.json is skipped, since only `bench --large` writes it.
+# BENCH_serve.json that `mcpbench bench --out-dir target/bench` wrote under target/bench/
+# against the copies committed at HEAD and fails if any bench median regressed by more
+# than the tolerance (default 10%; bench-check widens it to 30% for a quick run, and the
+# failure line prints the value it applied). A missing file fails the check.
 # BENCH_audit.json is written too but not ratcheted.
 # Baselines are the committed files themselves — a deliberate slowdown is landed by
 # committing the new numbers, which is what `--rebaseline` does.
@@ -20,7 +19,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-AREAS=(nn kernels im serve large)
+AREAS=(nn kernels im serve)
 RUN_DIR=target/bench
 TOLERANCE=0.10
 REBASELINE=0
@@ -49,10 +48,10 @@ if [[ "$REBASELINE" == 1 ]]; then
     git status --porcelain >&2
     exit 1
   fi
-  cargo run -q --release -- bench --large
+  cargo run -q --release -- bench
   echo "bench-ratchet: baselines refreshed — review and commit:"
   git --no-pager diff --stat -- BENCH_nn.json BENCH_kernels.json BENCH_im.json BENCH_serve.json \
-    BENCH_audit.json BENCH_large.json BENCH_REPORT.md
+    BENCH_audit.json BENCH_REPORT.md
   exit 0
 fi
 
@@ -62,13 +61,9 @@ for area in "${AREAS[@]}"; do
   name="BENCH_${area}.json"
   file="${RUN_DIR}/${name}"
   if [[ ! -f "$file" ]]; then
-    if [[ "$area" == large ]]; then
-      echo "bench-ratchet: $file not recorded (needs bench --large) — skipping"
-    else
-      echo "bench-ratchet: $file missing — run" >&2
-      echo "  cargo run --release -- bench --quick --out-dir ${RUN_DIR}" >&2
-      status=1
-    fi
+    echo "bench-ratchet: $file missing — run" >&2
+    echo "  cargo run --release -- bench --quick --out-dir ${RUN_DIR}" >&2
+    status=1
     continue
   fi
   if ! git cat-file -e "HEAD:$name" 2>/dev/null; then

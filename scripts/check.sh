@@ -62,6 +62,9 @@ rm -f "$TRACE_OUT"
 MCPB_TRACE="$TRACE_OUT" cargo run -q -- trace-smoke
 cargo run -q -- trace-validate "$TRACE_OUT"
 
+echo "==> telemetry smoke under a training fault (a rolled-back episode still counts)"
+MCPB_FAULTS="nan@train.S2V-DQN:2" cargo run -q -- trace-smoke
+
 echo "==> obs smoke (trace a sweep twice; report/diff/chrome/flame must hold together)"
 OBS_A="target/check-obs-a.jsonl"
 OBS_B="target/check-obs-b.jsonl"

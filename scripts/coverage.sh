@@ -160,6 +160,7 @@ leg "$MCPB" all
 leg "$MCPB" --full tab1
 MCPB_TRACE=trace.jsonl leg "$MCPB" trace-smoke
 leg "$MCPB" trace-validate trace.jsonl
+MCPB_FAULTS="nan@train.S2V-DQN:2" leg "$MCPB" trace-smoke
 MCPB_TRACE=obs-a.jsonl leg "$MCPB" --threads 1 sweep
 MCPB_TRACE=obs-b.jsonl leg "$MCPB" --threads 1 sweep
 leg "$MCPB" obs report obs-a.jsonl
@@ -184,7 +185,7 @@ leg "$MCPB" journal-diff serve-t1.jsonl serve-t4.jsonl
 MCPB_FAULTS="panic@serve.query:2; stall@serve.query:5=0.02" \
   leg "$MCPB" serve --replay requests.jsonl --det-timing --out serve-chaos.jsonl
 leg serve_listen
-# Divergence recovery of all five DRL methods (no check.sh smoke enters it).
+# Divergence recovery of all five DRL methods (check.sh's faulted trace-smoke enters only S2V-DQN's).
 MCPB_FAULTS="nan@train.S2V-DQN:2; nan@train.GCOMB:2; nan@train.LeNSE:2; nan@train.RL4IM:2; \
 nan@train.Geometric-QN:2" leg "$MCPB" fig1 fig7
 (cd "$ROOT" && leg "$BIN/mcpb-audit")

@@ -91,10 +91,11 @@ fn finish_trace() {
 }
 
 /// `trace-smoke`: a seconds-scale end-to-end exercise of the telemetry
-/// pipeline — a tiny S2V-DQN training run (EpisodeEnd events, `nn.*` and
-/// `graph.*` spans) plus a mini MCP sweep (SweepPoint events, `sweep.*`
-/// spans) — then prints the profile. Combine with `MCPB_TRACE=<path>` to
-/// also produce a JSONL file for `trace-validate`.
+/// pipeline — a tiny S2V-DQN training run (one EpisodeEnd or Recovery
+/// event per episode, `nn.*` and `graph.*` spans) plus a mini MCP sweep
+/// (SweepPoint events, `sweep.*` spans) — then prints the profile. Combine
+/// with `MCPB_TRACE=<path>` to also produce a JSONL file for
+/// `trace-validate`.
 fn trace_smoke() {
     use mcpb_drl::s2v_dqn::{S2vDqn, S2vDqnConfig};
     mcpb_trace::set_enabled(true);
@@ -147,9 +148,15 @@ fn trace_smoke() {
             missing.push(site);
         }
     }
+    // A rolled-back episode emits a Recovery event instead of EpisodeEnd.
     let episode_ends = mcpb_trace::recent_events(usize::MAX)
         .iter()
-        .filter(|e| matches!(e, mcpb_trace::Event::EpisodeEnd { .. }))
+        .filter(|e| {
+            matches!(
+                e,
+                mcpb_trace::Event::EpisodeEnd { .. } | mcpb_trace::Event::Recovery { .. }
+            )
+        })
         .count();
     finish_trace();
     if !missing.is_empty() {
@@ -157,10 +164,12 @@ fn trace_smoke() {
         std::process::exit(1);
     }
     if episode_ends < episodes {
-        eprintln!("smoke FAILED: {episode_ends} EpisodeEnd event(s) for {episodes} episodes");
+        eprintln!(
+            "smoke FAILED: {episode_ends} EpisodeEnd/Recovery event(s) for {episodes} episodes"
+        );
         std::process::exit(1);
     }
-    println!("smoke OK: {episode_ends} EpisodeEnd event(s), all required spans present");
+    println!("smoke OK: {episode_ends} EpisodeEnd/Recovery event(s), all required spans present");
 }
 
 /// `sweep [--journal <path>] [--resume <path>] [--retries <n>]
@@ -347,26 +356,21 @@ fn audit_cmd(args: &[String]) {
     }
 }
 
-/// `bench [--quick] [--large] [--out-dir <dir>]`: runs the recorded perf
+/// `bench [--quick] [--out-dir <dir>]`: runs the recorded perf
 /// suite and writes `BENCH_nn.json`, `BENCH_kernels.json`,
 /// `BENCH_im.json`, `BENCH_serve.json`, `BENCH_audit.json`, and
 /// `BENCH_REPORT.md` at the workspace root, or under `<dir>` (created if
 /// missing) so a check run leaves the committed baselines alone.
 /// `--quick` shortens the warmup and the serve replay (problem sizes and
 /// thread counts are unchanged, so medians stay comparable — just noisier).
-/// `--large` additionally records the opt-in million-node tier as
-/// `BENCH_large.json`, with per-shard peak memory in the document's
-/// `memory` block.
 fn bench_cmd(args: &[String]) {
-    const USAGE: &str = "usage: mcpbench bench [--quick] [--large] [--out-dir <dir>]";
+    const USAGE: &str = "usage: mcpbench bench [--quick] [--out-dir <dir>]";
     let mut quick = false;
-    let mut large = false;
     let mut out_dir = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
-            "--large" => large = true,
             "--out-dir" => match it.next() {
                 Some(dir) => out_dir = Some(std::path::PathBuf::from(dir)),
                 None => {
@@ -401,9 +405,6 @@ fn bench_cmd(args: &[String]) {
         eprintln!("mcpbench bench: audit area: {e}");
         std::process::exit(1);
     }));
-    if large {
-        reports.push(mcpb_bench::perf::run_large(quick));
-    }
     if let Err(e) = mcpb_bench::perf::write_reports(&root, &reports, quick) {
         eprintln!("mcpbench bench: {e}");
         std::process::exit(1);
@@ -469,8 +470,8 @@ fn audit_area(workspace: &std::path::Path, quick: bool) -> std::io::Result<AreaR
 
 /// `datasets --large [<name>...]`: materializes the million-node catalog
 /// tier as mmap-backed CSR caches under `target/datasets/large/`.
-/// With no names, builds every catalog config up to 1M nodes (the bigger
-/// configs are opt-in by name, so default runs stay bounded). A second
+/// With no names, builds every catalog config up to 1M nodes (`ba-1m`;
+/// `ba-4m` is opt-in by name, so default runs stay bounded). A second
 /// invocation reloads from cache and reports it.
 fn datasets_large_cmd(args: &[String]) {
     let mut names: Vec<&str> = Vec::new();
@@ -535,8 +536,10 @@ fn datasets_large_cmd(args: &[String]) {
 /// [--lt <trials>] [--no-cache] [--out <file>]`: generates (or
 /// cache-loads) one `large`-tier graph, runs sharded RR sampling and IC/LT
 /// Monte-Carlo over it, and emits a deterministic JSONL journal — config
-/// hash, graph shape, an RR-collection digest, the exact spread bits, and
-/// per-shard peak memory. Every journal field is a pure function of the
+/// hash, graph shape, an RR-collection digest, the exact spread bits, the
+/// shard counts and per-shard peaks (a `shards` line, which follows the
+/// shard policy rather than the results) and the memory-budget verdict.
+/// Every journal field is a pure function of the
 /// config, so two runs at different `--threads` must be byte-identical;
 /// `scripts/check.sh` pins that with `cmp`.
 fn large_smoke_cmd(args: &[String]) {
@@ -692,12 +695,17 @@ fn large_smoke_cmd(args: &[String]) {
         peak("im.rr_shard_peak_bytes"),
         peak("im.mc_shard_peak_bytes"),
     );
+    // Shard counts and per-shard peaks follow the shard policy, so they get
+    // a line of their own: a cross-commit comparison can drop it and still
+    // compare every result line byte for byte.
     journal.push_str(&format!(
-        "{{\"event\":\"memory\",\"rr_shards\":{},\"rr_peak_bytes\":{rr_peak},\
-         \"mc_shards\":{},\"mc_peak_bytes\":{mc_peak},\"budget_bytes\":{budget},\
-         \"within_budget\":{}}}\n",
+        "{{\"event\":\"shards\",\"rr_shards\":{},\"rr_peak_bytes\":{rr_peak},\
+         \"mc_shards\":{},\"mc_peak_bytes\":{mc_peak}}}\n",
         counter("im.rr_shards"),
         counter("im.mc_shards"),
+    ));
+    journal.push_str(&format!(
+        "{{\"event\":\"memory\",\"budget_bytes\":{budget},\"within_budget\":{}}}\n",
         rr_peak <= budget && mc_peak <= budget
     ));
 
@@ -1192,15 +1200,14 @@ fn main() {
         println!("  audit [--list] [--format text|json|sarif] [--out FILE] [--fix-hints]");
         println!("        [--self-check] [--update-baseline]");
         println!("                              run the workspace lint gate (see audit --help)");
-        println!("  bench [--quick] [--large] [--out-dir <dir>]");
+        println!("  bench [--quick] [--out-dir <dir>]");
         println!(
             "                              run the recorded perf suite; writes BENCH_nn.json,"
         );
         println!(
             "                              BENCH_kernels.json, BENCH_im.json + BENCH_REPORT.md"
         );
-        println!("                              at the repo root or under <dir>;");
-        println!("                              --large adds the 1M-node tier as BENCH_large.json");
+        println!("                              at the repo root or under <dir>");
         println!("  datasets --large [<name>...]");
         println!("                              build the 1M-node catalog tier as mmap-backed");
         println!("                              CSR caches under target/datasets/large/");
