@@ -68,6 +68,17 @@ impl ChaCha8Rng {
     }
 }
 
+#[cfg(test)]
+impl ChaCha8Rng {
+    /// The stream of `seed` positioned at the start of block `block`.
+    fn at_block(seed: u64, block: u64) -> Self {
+        let mut rng = Self::seed_from_u64(seed);
+        rng.state[12] = block as u32;
+        rng.state[13] = (block >> 32) as u32;
+        rng
+    }
+}
+
 impl SeedableRng for ChaCha8Rng {
     type Seed = [u8; 32];
 
@@ -110,6 +121,94 @@ impl RngCore for ChaCha8Rng {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv_words(words: impl IntoIterator<Item = u32>) -> u64 {
+        fnv_bytes(words.into_iter().flat_map(u32::to_le_bytes))
+    }
+
+    fn fnv_bytes(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    fn words(rng: &mut ChaCha8Rng, n: usize) -> Vec<u32> {
+        (0..n).map(|_| rng.next_u32()).collect()
+    }
+
+    /// Words 0..300 span the first 16-word block and two 128-word refills
+    /// after it, so every buffer boundary a refill strategy could move is
+    /// inside the digest.
+    #[test]
+    fn keystream_is_pinned() {
+        let got = [0, 1, 42, u64::MAX]
+            .map(|seed| fnv_words(words(&mut ChaCha8Rng::seed_from_u64(seed), 300)));
+        assert_eq!(got, KEYSTREAM_PINS, "{got:#018x?}");
+    }
+
+    #[test]
+    fn mixed_widths_read_the_word_stream() {
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mut mixed = Vec::new();
+        // One u32 then two u64s, so u64 reads straddle refill boundaries.
+        while mixed.len() < 300 {
+            mixed.push(rng.next_u32());
+            for _ in 0..2 {
+                let x = rng.next_u64();
+                mixed.extend([x as u32, (x >> 32) as u32]);
+            }
+        }
+        assert_eq!(mixed, words(&mut ChaCha8Rng::seed_from_u64(42), 300));
+        assert_eq!(fnv_words(mixed), KEYSTREAM_PINS[2]);
+    }
+
+    #[test]
+    fn fill_bytes_is_pinned() {
+        let mut rng = ChaCha8Rng::seed_from_u64(1);
+        let mut bytes = Vec::new();
+        // Remainders 1, 2, 3 and 0, the long fills crossing refills.
+        for len in [5, 6, 7, 8, 513, 1026, 1031] {
+            let mut buf = vec![0u8; len];
+            rng.fill_bytes(&mut buf);
+            bytes.extend(buf);
+        }
+        assert_eq!(fnv_bytes(bytes), FILL_PIN, "fill_bytes digest moved");
+    }
+
+    #[test]
+    fn clone_mid_batch_continues_identically() {
+        let mut a = ChaCha8Rng::seed_from_u64(42);
+        words(&mut a, 16 + 37);
+        let mut b = a.clone();
+        let rest = words(&mut a, 300);
+        assert_eq!(rest, words(&mut b, 300));
+        let fresh = words(&mut ChaCha8Rng::seed_from_u64(42), 16 + 37 + 300);
+        assert_eq!(rest, fresh[16 + 37..]);
+    }
+
+    /// Block 2^32 carries word 12 into word 13; a stream started three
+    /// blocks earlier crosses that carry inside its first refills.
+    #[test]
+    fn block_counter_carries_into_the_high_word() {
+        let mut rng = ChaCha8Rng::at_block(5, (1 << 32) - 3);
+        let stream = words(&mut rng, 16 * 12);
+        assert_eq!(
+            stream[48..64],
+            words(&mut ChaCha8Rng::at_block(5, 1 << 32), 16)
+        );
+        assert_ne!(stream[48..64], words(&mut ChaCha8Rng::at_block(5, 0), 16));
+        assert_eq!(fnv_words(stream), CARRY_PIN, "carry digest moved");
+    }
+
+    const KEYSTREAM_PINS: [u64; 4] = [
+        0x442d_bd81_05a5_68fc,
+        0x568d_c1e1_445b_7e9e,
+        0xa829_1d4a_05c3_1dd0,
+        0xf60e_b748_2cd2_8f20,
+    ];
+    const FILL_PIN: u64 = 0xf436_4a55_17de_bb4d;
+    const CARRY_PIN: u64 = 0x1287_7be7_977f_c806;
 
     #[test]
     fn deterministic_per_seed() {
