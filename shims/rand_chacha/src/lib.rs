@@ -1,70 +1,133 @@
 //! Offline stand-in for `rand_chacha`, providing [`ChaCha8Rng`].
 //!
-//! This is a faithful ChaCha8 keystream implementation (IETF variant layout
-//! with a 64-bit block counter and zero nonce), seeded through the shim
-//! `rand` crate's [`SeedableRng`]. Output is deterministic per seed, which is
-//! the property every solver in this workspace relies on; the exact stream is
-//! not required to match upstream `rand_chacha`.
+//! A ChaCha8 keystream (IETF block layout: 64-bit block counter in words
+//! 12..14, zero stream id in words 14..16), seeded through the shim `rand`
+//! crate's [`SeedableRng`]. The stream is pinned: the known-answer tests at
+//! the bottom of this file digest its words, and every seeded solver,
+//! journal and digest in the workspace reads it word for word, so a change
+//! that moves one word fails them. It is not compared with upstream
+//! `rand_chacha`.
+//!
+//! ## Refill
+//!
+//! A stream's first refill computes one block into the last 16 words of
+//! the 128-word buffer and serves from there, so a short stream (a 1-node
+//! RR set, one `gen_range`) pays for one block. Every later refill computes
+//! the next 8 consecutive blocks and fills the whole buffer in stream
+//! order: block `l` of the batch is `buf[16 * l..16 * l + 16]`. One round
+//! function, generic over the block count, serves both widths; it keeps
+//! each cipher word as one `[u32; L]` row of lanes, so at 8 lanes every
+//! step of a round is an 8-wide loop that the `x86-64-v3` codegen floor
+//! turns into AVX2 instructions. There is no other path.
+//!
+//! [`RngCore::next_u32`] is `#[inline]`, so a draw inside a consumer's loop
+//! is a bounds check and a load; only the refill is a call.
 
 use rand::{RngCore, SeedableRng};
 
 const ROUNDS: usize = 8;
 const BLOCK_WORDS: usize = 16;
+/// Blocks per refill after a stream's first.
+const LANES: usize = 8;
+const BUF_WORDS: usize = BLOCK_WORDS * LANES;
+/// `cursor` of a stream that has computed no block yet.
+const FRESH: usize = BUF_WORDS + 1;
+/// "expand 32-byte k": cipher words 0..4.
+const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
 /// Deterministic seeded RNG backed by the ChaCha8 stream cipher.
 #[derive(Debug, Clone)]
 pub struct ChaCha8Rng {
-    /// Cipher input block: constants, 256-bit key, 64-bit counter, 64-bit
-    /// stream id (always zero here).
-    state: [u32; BLOCK_WORDS],
-    /// Current keystream block.
-    buf: [u32; BLOCK_WORDS],
-    /// Next unserved word in `buf`; `BLOCK_WORDS` means "refill".
+    /// 256-bit key: cipher words 4..12.
+    key: [u32; 8],
+    /// Counter of the next block to compute: cipher words 12..14.
+    counter: u64,
+    /// Keystream words in stream order (see the module doc for the layout).
+    buf: [u32; BUF_WORDS],
+    /// Next unserved word in `buf`; `BUF_WORDS` means "refill 8 blocks",
+    /// [`FRESH`] means "refill 1 block".
     cursor: usize,
 }
 
 #[inline(always)]
-fn quarter_round(s: &mut [u32; BLOCK_WORDS], a: usize, b: usize, c: usize, d: usize) {
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(16);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(12);
-    s[a] = s[a].wrapping_add(s[b]);
-    s[d] = (s[d] ^ s[a]).rotate_left(8);
-    s[c] = s[c].wrapping_add(s[d]);
-    s[b] = (s[b] ^ s[c]).rotate_left(7);
+fn quarter_round<const L: usize>(
+    x: &mut [[u32; L]; BLOCK_WORDS],
+    a: usize,
+    b: usize,
+    c: usize,
+    d: usize,
+) {
+    let (mut va, mut vb, mut vc, mut vd) = (x[a], x[b], x[c], x[d]);
+    for l in 0..L {
+        va[l] = va[l].wrapping_add(vb[l]);
+        vd[l] = (vd[l] ^ va[l]).rotate_left(16);
+        vc[l] = vc[l].wrapping_add(vd[l]);
+        vb[l] = (vb[l] ^ vc[l]).rotate_left(12);
+        va[l] = va[l].wrapping_add(vb[l]);
+        vd[l] = (vd[l] ^ va[l]).rotate_left(8);
+        vc[l] = vc[l].wrapping_add(vd[l]);
+        vb[l] = (vb[l] ^ vc[l]).rotate_left(7);
+    }
+    (x[a], x[b], x[c], x[d]) = (va, vb, vc, vd);
 }
 
-fn chacha_block(input: &[u32; BLOCK_WORDS]) -> [u32; BLOCK_WORDS] {
-    let mut s = *input;
+/// Computes the `L` keystream blocks from block `counter` on into
+/// `out[..16 * L]`, block after block.
+#[inline(always)]
+fn chacha_blocks<const L: usize>(key: &[u32; 8], counter: u64, out: &mut [u32]) {
+    let out = &mut out[..BLOCK_WORDS * L];
+    let mut input = [[0u32; L]; BLOCK_WORDS];
+    for (row, &c) in input.iter_mut().zip(&CONSTANTS) {
+        *row = [c; L];
+    }
+    for (row, &k) in input[4..12].iter_mut().zip(key) {
+        *row = [k; L];
+    }
+    for l in 0..L {
+        // Adding in u64 carries word 12 into word 13.
+        let block = counter.wrapping_add(l as u64);
+        input[12][l] = block as u32;
+        input[13][l] = (block >> 32) as u32;
+    }
+    let mut x = input;
     for _ in 0..ROUNDS / 2 {
         // Column round.
-        quarter_round(&mut s, 0, 4, 8, 12);
-        quarter_round(&mut s, 1, 5, 9, 13);
-        quarter_round(&mut s, 2, 6, 10, 14);
-        quarter_round(&mut s, 3, 7, 11, 15);
+        quarter_round(&mut x, 0, 4, 8, 12);
+        quarter_round(&mut x, 1, 5, 9, 13);
+        quarter_round(&mut x, 2, 6, 10, 14);
+        quarter_round(&mut x, 3, 7, 11, 15);
         // Diagonal round.
-        quarter_round(&mut s, 0, 5, 10, 15);
-        quarter_round(&mut s, 1, 6, 11, 12);
-        quarter_round(&mut s, 2, 7, 8, 13);
-        quarter_round(&mut s, 3, 4, 9, 14);
+        quarter_round(&mut x, 0, 5, 10, 15);
+        quarter_round(&mut x, 1, 6, 11, 12);
+        quarter_round(&mut x, 2, 7, 8, 13);
+        quarter_round(&mut x, 3, 4, 9, 14);
     }
-    for (out, inp) in s.iter_mut().zip(input.iter()) {
-        *out = out.wrapping_add(*inp);
+    for (w, (row, inp)) in x.iter().zip(&input).enumerate() {
+        for l in 0..L {
+            out[l * BLOCK_WORDS + w] = row[l].wrapping_add(inp[l]);
+        }
     }
-    s
 }
 
 impl ChaCha8Rng {
-    fn refill(&mut self) {
-        self.buf = chacha_block(&self.state);
-        // 64-bit block counter in words 12..14.
-        let (lo, carry) = self.state[12].overflowing_add(1);
-        self.state[12] = lo;
-        if carry {
-            self.state[13] = self.state[13].wrapping_add(1);
+    /// Refills `buf` (one block for a fresh stream, eight otherwise) and
+    /// serves its first new word. Out of line, so the inlined draw stays
+    /// small.
+    #[inline(never)]
+    fn refill_and_next(&mut self) -> u32 {
+        if self.cursor == FRESH {
+            let tail = BUF_WORDS - BLOCK_WORDS;
+            chacha_blocks::<1>(&self.key, self.counter, &mut self.buf[tail..]);
+            self.counter = self.counter.wrapping_add(1);
+            self.cursor = tail;
+        } else {
+            chacha_blocks::<LANES>(&self.key, self.counter, &mut self.buf);
+            self.counter = self.counter.wrapping_add(LANES as u64);
+            self.cursor = 0;
         }
-        self.cursor = 0;
+        let w = self.buf[self.cursor];
+        self.cursor += 1;
+        w
     }
 }
 
@@ -73,8 +136,7 @@ impl ChaCha8Rng {
     /// The stream of `seed` positioned at the start of block `block`.
     fn at_block(seed: u64, block: u64) -> Self {
         let mut rng = Self::seed_from_u64(seed);
-        rng.state[12] = block as u32;
-        rng.state[13] = (block >> 32) as u32;
+        rng.counter = block;
         rng
     }
 }
@@ -82,35 +144,34 @@ impl ChaCha8Rng {
 impl SeedableRng for ChaCha8Rng {
     type Seed = [u8; 32];
 
+    #[inline]
     fn from_seed(seed: Self::Seed) -> Self {
-        let mut state = [0u32; BLOCK_WORDS];
-        // "expand 32-byte k" constants.
-        state[0] = 0x6170_7865;
-        state[1] = 0x3320_646e;
-        state[2] = 0x7962_2d32;
-        state[3] = 0x6b20_6574;
-        for (i, chunk) in seed.chunks_exact(4).enumerate() {
-            state[4 + i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let mut key = [0u32; 8];
+        for (k, chunk) in key.iter_mut().zip(seed.chunks_exact(4)) {
+            *k = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
         }
-        // Words 12..16 (counter + stream id) start at zero.
         Self {
-            state,
-            buf: [0; BLOCK_WORDS],
-            cursor: BLOCK_WORDS,
+            key,
+            counter: 0,
+            buf: [0; BUF_WORDS],
+            cursor: FRESH,
         }
     }
 }
 
 impl RngCore for ChaCha8Rng {
+    #[inline]
     fn next_u32(&mut self) -> u32 {
-        if self.cursor >= BLOCK_WORDS {
-            self.refill();
+        match self.buf.get(self.cursor) {
+            Some(&w) => {
+                self.cursor += 1;
+                w
+            }
+            None => self.refill_and_next(),
         }
-        let w = self.buf[self.cursor];
-        self.cursor += 1;
-        w
     }
 
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let lo = self.next_u32() as u64;
         let hi = self.next_u32() as u64;
