@@ -13,8 +13,9 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Runs one IC diffusion from `seeds`; returns the number of active nodes at
-/// quiescence. `visited` is caller-provided scratch (`len == n`, reset
-/// internally) so batch simulation does not reallocate.
+/// quiescence and adds the out-arcs it scanned to `arcs`. `visited` is
+/// caller-provided scratch (`len == n`, reset internally) so batch
+/// simulation does not reallocate.
 pub fn simulate_ic_into(
     graph: &Graph,
     seeds: &[NodeId],
@@ -22,6 +23,7 @@ pub fn simulate_ic_into(
     visited: &mut [u32],
     stamp: u32,
     frontier: &mut Vec<NodeId>,
+    arcs: &mut u64,
 ) -> usize {
     frontier.clear();
     let mut active = 0usize;
@@ -38,6 +40,7 @@ pub fn simulate_ic_into(
         head += 1;
         let nbrs = graph.out_neighbors(u);
         let ws = graph.out_weights(u);
+        *arcs += nbrs.len() as u64;
         for (&v, &p) in nbrs.iter().zip(ws) {
             if visited[v as usize] != stamp && rng.gen::<f32>() < p {
                 visited[v as usize] = stamp;
@@ -60,7 +63,8 @@ pub fn simulate_ic_into(
 /// shards, one per lane (see [`crate::shard`]). Each worker lane reuses one
 /// [`CascadeScratch`] across all its shards (no heap allocation after lane
 /// warmup) and reports its scratch footprint through
-/// [`crate::shard::record_mc_shard`].
+/// [`crate::shard::record_mc_shard`] and the out-arcs it scanned to the
+/// `im.mc_arcs_scanned` counter.
 pub fn influence_mc(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -> f64 {
     if trials == 0 || graph.num_nodes() == 0 {
         return 0.0;
@@ -73,7 +77,7 @@ pub fn influence_mc(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ (c as u64).wrapping_mul(0x9e37_79b9));
         CascadeScratch::with(|s| {
             s.ensure_ic(graph.num_nodes());
-            let mut sum = 0u64;
+            let (mut sum, mut arcs) = (0u64, 0u64);
             for _ in range {
                 let stamp = s.next_stamp();
                 sum += simulate_ic_into(
@@ -83,9 +87,11 @@ pub fn influence_mc(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -
                     &mut s.visited,
                     stamp,
                     &mut s.frontier,
+                    &mut arcs,
                 ) as u64;
             }
             crate::shard::record_mc_shard(s.footprint_bytes());
+            mcpb_trace::counter_add("im.mc_arcs_scanned", arcs);
             sum
         })
     });
@@ -102,7 +108,7 @@ mod tests {
     /// One IC diffusion on fresh buffers.
     fn simulate_ic(graph: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
         let mut visited = vec![0u32; graph.num_nodes()];
-        simulate_ic_into(graph, seeds, rng, &mut visited, 1, &mut Vec::new())
+        simulate_ic_into(graph, seeds, rng, &mut visited, 1, &mut Vec::new(), &mut 0)
     }
 
     #[test]

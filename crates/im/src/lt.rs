@@ -28,7 +28,8 @@ pub fn is_lt_compatible(graph: &Graph) -> bool {
 }
 
 /// Runs one LT diffusion from `seeds` into caller-provided scratch; returns
-/// the number of active nodes at quiescence.
+/// the number of active nodes at quiescence and adds the out-arcs it
+/// scanned to `arcs`.
 ///
 /// Thresholds are redrawn into the scratch buffer with the same per-node
 /// draw order as the allocating reference, and activation proceeds
@@ -51,6 +52,7 @@ pub fn simulate_lt_into(
     seeds: &[NodeId],
     rng: &mut impl Rng,
     s: &mut CascadeScratch,
+    arcs: &mut u64,
 ) -> usize {
     let n = graph.num_nodes();
     if n == 0 {
@@ -86,6 +88,7 @@ pub fn simulate_lt_into(
             let u = frontier[qi];
             let nbrs = graph.out_neighbors(u);
             let ws = graph.out_weights(u);
+            *arcs += nbrs.len() as u64;
             for (&v, &w) in nbrs.iter().zip(ws) {
                 let vi = v as usize;
                 if lt_active[vi] == stamp {
@@ -114,20 +117,22 @@ pub fn simulate_lt_into(
 /// ([`crate::shard::MC_BASE`] trials; one trial is a whole cascade, so a
 /// block is already a lane's worth of work, see [`crate::shard`]). Each
 /// worker lane reuses one [`CascadeScratch`] across its share and reports
-/// its scratch footprint through [`crate::shard::record_mc_shard`].
+/// its scratch footprint through [`crate::shard::record_mc_shard`] and the
+/// out-arcs it scanned to the `im.mc_arcs_scanned` counter.
 pub fn influence_mc_lt(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -> f64 {
     if trials == 0 || graph.num_nodes() == 0 {
         return 0.0;
     }
     let sums = mcpb_par::map_chunked(trials, crate::shard::MC_BASE, |range| {
         CascadeScratch::with(|s| {
-            let mut sum = 0u64;
+            let (mut sum, mut arcs) = (0u64, 0u64);
             for t in range {
                 let mut rng =
                     ChaCha8Rng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9e37_79b9));
-                sum += simulate_lt_into(graph, seeds, &mut rng, s) as u64;
+                sum += simulate_lt_into(graph, seeds, &mut rng, s, &mut arcs) as u64;
             }
             crate::shard::record_mc_shard(s.footprint_bytes());
+            mcpb_trace::counter_add("im.mc_arcs_scanned", arcs);
             sum
         })
     });
@@ -137,8 +142,9 @@ pub fn influence_mc_lt(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64
 
 /// Samples one LT RR set: from a uniform target, repeatedly follow at most
 /// one sampled in-edge per node (probability proportional to its weight,
-/// stopping with the leftover probability).
-pub fn sample_rr_set_lt(graph: &Graph, rng: &mut impl Rng) -> Vec<NodeId> {
+/// stopping with the leftover probability). Adds the in-arcs it scanned to
+/// `arcs`.
+pub fn sample_rr_set_lt(graph: &Graph, rng: &mut impl Rng, arcs: &mut u64) -> Vec<NodeId> {
     let n = graph.num_nodes();
     if n == 0 {
         return Vec::new();
@@ -156,15 +162,12 @@ pub fn sample_rr_set_lt(graph: &Graph, rng: &mut impl Rng) -> Vec<NodeId> {
         }
         let roll: f32 = rng.gen();
         let mut acc = 0f32;
-        let mut chosen: Option<NodeId> = None;
-        for (&u, &w) in srcs.iter().zip(ws) {
+        let at = ws.iter().position(|&w| {
             acc += w;
-            if roll < acc {
-                chosen = Some(u);
-                break;
-            }
-        }
-        match chosen {
+            roll < acc
+        });
+        *arcs += at.map_or(srcs.len(), |i| i + 1) as u64;
+        match at.map(|i| srcs[i]) {
             Some(u) if !in_set[u as usize] => {
                 in_set[u as usize] = true;
                 path.push(u);
@@ -176,15 +179,25 @@ pub fn sample_rr_set_lt(graph: &Graph, rng: &mut impl Rng) -> Vec<NodeId> {
     path
 }
 
-/// Samples an LT RR collection of `m` sets.
+/// Samples an LT RR collection of `m` sets. Each set seeds its RNG from its
+/// index, so the shard plan ([`crate::shard::rr_chunk`]) cannot move a
+/// set; each shard adds the in-arcs it scanned to `im.rr_arcs_scanned`.
 pub fn sample_collection_lt(graph: &Graph, m: usize, seed: u64) -> RrCollection {
     let mut c = RrCollection::new(graph.num_nodes());
-    let sets: Vec<Vec<NodeId>> = mcpb_par::map_indexed(m, |i| {
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        sample_rr_set_lt(graph, &mut rng)
+    let shards = mcpb_par::map_chunked(m, crate::shard::rr_chunk(graph), |range| {
+        let mut arcs = 0u64;
+        let sets: Vec<Vec<NodeId>> = range
+            .map(|i| {
+                let mut rng = ChaCha8Rng::seed_from_u64(
+                    seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                );
+                sample_rr_set_lt(graph, &mut rng, &mut arcs)
+            })
+            .collect();
+        mcpb_trace::counter_add("im.rr_arcs_scanned", arcs);
+        sets
     });
-    c.push_sets(sets);
+    c.push_sets(shards.into_iter().flatten().collect());
     c
 }
 
@@ -226,7 +239,7 @@ mod tests {
 
     /// One LT diffusion on fresh buffers.
     fn simulate_lt(graph: &Graph, seeds: &[NodeId], rng: &mut impl Rng) -> usize {
-        simulate_lt_into(graph, seeds, rng, &mut CascadeScratch::new())
+        simulate_lt_into(graph, seeds, rng, &mut CascadeScratch::new(), &mut 0)
     }
 
     fn wc_graph(n: usize, seed: u64) -> Graph {
@@ -298,7 +311,7 @@ mod tests {
         let g = wc_graph(60, 4);
         let mut rng = ChaCha8Rng::seed_from_u64(11);
         for _ in 0..50 {
-            let rr = sample_rr_set_lt(&g, &mut rng);
+            let rr = sample_rr_set_lt(&g, &mut rng, &mut 0);
             assert!(!rr.is_empty());
             // LT RR sets are simple paths: no duplicates.
             let mut s = rr.clone();

@@ -185,6 +185,7 @@ pub fn influence_mc(graph: &Graph, seeds: &[NodeId], trials: usize, seed: u64) -
                 &mut visited,
                 t as u32 + 1, // audit:allow(MCPB006) — stamp epoch, trials < u32::MAX
                 &mut frontier,
+                &mut 0,
             ) as u64;
         }
         sum

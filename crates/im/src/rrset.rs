@@ -55,7 +55,8 @@ impl RrCollection {
     /// ([`crate::shard::rr_chunk`], a pure function of the graph) is free.
     /// Sampling reuses one stamp-visited buffer and one flat output buffer
     /// per shard instead of allocating per set, and each shard reports its
-    /// scratch footprint through [`crate::shard::record_rr_shard`].
+    /// scratch footprint through [`crate::shard::record_rr_shard`] and the
+    /// in-arcs it scanned to the `im.rr_arcs_scanned` counter.
     pub fn extend_to(&mut self, graph: &Graph, target: usize, seed: u64) {
         let start = self.len();
         if target <= start {
@@ -69,16 +70,19 @@ impl RrCollection {
                 let mut visited = vec![0u32; n];
                 let mut lens = Vec::with_capacity(range.len());
                 let mut data = Vec::new();
+                let mut arcs = 0u64;
                 for (t, i) in range.enumerate() {
                     let gi = (start + i) as u64;
                     let mut rng =
                         ChaCha8Rng::seed_from_u64(seed ^ gi.wrapping_mul(0x9e37_79b9_7f4a_7c15));
                     let before = data.len();
                     // audit:allow(MCPB006) — stamp epoch, trials < u32::MAX
-                    sample_rr_set_into(graph, &mut rng, &mut visited, t as u32 + 1, &mut data);
+                    let stamp = t as u32 + 1;
+                    arcs += sample_rr_set_into(graph, &mut rng, &mut visited, stamp, &mut data);
                     // audit:allow(MCPB006) — one RR set never exceeds n <= u32::MAX nodes
                     lens.push((data.len() - before) as u32);
                 }
+                mcpb_trace::counter_add("im.rr_arcs_scanned", arcs);
                 crate::shard::record_rr_shard(
                     visited.capacity() * std::mem::size_of::<u32>()
                         + data.capacity() * std::mem::size_of::<NodeId>()
@@ -322,27 +326,30 @@ pub fn sample_rr_set(graph: &Graph, rng: &mut impl Rng) -> Vec<NodeId> {
 /// BFS queue), so batch samplers reuse one flat buffer for a whole chunk.
 /// The RNG call sequence is identical to [`sample_rr_set`]: one range draw
 /// for the target, then one `f32` draw per in-edge of an unvisited source.
+/// Returns the number of in-arcs scanned: the in-degrees of the members.
 pub fn sample_rr_set_into(
     graph: &Graph,
     rng: &mut impl Rng,
     visited: &mut [u32],
     stamp: u32,
     out: &mut Vec<NodeId>,
-) {
+) -> u64 {
     let n = graph.num_nodes();
     if n == 0 {
-        return;
+        return 0;
     }
     let target = rng.gen_range(0..n) as NodeId;
     let base = out.len();
     visited[target as usize] = stamp;
     out.push(target);
     let mut head = base;
+    let mut arcs = 0u64;
     while head < out.len() {
         let v = out[head];
         head += 1;
         let srcs = graph.in_neighbors(v);
         let ws = graph.in_weights(v);
+        arcs += srcs.len() as u64;
         for (&u, &p) in srcs.iter().zip(ws) {
             if visited[u as usize] != stamp && rng.gen::<f32>() < p {
                 visited[u as usize] = stamp;
@@ -350,6 +357,7 @@ pub fn sample_rr_set_into(
             }
         }
     }
+    arcs
 }
 
 /// Convenience: sample a fresh collection of `m` RR sets.

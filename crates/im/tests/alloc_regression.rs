@@ -42,7 +42,7 @@ fn warmed_cascade_inner_loops_do_not_allocate() {
     let warm =
         |rng: &mut ChaCha8Rng, visited: &mut [u32], frontier: &mut Vec<u32>, stamp: &mut u32| {
             *stamp += 1;
-            simulate_ic_into(&graph, &seeds, rng, visited, *stamp, frontier)
+            simulate_ic_into(&graph, &seeds, rng, visited, *stamp, frontier, &mut 0)
         };
     warm(&mut rng, &mut visited, &mut frontier, &mut stamp);
 
@@ -60,12 +60,12 @@ fn warmed_cascade_inner_loops_do_not_allocate() {
 
     // --- LT: the shared CascadeScratch, warmed the same way. ---
     let mut scratch = CascadeScratch::default();
-    simulate_lt_into(&graph, &seeds, &mut rng, &mut scratch);
+    simulate_lt_into(&graph, &seeds, &mut rng, &mut scratch, &mut 0);
 
     let before = alloc_calls();
     let mut activated = 0usize;
     for _ in 0..2000 {
-        activated += simulate_lt_into(&graph, &seeds, &mut rng, &mut scratch);
+        activated += simulate_lt_into(&graph, &seeds, &mut rng, &mut scratch, &mut 0);
     }
     let lt_delta = alloc_calls() - before;
     assert!(activated > 0, "LT cascades must actually run");

@@ -140,6 +140,7 @@ fn single_trial_cascades_match_references() {
                 &mut s.visited,
                 stamp,
                 &mut s.frontier,
+                &mut 0,
             )
         });
         assert_eq!(
@@ -156,6 +157,7 @@ fn single_trial_cascades_match_references() {
                     &mut visited,
                     1,
                     &mut frontier,
+                    &mut 0,
                 )
             },
             "IC trial {trial}"
@@ -164,7 +166,7 @@ fn single_trial_cascades_match_references() {
         let mut d = ChaCha8Rng::seed_from_u64(trial ^ 0x55);
         assert_eq!(
             mcpb_im::CascadeScratch::with(|s| mcpb_im::lt::simulate_lt_into(
-                &graph, &seeds, &mut c, s
+                &graph, &seeds, &mut c, s, &mut 0
             )),
             reference::simulate_lt(&graph, &seeds, &mut d),
             "LT trial {trial}"

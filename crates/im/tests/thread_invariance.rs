@@ -113,3 +113,45 @@ fn incremental_extension_matches_one_shot_sampling_at_any_thread_count() {
     });
     assert_eq!(one_shot.sets(), grown.sets());
 }
+
+/// The arc-scan work counters are per-item counts folded once per shard, so
+/// they are identical at any width too.
+#[test]
+fn arc_scan_counters_are_identical_across_thread_counts() {
+    let _g = serial();
+    let graph = ic_graph();
+    let counts = |threads| {
+        with_threads(threads, || {
+            mcpb_trace::reset();
+            mcpb_trace::set_enabled(true);
+            let rr = sample_collection(&graph, 3000, 42);
+            let ic_rr = mcpb_trace::snapshot().counter("im.rr_arcs_scanned");
+            sample_collection_lt(&graph, 2000, 17);
+            influence_mc(&graph, &[0, 7, 19, 123], 1000, 99);
+            influence_mc_lt(&graph, &[1, 5, 42], 1000, 31);
+            mcpb_trace::set_enabled(false);
+            let all = mcpb_trace::snapshot();
+            (
+                rr,
+                ic_rr,
+                all.counter("im.rr_arcs_scanned"),
+                all.counter("im.mc_arcs_scanned"),
+            )
+        })
+    };
+    let (rr, ic_rr, rr_arcs, mc_arcs) = counts(1);
+    // An IC RR set scans every in-arc of each of its members once.
+    let members: u64 = rr
+        .sets()
+        .iter()
+        .flatten()
+        .map(|&v| graph.in_degree(v) as u64)
+        .sum();
+    assert_eq!(ic_rr, Some(members));
+    assert!(rr_arcs > ic_rr, "LT RR sets scanned no arc");
+    assert!(mc_arcs > Some(0), "Monte Carlo scanned no arc");
+    for threads in [2, 8] {
+        let (_, i, r, m) = counts(threads);
+        assert_eq!((i, r, m), (ic_rr, rr_arcs, mc_arcs), "at {threads} threads");
+    }
+}
