@@ -47,6 +47,11 @@ cargo test -q --release -p mcpb-nn --test eval_equivalence
 cargo test -q --release -p mcpb-gnn --test eval_equivalence
 cargo test -q --release -p mcpb-rl --lib q_values_match_the_tape
 
+echo "==> ChaCha8 keystream pins and sharded == reference sampling, in the optimized build"
+# The 8-block refill's lane loops vectorize only at opt-level 3.
+cargo test -q --release -p rand_chacha
+cargo test -q --release -p mcpb-im --test golden_equivalence
+
 echo "==> benchmark package self-tests (outside the workspace, so --workspace never builds it)"
 # --locked: a dependency change must fail here, not silently rewrite the
 # benchmark package's committed Cargo.lock.
