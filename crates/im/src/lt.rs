@@ -179,25 +179,20 @@ pub fn sample_rr_set_lt(graph: &Graph, rng: &mut impl Rng, arcs: &mut u64) -> Ve
     path
 }
 
-/// Samples an LT RR collection of `m` sets. Each set seeds its RNG from its
-/// index, so the shard plan ([`crate::shard::rr_chunk`]) cannot move a
-/// set; each shard adds the in-arcs it scanned to `im.rr_arcs_scanned`.
+/// Samples an LT RR collection of `m` sets and adds the in-arcs they
+/// scanned to `im.rr_arcs_scanned`.
 pub fn sample_collection_lt(graph: &Graph, m: usize, seed: u64) -> RrCollection {
     let mut c = RrCollection::new(graph.num_nodes());
-    let shards = mcpb_par::map_chunked(m, crate::shard::rr_chunk(graph), |range| {
+    let (sets, arcs): (Vec<Vec<NodeId>>, Vec<u64>) = mcpb_par::map_indexed(m, |i| {
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let mut arcs = 0u64;
-        let sets: Vec<Vec<NodeId>> = range
-            .map(|i| {
-                let mut rng = ChaCha8Rng::seed_from_u64(
-                    seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                sample_rr_set_lt(graph, &mut rng, &mut arcs)
-            })
-            .collect();
-        mcpb_trace::counter_add("im.rr_arcs_scanned", arcs);
-        sets
-    });
-    c.push_sets(shards.into_iter().flatten().collect());
+        (sample_rr_set_lt(graph, &mut rng, &mut arcs), arcs)
+    })
+    .into_iter()
+    .unzip();
+    mcpb_trace::counter_add("im.rr_arcs_scanned", arcs.iter().sum());
+    c.push_sets(sets);
     c
 }
 

@@ -114,7 +114,7 @@ fn incremental_extension_matches_one_shot_sampling_at_any_thread_count() {
     assert_eq!(one_shot.sets(), grown.sets());
 }
 
-/// The arc-scan work counters are per-item counts folded once per shard, so
+/// The arc-scan work counters are sums of per-set and per-trial counts, so
 /// they are identical at any width too.
 #[test]
 fn arc_scan_counters_are_identical_across_thread_counts() {

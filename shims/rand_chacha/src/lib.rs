@@ -10,11 +10,12 @@
 //!
 //! ## Refill
 //!
-//! A stream's first refill computes one block into the last 16 words of
-//! the 128-word buffer and serves from there, so a short stream (a 1-node
-//! RR set, one `gen_range`) pays for one block. Every later refill computes
-//! the next 8 consecutive blocks and fills the whole buffer in stream
-//! order: block `l` of the batch is `buf[16 * l..16 * l + 16]`. One round
+//! A stream's first refill (block counter 0) computes one block into the
+//! last 16 words of the 128-word buffer and serves from there, so a short
+//! stream (a 1-node RR set, one `gen_range`) pays for one block. Every
+//! later refill computes the next 8 consecutive blocks and fills the whole
+//! buffer in stream order: block `l` of the batch is
+//! `buf[16 * l..16 * l + 16]`. One round
 //! function, generic over the block count, serves both widths. It runs the
 //! rounds of all `L` blocks as one loop over lanes, collects each cipher
 //! word as one `[u32; L]` row, then writes the rows out block by block. At
@@ -32,8 +33,6 @@ const BLOCK_WORDS: usize = 16;
 /// Blocks per refill after a stream's first.
 const LANES: usize = 8;
 const BUF_WORDS: usize = BLOCK_WORDS * LANES;
-/// `cursor` of a stream that has computed no block yet.
-const FRESH: usize = BUF_WORDS + 1;
 /// "expand 32-byte k": cipher words 0..4.
 const CONSTANTS: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -46,8 +45,7 @@ pub struct ChaCha8Rng {
     counter: u64,
     /// Keystream words in stream order (see the module doc for the layout).
     buf: [u32; BUF_WORDS],
-    /// Next unserved word in `buf`; `BUF_WORDS` means "refill 8 blocks",
-    /// [`FRESH`] means "refill 1 block".
+    /// Next unserved word in `buf`; `BUF_WORDS` means "refill".
     cursor: usize,
 }
 
@@ -125,7 +123,7 @@ impl ChaCha8Rng {
     /// small.
     #[inline(never)]
     fn refill_and_next(&mut self) -> u32 {
-        if self.cursor == FRESH {
+        if self.counter == 0 {
             let tail = BUF_WORDS - BLOCK_WORDS;
             chacha_blocks::<1>(&self.key, self.counter, &mut self.buf[tail..]);
             self.counter = self.counter.wrapping_add(1);
@@ -164,7 +162,7 @@ impl SeedableRng for ChaCha8Rng {
             key,
             counter: 0,
             buf: [0; BUF_WORDS],
-            cursor: FRESH,
+            cursor: BUF_WORDS,
         }
     }
 }
