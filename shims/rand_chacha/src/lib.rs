@@ -10,27 +10,22 @@
 //!
 //! ## Refill
 //!
-//! A stream's first refill (block counter 0) computes one block into the
-//! last 16 words of the 128-word buffer and serves from there, so a short
-//! stream (a 1-node RR set, one `gen_range`) pays for one block. Every
-//! later refill computes the next 8 consecutive blocks and fills the whole
-//! buffer in stream order: block `l` of the batch is
-//! `buf[16 * l..16 * l + 16]`. One round
-//! function, generic over the block count, serves both widths. It runs the
-//! rounds of all `L` blocks as one loop over lanes, collects each cipher
-//! word as one `[u32; L]` row, then writes the rows out block by block. At
-//! 8 lanes LLVM vectorizes that loop: under the `x86-64-v3` codegen floor
-//! every round operation is one AVX2 instruction on 8 blocks. There is no
-//! `unsafe`, no `std::arch` and no other path.
+//! Every refill computes the next 8 consecutive blocks and fills the
+//! 128-word buffer in stream order: block `l` of the batch is
+//! `buf[16 * l..16 * l + 16]`. The round function runs the rounds of all 8
+//! blocks as one loop over lanes, collects each cipher word as one
+//! `[u32; 8]` row, then writes the rows out block by block. LLVM
+//! vectorizes that loop: under the `x86-64-v3` codegen floor every round
+//! operation is one AVX2 instruction on 8 blocks. There is no `unsafe`, no
+//! `std::arch` and no other path.
 //!
 //! [`RngCore::next_u32`] is `#[inline]`, so a draw inside a consumer's loop
 //! is a bounds check and a load; only the refill is a call.
 
 use rand::{RngCore, SeedableRng};
 
-const ROUNDS: usize = 8;
 const BLOCK_WORDS: usize = 16;
-/// Blocks per refill after a stream's first.
+/// Blocks per refill.
 const LANES: usize = 8;
 const BUF_WORDS: usize = BLOCK_WORDS * LANES;
 /// "expand 32-byte k": cipher words 0..4.
@@ -75,19 +70,17 @@ fn double_round(x: &mut [u32; BLOCK_WORDS]) {
     quarter_round(x, 3, 4, 9, 14);
 }
 
-/// Computes the `L` keystream blocks from block `counter` on into
-/// `out[..16 * L]`, block after block.
+/// Computes the 8 keystream blocks from block `counter` on into `out`,
+/// block after block.
 ///
 /// The loop over lanes is the innermost loop, with one block's scalar
-/// rounds as its body, so LLVM vectorizes it across the `L` blocks: every
-/// operation of a round becomes one 8-wide AVX2 instruction at `L = 8`.
-/// That needs the rounds written out straight; at `L = 1` nothing
-/// vectorizes and the rolled loop runs faster than the unrolled rounds.
+/// rounds as its body, so LLVM vectorizes it across the 8 blocks: every
+/// operation of a round becomes one 8-wide AVX2 instruction. That needs the
+/// four double rounds written out straight.
 #[inline(always)]
-fn chacha_blocks<const L: usize>(key: &[u32; 8], counter: u64, out: &mut [u32]) {
-    let out = &mut out[..BLOCK_WORDS * L];
-    let mut lanes = [[0u32; L]; BLOCK_WORDS];
-    for l in 0..L {
+fn chacha_blocks(key: &[u32; 8], counter: u64, out: &mut [u32; BUF_WORDS]) {
+    let mut lanes = [[0u32; LANES]; BLOCK_WORDS];
+    for l in 0..LANES {
         // Adding in u64 carries word 12 into word 13.
         let block = counter.wrapping_add(l as u64);
         let mut input = [0u32; BLOCK_WORDS];
@@ -96,16 +89,10 @@ fn chacha_blocks<const L: usize>(key: &[u32; 8], counter: u64, out: &mut [u32]) 
         input[12] = block as u32;
         input[13] = (block >> 32) as u32;
         let mut x = input;
-        if L == 1 {
-            for _ in 0..ROUNDS / 2 {
-                double_round(&mut x);
-            }
-        } else {
-            double_round(&mut x);
-            double_round(&mut x);
-            double_round(&mut x);
-            double_round(&mut x);
-        }
+        double_round(&mut x);
+        double_round(&mut x);
+        double_round(&mut x);
+        double_round(&mut x);
         for (lane, (&v, &i)) in lanes.iter_mut().zip(x.iter().zip(&input)) {
             lane[l] = v.wrapping_add(i);
         }
@@ -118,24 +105,14 @@ fn chacha_blocks<const L: usize>(key: &[u32; 8], counter: u64, out: &mut [u32]) 
 }
 
 impl ChaCha8Rng {
-    /// Refills `buf` (one block for a fresh stream, eight otherwise) and
-    /// serves its first new word. Out of line, so the inlined draw stays
-    /// small.
+    /// Refills `buf` with the next 8 blocks and serves its first word. Out
+    /// of line, so the inlined draw stays small.
     #[inline(never)]
     fn refill_and_next(&mut self) -> u32 {
-        if self.counter == 0 {
-            let tail = BUF_WORDS - BLOCK_WORDS;
-            chacha_blocks::<1>(&self.key, self.counter, &mut self.buf[tail..]);
-            self.counter = self.counter.wrapping_add(1);
-            self.cursor = tail;
-        } else {
-            chacha_blocks::<LANES>(&self.key, self.counter, &mut self.buf);
-            self.counter = self.counter.wrapping_add(LANES as u64);
-            self.cursor = 0;
-        }
-        let w = self.buf[self.cursor];
-        self.cursor += 1;
-        w
+        chacha_blocks(&self.key, self.counter, &mut self.buf);
+        self.counter = self.counter.wrapping_add(LANES as u64);
+        self.cursor = 1;
+        self.buf[0]
     }
 }
 
