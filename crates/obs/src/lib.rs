@@ -13,10 +13,7 @@
 //!   diagnostic);
 //! - [`render_chrome`] — Chrome trace-event JSON (`mcpbench obs chrome`);
 //! - [`render_flame`] / [`parse_flame`] — folded-stack flamegraph text
-//!   (`mcpbench obs flame`);
-//! - [`MetricsRegistry`] — Prometheus-style text exposition
-//!   (`mcpbench obs metrics`), the scrape surface for a future
-//!   `mcpb-serve`.
+//!   (`mcpbench obs flame`).
 //!
 //! The crate only *reads* telemetry; it never starts spans or counters
 //! itself, so linking it cannot perturb the runs it analyzes.
@@ -24,13 +21,11 @@
 pub mod chrome;
 pub mod diff;
 pub mod flame;
-pub mod metrics;
 pub mod model;
 pub mod report;
 
 pub use chrome::{render_chrome, validate_chrome};
 pub use diff::{diff_runs, render_diff, DiffRow, RunDiff, DEFAULT_NOISE, MIN_DELTA_NANOS};
 pub use flame::{parse_flame, render_flame};
-pub use metrics::{sanitize_metric_name, Family, MetricType, MetricsRegistry, Sample};
 pub use model::{CellRow, HistRow, ObsError, RunKind, RunModel, SpanAgg};
 pub use report::{render_report, DEFAULT_TOP_K};

@@ -6,10 +6,8 @@
 //! than wall-clock queue depth: each request carries a deterministic cost
 //! (derived from its solver and budget, or an explicit `cost` override),
 //! the model drains a fixed number of units per request step, and the
-//! verdict is a pure function of the running backlog. Both front ends step
-//! it through the engine's plan step: replay in request order, the live
-//! socket's single worker thread in arrival order (its own model, no
-//! lock), so one policy answers both.
+//! verdict is a pure function of the running backlog. Replay steps it
+//! through the engine's plan step, once per request in request order.
 //!
 //! The ladder has three rungs:
 //!

@@ -79,6 +79,7 @@ mod tests {
 
     #[test]
     fn serve_area_reports_three_stats() {
+        let _g = crate::test_serial();
         let area = serve_area(true);
         assert_eq!(area.area, "serve");
         let ids: Vec<&str> = area.benches.iter().map(|s| s.id.as_str()).collect();

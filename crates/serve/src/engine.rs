@@ -1,7 +1,7 @@
-//! Request answering: one plan step and one executor shared by both front
-//! ends, plus the deterministic replay engine built on them.
+//! Request answering: one plan step and one executor, plus the
+//! deterministic replay engine built on them.
 //!
-//! Every request, replayed or live, goes through the same two functions:
+//! Every request goes through two functions:
 //!
 //! * `plan_one` parses and validates the line, resolves the dataset and
 //!   solver, prices the request ([`default_cost`] unless it sets `cost`),
@@ -12,9 +12,8 @@
 //!   under the request's deadline, so a poisoned query becomes a degraded
 //!   response, never a dead server.
 //!
-//! The socket worker calls them once per job, in arrival order. [`replay`]
-//! mirrors the sweep driver's discipline so a fixed request log produces a
-//! bit-identical response journal at any thread count:
+//! [`replay`] mirrors the sweep driver's discipline so a fixed request log
+//! produces a bit-identical response journal at any thread count:
 //!
 //! 1. **Plan** (sequential, request order): `plan_one` per line, so fault
 //!    occurrence counters advance in request order exactly as a sequential
@@ -25,7 +24,9 @@
 //!    answer cache: for solvers with the greedy prefix property, a request
 //!    whose budget is covered by an earlier, larger answer is served from
 //!    the cached prefix. The cache never appears in a response body, so
-//!    journals are cache-invariant (the socket path runs without it).
+//!    journals are cache-invariant: the unit test
+//!    `uncached_answers_match_the_replay_journal` answers a log without it
+//!    and compares every body with replay's journal.
 //! 3. **Commit** (sequential, request order): responses are journaled and
 //!    telemetry emitted in request order.
 //!
@@ -165,7 +166,7 @@ enum ExecMode {
 }
 
 /// An admitted or degraded request, waiting for [`execute`].
-pub(crate) struct ExecItem {
+struct ExecItem {
     seq: usize,
     req: Request,
     ds: usize,
@@ -173,7 +174,7 @@ pub(crate) struct ExecItem {
 }
 
 /// What [`plan_one`] decided.
-pub(crate) enum Planned {
+enum Planned {
     /// Fully determined at plan time (parse error, validation error, shed).
     Ready(Response),
     /// Needs the solver lane `.0` to answer.
@@ -181,7 +182,7 @@ pub(crate) enum Planned {
 }
 
 /// One prepared solver, borrowed from the [`SolverPool`].
-pub(crate) enum LaneSolver<'p> {
+enum LaneSolver<'p> {
     Mcp(&'p mut PreparedMcpSolver),
     Im(&'p mut PreparedImSolver),
 }
@@ -203,7 +204,7 @@ impl LaneSolver<'_> {
 }
 
 /// The pool's solvers in lane order: MCP lanes first, then IM lanes.
-pub(crate) fn lanes(pool: &mut SolverPool) -> impl Iterator<Item = LaneSolver<'_>> {
+fn lanes(pool: &mut SolverPool) -> impl Iterator<Item = LaneSolver<'_>> {
     pool.mcp
         .iter_mut()
         .map(LaneSolver::Mcp)
@@ -214,12 +215,7 @@ pub(crate) fn lanes(pool: &mut SolverPool) -> impl Iterator<Item = LaneSolver<'_
 /// resolves the dataset and solver lane, steps `load` with the request's
 /// cost and arms [`FAULT_SITE`] for an admitted request. Names that do not
 /// resolve are answered before admission, so they use up no capacity.
-pub(crate) fn plan_one(
-    state: &ServeState,
-    load: &mut LoadModel,
-    seq: usize,
-    line: &[u8],
-) -> Planned {
+fn plan_one(state: &ServeState, load: &mut LoadModel, seq: usize, line: &[u8]) -> Planned {
     let req = match parse_request_bytes(line) {
         Ok(req) => req,
         Err(e) => {
@@ -326,7 +322,7 @@ fn fallback_answer(
 /// budget-ascending answer cache (longest answer per dataset), or `None`
 /// to always solve. Returns the response, with `runtime_secs` left at 0.0
 /// for the caller, and whether its seeds came from the cache.
-pub(crate) fn execute(
+fn execute(
     state: &ServeState,
     solver: &mut LaneSolver<'_>,
     item: &ExecItem,
@@ -596,4 +592,146 @@ pub fn replay(
     report.p99_ms = quantile_ms(&latencies_ms, 0.99);
     report.journal = journal;
     report
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::loadgen::{generate_log, LoadGenConfig};
+    use crate::state::{preload, ServeConfig};
+    use mcpb_resilience::fault::FaultPlan;
+    use mcpb_resilience::journal::parse_journal;
+    use mcpb_resilience::normalize_timing;
+
+    fn req(id: u64, task: &str, solver: &str, budget: usize) -> String {
+        format!(
+            "{{\"id\":{id},\"task\":\"{task}\",\"dataset\":\"Damascus\",\"solver\":\"{solver}\",\"budget\":{budget}}}\n"
+        )
+    }
+
+    /// Answers each line of `log` in order through [`plan_one`] and
+    /// [`execute`] with one load model and no answer cache, and returns the
+    /// response bodies.
+    fn answer_uncached(
+        state: &ServeState,
+        pool: &mut SolverPool,
+        log: &[u8],
+        admission: AdmissionConfig,
+    ) -> Vec<String> {
+        let mut load = LoadModel::new(admission);
+        let mut bodies = Vec::new();
+        for line in log.split(|b| *b == b'\n') {
+            if line.iter().all(u8::is_ascii_whitespace) {
+                continue;
+            }
+            let resp = match plan_one(state, &mut load, bodies.len() + 1, line) {
+                Planned::Ready(resp) => resp,
+                Planned::Exec(lane, item) => {
+                    let mut solver = lanes(pool)
+                        .nth(lane)
+                        .expect("invariant: plan_one picks a lane of this pool");
+                    execute(state, &mut solver, &item, None).0
+                }
+            };
+            bodies.push(resp.body_json());
+        }
+        bodies
+    }
+
+    /// Asserts that every body equals replay's journal entry for the same
+    /// line, wall-clock fields aside. Error entries carry no payload, so
+    /// those compare by verdict and reason.
+    fn assert_bodies_match_journal(bodies: &[String], journal: &str) {
+        let journal = parse_journal(journal).expect("replay journal parses");
+        assert_eq!(journal.entries.len(), bodies.len());
+        for (i, (body, entry)) in bodies.iter().zip(&journal.entries).enumerate() {
+            match &entry.payload {
+                Some(payload) => assert_eq!(
+                    normalize_timing(body),
+                    normalize_timing(payload),
+                    "line {} differs",
+                    i + 1
+                ),
+                None => {
+                    let v: serde::Value = serde_json::from_str(body).expect("body parses");
+                    assert_eq!(
+                        v.get("verdict").and_then(|x| x.as_str()),
+                        Some("error"),
+                        "line {}: {body}",
+                        i + 1
+                    );
+                    assert_eq!(
+                        v.get("reason").and_then(|x| x.as_str()),
+                        entry.error.as_deref(),
+                        "line {}: {body}",
+                        i + 1
+                    );
+                }
+            }
+        }
+    }
+
+    /// Replay's budget-ascending cache never changes a response body: a log
+    /// answered line by line without the cache gets replay's journal,
+    /// cache hits included, clean and under a fault plan.
+    #[test]
+    fn uncached_answers_match_the_replay_journal() {
+        let _g = crate::test_serial();
+        let cfg = ServeConfig {
+            datasets: vec!["Damascus".to_string()],
+            mcp_solvers: vec![McpMethodKind::LazyGreedy, McpMethodKind::TopDegree],
+            im_solvers: vec![ImMethodKind::DDiscount],
+            rr_sets: 300,
+        };
+        let (state, mut pool) = preload(&cfg).expect("preload");
+        // A burst log (admit, degrade, shed and malformed lines), then
+        // descending budgets on prefix-safe solvers, which replay answers
+        // from its cache, then an unknown solver.
+        let mut log = generate_log(
+            &state,
+            &LoadGenConfig {
+                requests: 120,
+                seed: 5,
+                burst: true,
+            },
+        );
+        let mut id = 1_000u64;
+        for &b in &[12usize, 8, 4, 2, 6, 10] {
+            id += 1;
+            log.push_str(&req(id, "mcp", "TopDegree", b));
+            id += 1;
+            log.push_str(&req(id, "im", "DDiscount", b));
+            id += 1;
+            log.push_str(&req(id, "mcp", "LazyGreedy", b));
+        }
+        log.push_str(&req(id + 1, "mcp", "NoSuchSolver", 3));
+        let opts = EngineOptions {
+            deterministic_timing: true,
+            ..EngineOptions::default()
+        };
+
+        for plan in [
+            None,
+            Some("panic@serve.query:2; nan@serve.query:4; chaos@7:10"),
+        ] {
+            let install = || {
+                fault::clear();
+                if let Some(plan) = plan {
+                    fault::install(FaultPlan::parse(plan).expect("plan"));
+                }
+            };
+            install();
+            let report = replay(&state, &mut pool, log.as_bytes(), &opts);
+            install();
+            let bodies = answer_uncached(&state, &mut pool, log.as_bytes(), opts.admission);
+            fault::clear();
+            assert!(
+                report.cache_hits > 0,
+                "descending budgets must hit replay's cache (plan {plan:?})"
+            );
+            assert!(report.served > 0 && report.degraded > 0 && report.shed > 0);
+            assert!(report.errors > 0);
+            assert_bodies_match_journal(&bodies, &report.journal);
+        }
+    }
 }

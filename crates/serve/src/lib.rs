@@ -1,14 +1,15 @@
-//! `mcpb-serve`: a fault-tolerant online query service over the benchmark.
+//! `mcpb-serve`: a fault-tolerant query service over the benchmark,
+//! measured by deterministic log replay.
 //!
 //! The benchmark's batch sweeps answer "which method wins"; this crate
 //! answers the *deployment* question the paper's motivation implies: can a
-//! trained method stand behind a query endpoint and answer seed-set
-//! requests reliably? The service preloads catalog graphs, trained
-//! parameters, and RR-set sketches once ([`state::preload`]), shares them
-//! immutably across workers, and answers JSONL queries with four typed
-//! verdicts: `served`, `degraded`, `shed`, and `error`. Nothing a client
-//! sends — malformed bytes, nesting bombs, oversized lines, unknown
-//! solvers, overload bursts, injected panics — can take the server down or
+//! trained method answer a stream of seed-set requests reliably, and at
+//! what rate? The service preloads catalog graphs, trained parameters, and
+//! RR-set sketches once ([`state::preload`]) and replays a JSONL request
+//! log against them, answering every line with one of four typed
+//! verdicts: `served`, `degraded`, `shed`, and `error`. Nothing a log line
+//! carries — malformed bytes, nesting bombs, oversized lines, unknown
+//! solvers, overload bursts, injected panics — can stop the replay or
 //! leave a request unanswered.
 //!
 //! Layers, bottom to top:
@@ -25,9 +26,6 @@
 //!   bit-identical-response-journal determinism contract.
 //! * [`loadgen`] — the seeded request-log generator for replay and chaos
 //!   testing.
-//! * [`socket`] — the live front end: TCP / Unix-socket JSONL server with
-//!   bounded channels, read deadlines, and graceful drain, answering each
-//!   job through the engine's answer path.
 //! * [`bench`](mod@bench) — the `mcpb-perf` area measuring query latency
 //!   and shed overhead.
 
@@ -36,12 +34,19 @@ pub mod bench;
 pub mod engine;
 pub mod loadgen;
 pub mod proto;
-pub mod socket;
 pub mod state;
 
 pub use admission::{AdmissionConfig, AdmissionVerdict, LoadModel};
 pub use engine::{replay, EngineOptions, EngineReport};
 pub use loadgen::{generate_log, LoadGenConfig};
 pub use proto::{parse_request, parse_request_bytes, ParseError, Request, Response, Verdict};
-pub use socket::{serve_listener, ServerHandle, SocketConfig};
 pub use state::{preload, PreloadError, ServeConfig, ServeState, SolverPool};
+
+/// Fault plans are process-global: unit tests that replay (and so arm
+/// `serve.query`) take this lock, so no test consumes another's fault
+/// occurrences.
+#[cfg(test)]
+pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|p| p.into_inner())
+}

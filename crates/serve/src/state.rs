@@ -7,7 +7,7 @@
 //! result splits into two parts with different sharing rules:
 //!
 //! * [`ServeState`] — graphs, scorers, sketches, method tables. Immutable
-//!   after preload, shared across every worker thread via `Arc`.
+//!   after preload and shared by every replay lane.
 //! * [`SolverPool`] — the prepared solver instances. `solve` takes
 //!   `&mut self` (stateful Deep-RL inference, CELF's internal RNG), so each
 //!   solver is owned by exactly one lane at a time, mirroring the sweep
@@ -78,7 +78,7 @@ pub struct DatasetState {
     pub im_scorer: ImScorer,
 }
 
-/// Immutable serving state, shared across lanes and connections.
+/// Immutable serving state, shared across lanes.
 pub struct ServeState {
     /// FNV-1a hash of the preload configuration; stamped into every
     /// response journal header so replays against the wrong state diff

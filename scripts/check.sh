@@ -25,7 +25,7 @@ cargo run -q -- audit --format sarif --out audit.sarif
 echo "==> settable-value ceiling (a fold lowers it; no change may raise it)"
 # The pub fields of *Config/*Params/*Options/*Policy structs that
 # scripts/loc.sh counts. A value only one non-test caller uses is a const.
-SETTABLE_CEILING=75
+SETTABLE_CEILING=73
 settable=$(scripts/loc.sh | awk '/^settable values/ { print $NF }')
 echo "    settable values: $settable (ceiling $SETTABLE_CEILING)"
 if ! [[ $settable =~ ^[0-9]+$ ]] || (( settable > SETTABLE_CEILING )); then
@@ -80,7 +80,6 @@ cargo run -q -- obs report "$OBS_A" | grep -q "Top self-time spans"
 cargo run -q -- obs diff "$OBS_A" "$OBS_B" >/dev/null
 cargo run -q -- obs chrome "$OBS_A" --out target/check-obs-chrome.json
 cargo run -q -- obs flame "$OBS_A" >/dev/null
-cargo run -q -- obs metrics "$OBS_A" | grep -q "mcpb_span_self_seconds"
 
 echo "==> resilience tests (journal, fault isolation, divergence recovery)"
 cargo test -q -p mcpb-resilience

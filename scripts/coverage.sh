@@ -14,11 +14,10 @@
 # 3. Runs the corpus: quick `mcpbench all`, every smoke of scripts/check.sh,
 #    the audit gate, the four e2ebench workloads at --seconds 1, every
 #    example, NaN-fault divergence recovery, a torn-journal resume, and the
-#    modes no script runs where they are cheap: `--full tab1`, `serve
-#    --listen` (Unix socket), `large-smoke --config`, `datasets --large`,
-#    run-spec, bench-check (pass and fail), `obs report` on a journal, audit
-#    `--format json`/`--fix-hints`, and `--update-baseline` plus a planted
-#    regression on an exported tree.
+#    modes no script runs where they are cheap: `--full tab1`, `large-smoke
+#    --config`, `datasets --large`, run-spec, bench-check (pass and fail),
+#    `obs report` on a journal, audit `--format json`/`--fix-hints`, and
+#    `--update-baseline` plus a planted regression on an exported tree.
 # 4. Maps each PC to its function with `llvm-nm -n -C --defined-only`,
 #    strips the `::h<hash>`, unions the entered names over all binaries and
 #    prints every function of mcpbench's symbol table, or of its own crates'
@@ -118,30 +117,6 @@ leg() {
 }
 expect_fail() { ! "$@"; }
 
-# serve --listen on a Unix socket: 20 logged requests, then the admin
-# shutdown line; fails unless the server drains clean and answers them all.
-serve_listen() {
-  python3 - "$MCPB" "$RUN/serve.sock" <<'PY'
-import socket, subprocess, sys, time
-mcpb, path = sys.argv[1:]
-server = subprocess.Popen([mcpb, "serve", "--listen", "unix:" + path, "--queue", "8"])
-for _ in range(600):
-    try:
-        conn = socket.socket(socket.AF_UNIX)
-        conn.connect(path)
-        break
-    except OSError:
-        time.sleep(0.1)
-with open("requests.jsonl", "rb") as fh:
-    conn.sendall(b"".join(fh.readlines()[:20]) + b'{"op":"shutdown"}\n')
-conn.shutdown(socket.SHUT_WR)
-answers = b""
-while chunk := conn.recv(65536):
-    answers += chunk
-sys.exit(server.wait(timeout=600) or answers.count(b"\n") < 20)
-PY
-}
-
 # The e2ebench workloads and the examples write nothing the mcpbench legs
 # read, so they run beside them (about 20 min each way on 2 vCPUs).
 side_legs() {
@@ -167,7 +142,6 @@ leg "$MCPB" obs report obs-a.jsonl
 leg "$MCPB" obs diff obs-a.jsonl obs-b.jsonl
 leg "$MCPB" obs chrome obs-a.jsonl --out chrome.json
 leg "$MCPB" obs flame obs-a.jsonl
-leg "$MCPB" obs metrics obs-a.jsonl
 MCPB_FAULTS="panic@sweep.cell:3" leg "$MCPB" sweep --journal sweep.jsonl
 leg "$MCPB" sweep --resume sweep.jsonl
 # A journal torn mid-line (a crash during a write) resumes from its durable prefix.
@@ -184,7 +158,6 @@ MCPB_THREADS=4 leg "$MCPB" serve --replay requests.jsonl --det-timing --out serv
 leg "$MCPB" journal-diff serve-t1.jsonl serve-t4.jsonl
 MCPB_FAULTS="panic@serve.query:2; stall@serve.query:5=0.02" \
   leg "$MCPB" serve --replay requests.jsonl --det-timing --out serve-chaos.jsonl
-leg serve_listen
 # Divergence recovery of all five DRL methods (check.sh's faulted trace-smoke enters only S2V-DQN's).
 MCPB_FAULTS="nan@train.S2V-DQN:2; nan@train.GCOMB:2; nan@train.LeNSE:2; nan@train.RL4IM:2; \
 nan@train.Geometric-QN:2" leg "$MCPB" fig1 fig7

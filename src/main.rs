@@ -725,7 +725,7 @@ fn large_smoke_cmd(args: &[String]) {
     );
 }
 
-/// `serve …`: the online query service. Three modes:
+/// `serve …`: the online query service. Two modes:
 ///
 /// * `--gen <n>` emits a deterministic JSONL request log (seeded; `--burst`
 ///   adds a mid-log overload window) for replay and chaos testing;
@@ -733,49 +733,34 @@ fn large_smoke_cmd(args: &[String]) {
 ///   through the fault-isolated engine, printing greppable summary lines
 ///   and (with `--out`) the response journal — `--det-timing` zeroes
 ///   wall-clock fields so journals are byte-identical across thread
-///   counts;
-/// * `--listen <endpoint>` serves live JSONL clients over TCP or a Unix
-///   socket until an admin `{"op":"shutdown"}` line drains it.
+///   counts.
 fn serve_cmd(args: &[String]) {
-    use mcpb_serve::{
-        generate_log, preload, replay, serve_listener, EngineOptions, LoadGenConfig, ServeConfig,
-        SocketConfig,
-    };
+    use mcpb_serve::{generate_log, preload, replay, EngineOptions, LoadGenConfig, ServeConfig};
 
     fn usage() -> ! {
         eprintln!(
             "usage: mcpbench serve --gen <n> [--seed <s>] [--burst] [--out <file>]\n\
              \u{20}      mcpbench serve --replay <log> [--out <journal>] [--det-timing]\n\
-             \u{20}                     [--label <text>]\n\
-             \u{20}      mcpbench serve --listen <tcp:HOST:PORT|unix:/path> [--queue <n>]"
+             \u{20}                     [--label <text>]"
         );
         std::process::exit(2);
     }
 
     let mut gen_n: Option<usize> = None;
     let mut replay_path: Option<String> = None;
-    let mut listen: Option<String> = None;
     let mut out: Option<String> = None;
     let mut seed = 7u64;
     let mut burst = false;
     let mut det_timing = false;
     let mut label = "serve-replay".to_string();
-    let mut sock_cfg = SocketConfig::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--gen" => gen_n = it.next().and_then(|v| v.parse().ok()).or_else(|| usage()),
             "--replay" => replay_path = it.next().cloned().or_else(|| usage()),
-            "--listen" => listen = it.next().cloned().or_else(|| usage()),
             "--out" => out = it.next().cloned().or_else(|| usage()),
             "--seed" => {
                 seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--queue" => {
-                sock_cfg.queue_depth = it
                     .next()
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
@@ -786,12 +771,7 @@ fn serve_cmd(args: &[String]) {
             _ => usage(),
         }
     }
-    if [gen_n.is_some(), replay_path.is_some(), listen.is_some()]
-        .iter()
-        .filter(|&&m| m)
-        .count()
-        != 1
-    {
+    if gen_n.is_some() == replay_path.is_some() {
         usage();
     }
 
@@ -829,79 +809,48 @@ fn serve_cmd(args: &[String]) {
         return;
     }
 
-    if let Some(path) = replay_path {
-        let log = std::fs::read(&path).unwrap_or_else(|e| {
-            eprintln!("mcpbench serve: cannot read {path}: {e}");
-            std::process::exit(1);
-        });
-        let opts = EngineOptions {
-            label,
-            deterministic_timing: det_timing,
-            ..EngineOptions::default()
-        };
-        let report = replay(&state, &mut pool, &log, &opts);
-        let answered = report.served + report.degraded + report.shed + report.errors;
-        println!(
-            "serve: ok requests={} served={} degraded={} shed={} errors={} cache_hits={}",
-            report.requests,
-            report.served,
-            report.degraded,
-            report.shed,
-            report.errors,
-            report.cache_hits
-        );
-        let shed_rate = report.shed as f64 / report.requests.max(1) as f64;
-        println!(
-            "serve: latency p50_ms={:.3} p99_ms={:.3} shed_rate={:.3}",
-            report.p50_ms, report.p99_ms, shed_rate
-        );
-        if let Some(path) = &out {
-            std::fs::write(path, &report.journal).unwrap_or_else(|e| {
-                eprintln!("mcpbench serve: cannot write {path}: {e}");
-                std::process::exit(1);
-            });
-            println!("serve: wrote response journal -> {path}");
-        }
-        if report.lost == 0 && report.duplicated == 0 && answered == report.requests {
-            println!(
-                "serve: drain clean ({answered}/{} responses, 0 lost, 0 duplicated)",
-                report.requests
-            );
-        } else {
-            eprintln!(
-                "serve: drain FAILED ({answered}/{} responses, {} lost, {} duplicated)",
-                report.requests, report.lost, report.duplicated
-            );
-            std::process::exit(1);
-        }
-        return;
-    }
-
-    sock_cfg.endpoint = listen.unwrap_or_else(|| usage());
-    let handle = serve_listener(state, pool, &sock_cfg).unwrap_or_else(|e| {
-        eprintln!("mcpbench serve: {e}");
+    let path = replay_path.unwrap_or_else(|| usage());
+    let log = std::fs::read(&path).unwrap_or_else(|e| {
+        eprintln!("mcpbench serve: cannot read {path}: {e}");
         std::process::exit(1);
     });
-    println!("serve: listening on {}", handle.endpoint());
-    println!("serve: send {{\"op\":\"shutdown\"}} on any connection to drain");
-    while !handle.draining() {
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
-    let (_pool, stats) = handle.shutdown_and_join();
-    let answered = stats.served + stats.degraded + stats.shed + stats.errors;
+    let opts = EngineOptions {
+        label,
+        deterministic_timing: det_timing,
+        ..EngineOptions::default()
+    };
+    let report = replay(&state, &mut pool, &log, &opts);
+    let answered = report.served + report.degraded + report.shed + report.errors;
     println!(
-        "serve: ok requests={} served={} degraded={} shed={} errors={}",
-        stats.requests, stats.served, stats.degraded, stats.shed, stats.errors
+        "serve: ok requests={} served={} degraded={} shed={} errors={} cache_hits={}",
+        report.requests,
+        report.served,
+        report.degraded,
+        report.shed,
+        report.errors,
+        report.cache_hits
     );
-    if stats.drained_clean() {
+    let shed_rate = report.shed as f64 / report.requests.max(1) as f64;
+    println!(
+        "serve: latency p50_ms={:.3} p99_ms={:.3} shed_rate={:.3}",
+        report.p50_ms, report.p99_ms, shed_rate
+    );
+    if let Some(path) = &out {
+        std::fs::write(path, &report.journal).unwrap_or_else(|e| {
+            eprintln!("mcpbench serve: cannot write {path}: {e}");
+            std::process::exit(1);
+        });
+        println!("serve: wrote response journal -> {path}");
+    }
+    if report.lost == 0 && report.duplicated == 0 && answered == report.requests {
         println!(
             "serve: drain clean ({answered}/{} responses, 0 lost, 0 duplicated)",
-            stats.requests
+            report.requests
         );
     } else {
         eprintln!(
-            "serve: drain FAILED ({answered}/{} responses answered)",
-            stats.requests
+            "serve: drain FAILED ({answered}/{} responses, {} lost, {} duplicated)",
+            report.requests, report.lost, report.duplicated
         );
         std::process::exit(1);
     }
@@ -965,21 +914,19 @@ fn bench_check_cmd(args: &[String]) {
     }
 }
 
-/// `obs <report|diff|chrome|flame|metrics> …`: trace analysis over recorded
+/// `obs <report|diff|chrome|flame> …`: trace analysis over recorded
 /// telemetry. Every subcommand ingests a run file — an `MCPB_TRACE` JSONL
 /// stream, an `mcpb-resilience` sweep journal, or a `BENCH_*.json`
 /// (mcpb-perf/1) record; the format is sniffed — into a unified run model,
 /// then renders a profile report, a span-path-aligned regression diff, a
-/// Chrome trace-event export, a folded-stack flamegraph, or Prometheus-style
-/// metrics text.
+/// Chrome trace-event export, or a folded-stack flamegraph.
 fn obs_cmd(args: &[String]) {
     fn usage() -> ! {
         eprintln!(
-            "usage: mcpbench obs report  <run> [--top <k>]\n\
-             \u{20}      mcpbench obs diff    <before> <after> [--noise <frac>]\n\
-             \u{20}      mcpbench obs chrome  <run> [--out <file>]\n\
-             \u{20}      mcpbench obs flame   <run> [--out <file>]\n\
-             \u{20}      mcpbench obs metrics <run>\n\
+            "usage: mcpbench obs report <run> [--top <k>]\n\
+             \u{20}      mcpbench obs diff   <before> <after> [--noise <frac>]\n\
+             \u{20}      mcpbench obs chrome <run> [--out <file>]\n\
+             \u{20}      mcpbench obs flame  <run> [--out <file>]\n\
              <run> is an MCPB_TRACE JSONL file, a sweep journal, or a BENCH_*.json record"
         );
         std::process::exit(2);
@@ -1048,13 +995,6 @@ fn obs_cmd(args: &[String]) {
         }
         ("flame", [run]) => {
             emit(&mcpb_obs::render_flame(&load(run)), out);
-        }
-        ("metrics", [run]) => {
-            let model = load(run);
-            emit(
-                &mcpb_obs::MetricsRegistry::from_model(&model).render_prometheus(),
-                out,
-            );
         }
         _ => usage(),
     }
@@ -1224,14 +1164,10 @@ fn main() {
         println!("  serve --replay <log> [--out <journal>] [--det-timing]");
         println!("                              replay a request log through the query service;");
         println!("                              prints p50/p99 latency and the shed rate");
-        println!("  serve --listen <tcp:H:P|unix:/path> [--queue <n>]");
-        println!("                              live JSONL query server with admission control,");
-        println!("                              deadlines, and graceful degradation");
         println!("  obs report <run> [--top <k>]           per-run profile report");
         println!("  obs diff <before> <after> [--noise <f>] span-aligned regression attribution");
         println!("  obs chrome <run> [--out <file>]        Chrome trace-event JSON export");
         println!("  obs flame <run> [--out <file>]         folded-stack flamegraph text");
-        println!("  obs metrics <run>                      Prometheus-style metrics exposition");
         println!(
             "                              <run> = MCPB_TRACE JSONL | sweep journal | BENCH_*.json"
         );

@@ -5,8 +5,8 @@
 use std::path::Path;
 
 use mcpb_obs::{
-    diff_runs, parse_flame, render_chrome, render_flame, render_report, validate_chrome,
-    MetricsRegistry, RunKind, RunModel,
+    diff_runs, parse_flame, render_chrome, render_flame, render_report, validate_chrome, RunKind,
+    RunModel,
 };
 
 fn golden_path() -> std::path::PathBuf {
@@ -110,24 +110,6 @@ fn golden_trace_round_trips_through_flame_exporter() {
         .map(|s| (s.path.clone(), s.self_nanos))
         .collect();
     assert_eq!(parsed, expected, "folded stacks lose or distort spans");
-}
-
-#[test]
-fn golden_trace_exposes_prometheus_metrics() {
-    let m = golden_model();
-    let text = MetricsRegistry::from_model(&m).render_prometheus();
-    for needle in [
-        "# TYPE mcpb_sweep_cells_total counter",
-        "mcpb_span_self_seconds{path=\"train.S2V-DQN/nn.forward\"}",
-        "mcpb_hist_sweep_query_secs_LazyGreedy{quantile=\"0.99\"}",
-        "mcpb_train_episodes_total 2",
-        "mcpb_sweep_points_total 2",
-    ] {
-        assert!(
-            text.contains(needle),
-            "exposition missing {needle:?}:\n{text}"
-        );
-    }
 }
 
 /// End-to-end regression attribution: record a tiny MCP sweep twice, the
